@@ -1,7 +1,8 @@
 """Command-line front end: single runs, verification verbs, tables and sweeps.
 
 Exit codes: 0 on success (conjecture mismatches only warn), 1 when an
-asserted check fails, 2 on usage errors, 3 when a resource guard trips.
+asserted check fails, 2 on usage errors and out-of-domain input, 3 when
+a resource guard trips.
 Output is deterministic for a fixed command line and seed.
 """
 
@@ -9,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
 from . import delta, obstruction, orbits, special_cases
 from .conics import (ConicParams, classify_and_count, closed_form_total,
                      count_conic_bruteforce, total_via_fibers)
-from .enumeration import count_solutions_bruteforce, enumerate_solutions
+from .enumeration import (ResourceGuardError, count_solutions_bruteforce,
+                          enumerate_solutions)
 from .field import validate_prime
 from .surface import (ALL_NONDEGENERATE, SPECIAL_FORM, SurfaceParams,
                       classify_parameters)
@@ -40,6 +41,17 @@ def _add_pa(parser, require_a=True):
                         help="surface parameters a1,a2,a3 (negatives allowed)")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sample counts: a run that checks nothing must not PASS."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="markoff",
@@ -48,32 +60,37 @@ def main(argv: list[str] | None = None) -> int:
 
     p_count = sub.add_parser("count", help="closed-form solution count vs brute force")
     _add_pa(p_count)
+    p_count.set_defaults(handler=_cmd_count)
 
     p_enum = sub.add_parser("enumerate", help="list all nonzero solutions as CSV")
     _add_pa(p_enum)
     p_enum.add_argument("--allow-large", action="store_true",
                         help="override the enumeration size guard")
+    p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_orb = sub.add_parser("orbits", help="orbit partition report")
     _add_pa(p_orb)
     p_orb.add_argument("--format", choices=("text", "json"), default="text")
+    p_orb.set_defaults(handler=_cmd_orbits)
 
     p_ver = sub.add_parser("verify", help="run one verification suite")
-    p_ver.add_argument("check", choices=("divisibility", "breakup", "delta",
-                                         "numel", "conics", "nobigons"))
+    p_ver.add_argument("check", choices=tuple(_VERIFY))
     p_ver.add_argument("-p", "--prime", type=int, required=True)
     p_ver.add_argument("-a", "--params", type=str, default=None)
-    p_ver.add_argument("--samples", type=int, default=1000)
+    p_ver.add_argument("--samples", type=_positive_int, default=1000)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
+    p_ver.set_defaults(handler=_cmd_verify)
 
     p_tab = sub.add_parser("table-22m2", help="orbit-size tables for a = (2,2,-2)")
     p_tab.add_argument("--max-p", type=int, default=43)
     p_tab.add_argument("--format", choices=("csv", "text"), default="csv")
+    p_tab.set_defaults(handler=_cmd_table)
 
     p_fam = sub.add_parser("special", help="worked families")
-    p_fam.add_argument("family", choices=("00m3", "p3", "22m2"))
+    p_fam.add_argument("family", choices=tuple(_SPECIAL))
     p_fam.add_argument("-p", "--prime", type=int, default=None)
+    p_fam.set_defaults(handler=_cmd_special)
 
     p_sweep = sub.add_parser("sweep", help="count/divisibility sweep over parameters")
     p_sweep.add_argument("--p-list", type=str, required=True,
@@ -81,11 +98,12 @@ def main(argv: list[str] | None = None) -> int:
     group = p_sweep.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true",
                        help="all parameter triples per prime")
-    group.add_argument("--samples", type=int, default=None,
+    group.add_argument("--samples", type=_positive_int, default=None,
                        help="seeded random triples per prime (default 200)")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--with-delta", action="store_true",
                          help="also build and verify the certificate per run")
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
     try:
         args = parser.parse_args(argv)
@@ -93,32 +111,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
     try:
-        return _dispatch(args)
+        return args.handler(args)
+    except ResourceGuardError as exc:
+        print(f"resource guard: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except ValueError as exc:
-        if "guard" in str(exc):
-            print(f"resource guard: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "count":
-        return _cmd_count(args)
-    if cmd == "enumerate":
-        return _cmd_enumerate(args)
-    if cmd == "orbits":
-        return _cmd_orbits(args)
-    if cmd == "verify":
-        return _cmd_verify(args)
-    if cmd == "table-22m2":
-        return _cmd_table(args)
-    if cmd == "special":
-        return _cmd_special(args)
-    if cmd == "sweep":
-        return _cmd_sweep(args)
-    raise AssertionError(cmd)  # pragma: no cover
 
 
 def _cmd_count(args) -> int:
@@ -155,87 +154,97 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_verify(args) -> int:
     p = validate_prime(args.prime)
-    check = args.check
-    if check in ("divisibility", "delta", "numel", "breakup") and args.params is None:
-        raise ValueError(f"verify {check} needs -a a1,a2,a3")
+    if args.check in ("divisibility", "delta", "numel", "breakup") and args.params is None:
+        raise ValueError(f"verify {args.check} needs -a a1,a2,a3")
+    return _VERIFY[args.check](args, p)
 
-    if check == "numel":
-        return _cmd_count(args)
 
-    if check == "divisibility":
-        params = _parse_params(p, args.params)
-        part = orbits.compute_orbits(enumerate_solutions(params))
-        report = orbits.verify_divisibility(part)
-        table = orbits.size_table(part)
-        if report.passed is None:
-            print(f"class={report.params_class.kind}: not asserted; sizes {table}")
-            return EXIT_OK
-        print(f"class={report.params_class.kind}: sizes {table} "
-              f"{'PASS' if report.passed else 'FAIL'}")
-        return EXIT_OK if report.passed else EXIT_FAIL
-
-    if check == "delta":
-        params = _parse_params(p, args.params)
-        sol = enumerate_solutions(params)
-        try:
-            assign = delta.build_certificate(sol)
-            part = orbits.compute_orbits(sol)
-            report = delta.verify_certificate(assign, part)
-        except delta.NoConsistentExtension as exc:
-            print(f"no consistent extension: {exc}")
-            cls = classify_parameters(params)
-            # expected exactly for hypothesis-violated parameters
-            return EXIT_OK if cls.kind not in (ALL_NONDEGENERATE, SPECIAL_FORM) else EXIT_FAIL
-        except delta.CertificateError as exc:
-            print(f"certificate FAILED: {exc}")
-            return EXIT_FAIL
-        ok = report.all_divisible
-        print(f"certificate verified on {report.n_points} points; "
-              f"orbit sizes divisible by p: {'PASS' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_FAIL
-
-    if check == "breakup":
-        params = _parse_params(p, args.params)
-        report = obstruction.verify_breakup(params)
-        print(json.dumps(obstruction.breakup_report_dict(report), sort_keys=True))
-        if not report.bound_holds:
-            return EXIT_FAIL
-        if not report.conjecture_matched:
-            print(f"note: conjectured partition {report.conjectured_sizes} "
-                  f"differs from computed {report.orbit_sizes}", file=sys.stderr)
+def _verify_divisibility(args, p: int) -> int:
+    params = _parse_params(p, args.params)
+    part = orbits.compute_orbits(enumerate_solutions(params))
+    report = orbits.verify_divisibility(part)
+    table = orbits.size_table(part)
+    if report.passed is None:
+        print(f"class={report.params_class.kind}: not asserted; sizes {table}")
         return EXIT_OK
+    print(f"class={report.params_class.kind}: sizes {table} "
+          f"{'PASS' if report.passed else 'FAIL'}")
+    return EXIT_OK if report.passed else EXIT_FAIL
 
-    if check == "conics":
-        rng = random.Random(args.seed)
-        bad = 0
-        for _ in range(args.samples):
-            c = ConicParams.make(p, rng.randrange(p), rng.randrange(p),
-                                 rng.randrange(p), rng.randrange(p))
-            if classify_and_count(c)[1] != count_conic_bruteforce(c):
+
+def _verify_delta(args, p: int) -> int:
+    params = _parse_params(p, args.params)
+    sol = enumerate_solutions(params)
+    try:
+        assign = delta.build_certificate(sol)
+        part = orbits.compute_orbits(sol)
+        report = delta.verify_certificate(assign, part)
+    except delta.NoConsistentExtension as exc:
+        print(f"no consistent extension: {exc}")
+        cls = classify_parameters(params)
+        # expected exactly for hypothesis-violated parameters
+        return EXIT_OK if cls.kind not in (ALL_NONDEGENERATE, SPECIAL_FORM) else EXIT_FAIL
+    except delta.CertificateError as exc:
+        print(f"certificate FAILED: {exc}")
+        return EXIT_FAIL
+    ok = report.all_divisible
+    print(f"certificate verified on {report.n_points} points; "
+          f"orbit sizes divisible by p: {'PASS' if ok else 'FAIL'}")
+    return EXIT_OK if ok else EXIT_FAIL
+
+
+def _verify_breakup(args, p: int) -> int:
+    params = _parse_params(p, args.params)
+    report = obstruction.verify_breakup(params)
+    print(json.dumps(obstruction.breakup_report_dict(report), sort_keys=True))
+    if not report.bound_holds:
+        return EXIT_FAIL
+    if not report.conjecture_matched:
+        print(f"note: conjectured partition {report.conjectured_sizes} "
+              f"differs from computed {report.orbit_sizes}", file=sys.stderr)
+    return EXIT_OK
+
+
+def _verify_conics(args, p: int) -> int:
+    rng = random.Random(args.seed)
+    bad = 0
+    for _ in range(args.samples):
+        c = ConicParams.make(p, rng.randrange(p), rng.randrange(p),
+                             rng.randrange(p), rng.randrange(p))
+        if classify_and_count(c)[1] != count_conic_bruteforce(c):
+            bad += 1
+    extra = ""
+    if args.params is not None:
+        params = _parse_params(p, args.params)
+        if params.s != 0 and p >= 5:
+            fib = total_via_fibers(params)
+            form = closed_form_total(params)
+            extra = f"; fiber-sum={fib} formula={form}"
+            if fib != form:
                 bad += 1
-        extra = ""
-        if args.params is not None:
-            params = _parse_params(p, args.params)
-            if params.s != 0 and p >= 5:
-                fib = total_via_fibers(params)
-                form = closed_form_total(params)
-                extra = f"; fiber-sum={fib} formula={form}"
-                if fib != form:
-                    bad += 1
-        print(f"conics checked={args.samples} mismatches={bad}{extra} "
-              f"{'PASS' if bad == 0 else 'FAIL'}")
-        return EXIT_OK if bad == 0 else EXIT_FAIL
+    print(f"conics checked={args.samples} mismatches={bad}{extra} "
+          f"{'PASS' if bad == 0 else 'FAIL'}")
+    return EXIT_OK if bad == 0 else EXIT_FAIL
 
-    if check == "nobigons":
-        params = (_parse_params(p, args.params) if args.params is not None
-                  else SurfaceParams.make(p, (0, 0, 0)))
-        rng = random.Random(args.seed)
-        pts = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(args.samples)]
-        ok = orbits.no_bigons_holds(params, pts)
-        print(f"no-bigons on {len(pts)} points: {'PASS' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_FAIL
 
-    raise AssertionError(check)  # pragma: no cover
+def _verify_nobigons(args, p: int) -> int:
+    params = (_parse_params(p, args.params) if args.params is not None
+              else SurfaceParams.make(p, (0, 0, 0)))
+    rng = random.Random(args.seed)
+    pts = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(args.samples)]
+    ok = orbits.no_bigons_holds(params, pts)
+    print(f"no-bigons on {len(pts)} points: {'PASS' if ok else 'FAIL'}")
+    return EXIT_OK if ok else EXIT_FAIL
+
+
+_VERIFY = {
+    "divisibility": _verify_divisibility,
+    "breakup": _verify_breakup,
+    "delta": _verify_delta,
+    "numel": lambda args, p: _cmd_count(args),
+    "conics": _verify_conics,
+    "nobigons": _verify_nobigons,
+}
 
 
 def _cmd_table(args) -> int:
@@ -254,37 +263,45 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_special(args) -> int:
-    fam = args.family
-    if fam == "p3":
-        report = special_cases.markoff_p3()
-        table = ", ".join(f"{k}^{v}" for k, v in sorted(report.multiset.items()))
-        print(f"orbits: {table}")
-        print(f"moves negate coordinates: {report.moves_negate}; "
-              f"graph is the 3-cube: {report.is_cube}")
-        return EXIT_OK if report.is_cube and report.multiset == {8: 1} else EXIT_FAIL
-    if fam == "00m3":
-        if args.prime is None:
-            raise ValueError("special 00m3 needs -p")
-        rep = special_cases.orbits_00_minus3(validate_prime(args.prime))
-        sizes = ",".join(str(v) for v in sorted(rep.conic1_sizes, reverse=True))
-        print(f"ord(lambda)={rep.lambda_order}; "
-              f"conic1 orbits={rep.conic1_orbits} ({sizes}); "
-              f"conic0 orbits={rep.conic0_orbits}")
-        return EXIT_OK if rep.consistent else EXIT_FAIL
-    if fam == "22m2":
-        if args.prime is None:
-            raise ValueError("special 22m2 needs -p")
-        params = SurfaceParams.make(validate_prime(args.prime), (2, 2, -2))
-        rep = special_cases.tiny_orbits_22m2(params)
-        if rep.s_zero:
-            print("s = 0: closed-form small orbits skipped")
-            return EXIT_OK
-        print(f"singletons={len(rep.singletons)} barbells={len(rep.barbells)} "
-              f"tripods={len(rep.tripods)}"
-              f"{' (tripods degenerate)' if rep.tripods_degenerate else ''} "
-              f"verified={rep.all_verified()}")
-        return EXIT_OK if rep.all_verified() else EXIT_FAIL
-    raise AssertionError(fam)  # pragma: no cover
+    return _SPECIAL[args.family](args)
+
+
+def _special_p3(args) -> int:
+    report = special_cases.markoff_p3()
+    table = ", ".join(f"{k}^{v}" for k, v in sorted(report.multiset.items()))
+    print(f"orbits: {table}")
+    print(f"moves negate coordinates: {report.moves_negate}; "
+          f"graph is the 3-cube: {report.is_cube}")
+    return EXIT_OK if report.is_cube and report.multiset == {8: 1} else EXIT_FAIL
+
+
+def _special_00m3(args) -> int:
+    if args.prime is None:
+        raise ValueError("special 00m3 needs -p")
+    rep = special_cases.orbits_00_minus3(validate_prime(args.prime))
+    sizes = ",".join(str(v) for v in sorted(rep.conic1_sizes, reverse=True))
+    print(f"ord(lambda)={rep.lambda_order}; "
+          f"conic1 orbits={rep.conic1_orbits} ({sizes}); "
+          f"conic0 orbits={rep.conic0_orbits}")
+    return EXIT_OK if rep.consistent else EXIT_FAIL
+
+
+def _special_22m2(args) -> int:
+    if args.prime is None:
+        raise ValueError("special 22m2 needs -p")
+    params = SurfaceParams.make(validate_prime(args.prime), (2, 2, -2))
+    rep = special_cases.tiny_orbits_22m2(params)
+    if rep.s_zero:
+        print("s = 0: closed-form small orbits skipped")
+        return EXIT_OK
+    print(f"singletons={len(rep.singletons)} barbells={len(rep.barbells)} "
+          f"tripods={len(rep.tripods)}"
+          f"{' (tripods degenerate)' if rep.tripods_degenerate else ''} "
+          f"verified={rep.all_verified()}")
+    return EXIT_OK if rep.all_verified() else EXIT_FAIL
+
+
+_SPECIAL = {"00m3": _special_00m3, "p3": _special_p3, "22m2": _special_22m2}
 
 
 def _iter_sweep_params(p: int, exhaustive: bool, samples: int, seed: int):
@@ -299,8 +316,7 @@ def _iter_sweep_params(p: int, exhaustive: bool, samples: int, seed: int):
         yield (rng.randrange(p), rng.randrange(p), rng.randrange(p))
 
 
-def _sweep_one(job) -> list[str]:
-    p, a, with_delta = job
+def _sweep_one(p: int, a: tuple[int, int, int], with_delta: bool) -> list[str]:
     params = SurfaceParams.make(p, a)
     messages = []
     if params.s != 0 and p >= 5:
@@ -327,22 +343,14 @@ def _cmd_sweep(args) -> int:
     jobs = []
     for p in primes:
         exhaustive = args.exhaustive or (args.samples is None and p <= 13)
-        for a in _iter_sweep_params(p, exhaustive, samples, args.seed):
-            jobs.append((p, a, args.with_delta))
-    jobs.sort(key=lambda j: (j[0], j[1]))
+        jobs.extend((p, a) for a in _iter_sweep_params(p, exhaustive, samples, args.seed))
+    jobs.sort()
 
-    workers = int(os.environ.get("MARKOFF_WORKERS", "1"))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, jobs))
-    else:
-        results = [_sweep_one(job) for job in jobs]
-
-    failures = sum(len(msgs) for msgs in results)
-    for msgs in results:  # ordered by (p, a) regardless of scheduling
-        for line in msgs:
+    failures = 0
+    for p, a in jobs:
+        for line in _sweep_one(p, a, args.with_delta):
             print(line)
+            failures += 1
     print(f"sweep: {len(jobs)} runs, {failures} failures")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 

@@ -19,6 +19,10 @@ from .surface import SurfaceParams, Triple, residual, residual_array
 DEFAULT_MAX_PRIME = 20_000  # ~4e8 candidate cells; beyond this pass allow_large=True
 
 
+class ResourceGuardError(ValueError):
+    """Raised when a request exceeds a size guard that the caller may override."""
+
+
 def pack_keys(p: int, pts: np.ndarray) -> np.ndarray:
     """Injective int64 key (x1*p + x2)*p + x3 per point row."""
     return (pts[:, 0] * p + pts[:, 1]) * p + pts[:, 2]
@@ -80,7 +84,7 @@ def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> Sol
     """All x != (0,0,0) with residual zero, as a sorted SolutionSet."""
     p = params.p
     if p > DEFAULT_MAX_PRIME and not allow_large:
-        raise ValueError(
+        raise ResourceGuardError(
             f"p = {p} exceeds the enumeration guard {DEFAULT_MAX_PRIME}; "
             "pass allow_large=True to override")
     if p == 2:
@@ -142,18 +146,9 @@ def count_solutions_bruteforce(params: SurfaceParams, chunk: int | None = None) 
     total = 0
     for start in range(0, p, chunk):
         x1 = np.arange(start, min(start + chunk, p), dtype=np.int64)[:, None, None]
-        r = residual_array_grid(params, x1, x2[None, :, :], x3[None, :, :])
+        r = residual_array(params, (x1, x2[None, :, :], x3[None, :, :]))
         total += int(np.count_nonzero(r == 0))
     return total - 1  # discount the origin
-
-
-def residual_array_grid(params: SurfaceParams, x1, x2, x3):
-    p = params.p
-    a1, a2, a3 = params.a
-    r = (x1 * x1 + x2 * x2 + x3 * x3) % p
-    r = (r + a1 * (x2 * x3 % p) + a2 * (x1 * x3 % p) + a3 * (x1 * x2 % p)) % p
-    r = (r - params.s * (x1 * x2 % p) % p * x3) % p
-    return r
 
 
 @dataclass

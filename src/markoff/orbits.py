@@ -1,10 +1,9 @@
 """Connected components of the move graph and the divisibility verdict.
 
 Each solution is adjacent to its three move images.  Components are
-found with scipy's sparse connected_components when available (linear
-time at the p ~ 1000 scale), falling back to a plain union-find.
-Representatives and orbit numbering are canonical: orbits are ordered
-by their lexicographically smallest point.
+found with scipy's sparse connected_components, linear time at the
+p ~ 1000 scale.  Representatives and orbit numbering are canonical:
+orbits are ordered by their lexicographically smallest point.
 """
 
 from __future__ import annotations
@@ -12,39 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .enumeration import SolutionSet, pack_keys
+from .enumeration import SolutionSet
 from .surface import (ALL_NONDEGENERATE, SPECIAL_FORM, ParamClass, Triple,
                       apply_move_array, classify_parameters)
-
-try:
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components as _scipy_components
-except ImportError:  # pragma: no cover
-    _scipy_components = None
-
-
-class UnionFind:
-    """Union-find with path compression; fallback component finder and test aid."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-    def labels(self) -> np.ndarray:
-        return np.array([self.find(i) for i in range(len(self.parent))], dtype=np.int64)
 
 
 def neighbor_indices(sol: SolutionSet) -> np.ndarray:
@@ -98,17 +70,11 @@ def compute_orbits(sol: SolutionSet) -> OrbitPartition:
 
 
 def _component_labels(nbr: np.ndarray, m: int) -> np.ndarray:
-    if _scipy_components is not None:
-        row = np.tile(np.arange(m, dtype=np.int64), 3)
-        col = nbr.reshape(-1)
-        graph = coo_matrix((np.ones(3 * m, dtype=np.int8), (row, col)), shape=(m, m))
-        _, labels = _scipy_components(graph, directed=False)
-        return labels
-    uf = UnionFind(m)
-    for i in range(3):
-        for k in range(m):
-            uf.union(k, int(nbr[i, k]))
-    return uf.labels()
+    row = np.tile(np.arange(m, dtype=np.int64), 3)
+    col = nbr.reshape(-1)
+    graph = coo_matrix((np.ones(3 * m, dtype=np.int8), (row, col)), shape=(m, m))
+    _, labels = connected_components(graph, directed=False)
+    return labels
 
 
 def size_table(multiset: dict[int, int] | OrbitPartition) -> str:

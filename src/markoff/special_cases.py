@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .enumeration import enumerate_solutions
 from .field import (QuadExtElement, chi, inverse, mult_order, sqrt_mod,
-                    validate_prime)
+                    validate_odd_prime, validate_prime)
 from .orbits import compute_orbits, size_table
 from .surface import SurfaceParams, Triple, apply_move, on_surface
 
@@ -87,24 +87,35 @@ def _dihedral_elements(p: int, order: int):
     return elements
 
 
-def _orbit_count_bfs(points, movers) -> list[int]:
-    pts = set(points)
+def _component(start, movers, limit: int | None = None) -> set:
+    """The orbit of `start` under the maps in `movers`, by graph search.
+
+    With a limit the search stops as soon as the orbit has more than
+    `limit` points, so a caller expecting a tiny orbit bails out fast.
+    """
+    comp = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for mv in movers:
+            w = mv(v)
+            if w not in comp:
+                comp.add(w)
+                stack.append(w)
+        if limit is not None and len(comp) > limit:
+            break
+    return comp
+
+
+def _orbit_sizes(points, movers) -> list[int]:
+    """Sizes of the orbits partitioning `points`, in order of smallest member."""
     seen: set = set()
     sizes = []
-    for start in sorted(pts):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for mv in movers:
-                w = mv(v)
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        sizes.append(len(comp))
+    for start in sorted(set(points)):
+        if start not in seen:
+            comp = _component(start, movers)
+            seen |= comp
+            sizes.append(len(comp))
     return sizes
 
 
@@ -154,8 +165,8 @@ def orbits_00_minus3(p: int) -> DihedralReport:
     def m2(v):
         return (v[0], (-v[1] + 3 * v[0]) % p)
 
-    sizes1 = _orbit_count_bfs(conic1, [m1, m2])
-    sizes0 = _orbit_count_bfs(conic0, [m1, m2]) if conic0 else []
+    sizes1 = _orbit_sizes(conic1, [m1, m2])
+    sizes0 = _orbit_sizes(conic0, [m1, m2]) if conic0 else []
 
     elements = _dihedral_elements(p, order)
 
@@ -187,7 +198,7 @@ def orbits_00_minus3(p: int) -> DihedralReport:
     def f3(v):
         return (v[0], v[1], (p - v[2]) % p)
 
-    full = len(_orbit_count_bfs(both, [f1, f2, f3]))
+    full = len(_orbit_sizes(both, [f1, f2, f3]))
 
     return DihedralReport(
         p=p, sqrt5_in_fp=sqrt5, lambda_order=order,
@@ -227,21 +238,6 @@ class TinyOrbitReport:
         return all(t.verified_size == expected[t.kind] for t in groups)
 
 
-def _bfs_orbit(params: SurfaceParams, x: Triple) -> set[Triple]:
-    comp = {x}
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        for i in range(3):
-            w = apply_move(params, v, i)
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-        if len(comp) > 64:   # tiny orbits only; bail out fast if it grows
-            break
-    return comp
-
-
 def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
     """Verify the closed-form size 1, 2 and 4 orbits for a = (2, 2, -2).
 
@@ -249,12 +245,16 @@ def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
     p = 3 the tripod points collapse onto the origin and the tripods are
     reported as degenerate.
     """
-    p = params.p
+    p = validate_odd_prime(params.p)
     if tuple(v % p for v in (2, 2, -2)) != params.a:
         raise ValueError("this analysis is specific to a = (2, 2, -2)")
     if params.s == 0:
         return TinyOrbitReport(params, True, [], [], [], True)
     u = inverse(params.s, p)
+    movers = [lambda v, i=i: apply_move(params, v, i) for i in range(3)]
+
+    def orbit_size(x: Triple) -> int:
+        return len(_component(x, movers, limit=64))   # tiny orbits only
 
     def t(c1, c2, c3) -> Triple:
         return (c1 * u % p, c2 * u % p, c3 * u % p)
@@ -277,7 +277,7 @@ def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
         _require(on_surface(params, x), f"{x} not on surface")
         for i in range(3):
             _require(apply_move(params, x, i) == x, f"{x} not fixed by move {i}")
-        size = len(_bfs_orbit(params, x))
+        size = orbit_size(x)
         singleton_reports.append(TinyOrbit("singleton", [x], [], size))
 
     barbell_reports = []
@@ -290,7 +290,7 @@ def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
             if i != move_i:
                 _require(apply_move(params, left, i) == left, "barbell end not fixed")
                 _require(apply_move(params, right, i) == right, "barbell end not fixed")
-        size = len(_bfs_orbit(params, left))
+        size = orbit_size(left)
         barbell_reports.append(
             TinyOrbit("barbell", [left, right], [(left, move_i, right)], size))
 
@@ -313,7 +313,7 @@ def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
                         _require(apply_move(params, leaf, j) == leaf,
                                  "tripod leaf is not a double fixed point")
                 edges.append((center, i, leaf))
-            size = len(_bfs_orbit(params, center))
+            size = orbit_size(center)
             tripod_reports.append(TinyOrbit("tripod", pts, edges, size))
 
     return TinyOrbitReport(params, False, singleton_reports, barbell_reports,

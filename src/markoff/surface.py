@@ -97,10 +97,15 @@ def apply_move_array(params: SurfaceParams, pts: np.ndarray, i: int) -> np.ndarr
     return out
 
 
-def residual_array(params: SurfaceParams, pts: np.ndarray) -> np.ndarray:
+def residual_array(params: SurfaceParams, x) -> np.ndarray:
+    """Vectorised residual; x[0..2] are ints or broadcastable int64 arrays.
+
+    Pass ``pts.T`` for an (M, 3) point array, or three grid axes.  For
+    coordinates in [0, p) every intermediate stays below 4 p^2.
+    """
     p = params.p
     a1, a2, a3 = params.a
-    x1, x2, x3 = pts[:, 0], pts[:, 1], pts[:, 2]
+    x1, x2, x3 = x[0], x[1], x[2]
     r = (x1 * x1 + x2 * x2 + x3 * x3) % p
     r = (r + a1 * (x2 * x3 % p) + a2 * (x1 * x3 % p) + a3 * (x1 * x2 % p)) % p
     r = (r - params.s * (x1 * x2 % p) % p * x3) % p

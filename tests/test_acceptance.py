@@ -244,18 +244,18 @@ def _check_involution_and_preservation():
     for salt, (p, a) in enumerate(PANEL_SMALL + PANEL_LARGE):
         params = SurfaceParams.make(p, a)
         pts = _panel_points(p, a, salt)
-        res = residual_array(params, pts)
+        res = residual_array(params, pts.T)
         for i in range(3):
             moved = apply_move_array(params, pts, i)
             assert np.array_equal(apply_move_array(params, moved, i), pts)
-            assert np.array_equal(residual_array(params, moved) == 0, res == 0)
+            assert np.array_equal(residual_array(params, moved.T) == 0, res == 0)
 
 
 def _check_vieta():
     for salt, (p, a) in enumerate(PANEL_SMALL + PANEL_LARGE):
         params = SurfaceParams.make(p, a)
         pts = _panel_points(p, a, salt + 100)
-        on = pts[residual_array(params, pts) == 0]
+        on = pts[residual_array(params, pts.T) == 0]
         s = params.s
         for i in range(3):
             im1, ip1 = (i - 1) % 3, (i + 1) % 3
@@ -304,7 +304,7 @@ def _check_u_equivariance():
         rhs = (u[:, 0] * u[:, 1] % p * u[:, 2]
                - 2 * a1 * a2 * a3 - a1 * a1 - a2 * a2 - a3 * a3) % p
         assert np.array_equal((lhs - rhs) % p,
-                              s * s % p * residual_array(params, pts) % p)
+                              s * s % p * residual_array(params, pts.T) % p)
 
 
 def _check_shifted_squares():

@@ -140,7 +140,36 @@ def test_usage_error_exit_code(capsys):
 def test_resource_guard_exit_code(capsys):
     p = next(q for q in range(DEFAULT_MAX_PRIME + 1, DEFAULT_MAX_PRIME + 200)
              if is_prime(q))
-    assert main(["enumerate", "-p", str(p), "-a", "0,0,0"]) == EXIT_RESOURCE
+    code, out, err = run(capsys, "enumerate", "-p", str(p), "-a", "0,0,0")
+    assert code == EXIT_RESOURCE and out == ""
+    assert err == (f"resource guard: p = {p} exceeds the enumeration guard "
+                   f"{DEFAULT_MAX_PRIME}; pass allow_large=True to override\n")
+    # the field-table limit is a domain error, not an overridable guard
+    code, _, err = run(capsys, "orbits", "-p", "20000003", "-a", "0,0,0")
+    assert code == EXIT_USAGE
+    assert err == "error: p = 20000003 exceeds the table limit 20000000\n"
+
+
+def test_non_positive_samples_are_usage_errors(capsys):
+    for argv in (["verify", "conics", "-p", "11", "--samples", "-3"],
+                 ["verify", "nobigons", "-p", "11", "--samples", "0"],
+                 ["sweep", "--p-list", "5", "--samples", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "expected a positive integer" in err
+
+
+def test_special_22m2_rejects_p2(capsys):
+    code, out, err = run(capsys, "special", "22m2", "-p", "2")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: p = 2 is not supported here (odd prime required)\n"
+    code, out, _ = run(capsys, "special", "22m2", "-p", "3")
+    assert code == EXIT_OK
+    assert out == ("singletons=3 barbells=3 tripods=0 (tripods degenerate) "
+                   "verified=True\n")
+    code, out, _ = run(capsys, "special", "22m2", "-p", "5")
+    assert code == EXIT_OK
+    assert out == "s = 0: closed-form small orbits skipped\n"
 
 
 def test_output_is_deterministic(capsys):

@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 
 from markoff.enumeration import enumerate_solutions
-from markoff.orbits import (DivisibilityReport, UnionFind, _component_labels,
-                            compute_orbits, neighbor_indices, no_bigons_holds,
+from markoff.orbits import (compute_orbits, neighbor_indices, no_bigons_holds,
                             partition_report, size_table, verify_divisibility)
 from markoff.surface import SurfaceParams, apply_move
 
@@ -25,7 +24,7 @@ def test_orbits_frozen_examples():
 
 def test_orbits_match_naive_bfs():
     for p, a in [(5, (0, 0, 0)), (5, (2, 2, 2)), (7, (2, 2, -2)), (7, (2, 3, 3)),
-                 (11, (0, 0, -3)), (11, (3, 1, 4))]:
+                 (11, (0, 0, -3)), (11, (3, 1, 4)), (11, (2, 5, 5))]:
         params = SurfaceParams.make(p, a)
         part = part_for(p, a)
         expected = naive_orbits(p, params.a)
@@ -72,21 +71,6 @@ def test_neighbor_indices_are_involutive():
     nbr = neighbor_indices(sol)
     for i in range(3):
         assert np.array_equal(nbr[i][nbr[i]], np.arange(len(sol)))
-
-
-def test_union_find_matches_scipy_components():
-    sol = enumerate_solutions(SurfaceParams.make(11, (2, 5, 5)))
-    nbr = neighbor_indices(sol)
-    scipy_labels = _component_labels(nbr, len(sol))
-    uf = UnionFind(len(sol))
-    for i in range(3):
-        for k in range(len(sol)):
-            uf.union(k, int(nbr[i, k]))
-    manual = uf.labels()
-    # same partition up to relabelling
-    assert len(set(scipy_labels.tolist())) == len(set(manual.tolist()))
-    pairs = set(zip(scipy_labels.tolist(), manual.tolist()))
-    assert len(pairs) == len(set(manual.tolist()))
 
 
 def test_verify_divisibility_frozen_examples():

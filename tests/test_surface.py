@@ -282,6 +282,6 @@ def test_singleton_for_params_2_a_b():
 def test_residual_array_matches_scalar():
     params = params_of(13, (3, 1, 7))
     pts = np.array(all_triples(13), dtype=np.int64)
-    bulk = residual_array(params, pts)
+    bulk = residual_array(params, pts.T)
     for k in (0, 1, 100, 2000, 2196):
         assert bulk[k] == residual(params, tuple(int(v) for v in pts[k]))
