@@ -346,12 +346,20 @@ def _cmd_sweep(args) -> int:
         jobs.extend((p, a) for a in _iter_sweep_params(p, exhaustive, samples, args.seed))
     jobs.sort()
 
+    # below p = 5 there is no count formula, divisibility verdict or certificate
+    skipped = sum(1 for p, _ in jobs if p < 5)
+    if skipped == len(jobs):
+        raise ValueError("sweep checks nothing below p = 5; include a prime >= 5")
+
     failures = 0
     for p, a in jobs:
         for line in _sweep_one(p, a, args.with_delta):
             print(line)
             failures += 1
-    print(f"sweep: {len(jobs)} runs, {failures} failures")
+    runs = f"{len(jobs)} runs"
+    if skipped:
+        runs += f" ({len(jobs) - skipped} checked, {skipped} skipped below p = 5)"
+    print(f"sweep: {runs}, {failures} failures")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .enumeration import SolutionSet, zero_locus
 from .orbits import OrbitPartition, compute_orbits
-from .surface import SurfaceParams, Triple, apply_move
+from .surface import SurfaceParams, Triple, apply_move, moved_coordinate
 
 
 class NoConsistentExtension(Exception):
@@ -224,6 +224,8 @@ def build_certificate(sol: SolutionSet, delta0: int | None = None,
         term = (term + (a[im1] * inv[xm] + a[ip1] * inv[xp_]) * inv2) % p
         values[mask, i] = term
 
+    # each zero-locus point lies on exactly one locus and one cycle
+    cycle_values: dict[Triple, Triple] = {}
     for i in range(3):
         locus = zero_locus(params, i)
         remaining = set(locus.points)
@@ -231,10 +233,11 @@ def build_certificate(sol: SolutionSet, delta0: int | None = None,
             base = min(remaining)
             cycle = build_zero_cycle(params, base, i)
             start = rng.randrange(p) if rng is not None else delta0
-            filled = extend_delta(params, cycle, start)
-            for pt, vals in filled.items():
-                values[sol.index_of(pt)] = vals
+            cycle_values.update(extend_delta(params, cycle, start))
             remaining -= set(cycle.points())
+    if cycle_values:
+        rows = sol.lookup_array(np.array(list(cycle_values), dtype=np.int64).T)
+        values[rows] = list(cycle_values.values())
     return DeltaAssignment(sol, values)
 
 
@@ -258,11 +261,41 @@ class CertificateReport:
         return all(c.divisible_by_p for c in self.orbit_checks)
 
 
+def _check_edges(sol: SolutionSet, nbr: np.ndarray, component_id: np.ndarray) -> None:
+    """Check every move edge against coordinates, independently of the lookup.
+
+    Row nbr[i, k] must hold m_i of point k, recomputed here with
+    moved_coordinate, and both ends of every edge must share a component.
+    """
+    m = len(sol)
+    if m and (nbr.min() < 0 or nbr.max() >= m):
+        raise CertificateError("neighbour index outside the solution set")
+    cols = [np.ascontiguousarray(col) for col in sol.points.T]
+    for i in range(3):
+        target = nbr[i]
+        ok = np.take(cols[i], target) == moved_coordinate(sol.params, cols, i)
+        for j in ((i - 1) % 3, (i + 1) % 3):
+            ok &= np.take(cols[j], target) == cols[j]
+        if not bool(ok.all()):
+            k = int(np.flatnonzero(~ok)[0])
+            raise CertificateError(
+                f"move {i} neighbour of {sol.triple(k)} is {sol.triple(int(target[k]))}, "
+                f"not {apply_move(sol.params, sol.triple(k), i)}")
+        same = np.take(component_id, target) == component_id
+        if not bool(same.all()):
+            k = int(np.flatnonzero(~same)[0])
+            raise CertificateError(
+                f"move {i} edge from {sol.triple(k)} to {sol.triple(int(target[k]))} "
+                f"joins components {int(component_id[k])} and {int(component_id[target[k]])}")
+
+
 def verify_certificate(assign: DeltaAssignment,
                        part: OrbitPartition | None = None) -> CertificateReport:
-    """Check every identity and rederive p | V per orbit.
+    """Check every move edge and every identity, and rederive p | V per orbit.
 
-    Raises CertificateError on any violated identity; the assignment
+    The edges of part.neighbors are checked against coordinates first,
+    so a faulty neighbour lookup cannot certify itself.  Raises
+    CertificateError on any violated identity; the assignment
     must cover the whole solution set (build_certificate guarantees it).
     """
     sol = assign.solutions
@@ -275,32 +308,40 @@ def verify_certificate(assign: DeltaAssignment,
     if part is None:
         part = compute_orbits(sol)
 
-    total_ok = (vals.sum(axis=1) - s) % p == 0
+    nbr, component_id = part.neighbors, part.component_id
+    if nbr.shape != (3, m) or component_id.shape != (m,):
+        raise ValueError("orbit partition does not match the solution set")
+    _check_edges(sol, nbr, component_id)
+
+    cols = [np.ascontiguousarray(col) for col in vals.T]
+    total_ok = (cols[0] + cols[1] + cols[2] - s) % p == 0
     if not bool(total_ok.all()):
         bad = int(np.flatnonzero(~total_ok)[0])
         raise CertificateError(f"total identity fails at {sol.triple(bad)}")
 
-    nbr = part.neighbors
     n_fixed = 0
     inv2 = (p + 1) // 2
+    rows = np.arange(m)
     for i in range(3):
-        pair_ok = (vals[:, i] + vals[nbr[i], i] - s) % p == 0
+        pair_ok = (cols[i] + np.take(cols[i], nbr[i]) - s) % p == 0
         if not bool(pair_ok.all()):
             bad = int(np.flatnonzero(~pair_ok)[0])
             raise CertificateError(f"pair identity fails at {sol.triple(bad)} for move {i}")
-        fixed = nbr[i] == np.arange(m)
+        fixed = nbr[i] == rows
         n_fixed += int(fixed.sum())
-        fix_ok = (vals[fixed, i] - s * inv2) % p == 0
+        fix_ok = (cols[i][fixed] - s * inv2) % p == 0
         if not bool(fix_ok.all()):
             raise CertificateError(f"fixed-point identity fails for move {i}")
 
     # per-orbit double counting: sum_i sum_x Delta_i = s*V and each i-sum is s*V/2
-    sizes = np.bincount(part.component_id)
+    sizes = np.bincount(component_id)
+    if sizes.tolist() != part.orbit_sizes():
+        raise CertificateError("component ids do not match the orbit sizes")
     checks = []
     per_orbit_total = np.zeros(len(part.orbits), dtype=np.int64)
     for i in range(3):
         acc = np.zeros(len(part.orbits), dtype=np.int64)
-        np.add.at(acc, part.component_id, vals[:, i])
+        np.add.at(acc, component_id, cols[i])
         half = acc % p
         expect = (s % p) * (sizes % p) % p * inv2 % p  # s*V/2 from the pairing argument
         if not bool(((half - expect) % p == 0).all()):

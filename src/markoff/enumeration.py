@@ -1,15 +1,21 @@
 """Materialise the full nonzero solution set and the zero-coordinate loci.
 
 Enumeration solves the surface equation as a quadratic in x3 for each
-(x1, x2), which is O(p^2) with table lookups.  The independent oracle
-count_solutions_bruteforce evaluates the residual over the whole p^3
-grid instead and shares no logic with the closed-form count.
+cell (x1, x2), which is O(p^2) with table lookups.  A cell holds 0, 1 or
+2 solutions, so the set is stored cell by cell: points are written in
+cell order with the smaller root first, which is lexicographic order,
+and an offsets array of length p^2 + 1 marks where each cell starts.  A
+point is then found in O(1) from its cell and whether its x3 is the
+cell's first root; no sort and no packed keys are needed.  The
+independent oracle count_solutions_bruteforce evaluates the residual
+over the whole p^3 grid instead and shares no logic with the closed-form
+count.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,41 +29,50 @@ class ResourceGuardError(ValueError):
     """Raised when a request exceeds a size guard that the caller may override."""
 
 
-def pack_keys(p: int, pts: np.ndarray) -> np.ndarray:
-    """Injective int64 key (x1*p + x2)*p + x3 per point row."""
-    return (pts[:, 0] * p + pts[:, 1]) * p + pts[:, 2]
-
-
 @dataclass
 class SolutionSet:
-    """All nonzero solutions for one parameter set, lexicographically sorted."""
+    """All nonzero solutions for one parameter set, stored by cell (x1, x2).
+
+    points is the (M, 3) int64 array in lexicographic order.  The rows
+    offsets[c] .. offsets[c+1] - 1 are the 0, 1 or 2 points of cell
+    c = x1*p + x2, smaller x3 first; cell (0, 0) is empty because its
+    only solution is the origin.  offsets[-1] == M.
+    """
 
     params: SurfaceParams
     points: np.ndarray                      # (M, 3) int64, lex sorted
-    keys: np.ndarray = dc_field(repr=False, default=None)  # packed, sorted
+    offsets: np.ndarray                     # (p*p + 1,) int64, cumsum of cell counts
     includes_origin: bool = False
-
-    def __post_init__(self):
-        if self.keys is None:
-            self.keys = pack_keys(self.params.p, self.points)
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
 
     def index_of(self, x: Triple) -> int:
-        key = (x[0] * self.params.p + x[1]) * self.params.p + x[2]
-        pos = int(np.searchsorted(self.keys, key))
-        if pos >= len(self.keys) or self.keys[pos] != key:
-            raise KeyError(f"{x} is not in the solution set")
-        return pos
+        return int(self.lookup_array([np.array([v], dtype=np.int64) for v in x])[0])
 
-    def lookup_array(self, pts: np.ndarray) -> np.ndarray:
-        """Indices of an (M, 3) array of points known to lie in the set."""
-        keys = pack_keys(self.params.p, pts)
-        pos = np.searchsorted(self.keys, keys)
-        if np.any(pos >= len(self.keys)) or np.any(self.keys[pos] != keys):
+    def lookup_array(self, x) -> np.ndarray:
+        """Row indices of points given as coordinate arrays x[0..2].
+
+        Pass ``pts.T`` for an (N, 3) point array.  Raises KeyError if a
+        point is not in the set.
+        """
+        p, m = self.params.p, len(self)
+        x1, x2, x3 = x[0], x[1], x[2]
+        if len(x3) == 0:
+            return np.empty(0, dtype=np.int64)
+        if m == 0 or min(v.min() for v in (x1, x2, x3)) < 0 \
+                or max(v.max() for v in (x1, x2, x3)) >= p:
             raise KeyError("some points are not in the solution set")
-        return pos
+        cell = x1 * p + x2
+        start = np.take(self.offsets, cell)
+        col3 = self.points[:, 2]
+        # an empty cell may start at m; mode="clip" keeps each gather in [0, m)
+        rows = start + (x3 != np.take(col3, start, mode="clip"))
+        found = (rows < np.take(self.offsets, cell + 1)) & (np.take(col3, rows, mode="clip") == x3)
+        if not bool(found.all()):
+            k = int(np.flatnonzero(~found)[0])
+            raise KeyError(f"{(int(x1[k]), int(x2[k]), int(x3[k]))} is not in the solution set")
+        return rows
 
     def __contains__(self, x) -> bool:
         try:
@@ -80,8 +95,33 @@ class SolutionSet:
         return buf.getvalue()
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Start row of every cell, plus the total M at the end."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _from_cells(params: SurfaceParams, counts: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> SolutionSet:
+    """Lay out a SolutionSet from per-cell counts (p*p,) and roots lo <= hi."""
+    p = params.p
+    counts[0] = 0  # cell (0, 0) holds only the origin
+    offsets = _offsets(counts)
+    pts = np.empty((int(offsets[-1]), 3), dtype=np.int64)
+    occupied = np.flatnonzero(counts)
+    first = offsets[occupied]
+    pts[first, 0], pts[first, 1] = np.divmod(occupied, p)
+    pts[first, 2] = lo[occupied]
+    double = np.flatnonzero(counts == 2)
+    second = offsets[double] + 1
+    pts[second, 0], pts[second, 1] = np.divmod(double, p)
+    pts[second, 2] = hi[double]
+    return SolutionSet(params, pts, offsets)
+
+
 def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> SolutionSet:
-    """All x != (0,0,0) with residual zero, as a sorted SolutionSet."""
+    """All x != (0,0,0) with residual zero, as a cell-indexed SolutionSet."""
     p = params.p
     if p > DEFAULT_MAX_PRIME and not allow_large:
         raise ResourceGuardError(
@@ -99,31 +139,12 @@ def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> Sol
     b = (a1 * x2 + a2 * x1 - params.s * x1x2) % p
     c = (x1 * x1 + x2 * x2 + a3 * x1x2) % p
     disc = (b * b - 4 * c) % p
-    ch = fld.chi_table[disc]
+    counts = (fld.chi_table[disc] + 1).ravel()
     root = fld.sqrt_table[disc]
     inv2 = pow(2, -1, p)
-
-    one_mask = ch >= 0
-    two_mask = ch == 1
-    x1g = np.broadcast_to(x1, (p, p))
-    x2g = np.broadcast_to(x2, (p, p))
-    first = np.empty((int(one_mask.sum()), 3), dtype=np.int64)
-    first[:, 0] = x1g[one_mask]
-    first[:, 1] = x2g[one_mask]
-    first[:, 2] = (p - b[one_mask] + root[one_mask]) * inv2 % p
-    second = np.empty((int(two_mask.sum()), 3), dtype=np.int64)
-    second[:, 0] = x1g[two_mask]
-    second[:, 1] = x2g[two_mask]
-    second[:, 2] = (2 * p - b[two_mask] - root[two_mask]) * inv2 % p
-
-    pts = np.concatenate([first, second], axis=0)
-    keys = pack_keys(p, pts)
-    keys, order = np.unique(keys, return_index=True)
-    pts = pts[order]
-    if len(keys) and keys[0] == 0:  # drop the origin
-        keys = keys[1:]
-        pts = pts[1:]
-    return SolutionSet(params, pts, keys)
+    r1 = ((p - b + root) * inv2 % p).ravel()
+    r2 = ((2 * p - b - root) * inv2 % p).ravel()
+    return _from_cells(params, counts, np.minimum(r1, r2), np.maximum(r1, r2))
 
 
 def _enumerate_tiny(params: SurfaceParams) -> SolutionSet:
@@ -133,7 +154,8 @@ def _enumerate_tiny(params: SurfaceParams) -> SolutionSet:
            for x1 in range(p) for x2 in range(p) for x3 in range(p)
            if (x1, x2, x3) != (0, 0, 0) and residual(params, (x1, x2, x3)) == 0]
     arr = np.array(pts, dtype=np.int64).reshape(len(pts), 3)
-    return SolutionSet(params, arr)
+    counts = np.bincount(arr[:, 0] * p + arr[:, 1], minlength=p * p)
+    return SolutionSet(params, arr, _offsets(counts))
 
 
 def count_solutions_bruteforce(params: SurfaceParams, chunk: int | None = None) -> int:

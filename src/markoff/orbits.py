@@ -1,9 +1,10 @@
 """Connected components of the move graph and the divisibility verdict.
 
-Each solution is adjacent to its three move images.  Components are
-found with scipy's sparse connected_components, linear time at the
-p ~ 1000 scale.  Representatives and orbit numbering are canonical:
-orbits are ordered by their lexicographically smallest point.
+Each solution is adjacent to its three move images, found in O(1) per
+point from the cell-indexed SolutionSet.  Components are found with
+scipy's sparse connected_components, linear time in the number of
+points.  Representatives and orbit numbering are canonical: orbits are
+ordered by their lexicographically smallest point.
 """
 
 from __future__ import annotations
@@ -11,21 +12,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .enumeration import SolutionSet
 from .surface import (ALL_NONDEGENERATE, SPECIAL_FORM, ParamClass, Triple,
-                      apply_move_array, classify_parameters)
+                      classify_parameters, moved_coordinate)
 
 
 def neighbor_indices(sol: SolutionSet) -> np.ndarray:
-    """(3, M) array: entry [i, k] is the index of m_i applied to point k."""
+    """(3, M) array: entry [i, k] is the index of m_i applied to point k.
+
+    m_2 keeps the cell (x1, x2) and swaps the two roots in x3, so its
+    image is the other row of the same cell.  m_0 and m_1 change x1 or
+    x2 and are looked up in the cell of the moved point.
+    """
     m = len(sol)
     out = np.empty((3, m), dtype=np.int64)
-    for i in range(3):
-        moved = apply_move_array(sol.params, sol.points, i)
-        out[i] = sol.lookup_array(moved)
+    x = [np.ascontiguousarray(col) for col in sol.points.T]
+    out[0] = sol.lookup_array((moved_coordinate(sol.params, x, 0), x[1], x[2]))
+    out[1] = sol.lookup_array((x[0], moved_coordinate(sol.params, x, 1), x[2]))
+    cell = x[0] * sol.params.p + x[1]
+    out[2] = np.take(sol.offsets, cell) + np.take(sol.offsets, cell + 1) - 1 - np.arange(m)
     return out
 
 
@@ -52,16 +60,17 @@ def compute_orbits(sol: SolutionSet) -> OrbitPartition:
     if m == 0:
         return OrbitPartition(sol, np.empty(0, dtype=np.int64), [], {}, np.empty((3, 0), dtype=np.int64))
     nbr = neighbor_indices(sol)
-    labels = _component_labels(nbr, m)
+    n, labels = _component_labels(nbr, m)
     # canonical numbering: order components by first (= lex smallest) member
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
+    first = np.full(n, m, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(m))
+    order = np.argsort(first)
     rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    component_id = rank[inverse]
-    sizes = np.bincount(component_id)
-    reps_idx = np.sort(first)
-    orbits = [(int(sizes[k]), sol.triple(int(reps_idx[k]))) for k in range(len(reps_idx))]
+    rank[order] = np.arange(n)
+    component_id = rank[labels]
+    sizes = np.bincount(component_id, minlength=n)
+    reps_idx = first[order]
+    orbits = [(int(sizes[k]), sol.triple(int(reps_idx[k]))) for k in range(n)]
     multiset: dict[int, int] = {}
     for size, _ in orbits:
         multiset[size] = multiset.get(size, 0) + 1
@@ -69,12 +78,21 @@ def compute_orbits(sol: SolutionSet) -> OrbitPartition:
     return OrbitPartition(sol, component_id, orbits, multiset, nbr)
 
 
-def _component_labels(nbr: np.ndarray, m: int) -> np.ndarray:
-    row = np.tile(np.arange(m, dtype=np.int64), 3)
-    col = nbr.reshape(-1)
-    graph = coo_matrix((np.ones(3 * m, dtype=np.int8), (row, col)), shape=(m, m))
-    _, labels = connected_components(graph, directed=False)
-    return labels
+def _component_labels(nbr: np.ndarray, m: int) -> tuple[int, np.ndarray]:
+    """Move-graph components as (count, label per point).
+
+    Row k of the CSR matrix lists the three move images of point k.  The
+    moves are involutions, so every edge comes with its reverse and the
+    strongly connected components are the orbits; the directed search
+    skips the transpose that scipy's undirected search builds.  scipy's
+    graph routines take int32 indices, which bounds the graph at 3M < 2^31.
+    """
+    if 3 * m >= 2 ** 31:
+        raise ValueError(f"{m} points exceed the int32 edge bound of the component search")
+    indices = np.ascontiguousarray(nbr.T, dtype=np.int32).ravel()
+    indptr = np.arange(0, 3 * m + 1, 3, dtype=np.int32)
+    graph = csr_matrix((np.ones(3 * m), indices, indptr), shape=(m, m))
+    return connected_components(graph, directed=True, connection="strong")
 
 
 def size_table(multiset: dict[int, int] | OrbitPartition) -> str:

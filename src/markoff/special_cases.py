@@ -398,6 +398,8 @@ def primes_up_to(n: int) -> list[int]:
 
 def orbit_table_22m2(max_p: int) -> list[TableRow]:
     """Recompute the orbit-size tables for a = (2, 2, -2), p <= max_p."""
+    if max_p < 2:
+        raise ValueError(f"the table needs max_p >= 2, got {max_p}")
     rows = []
     for p in primes_up_to(max_p):
         params = SurfaceParams.make(p, (2, 2, -2))

@@ -176,3 +176,21 @@ def test_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "orbits", "-p", "11", "-a", "2,7,7", "--format", "json")
     _, out2, _ = run(capsys, "orbits", "-p", "11", "-a", "2,7,7", "--format", "json")
     assert out1 == out2
+
+
+def test_sweep_reports_runs_skipped_below_p5(capsys):
+    code, out, err = run(capsys, "sweep", "--p-list", "3", "--exhaustive")
+    assert code == EXIT_USAGE and out == ""
+    assert "checks nothing below p = 5" in err
+    code, out, _ = run(capsys, "sweep", "--p-list", "3,5", "--samples", "4")
+    assert code == EXIT_OK
+    assert out == "sweep: 8 runs (4 checked, 4 skipped below p = 5), 0 failures\n"
+
+
+def test_table_max_p_below_2_is_usage_error(capsys):
+    for max_p in ("-5", "1"):
+        code, out, err = run(capsys, "table-22m2", "--max-p", max_p)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: the table needs max_p >= 2, got {max_p}\n"
+    code, out, _ = run(capsys, "table-22m2", "--max-p", "2")
+    assert code == EXIT_OK and out == 'p,orbit_sizes\n2,"4^1"\n'

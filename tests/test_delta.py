@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -314,6 +315,28 @@ class TestCertificate:
         assign.values[3, 1] = (assign.values[3, 1] + 1) % 7
         with pytest.raises(CertificateError):
             verify_certificate(assign)
+
+    def test_corrupted_partition_fails_loudly(self):
+        """A wrong neighbour row or component id must not certify itself."""
+        params = params_of(13, (2, 5, 5))
+        sol = enumerate_solutions(params)
+        assign = build_certificate(sol)
+        part = compute_orbits(sol)
+        k = 40
+        mutations = []
+        for i, row, message in ((0, (int(part.neighbors[0, k]) + 1) % len(sol),
+                                 "move 0 neighbour of"),
+                                (2, -1, "neighbour index outside")):
+            nbr = part.neighbors.copy()
+            nbr[i, k] = row
+            mutations.append((dataclasses.replace(part, neighbors=nbr), message))
+        ids = part.component_id.copy()
+        ids[k] = 1 - ids[k]
+        mutations.append((dataclasses.replace(part, component_id=ids), "joins components"))
+        for bad, message in mutations:
+            with pytest.raises(CertificateError, match=message):
+                verify_certificate(assign, bad)
+        verify_certificate(assign, part)
 
     def test_refuses_s_zero_and_tiny_p(self):
         with pytest.raises(ValueError):

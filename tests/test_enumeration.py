@@ -47,7 +47,7 @@ def test_solution_set_lookup():
     assert (0, 0, 0) not in sol
     with pytest.raises(KeyError):
         sol.index_of((0, 0, 0))
-    idx = sol.lookup_array(sol.points[::-1])
+    idx = sol.lookup_array(sol.points[::-1].T)
     assert np.array_equal(idx, np.arange(len(sol))[::-1])
 
 
