@@ -1,8 +1,9 @@
 """Command-line front end: single runs, verification verbs, tables and sweeps.
 
 Exit codes: 0 on success (conjecture mismatches only warn), 1 when an
-asserted check fails, 2 on usage errors and out-of-domain input, 3 when
-a resource guard trips.
+asserted check fails or an unexpected error ends the run (one "error:"
+line naming the exception type, no traceback), 2 on usage errors and
+out-of-domain input, 3 when a resource guard trips.
 Output is deterministic for a fixed command line and seed.
 """
 
@@ -118,6 +119,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # fail closed: one line, no traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 def _cmd_count(args) -> int:

@@ -228,13 +228,14 @@ def build_certificate(sol: SolutionSet, delta0: int | None = None,
     cycle_values: dict[Triple, Triple] = {}
     for i in range(3):
         locus = zero_locus(params, i)
-        remaining = set(locus.points)
-        while remaining:
-            base = min(remaining)
+        covered: set[Triple] = set()
+        for base in locus.points:  # sorted, so each base is the least uncovered point
+            if base in covered:
+                continue
             cycle = build_zero_cycle(params, base, i)
             start = rng.randrange(p) if rng is not None else delta0
             cycle_values.update(extend_delta(params, cycle, start))
-            remaining -= set(cycle.points())
+            covered.update(cycle.points())
     if cycle_values:
         rows = sol.lookup_array(np.array(list(cycle_values), dtype=np.int64).T)
         values[rows] = list(cycle_values.values())

@@ -9,7 +9,10 @@ point is then found in O(1) from its cell and whether its x3 is the
 cell's first root; no sort and no packed keys are needed.  The
 independent oracle count_solutions_bruteforce evaluates the residual
 over the whole p^3 grid instead and shares no logic with the closed-form
-count.
+count.  It calls residual_array on int32 axes, slab by slab of x1 rows;
+residual_array's Horner form ((x3 + b) * x3 + c) % p computes b and c
+once per (x1, x2) cell and keeps every intermediate below 3 p^2, which
+int32 holds exactly for every p up to DEFAULT_MAX_PRIME.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ import numpy as np
 from .field import sqrt_mod
 from .surface import SurfaceParams, Triple, residual, residual_array
 
-DEFAULT_MAX_PRIME = 20_000  # ~4e8 candidate cells; beyond this pass allow_large=True
+# ~4e8 enumeration cells, overridable with allow_large=True; it also caps
+# the int32 brute-force oracle, with no override
+DEFAULT_MAX_PRIME = 20_000
 
 
 class ResourceGuardError(ValueError):
-    """Raised when a request exceeds a size guard that the caller may override."""
+    """Raised when a request exceeds a size guard."""
 
 
 @dataclass
@@ -159,17 +164,27 @@ def _enumerate_tiny(params: SurfaceParams) -> SolutionSet:
 
 
 def count_solutions_bruteforce(params: SurfaceParams, chunk: int | None = None) -> int:
-    """Number of nonzero solutions by evaluating the residual on the p^3 grid."""
+    """Number of nonzero solutions by evaluating the residual on the p^3 grid.
+
+    The axes are int32.  residual_array keeps every intermediate below
+    3 p^2, and the guard at DEFAULT_MAX_PRIME keeps 3 p^2 < 2^31, so int32
+    is exact for every admitted prime; the guard has no override and there
+    is no int64 path.  Each slab of chunk x1 rows holds the (chunk, p, 1)
+    coefficients b and c and one (chunk, p, p) int32 grid.
+    """
     p = params.p
+    if p > DEFAULT_MAX_PRIME:
+        raise ResourceGuardError(
+            f"p = {p} exceeds the brute-force guard {DEFAULT_MAX_PRIME} "
+            f"({p}^3 grid cells)")
     if chunk is None:
-        chunk = max(1, 2 ** 22 // (p * p))  # keep each slab around 32 MB
-    x2 = np.arange(p, dtype=np.int64)[:, None]
-    x3 = np.arange(p, dtype=np.int64)[None, :]
+        chunk = max(1, 2 ** 20 // (p * p))  # keep each int32 slab around 4 MB
+    x2 = np.arange(p, dtype=np.int32)[None, :, None]
+    x3 = np.arange(p, dtype=np.int32)[None, None, :]
     total = 0
     for start in range(0, p, chunk):
-        x1 = np.arange(start, min(start + chunk, p), dtype=np.int64)[:, None, None]
-        r = residual_array(params, (x1, x2[None, :, :], x3[None, :, :]))
-        total += int(np.count_nonzero(r == 0))
+        x1 = np.arange(start, min(start + chunk, p), dtype=np.int32)[:, None, None]
+        total += int(np.count_nonzero(residual_array(params, (x1, x2, x3)) == 0))
     return total - 1  # discount the origin
 
 

@@ -98,17 +98,27 @@ def apply_move_array(params: SurfaceParams, pts: np.ndarray, i: int) -> np.ndarr
 
 
 def residual_array(params: SurfaceParams, x) -> np.ndarray:
-    """Vectorised residual; x[0..2] are ints or broadcastable int64 arrays.
+    """Vectorised residual; x[0..2] are ints or broadcastable integer arrays.
 
-    Pass ``pts.T`` for an (M, 3) point array, or three grid axes.  For
-    coordinates in [0, p) every intermediate stays below 4 p^2.
+    Pass ``pts.T`` for an (M, 3) point array, or three grid axes.  The
+    residual is a monic quadratic in x3, evaluated in Horner form
+    ((x3 + b) * x3 + c) % p with b = (a1*x2 + a2*x1 - s*x1*x2) % p and
+    c = (x1^2 + x2^2 + a3*x1*x2) % p.  On a grid with x3 along the last
+    axis, b and c have the shape of the (x1, x2) slab, so only the last
+    four passes touch every cell.  For coordinates in [0, p) every
+    intermediate stays below 3 p^2, so int32 arrays are exact while
+    3 p^2 < 2^31 (p <= 26737); int64 arrays are exact for any table prime.
     """
     p = params.p
     a1, a2, a3 = params.a
     x1, x2, x3 = x[0], x[1], x[2]
-    r = (x1 * x1 + x2 * x2 + x3 * x3) % p
-    r = (r + a1 * (x2 * x3 % p) + a2 * (x1 * x3 % p) + a3 * (x1 * x2 % p)) % p
-    r = (r - params.s * (x1 * x2 % p) % p * x3) % p
+    x1x2 = x1 * x2 % p
+    b = (a1 * x2 + a2 * x1 - params.s * x1x2) % p
+    c = (x1 * x1 + x2 * x2 + a3 * x1x2) % p
+    r = x3 + b  # full broadcast shape; the three passes below reuse it in place
+    r *= x3
+    r += c
+    r %= p
     return r
 
 

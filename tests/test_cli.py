@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from markoff import cli
 from markoff.cli import (EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main)
 from markoff.enumeration import DEFAULT_MAX_PRIME
 from markoff.field import is_prime
@@ -144,6 +145,12 @@ def test_resource_guard_exit_code(capsys):
     assert code == EXIT_RESOURCE and out == ""
     assert err == (f"resource guard: p = {p} exceeds the enumeration guard "
                    f"{DEFAULT_MAX_PRIME}; pass allow_large=True to override\n")
+    for argv in (["count", "-p", str(p), "-a", "1,1,1"],
+                 ["verify", "numel", "-p", str(p), "-a", "1,1,1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_RESOURCE and out == ""
+        assert err == (f"resource guard: p = {p} exceeds the brute-force guard "
+                       f"{DEFAULT_MAX_PRIME} ({p}^3 grid cells)\n")
     # the field-table limit is a domain error, not an overridable guard
     code, _, err = run(capsys, "orbits", "-p", "20000003", "-a", "0,0,0")
     assert code == EXIT_USAGE
@@ -194,3 +201,13 @@ def test_table_max_p_below_2_is_usage_error(capsys):
         assert err == f"error: the table needs max_p >= 2, got {max_p}\n"
     code, out, _ = run(capsys, "table-22m2", "--max-p", "2")
     assert code == EXIT_OK and out == 'p,orbit_sizes\n2,"4^1"\n'
+
+
+def test_unexpected_error_fails_closed(capsys, monkeypatch):
+    def broken(args):
+        raise ArithmeticError("lost a sign")
+
+    monkeypatch.setattr(cli, "_cmd_count", broken)
+    code, out, err = run(capsys, "count", "-p", "13", "-a", "2,2,-2")
+    assert code == EXIT_FAIL and out == ""
+    assert err == "error: ArithmeticError: lost a sign\n"

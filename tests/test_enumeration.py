@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from markoff.conics import closed_form_total
-from markoff.enumeration import (DEFAULT_MAX_PRIME, SolutionSet,
-                                 count_solutions_bruteforce,
+from markoff.enumeration import (DEFAULT_MAX_PRIME, ResourceGuardError,
+                                 SolutionSet, count_solutions_bruteforce,
                                  enumerate_solutions, exchange_roots,
                                  zero_locus)
 from markoff.field import chi, is_prime
@@ -102,6 +102,13 @@ def test_memory_guard():
              if is_prime(q))
     with pytest.raises(ValueError, match="guard"):
         enumerate_solutions(SurfaceParams.make(p, (0, 0, 0)))
+    with pytest.raises(ResourceGuardError, match="brute-force guard"):
+        count_solutions_bruteforce(SurfaceParams.make(p, (1, 1, 1)))
+
+
+def test_bruteforce_guard_keeps_int32_exact():
+    # residual_array's intermediates stay below 3 p^2 on int32 axes
+    assert 3 * DEFAULT_MAX_PRIME ** 2 < 2 ** 31
 
 
 class TestZeroLocus:

@@ -1,6 +1,7 @@
 """Property tests: the vectorised residual, the p^3 count oracle, the
 cell-indexed solution set and the orbit partition against the naive
-oracles in conftest, on random small primes, parameters and points."""
+oracles in conftest, on random small primes, parameters and points; and
+the int32 residual against the Python-int one up to the int32 edge."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
+from markoff.field import is_prime
 from markoff.orbits import compute_orbits, neighbor_indices
-from markoff.surface import SurfaceParams, residual_array
+from markoff.surface import SurfaceParams, residual, residual_array
 
 from conftest import naive_move, naive_orbits, naive_residual, naive_solutions
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31]
+INT32_EDGE = 26737  # the largest prime with 3 p^2 < 2^31
+INT32_PRIMES = [q for q in range(2, INT32_EDGE + 1) if is_prime(q)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -66,3 +70,18 @@ def test_cell_layout_matches_naive_oracles(data):
             sol.index_of(x)
         with pytest.raises(KeyError):
             sol.lookup_array(np.array(expected + [x], dtype=np.int64).reshape(-1, 3).T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_int32_residual_matches_python_ints(data):
+    p = data.draw(st.one_of(st.just(INT32_EDGE), st.sampled_from(INT32_PRIMES)), label="p")
+    value = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    a = data.draw(st.tuples(value, value, value), label="a")
+    points = data.draw(st.lists(st.tuples(value, value, value), max_size=50),
+                       label="points") + [(p - 1, p - 1, p - 1)]
+    params = SurfaceParams.make(p, a)
+
+    res = residual_array(params, np.array(points, dtype=np.int32).T)
+    assert res.dtype == np.int32
+    assert res.tolist() == [residual(params, x) for x in points]
