@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import validate_odd_prime
+from .field import chi, validate_odd_prime
 from .surface import SurfaceParams, special_form_detect
 
 # conic classes and their exact point counts
@@ -68,7 +68,6 @@ def classify_and_count(c: ConicParams) -> tuple[str, int]:
     of B^2 - 4 and, in the doubly degenerate branch, D^2 - 4F.
     """
     p = validate_odd_prime(c.p)
-    from .field import chi  # local import keeps module load cheap
 
     b2m4 = (c.B * c.B - 4) % p
     if b2m4 != 0:
@@ -85,10 +84,6 @@ def classify_and_count(c: ConicParams) -> tuple[str, int]:
     if ch == 0:
         return DOUBLE_LINE, p
     return (PARALLEL_LINES, 2 * p) if ch == 1 else (EMPTY, 0)
-
-
-def count_conic_points(c: ConicParams) -> int:
-    return classify_and_count(c)[1]
 
 
 def count_conic_bruteforce(c: ConicParams) -> int:
@@ -119,10 +114,10 @@ def cayley_correction(params: SurfaceParams) -> int:
     sf = special_form_detect(params)
     if sf is not None:
         _, _, alpha = sf
-        return -params.field.chi(alpha * alpha - 4)
+        return -chi(alpha * alpha - 4, p)
     prod = 1
     for ai in params.a:
-        prod *= params.field.chi(ai * ai - 4)
+        prod *= chi(ai * ai - 4, p)
     return -prod
 
 
@@ -137,7 +132,7 @@ def closed_form_total(params: SurfaceParams) -> int:
         raise ValueError("closed-form count needs p >= 5")
     if params.s == 0:
         raise ValueError("closed-form count needs s != 0")
-    chi_sum = sum(params.field.chi(ai * ai - 4) for ai in params.a)
+    chi_sum = sum(chi(ai * ai - 4, p) for ai in params.a)
     return p * p + p * (chi_sum + cayley_correction(params))
 
 
@@ -146,7 +141,7 @@ def total_via_fibers(params: SurfaceParams, i: int = 2) -> int:
     p = validate_odd_prime(params.p)
     total = 0
     for xi in range(p):
-        total += count_conic_points(fiber_conic(params, i, xi))
+        total += classify_and_count(fiber_conic(params, i, xi))[1]
     return total - 1
 
 

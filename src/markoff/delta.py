@@ -8,10 +8,11 @@ subject to three identities:
   fix:    Delta_i(x) = s/2                           when m_i x = x
 
 Summing them over an orbit of size V gives s*V = 3*s*V/2, hence
-s*V = 0, hence p | V when s != 0.  Off the coordinate hyperplanes the
-functions have a closed form; on a hyperplane x_i = 0 the two values
-Delta_{i +- 1} are propagated around the dihedral cycle generated by
-m_{i-1} and m_{i+1}, one free starting value per cycle.
+s*V = 0, hence p | V when s != 0.  Delta_i has a closed form wherever
+x_{i-1} x_{i+1} != 0, written once in _closed_form for ints and arrays
+alike; on a hyperplane x_i = 0 the two values Delta_{i +- 1} are
+propagated around the dihedral cycle generated by m_{i-1} and m_{i+1},
+one free starting value per cycle.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from random import Random
 import numpy as np
 
 from .enumeration import SolutionSet, zero_locus
+from .field import chi, inverse, mult_order
 from .orbits import OrbitPartition, compute_orbits
 from .surface import SurfaceParams, Triple, apply_move, moved_coordinate
 
@@ -43,20 +45,33 @@ def delta_values(params: SurfaceParams, x: Triple) -> Triple:
 
 
 def delta_at(params: SurfaceParams, x: Triple, i: int) -> int:
-    """Delta_i(x) = x_i/(x_{i-1}x_{i+1}) + (a_{i-1}/x_{i-1} + a_{i+1}/x_{i+1})/2.
+    """Delta_i(x) from _closed_form, the package's only Delta formula.
 
     Well-defined whenever the two other coordinates are nonzero; in
     particular on the locus x_i = 0, where the first term drops out.
+    Coordinates may be any ints; they are reduced mod p first.
+    """
+    p = params.p
+    x = tuple(int(v) % p for v in x)
+    if x[(i - 1) % 3] == 0 or x[(i + 1) % 3] == 0:
+        raise ValueError(f"Delta_{i} undefined when a neighbouring coordinate vanishes")
+    return int(_closed_form(params, x, i))
+
+
+def _closed_form(params: SurfaceParams, x, i: int):
+    """Delta_i = x_i/(x_{i-1}x_{i+1}) + (a_{i-1}/x_{i-1} + a_{i+1}/x_{i+1})/2.
+
+    x[0..2] are ints or broadcastable int64 arrays in [0, p), with
+    x_{i-1} and x_{i+1} nonzero.  Inverses come from inv_table, and every
+    intermediate stays below 2 p^2, so int64 is exact for any table prime.
     """
     p = params.p
     a = params.a
-    inv = params.field.inv
+    inv = params.field.inv_table
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    if x[im1] % p == 0 or x[ip1] % p == 0:
-        raise ValueError(f"Delta_{i} undefined when a neighbouring coordinate vanishes")
-    inv2 = (p + 1) // 2
-    t = x[i] * inv(x[im1] * x[ip1] % p) % p
-    return (t + (a[im1] * inv(x[im1]) + a[ip1] * inv(x[ip1])) * inv2) % p
+    xm, xp = x[im1], x[ip1]
+    half = (a[im1] * inv[xm] + a[ip1] * inv[xp]) % p * ((p + 1) // 2)
+    return (x[i] * inv[xm * xp % p] + half) % p
 
 
 @dataclass
@@ -82,16 +97,15 @@ class ZeroCycle:
 
 def build_zero_cycle(params: SurfaceParams, x: Triple, i: int) -> ZeroCycle:
     """Walk the m_{i+1}, m_{i-1} cycle through a nonzero solution with x_i = 0."""
-    from .field import mult_order
     p = params.p
     x = tuple(v % p for v in x)
     if x == (0, 0, 0) or x[i] != 0:
         raise ValueError(f"need a nonzero point with coordinate {i} equal to zero")
     ai = params.a[i]
-    if params.field.chi(ai * ai - 4) == -1:
+    if chi(ai * ai - 4, p) == -1:
         raise ValueError("no nonzero points on this locus: chi(a_i^2 - 4) = -1")
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    r = x[ip1] * params.field.inv(x[im1]) % p
+    r = x[ip1] * inverse(x[im1], p) % p
     order = mult_order(r * r % p, p)
 
     zs, ws = [x], []
@@ -210,19 +224,11 @@ def build_certificate(sol: SolutionSet, delta0: int | None = None,
     m = len(sol)
     values = np.zeros((m, 3), dtype=np.int64)
 
-    inv = params.field.inv_table
-    inv2 = (p + 1) // 2
-    a = params.a
-    x_cols = [pts[:, 0], pts[:, 1], pts[:, 2]]
-    nonzero = [c != 0 for c in x_cols]
+    cols = (pts[:, 0], pts[:, 1], pts[:, 2])
+    nonzero = [c != 0 for c in cols]
     for i in range(3):
-        im1, ip1 = (i - 1) % 3, (i + 1) % 3
-        mask = nonzero[im1] & nonzero[ip1]
-        xi = x_cols[i][mask]
-        xm, xp_ = x_cols[im1][mask], x_cols[ip1][mask]
-        term = xi * inv[xm * xp_ % p] % p
-        term = (term + (a[im1] * inv[xm] + a[ip1] * inv[xp_]) * inv2) % p
-        values[mask, i] = term
+        mask = nonzero[(i - 1) % 3] & nonzero[(i + 1) % 3]
+        values[mask, i] = _closed_form(params, [c[mask] for c in cols], i)
 
     # each zero-locus point lies on exactly one locus and one cycle
     cycle_values: dict[Triple, Triple] = {}

@@ -47,7 +47,6 @@ class SolutionSet:
     params: SurfaceParams
     points: np.ndarray                      # (M, 3) int64, lex sorted
     offsets: np.ndarray                     # (p*p + 1,) int64, cumsum of cell counts
-    includes_origin: bool = False
 
     def __len__(self) -> int:
         return int(self.points.shape[0])

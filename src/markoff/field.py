@@ -228,7 +228,7 @@ def sqrt_in_extension(x: int, p: int) -> QuadExtElement:
 class PrimeField:
     """Cached lookup tables for one odd prime (chi, sqrt, inverse).
 
-    Tables are built lazily and shared read-only; all methods are pure.
+    Tables are built lazily on first access and shared read-only.
     """
 
     def __init__(self, p: int):
@@ -277,17 +277,6 @@ class PrimeField:
                 t[i] = (p - (p // i) * t[p % i]) % p
             self._inv_table = t
         return self._inv_table
-
-    def chi(self, x: int) -> int:
-        if self._chi_table is not None:
-            return int(self._chi_table[x % self.p])
-        return chi(x, self.p)
-
-    def sqrt(self, x: int) -> tuple[int, ...] | None:
-        return sqrt_mod(x, self.p)
-
-    def inv(self, x: int) -> int:
-        return inverse(x, self.p)
 
     def __repr__(self):
         return f"PrimeField({self.p})"

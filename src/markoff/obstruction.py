@@ -6,20 +6,31 @@ the character of x_i cannot flip sign under m_i.  Together with a second
 square identity this yields move-closed character classes, hence at
 least two orbits, and at least four in the doubly degenerate case
 alpha = +-2.  All identities live on the surface rescaled to s = 1.
+
+Each label is written once, as a function of an (M, 3) array of
+solutions: _generic_characters and _sign_patterns.  class_label and
+degenerate_label evaluate it on one point; verify_breakup tallies it
+over the whole solution set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .enumeration import enumerate_solutions
+from .field import chi
 from .orbits import compute_orbits
-from .surface import SurfaceParams, Triple, apply_move, on_surface, rescale
+from .surface import (SurfaceParams, Triple, apply_move, moved_coordinate, on_surface,
+                      rescale)
 from .surface import special_form_detect  # re-exported: same convention as classify
 
 NON_NEG = "non-negative"
 NON_POS = "non-positive"
 AMBIGUOUS = "ambiguous"
+# kind of a generic label by the sign of chi_coord + chi_companion, in report order
+_KIND_BY_SIGN = {1: NON_NEG, -1: NON_POS, 0: AMBIGUOUS}
 
 # the four admissible sign patterns (product +1) in the degenerate case
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
@@ -63,30 +74,64 @@ class ClassLabel:
 def class_label(params: SurfaceParams, x: Triple) -> ClassLabel:
     """Label a solution by the signs of the two obstruction characters.
 
-    The two characters can both vanish and can share a sign, but are
-    never strictly opposite; that is the content of the obstruction.
+    One row of _generic_characters; the kind is the sign of their sum.
     """
     i, sigma, _alpha = _require_special_form(params)
     if not on_surface(params, x):
         raise ValueError(f"{x} is not on the surface")
-    p = params.p
-    unit_params, y = rescale_to_unit(params, x)
-    im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    y_moved = apply_move(unit_params, y, i)[i]
-    companion = (y[i] + y_moved + 2 * y[ip1] + 2 * sigma * y[im1]) % p
-    c1 = params.field.chi(y[i])
-    c2 = params.field.chi(companion)
-    if c1 * c2 == -1:
-        raise CertificateViolation(f"strictly opposite obstruction characters at {x}")
-    if c1 == 0 and c2 == 0:
-        return ClassLabel(AMBIGUOUS, c1, c2)
-    if c1 >= 0 and c2 >= 0:
-        return ClassLabel(NON_NEG, c1, c2)
-    return ClassLabel(NON_POS, c1, c2)
+    c1, c2 = (int(c[0]) for c in _generic_characters(params, _one_row(params, x), i, sigma))
+    return ClassLabel(_KIND_BY_SIGN[int(np.sign(c1 + c2))], c1, c2)
 
 
 def degenerate_label(params: SurfaceParams, x: Triple) -> tuple[int, int, int]:
     """Sign pattern (e1, e2, e3) with product +1 in the alpha = +-2 case.
+
+    One row of _sign_patterns.
+    """
+    _i, _sigma, alpha = _require_special_form(params)
+    if (alpha * alpha - 4) % params.p != 0:
+        raise ValueError("degenerate label needs alpha = +-2")
+    if not on_surface(params, x):
+        raise ValueError(f"{x} is not on the surface")
+    return tuple(int(e) for e in _sign_patterns(params, _one_row(params, x))[0])
+
+
+def _one_row(params: SurfaceParams, x: Triple) -> np.ndarray:
+    return np.array([[int(v) % params.p for v in x]], dtype=np.int64)
+
+
+def _first_point(pts: np.ndarray, bad: np.ndarray) -> Triple:
+    return tuple(int(v) for v in pts[np.flatnonzero(bad)[0]])
+
+
+def _generic_characters(params: SurfaceParams, pts: np.ndarray, i: int,
+                        sigma: int) -> tuple[np.ndarray, np.ndarray]:
+    """(chi(y_i), chi(y_i + y_i' + 2 y_{i+1} + 2 sigma y_{i-1})) per row, y = s*x.
+
+    pts is an (M, 3) int64 array of solutions in [0, p) and y_i' is m_i
+    of y on the s = 1 surface.  The two characters can both vanish and
+    can share a sign, but are never strictly opposite; that is the
+    content of the obstruction, and an opposite pair raises
+    CertificateViolation.
+    """
+    p = params.p
+    chi_table = params.field.chi_table
+    im1, ip1 = (i - 1) % 3, (i + 1) % 3
+    y = params.s * pts % p
+    unit_params = SurfaceParams(params.field, params.a, 1 % p)
+    y_moved = moved_coordinate(unit_params, y.T, i)
+    companion = (y[:, i] + y_moved + 2 * y[:, ip1] + 2 * sigma * y[:, im1]) % p
+    c1 = chi_table[y[:, i]].astype(np.int64)
+    c2 = chi_table[companion].astype(np.int64)
+    opposite = c1 * c2 == -1
+    if bool(opposite.any()):
+        raise CertificateViolation(
+            f"strictly opposite obstruction characters at {_first_point(pts, opposite)}")
+    return c1, c2
+
+
+def _sign_patterns(params: SurfaceParams, pts: np.ndarray) -> np.ndarray:
+    """(M, 3) sign patterns with product +1 per row of solutions, alpha = +-2.
 
     On the rescaled surface the equation is a perfect square equal to
     y1*y2*y3, so the character product of the coordinates is never -1.
@@ -94,34 +139,23 @@ def degenerate_label(params: SurfaceParams, x: Triple) -> tuple[int, int, int]:
     that the product is +1.  Each solution satisfies exactly one of the
     four patterns and every move preserves it.
     """
-    i, _sigma, alpha = _require_special_form(params)
-    p = params.p
-    if (alpha * alpha - 4) % p != 0:
-        raise ValueError("degenerate label needs alpha = +-2")
-    if not on_surface(params, x):
-        raise ValueError(f"{x} is not on the surface")
-    _, y = rescale_to_unit(params, x)
-    chars = [params.field.chi(v) for v in y]
-    zeros = [k for k, c in enumerate(chars) if c == 0]
-    if len(zeros) > 1:
-        raise CertificateViolation("two vanishing coordinates off the origin")
-    prod = 1
-    for c in chars:
-        if c != 0:
-            prod *= c
-    if not zeros:
-        if prod == -1:
-            raise CertificateViolation(f"character product -1 at {x}")
-        return tuple(chars)
-    eps = list(chars)
-    eps[zeros[0]] = prod  # the unique completion with product +1
-    return tuple(eps)
+    chars = params.field.chi_table[params.s * pts % params.p].astype(np.int64)
+    zero = chars == 0
+    zero_counts = zero.sum(axis=1)
+    if bool((zero_counts > 1).any()):
+        raise CertificateViolation("two vanishing coordinates off the origin at "
+                                   f"{_first_point(pts, zero_counts > 1)}")
+    prod = np.where(zero, 1, chars).prod(axis=1)
+    negative = (zero_counts == 0) & (prod == -1)
+    if bool(negative.any()):
+        raise CertificateViolation(f"character product -1 at {_first_point(pts, negative)}")
+    return np.where(zero, prod[:, None], chars)  # the unique completion with product +1
 
 
 def satisfied_patterns(params: SurfaceParams, x: Triple) -> tuple[tuple[int, int, int], ...]:
     """All admissible sign patterns compatible with the point's characters."""
     _, y = rescale_to_unit(params, x)
-    chars = [params.field.chi(v) for v in y]
+    chars = [chi(v, params.p) for v in y]
     return tuple(e for e in SIGN_PATTERNS
                  if all(c * t >= 0 for c, t in zip(chars, e)))
 
@@ -189,13 +223,17 @@ def verify_breakup(params: SurfaceParams) -> BreakupReport:
     sizes = sorted(part.orbit_sizes())
 
     if degenerate:
-        class_sizes = _degenerate_class_sizes(params, sol)
-        chm1 = params.field.chi(-1)
+        eps = _sign_patterns(params, sol.points)
+        class_sizes = {"".join("+" if e > 0 else "-" for e in pattern):
+                       int((eps == pattern).all(axis=1).sum()) for pattern in SIGN_PATTERNS}
+        chm1 = chi(-1, p)
         conj = sorted([p * (p + 3 * chm1) // 4] + [p * (p - chm1) // 4] * 3)
         min_orbits = 4
     else:
-        class_sizes = _generic_class_sizes(params, sol, i, sigma)
-        ch = params.field.chi(alpha * alpha - 4)
+        c1, c2 = _generic_characters(params, sol.points, i, sigma)
+        signs = np.sign(c1 + c2)
+        class_sizes = {kind: int((signs == sign).sum()) for sign, kind in _KIND_BY_SIGN.items()}
+        ch = chi(alpha * alpha - 4, p)
         conj = sorted([p * (p - ch) // 2, p * (p + 3 * ch) // 2])
         min_orbits = 2
     return BreakupReport(
@@ -209,49 +247,6 @@ def verify_breakup(params: SurfaceParams) -> BreakupReport:
         conjectured_sizes=conj,
         conjecture_matched=sizes == conj,
     )
-
-
-def _generic_class_sizes(params: SurfaceParams, sol, i: int, sigma: int) -> dict[str, int]:
-    """Vectorised tally of the NON_NEG / NON_POS / AMBIGUOUS labels."""
-    import numpy as np
-    from .surface import apply_move_array
-    p = params.p
-    chi_table = params.field.chi_table
-    im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    y = params.s * sol.points % p
-    unit_params = SurfaceParams(params.field, params.a, 1 % p)
-    y_moved = apply_move_array(unit_params, y, i)[:, i]
-    companion = (y[:, i] + y_moved + 2 * y[:, ip1] + 2 * sigma * y[:, im1]) % p
-    c1 = chi_table[y[:, i]].astype(np.int64)
-    c2 = chi_table[companion].astype(np.int64)
-    if bool((c1 * c2 == -1).any()):
-        raise CertificateViolation("strictly opposite obstruction characters")
-    ambiguous = (c1 == 0) & (c2 == 0)
-    non_neg = (c1 >= 0) & (c2 >= 0) & ~ambiguous
-    non_pos = (c1 <= 0) & (c2 <= 0) & ~ambiguous
-    return {NON_NEG: int(non_neg.sum()), NON_POS: int(non_pos.sum()),
-            AMBIGUOUS: int(ambiguous.sum())}
-
-
-def _degenerate_class_sizes(params: SurfaceParams, sol) -> dict[str, int]:
-    """Vectorised tally of the four sign patterns in the alpha = +-2 case."""
-    import numpy as np
-    p = params.p
-    chi_table = params.field.chi_table
-    y = params.s * sol.points % p
-    chars = chi_table[y].astype(np.int64)          # (M, 3) in {-1, 0, 1}
-    zero_counts = (chars == 0).sum(axis=1)
-    if bool((zero_counts > 1).any()):
-        raise CertificateViolation("two vanishing coordinates off the origin")
-    nonzero_prod = np.where(chars == 0, 1, chars).prod(axis=1)
-    if bool(((zero_counts == 0) & (nonzero_prod == -1)).any()):
-        raise CertificateViolation("character product -1 on a solution")
-    eps = np.where(chars == 0, nonzero_prod[:, None], chars)
-    out: dict[str, int] = {}
-    for pattern in SIGN_PATTERNS:
-        mask = (eps == np.array(pattern)).all(axis=1)
-        out["".join("+" if e > 0 else "-" for e in pattern)] = int(mask.sum())
-    return out
 
 
 def breakup_report_dict(report: BreakupReport) -> dict:

@@ -1,8 +1,11 @@
 """The surface equation, the three Vieta moves, and parameter classification.
 
 Points are triples of ints reduced mod p; bulk operations act on numpy
-arrays of shape (M, 3).  Coordinate indices are 0-based (i in {0, 1, 2})
-and cyclic: i - 1 and i + 1 are taken mod 3.
+arrays of shape (M, 3).  The residual and the move are each written
+once, in residual_array and moved_coordinate, on ints or broadcastable
+arrays alike; residual, on_surface and apply_move evaluate them on one
+point.  Coordinate indices are 0-based (i in {0, 1, 2}) and cyclic:
+i - 1 and i + 1 are taken mod 3.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import PrimeField, prime_field
+from .field import PrimeField, inverse, prime_field
 
 Triple = tuple[int, int, int]
 
@@ -52,19 +55,13 @@ def make_params(p: int, a1: int, a2: int, a3: int) -> SurfaceParams:
     return SurfaceParams.make(p, (a1, a2, a3))
 
 
-def reduce_triple(params: SurfaceParams, x) -> Triple:
-    p = params.p
-    return (int(x[0]) % p, int(x[1]) % p, int(x[2]) % p)
-
-
 def residual(params: SurfaceParams, x: Triple) -> int:
-    """LHS - RHS of the surface equation; zero iff x lies on the surface."""
-    p = params.p
-    a1, a2, a3 = params.a
-    x1, x2, x3 = x
-    return (x1 * x1 + x2 * x2 + x3 * x3
-            + a1 * x2 * x3 + a2 * x1 * x3 + a3 * x1 * x2
-            - params.s * x1 * x2 * x3) % p
+    """LHS - RHS of the surface equation; zero iff x lies on the surface.
+
+    One row of residual_array, the package's only residual formula;
+    exact on Python ints of any size.
+    """
+    return residual_array(params, x)
 
 
 def on_surface(params: SurfaceParams, x: Triple) -> bool:
@@ -167,7 +164,7 @@ def rescale(params: SurfaceParams, x: Triple, t: int) -> tuple[SurfaceParams, Tr
     t %= p
     if t == 0:
         raise ValueError("rescaling factor must be nonzero")
-    new_s = params.s * params.field.inv(t) % p
+    new_s = params.s * inverse(t, p) % p
     new_params = SurfaceParams(params.field, params.a, new_s)
     return new_params, tuple(t * v % p for v in x)
 

@@ -36,7 +36,6 @@ def test_enumerate_is_sorted_unique_and_origin_free():
     pts = [tuple(int(v) for v in row) for row in sol.points]
     assert pts == sorted(set(pts))
     assert (0, 0, 0) not in pts
-    assert not sol.includes_origin
 
 
 def test_solution_set_lookup():

@@ -10,7 +10,7 @@ from markoff.obstruction import (AMBIGUOUS, NON_NEG, NON_POS, SIGN_PATTERNS,
                                  verify_breakup)
 from markoff.surface import SurfaceParams, apply_move
 
-from conftest import naive_solutions
+from conftest import naive_chi, naive_move, naive_solutions
 
 SPECIAL_PANEL = [
     (5, (2, 3, 3)), (7, (2, 3, 3)), (7, (5, 3, 4)), (11, (2, 7, 7)),
@@ -19,6 +19,14 @@ SPECIAL_PANEL = [
 DEGENERATE_PANEL = [
     (5, (2, 2, 2)), (7, (2, 2, 2)), (7, (2, -2, -2)), (7, (-2, 2, -2)),
     (7, (-2, -2, 2)), (13, (2, 2, 2)), (13, (-2, 2, -2)), (17, (2, -2, -2)),
+]
+
+# (p, a, (i, sigma, alpha mod p)): one generic and one alpha = +-2 triple per prime
+TALLY_PANEL = [
+    (7, (2, 3, 3), (0, 1, 3)), (7, (2, 2, 2), (0, 1, 2)),
+    (11, (8, 9, 3), (1, -1, 3)), (11, (-2, 2, -2), (0, -1, 2)),
+    (13, (2, 5, 5), (0, 1, 5)), (13, (2, -2, -2), (0, 1, 11)),
+    (17, (2, 9, 9), (0, 1, 9)), (17, (-2, -2, 2), (0, -1, 15)),
 ]
 
 
@@ -163,3 +171,55 @@ class TestBreakup:
                           "orbit_sizes", "min_orbits", "bound_holds",
                           "class_sizes", "conjectured_sizes",
                           "conjecture_partition_matched"}
+
+
+def naive_tally(p, a, form):
+    """Obstruction labels from naive_chi and naive_move, tallied in report order.
+
+    On the surface rescaled to s = 1 by y = s*x, the move image of y_i is
+    s times that of x_i, so naive_move on the original surface suffices.
+    """
+    i, sigma, alpha = form
+    s = (3 + sum(a)) % p
+    labels = {}
+    for x in naive_solutions(p, a):
+        y = [s * v % p for v in x]
+        if (alpha * alpha - 4) % p:
+            y_moved = s * naive_move(p, a, x, i)[i] % p
+            c1 = naive_chi(y[i], p)
+            c2 = naive_chi(y[i] + y_moved + 2 * y[(i + 1) % 3] + 2 * sigma * y[(i - 1) % 3], p)
+            assert c1 * c2 != -1, (p, a, x)
+            if c1 == 0 and c2 == 0:
+                labels[x] = AMBIGUOUS
+            else:
+                labels[x] = NON_NEG if c1 >= 0 and c2 >= 0 else NON_POS
+        else:
+            chars = [naive_chi(v, p) for v in y]
+            assert chars.count(0) <= 1, (p, a, x)
+            completion = 1
+            for c in chars:
+                completion *= c or 1
+            if 0 not in chars:
+                assert completion == 1, (p, a, x)
+            labels[x] = "".join("+" if (c or completion) > 0 else "-" for c in chars)
+    if (alpha * alpha - 4) % p:
+        keys = [NON_NEG, NON_POS, AMBIGUOUS]
+    else:
+        keys = ["".join("+" if e > 0 else "-" for e in pattern) for pattern in SIGN_PATTERNS]
+    return labels, {k: sum(1 for v in labels.values() if v == k) for k in keys}
+
+
+@pytest.mark.parametrize("p, a, form", TALLY_PANEL)
+def test_class_sizes_equal_naive_tally(p, a, form):
+    params = params_of(p, a)
+    a = params.a
+    assert special_form_detect(params) == form
+    labels, tally = naive_tally(p, a, form)
+    report = verify_breakup(params)
+    assert list(report.class_sizes.items()) == list(tally.items())
+    for x, expected in labels.items():
+        if report.degenerate:
+            got = "".join("+" if e > 0 else "-" for e in degenerate_label(params, x))
+        else:
+            got = class_label(params, x).kind
+        assert got == expected, (p, a, x)

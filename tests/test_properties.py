@@ -1,17 +1,19 @@
 """Property tests: the vectorised residual, the p^3 count oracle, the
-cell-indexed solution set and the orbit partition against the naive
-oracles in conftest, on random small primes, parameters and points; and
-the int32 residual against the Python-int one up to the int32 edge."""
+cell-indexed solution set, the orbit partition and the Delta closed form
+against naive oracles, on random small primes, parameters and points;
+and the int32 residual against the naive Python-int one up to the int32
+edge."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from markoff.delta import build_certificate, delta_at
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.field import is_prime
 from markoff.orbits import compute_orbits, neighbor_indices
-from markoff.surface import SurfaceParams, residual, residual_array
+from markoff.surface import SurfaceParams, residual_array
 
 from conftest import naive_move, naive_orbits, naive_residual, naive_solutions
 
@@ -84,4 +86,42 @@ def test_int32_residual_matches_python_ints(data):
 
     res = residual_array(params, np.array(points, dtype=np.int32).T)
     assert res.dtype == np.int32
-    assert res.tolist() == [residual(params, x) for x in points]
+    assert res.tolist() == [naive_residual(p, a, x) for x in points]
+
+
+def naive_delta(p, a, x, i):
+    """Delta_i(x) = x_i/(x_{i-1}x_{i+1}) + (a_{i-1}/x_{i-1} + a_{i+1}/x_{i+1})/2 by pow."""
+    xm, xp = x[(i - 1) % 3], x[(i + 1) % 3]
+    am, ap = a[(i - 1) % 3], a[(i + 1) % 3]
+    return (x[i] * pow(xm * xp, -1, p)
+            + (am * pow(xm, -1, p) + ap * pow(xp, -1, p)) * pow(2, -1, p)) % p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_delta_closed_form_matches_naive_inverses(data):
+    p = data.draw(st.sampled_from(PRIMES), label="p")
+    # no a_i = +-2 and s != 0, so build_certificate succeeds
+    nondegenerate = st.sampled_from([v for v in range(p) if (v * v - 4) % p])
+    a = data.draw(st.tuples(nondegenerate, nondegenerate, nondegenerate), label="a")
+    assume((3 + sum(a)) % p != 0)
+    params = SurfaceParams.make(p, a)
+    sol = enumerate_solutions(params)
+    values = build_certificate(sol).values
+
+    # every point with x_{i-1} x_{i+1} != 0, the zero-locus points x_i = 0 included
+    for k, x in enumerate(sol.iter_triples()):
+        for i in range(3):
+            if x[(i - 1) % 3] and x[(i + 1) % 3]:
+                expected = naive_delta(p, a, x, i)
+                assert values[k, i] == expected, (x, i)
+                assert delta_at(params, x, i) == expected, (x, i)
+
+    x = sol.triple(data.draw(st.integers(0, len(sol) - 1), label="row"))
+    shifts = data.draw(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 3), label="shifts")
+    unreduced = tuple(v + k * p for v, k in zip(x, shifts))
+    negative = tuple(v - 2 * p for v in x)
+    for i in range(3):
+        if x[(i - 1) % 3] and x[(i + 1) % 3]:
+            assert delta_at(params, unreduced, i) == delta_at(params, x, i)
+            assert delta_at(params, negative, i) == delta_at(params, x, i)
