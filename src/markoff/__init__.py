@@ -24,8 +24,8 @@ from .orbits import (OrbitPartition, compute_orbits, size_table,
 from .special_cases import (lambda_order, markoff_p3, orbit_table_22m2,
                             orbits_00_minus3, tiny_orbits_22m2)
 from .surface import (SurfaceParams, apply_move, classify_parameters,
-                      make_params, on_surface, rescale, residual,
-                      u_coords, u_move, u_move_equivariance)
+                      on_surface, rescale, residual, u_coords, u_move,
+                      u_move_equivariance)
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,7 @@ __all__ = [
     "classify_parameters", "closed_form_total", "compute_orbits",
     "count_solutions_bruteforce", "degenerate_label", "delta_values",
     "enumerate_solutions", "extend_delta", "fiber_conic", "is_prime",
-    "lambda_order", "make_params", "markoff_p3", "mult_order", "on_surface",
+    "lambda_order", "markoff_p3", "mult_order", "on_surface",
     "orbit_table_22m2", "orbits_00_minus3", "perfect_square_check",
     "prime_field", "rescale", "residual", "size_table", "special_form_detect",
     "sqrt_mod", "tiny_orbits_22m2", "total_via_fibers", "u_coords", "u_move",

@@ -80,7 +80,6 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.add_argument("-a", "--params", type=str, default=None)
     p_ver.add_argument("--samples", type=_positive_int, default=1000)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(handler=_cmd_verify)
 
     p_tab = sub.add_parser("table-22m2", help="orbit-size tables for a = (2,2,-2)")
@@ -332,7 +331,7 @@ def _sweep_one(p: int, a: tuple[int, int, int], with_delta: bool) -> list[str]:
         report = orbits.verify_divisibility(part)
         if report.passed is False:
             messages.append(f"DIVISIBILITY FAIL p={p} a={a}: {orbits.size_table(part)}")
-        if with_delta and report.asserted and p <= 13:
+        if with_delta and report.asserted:
             try:
                 assign = delta.build_certificate(sol)
                 delta.verify_certificate(assign, part)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .enumeration import enumerate_solutions
-from .field import (QuadExtElement, chi, inverse, mult_order, sqrt_mod,
+from .field import (QuadExtElement, chi, inverse, sqrt_in_extension,
                     validate_odd_prime, validate_prime)
 from .orbits import compute_orbits, size_table
 from .surface import SurfaceParams, Triple, apply_move, on_surface
@@ -52,15 +54,9 @@ def lambda_order(p: int) -> tuple[bool, int]:
     if p <= 5:
         raise ValueError("lambda order needs p > 5")
     inv2 = inverse(2, p)
-    if chi(5, p) == 1:
-        root5 = sqrt_mod(5, p)[0]
-        lam = (7 + 3 * root5) * inv2 % p
-        return True, mult_order(lam, p)
-    from .field import smallest_nonresidue
-    n = smallest_nonresidue(p)
-    t = sqrt_mod(5 * inverse(n, p) % p, p)[0]   # sqrt(5) = t * w with w^2 = n
-    lam = QuadExtElement(7 * inv2 % p, 3 * t * inv2 % p, p, n)
-    return False, lam.mult_order()
+    root5 = sqrt_in_extension(5, p)
+    lam = QuadExtElement((7 + 3 * root5.c0) * inv2, 3 * root5.c1 * inv2, p, root5.n)
+    return root5.in_base_field(), lam.mult_order()
 
 
 def _mat_mul(a, b, p):
@@ -87,41 +83,9 @@ def _dihedral_elements(p: int, order: int):
     return elements
 
 
-def _component(start, movers, limit: int | None = None) -> set:
-    """The orbit of `start` under the maps in `movers`, by graph search.
-
-    With a limit the search stops as soon as the orbit has more than
-    `limit` points, so a caller expecting a tiny orbit bails out fast.
-    """
-    comp = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for mv in movers:
-            w = mv(v)
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-        if limit is not None and len(comp) > limit:
-            break
-    return comp
-
-
-def _orbit_sizes(points, movers) -> list[int]:
-    """Sizes of the orbits partitioning `points`, in order of smallest member."""
-    seen: set = set()
-    sizes = []
-    for start in sorted(set(points)):
-        if start not in seen:
-            comp = _component(start, movers)
-            seen |= comp
-            sizes.append(len(comp))
-    return sizes
-
-
 @dataclass
 class DihedralReport:
-    """Orbit counts for a = (0, 0, -3): closed form, BFS and Burnside agree."""
+    """Orbit counts for a = (0, 0, -3): closed form, orbit engine and Burnside agree."""
 
     p: int
     sqrt5_in_fp: bool
@@ -148,37 +112,34 @@ def orbits_00_minus3(p: int) -> DihedralReport:
     p - chi(5) points; the slice x3 = 0 is a pair of lines through the
     origin (empty when chi(5) = -1).  m3 is the sign change in x3,
     m1 and m2 act linearly on (x1, x2).
+
+    The bfs_* counts come from the orbit engine, compute_orbits, run on
+    the whole surface.  m1 and m2 do not read x3 and m3 only negates
+    it, so each orbit meets the slice x3 = 1 in exactly one
+    <m1, m2>-orbit of conic1, and a point of conic0 only in its
+    <m1, m2>-orbit.  The Burnside counts take the same slices as arrays.
     """
     if p <= 5:
         raise ValueError("this family needs p > 5")
     sqrt5, order = lambda_order(p)
     ch5 = chi(5, p)
 
-    conic1 = [(x, y) for x in range(p) for y in range(p)
-              if (x * x + y * y - 3 * x * y + 1) % p == 0]
-    conic0 = [(x, y) for x in range(p) for y in range(p)
-              if (x, y) != (0, 0) and (x * x + y * y - 3 * x * y) % p == 0]
-
-    def m1(v):
-        return ((-v[0] + 3 * v[1]) % p, v[1])
-
-    def m2(v):
-        return (v[0], (-v[1] + 3 * v[0]) % p)
-
-    sizes1 = _orbit_sizes(conic1, [m1, m2])
-    sizes0 = _orbit_sizes(conic0, [m1, m2]) if conic0 else []
+    sol = enumerate_solutions(SurfaceParams.make(p, (0, 0, -3)))
+    component_id = compute_orbits(sol).component_id
+    x3 = sol.points[:, 2]
+    on1, on0 = x3 == 1, x3 == 0
+    sizes1 = np.bincount(component_id[on1])
+    sizes1 = sizes1[sizes1 > 0]
+    ids0 = np.unique(component_id[on0])
+    ids_pm1 = np.unique(component_id[on1 | (x3 == p - 1)])
 
     elements = _dihedral_elements(p, order)
 
-    def burnside(points) -> int:
-        if not points:
-            return 0
-        total = 0
-        pts = points
-        for g in elements:
-            total += sum(1 for (x, y) in pts
-                         if (g[0][0] * x + g[0][1] * y) % p == x
-                         and (g[1][0] * x + g[1][1] * y) % p == y)
+    def burnside(points: np.ndarray) -> int:
+        x, y = points[:, 0], points[:, 1]
+        total = sum(int(np.count_nonzero(((g[0][0] * x + g[0][1] * y) % p == x)
+                                         & ((g[1][0] * x + g[1][1] * y) % p == y)))
+                    for g in elements)
         if total % len(elements):
             raise ArithmeticError("Burnside average is not an integer")
         return total // len(elements)
@@ -186,26 +147,12 @@ def orbits_00_minus3(p: int) -> DihedralReport:
     formula1 = (p - ch5) // (2 * order) + (1 if sqrt5 else 0)
     formula0 = (p - 1) // order if sqrt5 else 0
 
-    # full three-move action on the pair of slices x3 = +-1
-    both = [(x, y, z) for (x, y) in conic1 for z in (1, p - 1)]
-
-    def f1(v):
-        return ((-v[0] + 3 * v[1]) % p, v[1], v[2])
-
-    def f2(v):
-        return (v[0], (-v[1] + 3 * v[0]) % p, v[2])
-
-    def f3(v):
-        return (v[0], v[1], (p - v[2]) % p)
-
-    full = len(_orbit_sizes(both, [f1, f2, f3]))
-
     return DihedralReport(
         p=p, sqrt5_in_fp=sqrt5, lambda_order=order,
         conic1_orbits=formula1, conic0_orbits=formula0,
-        bfs_conic1=len(sizes1), bfs_conic0=len(sizes0),
-        burnside_conic1=burnside(conic1), burnside_conic0=burnside(conic0),
-        conic1_sizes=sorted(sizes1), full_orbits_pm1=full,
+        bfs_conic1=len(sizes1), bfs_conic0=len(ids0),
+        burnside_conic1=burnside(sol.points[on1]), burnside_conic0=burnside(sol.points[on0]),
+        conic1_sizes=sorted(sizes1.tolist()), full_orbits_pm1=len(ids_pm1),
     )
 
 
@@ -218,7 +165,7 @@ class TinyOrbit:
     kind: str                       # "singleton", "barbell" or "tripod"
     points: list[Triple]
     edges: list[tuple[Triple, int, Triple]]
-    verified_size: int | None      # BFS size, None when degenerate
+    verified_size: int | None      # size of the move-closed point set, else None
 
 
 @dataclass
@@ -243,7 +190,9 @@ def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
 
     The templates are rational in 1/s, so s = 0 (p = 5) is excluded; at
     p = 3 the tripod points collapse onto the origin and the tripods are
-    reported as degenerate.
+    reported as degenerate.  The checks below join each template's points
+    by move edges, so a template the moves map into itself is exactly
+    one orbit: verified_size is its size then, and None otherwise.
     """
     p = validate_odd_prime(params.p)
     if tuple(v % p for v in (2, 2, -2)) != params.a:
@@ -251,10 +200,6 @@ def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
     if params.s == 0:
         return TinyOrbitReport(params, True, [], [], [], True)
     u = inverse(params.s, p)
-    movers = [lambda v, i=i: apply_move(params, v, i) for i in range(3)]
-
-    def orbit_size(x: Triple) -> int:
-        return len(_component(x, movers, limit=64))   # tiny orbits only
 
     def t(c1, c2, c3) -> Triple:
         return (c1 * u % p, c2 * u % p, c3 * u % p)
@@ -277,8 +222,8 @@ def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
         _require(on_surface(params, x), f"{x} not on surface")
         for i in range(3):
             _require(apply_move(params, x, i) == x, f"{x} not fixed by move {i}")
-        size = orbit_size(x)
-        singleton_reports.append(TinyOrbit("singleton", [x], [], size))
+        singleton_reports.append(
+            TinyOrbit("singleton", [x], [], _closed_size(params, [x])))
 
     barbell_reports = []
     for left, move_i, right in barbells:
@@ -290,9 +235,9 @@ def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
             if i != move_i:
                 _require(apply_move(params, left, i) == left, "barbell end not fixed")
                 _require(apply_move(params, right, i) == right, "barbell end not fixed")
-        size = orbit_size(left)
         barbell_reports.append(
-            TinyOrbit("barbell", [left, right], [(left, move_i, right)], size))
+            TinyOrbit("barbell", [left, right], [(left, move_i, right)],
+                      _closed_size(params, [left, right])))
 
     tripod_degenerate = p == 3
     tripod_reports = []
@@ -313,11 +258,18 @@ def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
                         _require(apply_move(params, leaf, j) == leaf,
                                  "tripod leaf is not a double fixed point")
                 edges.append((center, i, leaf))
-            size = orbit_size(center)
-            tripod_reports.append(TinyOrbit("tripod", pts, edges, size))
+            tripod_reports.append(
+                TinyOrbit("tripod", pts, edges, _closed_size(params, pts)))
 
     return TinyOrbitReport(params, False, singleton_reports, barbell_reports,
                            tripod_reports, tripod_degenerate)
+
+
+def _closed_size(params: SurfaceParams, points: list[Triple]) -> int | None:
+    """Number of distinct points if every move maps the set into itself, else None."""
+    pts = set(points)
+    closed = all(apply_move(params, x, i) in pts for x in pts for i in range(3))
+    return len(pts) if closed else None
 
 
 def _require(cond: bool, message: str) -> None:

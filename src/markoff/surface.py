@@ -51,10 +51,6 @@ class SurfaceParams:
         return f"SurfaceParams(p={self.p}, a={self.a}, s={self.s})"
 
 
-def make_params(p: int, a1: int, a2: int, a3: int) -> SurfaceParams:
-    return SurfaceParams.make(p, (a1, a2, a3))
-
-
 def residual(params: SurfaceParams, x: Triple) -> int:
     """LHS - RHS of the surface equation; zero iff x lies on the surface.
 

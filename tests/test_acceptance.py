@@ -187,7 +187,7 @@ def test_criterion_6_dihedral_family():
     assert rep89.conic1_sizes == [11, 11, 22, 22, 22]
     elapsed = time.perf_counter() - start
     _verdict(6, "linear family a=(0,0,-3)", True,
-             f"primes 7..199, formula = Burnside = BFS, {elapsed:.1f}s")
+             f"primes 7..199, formula = Burnside = orbit engine, {elapsed:.1f}s")
 
 
 def test_criterion_7_conic_counts():

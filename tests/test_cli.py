@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from markoff import cli
+from markoff import cli, delta
 from markoff.cli import (EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main)
 from markoff.enumeration import DEFAULT_MAX_PRIME
 from markoff.field import is_prime
@@ -122,6 +122,19 @@ def test_sweep_small(capsys):
     assert out.strip() == "sweep: 125 runs, 0 failures"
 
 
+def test_sweep_with_delta_certifies_above_p13(capsys, monkeypatch):
+    def refuse(assign, part):
+        raise delta.CertificateError("planted refusal")
+
+    monkeypatch.setattr(delta, "verify_certificate", refuse)
+    code, out, _ = run(capsys, "sweep", "--p-list", "17", "--samples", "5",
+                       "--with-delta")
+    assert code == EXIT_FAIL
+    fails = [line for line in out.splitlines() if line.startswith("DELTA FAIL p=17 ")]
+    assert fails and all(line.endswith(": planted refusal") for line in fails)
+    assert out.splitlines()[-1] == f"sweep: 5 runs, {len(fails)} failures"
+
+
 def test_sweep_sampled_deterministic(capsys):
     code, out1, _ = run(capsys, "sweep", "--p-list", "17", "--samples", "20",
                         "--seed", "7")
@@ -136,6 +149,8 @@ def test_usage_error_exit_code(capsys):
     assert main(["count", "-p", "10", "-a", "1,1,1"]) == EXIT_USAGE  # not prime
     code = main(["count", "-p", "7", "-a", "1,1"])             # malformed triple
     assert code == EXIT_USAGE
+    # verify has no --format option; every check prints one fixed format
+    assert main(["verify", "delta", "-p", "13", "-a", "2,5,5", "--format", "json"]) == EXIT_USAGE
 
 
 def test_resource_guard_exit_code(capsys):

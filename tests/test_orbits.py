@@ -24,7 +24,9 @@ def test_orbits_frozen_examples():
 
 def test_orbits_match_naive_bfs():
     for p, a in [(5, (0, 0, 0)), (5, (2, 2, 2)), (7, (2, 2, -2)), (7, (2, 3, 3)),
-                 (11, (0, 0, -3)), (11, (3, 1, 4)), (11, (2, 5, 5))]:
+                 (11, (0, 0, -3)), (11, (3, 1, 4)), (11, (2, 5, 5)),
+                 # s = 0 with chi(5) = -1 and chi(5) = +1: long linear cycles
+                 (13, (0, 0, -3)), (19, (0, 0, -3))]:
         params = SurfaceParams.make(p, a)
         part = part_for(p, a)
         expected = naive_orbits(p, params.a)

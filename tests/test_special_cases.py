@@ -5,9 +5,10 @@ from markoff.field import (QuadExtElement, chi, inverse, is_prime,
                            smallest_nonresidue, sqrt_mod)
 from markoff.orbits import compute_orbits
 from markoff.special_cases import (REFERENCE_TABLE_22M2, UNDERCOUNTED_SIZE4,
-                                   CubeReport, lambda_order, markoff_p3,
-                                   orbit_table_22m2, orbits_00_minus3,
-                                   primes_up_to, table_csv, tiny_orbits_22m2)
+                                   CubeReport, _closed_size, lambda_order,
+                                   markoff_p3, orbit_table_22m2,
+                                   orbits_00_minus3, primes_up_to, table_csv,
+                                   tiny_orbits_22m2)
 from markoff.surface import SurfaceParams, apply_move, on_surface
 
 
@@ -186,6 +187,16 @@ class TestTinyOrbits:
         zero_leaf_counts = sorted(
             sum(1 for pt in t.points[1:] if 0 in pt) for t in rep.tripods)
         assert zero_leaf_counts == [1, 1, 1, 3]
+
+    def test_closure_check_rejects_open_sets(self):
+        params = SurfaceParams.make(13, (2, 2, -2))
+        (barbell,) = [b for b in tiny_orbits_22m2(params).barbells
+                      if b.edges[0][1] == 0]
+        left, right = barbell.points
+        assert _closed_size(params, [left, right]) == 2
+        assert _closed_size(params, [left]) is None    # move 0 leaves the set
+        assert _closed_size(params, [right]) is None
+        assert _closed_size(params, [left, left, right]) == 2
 
     def test_rejects_other_parameters(self):
         with pytest.raises(ValueError):

@@ -50,8 +50,12 @@ COMMANDS = [
     "verify delta -p 997 -a 2,-2,-2",
     "verify breakup -p 997 -a 2,-2,-2",
     "verify divisibility -p 997 -a 2,-2,-2",
-    "verify delta -p 2017 -a 0,0,0 --format json",
+    "verify delta -p 2017 -a 0,0,0",
     "sweep --p-list 11,13 --exhaustive --with-delta",
+    # worked families: conic0 non-empty at p = 11, and the p = 997 items
+    "special 00m3 -p 11",
+    "special 00m3 -p 997",
+    "special 22m2 -p 997",
     # p = 2 and p = 3 edge inputs
     "enumerate -p 3 -a 0,0,0",
     "orbits -p 2 -a 2,2,-2",
@@ -71,6 +75,8 @@ COMMANDS = [
     "table-22m2 --max-p -5",
     "table-22m2 --max-p 1",
     "orbits -p 20000003 -a 0,0,0",
+    "special 00m3 -p 5",
+    "verify delta -p 13 -a 2,5,5 --format json",
     # resource guards (exit 3); 20011 is the least prime above the 20000 guard
     "enumerate -p 20011 -a 0,0,0",
     "count -p 20011 -a 1,1,1",
