@@ -26,7 +26,7 @@ for t in report.tripods:
     center = t.points[0]
     leaves = ", ".join(str(pt) for pt in t.points[1:])
     print(f"  tripod centred at {center} with leaves {leaves}")
-print(f"  all BFS-verified: {report.all_verified()}")
+print(f"  all move graphs verified: {report.all_verified()}")
 print()
 
 print("the linear family a = (0, 0, -3):")
@@ -36,7 +36,7 @@ for p in (11, 13, 89):
           f" ord(lambda)={rep.lambda_order}")
     print(f"    slice x3=1: {rep.conic1_orbits} orbits of sizes"
           f" {rep.conic1_sizes} (Burnside: {rep.burnside_conic1},"
-          f" BFS: {rep.bfs_conic1})")
+          f" orbit engine: {rep.bfs_conic1})")
     print(f"    slice x3=0: {rep.conic0_orbits} orbits")
 assert lambda_order(89) == (True, 11)
 print()

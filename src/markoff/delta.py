@@ -137,10 +137,13 @@ def extend_delta(params: SurfaceParams, cycle: ZeroCycle,
     """Fill all three Delta values on a zero cycle, starting from delta0.
 
     Delta_i on the locus comes from the closed form; Delta_{i-1} starts
-    at delta0 on the base point and the pair/total identities force the
-    rest around the cycle.  The wrap-around is consistent because the
-    Delta_i values sum to zero around any non-degenerate cycle.  For an
-    order-1 cycle there is no freedom: both neighbours of Delta_i are
+    at delta0 on the base point z_0.  One walk around the cycle then
+    forces the rest: across each edge the pair identity gives the moved
+    neighbour's value, and at its far end the total identity gives the
+    other one.  Back at z_0 the recomputed Delta_{i-1} must equal
+    delta0, else NoConsistentExtension is raised; it does equal it because
+    the Delta_i values sum to zero around any non-degenerate cycle.  For
+    an order-1 cycle there is no freedom: both neighbours of Delta_i are
     pinned to s/2, which is consistent only when 2a_{i-1} = a_{i+1}a_i.
     """
     p = params.p
@@ -168,24 +171,20 @@ def extend_delta(params: SurfaceParams, cycle: ZeroCycle,
         assert out[x][i] == 0
         return {pt: tuple(v) for pt, v in out.items()}
 
-    zs, ws = cycle.zs, cycle.ws
-    n_len = cycle.rho_order
-    out[zs[0]][im1] = delta0 % p
-    for n in range(n_len):
-        zn, wn = zs[n], ws[n]
-        out[wn][im1] = (s - out[zn][im1]) % p                  # pair at i-1
-        out[wn][ip1] = (s - di[wn] - out[wn][im1]) % p         # total at w_n
-        z_next = zs[(n + 1) % n_len]
-        val_ip1 = (s - out[wn][ip1]) % p                       # pair at i+1
-        if n + 1 < n_len:
-            out[z_next][ip1] = val_ip1
-            out[z_next][im1] = (s - di[z_next] - val_ip1) % p  # total at z_{n+1}
-        else:
-            # wrap-around: must reproduce the starting value
-            if (s - di[z_next] - val_ip1) % p != out[z_next][im1]:
-                raise NoConsistentExtension(
-                    f"cycle through {cycle.base} (i={i}) is inconsistent")
-    out[zs[0]][ip1] = (s - di[zs[0]] - out[zs[0]][im1]) % p
+    # walk z_0, w_0, z_1, ..., w_{N-1}, z_0; edge k is m_{i-1} for even k
+    # and m_{i+1} for odd k: pair identity across it, total at its far end
+    z0 = cycle.zs[0]
+    walk = [pt for zw in zip(cycle.zs, cycle.ws) for pt in zw] + [z0]
+    start = delta0 % p
+    out[z0][im1] = start
+    for k in range(len(walk) - 1):
+        near, far = walk[k], walk[k + 1]
+        j, other = (im1, ip1) if k % 2 == 0 else (ip1, im1)
+        out[far][j] = (s - out[near][j]) % p
+        out[far][other] = (s - di[far] - out[far][j]) % p
+    if out[z0][im1] != start:
+        raise NoConsistentExtension(
+            f"cycle through {cycle.base} (i={i}) is inconsistent")
     return {pt: tuple(v) for pt, v in out.items()}
 
 

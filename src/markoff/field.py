@@ -236,47 +236,48 @@ class PrimeField:
         if p > MAX_TABLE_PRIME:
             raise ValueError(f"p = {p} exceeds the table limit {MAX_TABLE_PRIME}")
         self.p = p
-        self._chi_table: np.ndarray | None = None
-        self._sqrt_table: np.ndarray | None = None
-        self._inv_table: np.ndarray | None = None
 
-    @property
+    @functools.cached_property
     def chi_table(self) -> np.ndarray:
         """int8 array of length p: chi_table[x] = chi(x)."""
-        if self._chi_table is None:
-            p = self.p
-            if p == 2:
-                raise ValueError("no quadratic character mod 2")
-            t = np.full(p, -1, dtype=np.int8)
-            r = np.arange(p, dtype=np.int64)
-            t[(r * r) % p] = 1
-            t[0] = 0
-            self._chi_table = t
-        return self._chi_table
+        p = self.p
+        if p == 2:
+            raise ValueError("no quadratic character mod 2")
+        t = np.full(p, -1, dtype=np.int8)
+        r = np.arange(p, dtype=np.int64)
+        t[(r * r) % p] = 1
+        t[0] = 0
+        return t
 
-    @property
+    @functools.cached_property
     def sqrt_table(self) -> np.ndarray:
         """int64 array: the smaller square root of x, or -1 if none."""
-        if self._sqrt_table is None:
-            p = self.p
-            t = np.full(p, -1, dtype=np.int64)
-            r = np.arange(p // 2 + 1, dtype=np.int64)
-            t[(r * r) % p] = r
-            self._sqrt_table = t
-        return self._sqrt_table
+        p = self.p
+        t = np.full(p, -1, dtype=np.int64)
+        r = np.arange(p // 2 + 1, dtype=np.int64)
+        t[(r * r) % p] = r
+        return t
 
-    @property
+    @functools.cached_property
     def inv_table(self) -> np.ndarray:
-        """int64 array: inv_table[x] = x^-1 mod p (entry 0 is unused, set to 0)."""
-        if self._inv_table is None:
-            p = self.p
-            t = np.zeros(p, dtype=np.int64)
-            if p > 1:
-                t[1] = 1
-            for i in range(2, p):
-                t[i] = (p - (p // i) * t[p % i]) % p
-            self._inv_table = t
-        return self._inv_table
+        """int64 array: inv_table[x] = x^-1 mod p (entry 0 is unused, set to 0).
+
+        Built as x^(p-2) by square-and-multiply over the whole array; every
+        product is below p^2 <= MAX_TABLE_PRIME^2 < 2^63, so int64 is exact.
+        """
+        p = self.p
+        base = np.arange(p, dtype=np.int64)
+        t = np.ones(p, dtype=np.int64)
+        e = p - 2
+        while e:
+            if e & 1:
+                t *= base
+                t %= p
+            base *= base
+            base %= p
+            e >>= 1
+        t[0] = 0
+        return t
 
     def __repr__(self):
         return f"PrimeField({self.p})"

@@ -165,7 +165,7 @@ class TinyOrbit:
     kind: str                       # "singleton", "barbell" or "tripod"
     points: list[Triple]
     edges: list[tuple[Triple, int, Triple]]
-    verified_size: int | None      # size of the move-closed point set, else None
+    verified_size: int              # distinct points, once the move graph checks out
 
 
 @dataclass
@@ -190,9 +190,13 @@ def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
 
     The templates are rational in 1/s, so s = 0 (p = 5) is excluded; at
     p = 3 the tripod points collapse onto the origin and the tripods are
-    reported as degenerate.  The checks below join each template's points
-    by move edges, so a template the moves map into itself is exactly
-    one orbit: verified_size is its size then, and None otherwise.
+    reported as degenerate.  Each template lists its points and its move
+    edges: none for a singleton, one for a barbell, and edge i from the
+    centre to leaf i for a tripod.  _check_move_graph checks that these
+    edges are exactly the moves among the points, so the template is
+    closed under the moves and connected, hence one orbit; verified_size
+    is its number of distinct points.  A failed check raises
+    ArithmeticError.
     """
     p = validate_odd_prime(params.p)
     if tuple(v % p for v in (2, 2, -2)) != params.a:
@@ -204,77 +208,56 @@ def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
     def t(c1, c2, c3) -> Triple:
         return (c1 * u % p, c2 * u % p, c3 * u % p)
 
-    singletons = [t(4, 4, 0), t(4, 0, -4), t(0, 4, -4)]
+    def checked(kind, points, edges) -> TinyOrbit:
+        _check_move_graph(params, points, edges)
+        return TinyOrbit(kind, points, edges, len(set(points)))
+
+    def barbell(left, i, right) -> TinyOrbit:
+        return checked("barbell", [left, right], [(left, i, right)])
+
+    def tripod(center, leaves) -> TinyOrbit:
+        return checked("tripod", [center] + leaves,
+                       [(center, i, leaf) for i, leaf in enumerate(leaves)])
+
+    singletons = [checked("singleton", [x], [])
+                  for x in (t(4, 4, 0), t(4, 0, -4), t(0, 4, -4))]
     barbells = [
-        (t(0, 2, -2), 0, t(4, 2, -2)),
-        (t(2, 0, -2), 1, t(2, 4, -2)),
-        (t(2, 2, 0), 2, t(2, 2, -4)),
+        barbell(t(0, 2, -2), 0, t(4, 2, -2)),
+        barbell(t(2, 0, -2), 1, t(2, 4, -2)),
+        barbell(t(2, 2, 0), 2, t(2, 2, -4)),
     ]
-    tripods = [
-        (t(3, 3, -3), [t(0, 3, -3), t(3, 0, -3), t(3, 3, 0)]),
-        (t(3, 1, -1), [t(0, 1, -1), t(3, 4, -1), t(3, 1, -4)]),
-        (t(1, 3, -1), [t(4, 3, -1), t(1, 0, -1), t(1, 3, -4)]),
-        (t(1, 1, -3), [t(4, 1, -3), t(1, 4, -3), t(1, 1, 0)]),
+    tripods_degenerate = p == 3
+    tripods = [] if tripods_degenerate else [
+        tripod(t(3, 3, -3), [t(0, 3, -3), t(3, 0, -3), t(3, 3, 0)]),
+        tripod(t(3, 1, -1), [t(0, 1, -1), t(3, 4, -1), t(3, 1, -4)]),
+        tripod(t(1, 3, -1), [t(4, 3, -1), t(1, 0, -1), t(1, 3, -4)]),
+        tripod(t(1, 1, -3), [t(4, 1, -3), t(1, 4, -3), t(1, 1, 0)]),
     ]
+    return TinyOrbitReport(params, False, singletons, barbells, tripods, tripods_degenerate)
 
-    singleton_reports = []
-    for x in singletons:
-        _require(on_surface(params, x), f"{x} not on surface")
+
+def _check_move_graph(params: SurfaceParams, points: list[Triple],
+                      edges: list[tuple[Triple, int, Triple]]) -> None:
+    """Check that the listed edges are exactly the moves among the points.
+
+    Every point must lie on the surface, every edge must join two listed
+    points, and for every point x and move i, m_i x must be the other end
+    of the listed edge (x, i, .) or (., i, x), or x itself when no such
+    edge is listed.  Raises ArithmeticError on the first mismatch.
+    """
+    listed = set(points)
+    other_end = {}
+    for left, i, right in edges:
+        if left not in listed or right not in listed:
+            raise ArithmeticError(f"move {i} edge from {left} to {right} leaves the listed points")
+        other_end[left, i], other_end[right, i] = right, left
+    for x in points:
+        if not on_surface(params, x):
+            raise ArithmeticError(f"{x} is not on the surface")
         for i in range(3):
-            _require(apply_move(params, x, i) == x, f"{x} not fixed by move {i}")
-        singleton_reports.append(
-            TinyOrbit("singleton", [x], [], _closed_size(params, [x])))
-
-    barbell_reports = []
-    for left, move_i, right in barbells:
-        _require(on_surface(params, left) and on_surface(params, right),
-                 "barbell endpoint off surface")
-        _require(apply_move(params, left, move_i) == right,
-                 f"move {move_i} does not join {left} to {right}")
-        for i in range(3):
-            if i != move_i:
-                _require(apply_move(params, left, i) == left, "barbell end not fixed")
-                _require(apply_move(params, right, i) == right, "barbell end not fixed")
-        barbell_reports.append(
-            TinyOrbit("barbell", [left, right], [(left, move_i, right)],
-                      _closed_size(params, [left, right])))
-
-    tripod_degenerate = p == 3
-    tripod_reports = []
-    if not tripod_degenerate:
-        for center, leaves in tripods:
-            pts = [center] + leaves
-            edges = []
-            _require(on_surface(params, center), "tripod centre off surface")
-            for leaf in leaves:
-                _require(on_surface(params, leaf), "tripod leaf off surface")
-                moved = [i for i in range(3) if leaf[i] != center[i]]
-                _require(len(moved) == 1, "leaf differs from centre in several coordinates")
-                i = moved[0]
-                _require(apply_move(params, center, i) == leaf,
-                         f"move {i} does not join centre to {leaf}")
-                for j in range(3):
-                    if j != i:
-                        _require(apply_move(params, leaf, j) == leaf,
-                                 "tripod leaf is not a double fixed point")
-                edges.append((center, i, leaf))
-            tripod_reports.append(
-                TinyOrbit("tripod", pts, edges, _closed_size(params, pts)))
-
-    return TinyOrbitReport(params, False, singleton_reports, barbell_reports,
-                           tripod_reports, tripod_degenerate)
-
-
-def _closed_size(params: SurfaceParams, points: list[Triple]) -> int | None:
-    """Number of distinct points if every move maps the set into itself, else None."""
-    pts = set(points)
-    closed = all(apply_move(params, x, i) in pts for x in pts for i in range(3))
-    return len(pts) if closed else None
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ArithmeticError(message)
+            image, expected = apply_move(params, x, i), other_end.get((x, i), x)
+            if image != expected:
+                raise ArithmeticError(f"move {i} maps {x} to {image}, expected {expected}")
 
 
 # --- the p = 3 cube ---------------------------------------------------------

@@ -344,9 +344,10 @@ class TestCertificate:
         with pytest.raises(ValueError):
             build_certificate(enumerate_solutions(params_of(3, (0, 0, 1))))
 
-    def test_existence_matches_classification_p7(self):
-        for a in itertools.product(range(7), repeat=3):
-            params = params_of(7, a)
+    @pytest.mark.parametrize("p", (5, 7, 11, 13))
+    def test_existence_matches_classification(self, p):
+        for a in itertools.product(range(p), repeat=3):
+            params = params_of(p, a)
             cls = classify_parameters(params)
             if cls.kind == "s-zero":
                 continue

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from markoff.field import (PrimeField, QuadExtElement, chi, factorize,
@@ -161,7 +162,7 @@ class TestQuadExt:
 
 class TestPrimeField:
     def test_tables_match_scalar_functions(self):
-        for p in (5, 13, 97):
+        for p in (3, 5, 13, 97):
             fld = PrimeField(p)
             for x in range(p):
                 assert int(fld.chi_table[x]) == chi(x, p)
@@ -172,6 +173,13 @@ class TestPrimeField:
                     assert root * root % p == x
                 if x:
                     assert int(fld.inv_table[x]) == inverse(x, p)
+        p = 20011
+        inv = PrimeField(p).inv_table
+        x = np.arange(1, p, dtype=np.int64)
+        assert inv[0] == 0 and inv.dtype == np.int64
+        assert (inv[1:] > 0).all() and (inv[1:] < p).all()
+        assert (x * inv[1:] % p == 1).all()
+        assert int(inv[12345]) == inverse(12345, p)
 
     def test_shared_instance(self):
         assert prime_field(13) is prime_field(13)

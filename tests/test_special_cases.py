@@ -5,7 +5,7 @@ from markoff.field import (QuadExtElement, chi, inverse, is_prime,
                            smallest_nonresidue, sqrt_mod)
 from markoff.orbits import compute_orbits
 from markoff.special_cases import (REFERENCE_TABLE_22M2, UNDERCOUNTED_SIZE4,
-                                   CubeReport, _closed_size, lambda_order,
+                                   CubeReport, _check_move_graph, lambda_order,
                                    markoff_p3, orbit_table_22m2,
                                    orbits_00_minus3, primes_up_to, table_csv,
                                    tiny_orbits_22m2)
@@ -188,15 +188,29 @@ class TestTinyOrbits:
             sum(1 for pt in t.points[1:] if 0 in pt) for t in rep.tripods)
         assert zero_leaf_counts == [1, 1, 1, 3]
 
-    def test_closure_check_rejects_open_sets(self):
+    def test_move_graph_check_rejects_wrong_graphs(self):
         params = SurfaceParams.make(13, (2, 2, -2))
-        (barbell,) = [b for b in tiny_orbits_22m2(params).barbells
-                      if b.edges[0][1] == 0]
+        rep = tiny_orbits_22m2(params)
+        for t in rep.singletons + rep.barbells + rep.tripods:
+            _check_move_graph(params, t.points, t.edges)
+        (barbell,) = [b for b in rep.barbells if b.edges[0][1] == 0]
         left, right = barbell.points
-        assert _closed_size(params, [left, right]) == 2
-        assert _closed_size(params, [left]) is None    # move 0 leaves the set
-        assert _closed_size(params, [right]) is None
-        assert _closed_size(params, [left, left, right]) == 2
+        center, *leaves = rep.tripods[0].points
+        rotated = [(center, (i + 1) % 3, leaf) for i, leaf in enumerate(leaves)]
+        off = (left[0], left[1], (left[2] + 1) % 13)
+        cases = [
+            ([left], [], [left, "move 0"]),
+            ([right], [], [right, "move 0"]),
+            ([left], [(left, 0, right)], [left, right, "move 0"]),
+            ([left, right], [(left, 1, right)], [left, "move 0"]),
+            (rep.tripods[0].points, rotated, [center, "move 0"]),
+            ([off], [], [off, "not on the surface"]),
+        ]
+        for points, edges, named in cases:
+            with pytest.raises(ArithmeticError) as err:
+                _check_move_graph(params, points, edges)
+            for word in named:
+                assert str(word) in str(err.value)
 
     def test_rejects_other_parameters(self):
         with pytest.raises(ValueError):
