@@ -22,7 +22,7 @@ from random import Random
 
 import numpy as np
 
-from .enumeration import SolutionSet, zero_locus
+from .enumeration import SolutionSet, row_blocks, zero_locus
 from .field import chi, inverse, mult_order
 from .orbits import OrbitPartition, compute_orbits
 from .surface import SurfaceParams, Triple, apply_move, moved_coordinate
@@ -193,7 +193,7 @@ class DeltaAssignment:
     """Total assignment of (Delta_1, Delta_2, Delta_3) over a SolutionSet."""
 
     solutions: SolutionSet
-    values: np.ndarray        # (M, 3) int64, aligned with solutions.points
+    values: np.ndarray        # (M, 3) int32 in [0, p), column-major, aligned with solutions.points
 
     @property
     def params(self) -> SurfaceParams:
@@ -219,15 +219,13 @@ def build_certificate(sol: SolutionSet, delta0: int | None = None,
     if params.s == 0:
         raise ValueError("certificate construction needs s != 0; "
                          "s = 0 surfaces are supported by enumeration and orbits only")
-    pts = sol.points
-    m = len(sol)
-    values = np.zeros((m, 3), dtype=np.int64)
-
-    cols = (pts[:, 0], pts[:, 1], pts[:, 2])
-    nonzero = [c != 0 for c in cols]
-    for i in range(3):
-        mask = nonzero[(i - 1) % 3] & nonzero[(i + 1) % 3]
-        values[mask, i] = _closed_form(params, [c[mask] for c in cols], i)
+    values = np.zeros((3, len(sol)), dtype=np.int32).T  # column-major, like sol.points
+    for rows, x in sol.blocks():
+        block = values[rows]
+        nonzero = x != 0
+        for i in range(3):
+            mask = nonzero[(i - 1) % 3] & nonzero[(i + 1) % 3]
+            block[mask, i] = _closed_form(params, x[:, mask], i)
 
     # each zero-locus point lies on exactly one locus and one cycle
     cycle_values: dict[Triple, Triple] = {}
@@ -271,28 +269,32 @@ def _check_edges(sol: SolutionSet, nbr: np.ndarray, component_id: np.ndarray) ->
     """Check every move edge against coordinates, independently of the lookup.
 
     Row nbr[i, k] must hold m_i of point k, recomputed here with
-    moved_coordinate, and both ends of every edge must share a component.
+    moved_coordinate block by block, and both ends of every edge must
+    share a component.
     """
     m = len(sol)
     if m and (nbr.min() < 0 or nbr.max() >= m):
         raise CertificateError("neighbour index outside the solution set")
-    cols = [np.ascontiguousarray(col) for col in sol.points.T]
-    for i in range(3):
-        target = nbr[i]
-        ok = np.take(cols[i], target) == moved_coordinate(sol.params, cols, i)
-        for j in ((i - 1) % 3, (i + 1) % 3):
-            ok &= np.take(cols[j], target) == cols[j]
-        if not bool(ok.all()):
-            k = int(np.flatnonzero(~ok)[0])
-            raise CertificateError(
-                f"move {i} neighbour of {sol.triple(k)} is {sol.triple(int(target[k]))}, "
-                f"not {apply_move(sol.params, sol.triple(k), i)}")
-        same = np.take(component_id, target) == component_id
-        if not bool(same.all()):
-            k = int(np.flatnonzero(~same)[0])
-            raise CertificateError(
-                f"move {i} edge from {sol.triple(k)} to {sol.triple(int(target[k]))} "
-                f"joins components {int(component_id[k])} and {int(component_id[target[k]])}")
+    cols = [sol.points[:, j] for j in range(3)]
+    for rows, x in sol.blocks():
+        ids = component_id[rows]
+        for i in range(3):
+            target = nbr[i, rows]
+            ok = np.take(cols[i], target) == moved_coordinate(sol.params, x, i)
+            for j in ((i - 1) % 3, (i + 1) % 3):
+                ok &= np.take(cols[j], target) == x[j]
+            if not bool(ok.all()):
+                k = rows.start + int(np.flatnonzero(~ok)[0])
+                raise CertificateError(
+                    f"move {i} neighbour of {sol.triple(k)} is {sol.triple(int(nbr[i, k]))}, "
+                    f"not {apply_move(sol.params, sol.triple(k), i)}")
+            same = np.take(component_id, target) == ids
+            if not bool(same.all()):
+                k = rows.start + int(np.flatnonzero(~same)[0])
+                raise CertificateError(
+                    f"move {i} edge from {sol.triple(k)} to {sol.triple(int(nbr[i, k]))} "
+                    f"joins components {int(component_id[k])} and "
+                    f"{int(component_id[nbr[i, k]])}")
 
 
 def verify_certificate(assign: DeltaAssignment,
@@ -303,6 +305,7 @@ def verify_certificate(assign: DeltaAssignment,
     so a faulty neighbour lookup cannot certify itself.  Raises
     CertificateError on any violated identity; the assignment
     must cover the whole solution set (build_certificate guarantees it).
+    The identities are checked one block of rows at a time, in int64.
     """
     sol = assign.solutions
     params = sol.params
@@ -315,44 +318,51 @@ def verify_certificate(assign: DeltaAssignment,
         part = compute_orbits(sol)
 
     nbr, component_id = part.neighbors, part.component_id
+    n_orbits = len(part.orbits)
     if nbr.shape != (3, m) or component_id.shape != (m,):
         raise ValueError("orbit partition does not match the solution set")
+    if m and (component_id.min() < 0 or component_id.max() >= n_orbits):
+        raise CertificateError("component id outside the orbit numbering")
     _check_edges(sol, nbr, component_id)
-
-    cols = [np.ascontiguousarray(col) for col in vals.T]
-    total_ok = (cols[0] + cols[1] + cols[2] - s) % p == 0
-    if not bool(total_ok.all()):
-        bad = int(np.flatnonzero(~total_ok)[0])
-        raise CertificateError(f"total identity fails at {sol.triple(bad)}")
 
     n_fixed = 0
     inv2 = (p + 1) // 2
-    rows = np.arange(m)
-    for i in range(3):
-        pair_ok = (cols[i] + np.take(cols[i], nbr[i]) - s) % p == 0
-        if not bool(pair_ok.all()):
-            bad = int(np.flatnonzero(~pair_ok)[0])
-            raise CertificateError(f"pair identity fails at {sol.triple(bad)} for move {i}")
-        fixed = nbr[i] == rows
-        n_fixed += int(fixed.sum())
-        fix_ok = (cols[i][fixed] - s * inv2) % p == 0
-        if not bool(fix_ok.all()):
-            raise CertificateError(f"fixed-point identity fails for move {i}")
+    sizes = np.zeros(n_orbits, dtype=np.int64)
+    half_sums = np.zeros((3, n_orbits), dtype=np.int64)  # per orbit: sum of Delta_i mod p
+    for rows in row_blocks(m):
+        block = vals[rows].T.astype(np.int64)
+        total_ok = (block[0] + block[1] + block[2] - s) % p == 0
+        if not bool(total_ok.all()):
+            bad = rows.start + int(np.flatnonzero(~total_ok)[0])
+            raise CertificateError(f"total identity fails at {sol.triple(bad)}")
+        own = np.arange(rows.start, rows.stop)
+        ids = component_id[rows]
+        sizes += np.bincount(ids, minlength=n_orbits)
+        for i in range(3):
+            target = nbr[i, rows]
+            pair_ok = (block[i] + np.take(vals[:, i], target) - s) % p == 0
+            if not bool(pair_ok.all()):
+                bad = rows.start + int(np.flatnonzero(~pair_ok)[0])
+                raise CertificateError(f"pair identity fails at {sol.triple(bad)} for move {i}")
+            fixed = target == own
+            n_fixed += int(fixed.sum())
+            fix_ok = (block[i][fixed] - s * inv2) % p == 0
+            if not bool(fix_ok.all()):
+                raise CertificateError(f"fixed-point identity fails for move {i}")
+            # float64 sums are exact: a block adds at most BLOCK values below p
+            sums = np.bincount(ids, weights=block[i], minlength=n_orbits)
+            half_sums[i] = (half_sums[i] + sums.astype(np.int64)) % p
 
     # per-orbit double counting: sum_i sum_x Delta_i = s*V and each i-sum is s*V/2
-    sizes = np.bincount(component_id)
     if sizes.tolist() != part.orbit_sizes():
         raise CertificateError("component ids do not match the orbit sizes")
     checks = []
-    per_orbit_total = np.zeros(len(part.orbits), dtype=np.int64)
+    per_orbit_total = np.zeros(n_orbits, dtype=np.int64)
+    expect = (s % p) * (sizes % p) % p * inv2 % p  # s*V/2 from the pairing argument
     for i in range(3):
-        acc = np.zeros(len(part.orbits), dtype=np.int64)
-        np.add.at(acc, component_id, cols[i])
-        half = acc % p
-        expect = (s % p) * (sizes % p) % p * inv2 % p  # s*V/2 from the pairing argument
-        if not bool(((half - expect) % p == 0).all()):
+        if not bool(((half_sums[i] - expect) % p == 0).all()):
             raise CertificateError(f"orbit half-sum identity fails for move {i}")
-        per_orbit_total = (per_orbit_total + half) % p
+        per_orbit_total = (per_orbit_total + half_sums[i]) % p
     for k, (size, rep) in enumerate(part.orbits):
         sv = int(per_orbit_total[k])  # = s*V mod p
         if sv != (s % p) * (size % p) % p:

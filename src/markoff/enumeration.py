@@ -6,8 +6,18 @@ cell (x1, x2), which is O(p^2) with table lookups.  A cell holds 0, 1 or
 cell order with the smaller root first, which is lexicographic order,
 and an offsets array of length p^2 + 1 marks where each cell starts.  A
 point is then found in O(1) from its cell and whether its x3 is the
-cell's first root; no sort and no packed keys are needed.  The
-independent oracle count_solutions_bruteforce evaluates the residual
+cell's first root; no sort and no packed keys are needed.
+
+The points, the offsets and every per-point array built from them
+(move neighbours, component ids, Delta values) are int32, so p^2 + 1
+cells and M points must fit in int32; _require_int32 refuses larger
+sizes before anything is allocated.  No stage holds a full-size int64
+temporary.  Enumeration runs through blocks of x1 rows of about BLOCK
+cells, and the per-point stages read the points through
+SolutionSet.blocks, BLOCK rows at a time; inside a block the arithmetic
+is int64, far from overflow for any admitted p.
+
+The independent oracle count_solutions_bruteforce evaluates the residual
 over the whole p^3 grid instead and shares no logic with the closed-form
 count.  It calls residual_array on int32 axes, slab by slab of x1 rows;
 residual_array's Horner form ((x3 + b) * x3 + c) % p computes b and c
@@ -28,34 +38,72 @@ from .surface import SurfaceParams, Triple, residual, residual_array
 # ~4e8 enumeration cells, overridable with allow_large=True; it also caps
 # the int32 brute-force oracle, with no override
 DEFAULT_MAX_PRIME = 20_000
+INT32_MAX = 2 ** 31 - 1
+# cells per enumeration block and rows per SolutionSet.blocks block: each
+# int64 temporary of a block is about 0.5 MB
+BLOCK = 2 ** 16
 
 
 class ResourceGuardError(ValueError):
     """Raised when a request exceeds a size guard."""
 
 
+def row_blocks(m: int):
+    """Consecutive slices of up to BLOCK rows covering range(m)."""
+    for start in range(0, m, BLOCK):
+        yield slice(start, min(start + BLOCK, m))
+
+
+def _require_int32(p: int, m: int = 0) -> None:
+    """Refuse p unless the p^2 + 1 cell offsets and m points fit in int32.
+
+    Arithmetic only: enumerate_solutions calls it before allocating
+    anything, then with the running point count before each block is
+    kept.  The largest prime with p^2 + 1 < 2^31 is 46337.
+    """
+    if p * p + 1 > INT32_MAX:
+        raise ResourceGuardError(
+            f"p = {p}: the {p * p + 1} cell offsets exceed the int32 bound {INT32_MAX}")
+    if m > INT32_MAX:
+        raise ResourceGuardError(f"p = {p}: {m} points exceed the int32 bound {INT32_MAX}")
+
+
 @dataclass
 class SolutionSet:
     """All nonzero solutions for one parameter set, stored by cell (x1, x2).
 
-    points is the (M, 3) int64 array in lexicographic order.  The rows
+    points is the (M, 3) int32 array in lexicographic order, stored
+    column-major so that each coordinate column is contiguous: gathers
+    from a column then run at full speed.  The rows
     offsets[c] .. offsets[c+1] - 1 are the 0, 1 or 2 points of cell
     c = x1*p + x2, smaller x3 first; cell (0, 0) is empty because its
-    only solution is the origin.  offsets[-1] == M.
+    only solution is the origin.  offsets[-1] == M.  Both arrays are
+    int32, which bounds p^2 + 1 and M by 2^31 - 1 (p <= 46337);
+    enumerate_solutions checks both before it allocates.
     """
 
     params: SurfaceParams
-    points: np.ndarray                      # (M, 3) int64, lex sorted
-    offsets: np.ndarray                     # (p*p + 1,) int64, cumsum of cell counts
+    points: np.ndarray                      # (M, 3) int32, lex sorted, column-major
+    offsets: np.ndarray                     # (p*p + 1,) int32, cumsum of cell counts
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
+
+    def blocks(self):
+        """Yield (rows, x) for each slice of row_blocks(M).
+
+        x is the (3, len) int64 array of the rows' coordinate columns
+        x[0], x[1], x[2], so a per-point stage can do int64 arithmetic
+        without a full-size int64 temporary.
+        """
+        for rows in row_blocks(len(self)):
+            yield rows, self.points[rows].T.astype(np.int64, order="C")
 
     def index_of(self, x: Triple) -> int:
         return int(self.lookup_array([np.array([v], dtype=np.int64) for v in x])[0])
 
     def lookup_array(self, x) -> np.ndarray:
-        """Row indices of points given as coordinate arrays x[0..2].
+        """Row indices (int32) of points given as coordinate arrays x[0..2].
 
         Pass ``pts.T`` for an (N, 3) point array.  Raises KeyError if a
         point is not in the set.
@@ -63,7 +111,7 @@ class SolutionSet:
         p, m = self.params.p, len(self)
         x1, x2, x3 = x[0], x[1], x[2]
         if len(x3) == 0:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int32)
         if m == 0 or min(v.min() for v in (x1, x2, x3)) < 0 \
                 or max(v.max() for v in (x1, x2, x3)) >= p:
             raise KeyError("some points are not in the solution set")
@@ -100,55 +148,64 @@ class SolutionSet:
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Start row of every cell, plus the total M at the end."""
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    """Start row of every cell, plus the total M at the end, as int32."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, dtype=np.int32, out=offsets[1:])
     return offsets
 
 
-def _from_cells(params: SurfaceParams, counts: np.ndarray, lo: np.ndarray,
-                hi: np.ndarray) -> SolutionSet:
-    """Lay out a SolutionSet from per-cell counts (p*p,) and roots lo <= hi."""
-    p = params.p
-    counts[0] = 0  # cell (0, 0) holds only the origin
-    offsets = _offsets(counts)
-    pts = np.empty((int(offsets[-1]), 3), dtype=np.int64)
-    occupied = np.flatnonzero(counts)
-    first = offsets[occupied]
-    pts[first, 0], pts[first, 1] = np.divmod(occupied, p)
-    pts[first, 2] = lo[occupied]
-    double = np.flatnonzero(counts == 2)
-    second = offsets[double] + 1
-    pts[second, 0], pts[second, 1] = np.divmod(double, p)
-    pts[second, 2] = hi[double]
-    return SolutionSet(params, pts, offsets)
-
-
 def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> SolutionSet:
-    """All x != (0,0,0) with residual zero, as a cell-indexed SolutionSet."""
+    """All x != (0,0,0) with residual zero, as a cell-indexed SolutionSet.
+
+    p above DEFAULT_MAX_PRIME needs allow_large=True.  With or without
+    it, p^2 + 1 and the point count M must fit in int32 (p <= 46337);
+    _require_int32 raises ResourceGuardError otherwise, before the
+    arrays are allocated.  Each block of x1 rows (about BLOCK cells)
+    solves its cells' quadratics in int64 and keeps only its int32
+    points; the blocks are then joined in order.
+    """
     p = params.p
     if p > DEFAULT_MAX_PRIME and not allow_large:
         raise ResourceGuardError(
             f"p = {p} exceeds the enumeration guard {DEFAULT_MAX_PRIME}; "
             "pass allow_large=True to override")
+    _require_int32(p)
     if p == 2:
         return _enumerate_tiny(params)
 
     a1, a2, a3 = params.a
     fld = params.field
-    x1 = np.arange(p, dtype=np.int64)[:, None]
-    x2 = np.arange(p, dtype=np.int64)[None, :]
-    x1x2 = x1 * x2 % p
-    # quadratic in x3: x3^2 + b*x3 + c = 0
-    b = (a1 * x2 + a2 * x1 - params.s * x1x2) % p
-    c = (x1 * x1 + x2 * x2 + a3 * x1x2) % p
-    disc = (b * b - 4 * c) % p
-    counts = (fld.chi_table[disc] + 1).ravel()
-    root = fld.sqrt_table[disc]
     inv2 = pow(2, -1, p)
-    r1 = ((p - b + root) * inv2 % p).ravel()
-    r2 = ((2 * p - b - root) * inv2 % p).ravel()
-    return _from_cells(params, counts, np.minimum(r1, r2), np.maximum(r1, r2))
+    x2 = np.arange(p, dtype=np.int64)
+    counts = np.empty(p * p, dtype=np.int8)
+    blocks: list[np.ndarray] = []
+    m = 0
+    step = max(1, BLOCK // p)
+    for start in range(0, p, step):
+        stop = min(start + step, p)
+        x1 = np.arange(start, stop, dtype=np.int64)[:, None]
+        x1x2 = x1 * x2 % p
+        # quadratic in x3: x3^2 + b*x3 + c = 0
+        b = (a1 * x2 + a2 * x1 - params.s * x1x2) % p
+        c = (x1 * x1 + x2 * x2 + a3 * x1x2) % p
+        disc = (b * b - 4 * c) % p
+        count = fld.chi_table[disc] + 1
+        if start == 0:
+            count[0, 0] = 0  # cell (0, 0) holds only the origin
+        counts[start * p:stop * p] = count.ravel()
+        root = fld.sqrt_table[disc]
+        r1 = (p - b + root) * inv2 % p
+        r2 = (2 * p - b - root) * inv2 % p
+        # entry 2*cell + slot, slot 0 for the smaller root: ascending is lexicographic
+        keep = np.flatnonzero(np.stack([count > 0, count == 2], axis=-1))
+        roots = np.stack([np.minimum(r1, r2), np.maximum(r1, r2)], axis=-1).ravel()
+        m += len(keep)
+        _require_int32(p, m)
+        cols = np.empty((3, len(keep)), dtype=np.int32)
+        cols[0], cols[1] = np.divmod(start * p + (keep >> 1), p)
+        cols[2] = roots[keep]
+        blocks.append(cols)
+    return SolutionSet(params, np.concatenate(blocks, axis=1).T, _offsets(counts))
 
 
 def _enumerate_tiny(params: SurfaceParams) -> SolutionSet:
@@ -157,7 +214,7 @@ def _enumerate_tiny(params: SurfaceParams) -> SolutionSet:
     pts = [(x1, x2, x3)
            for x1 in range(p) for x2 in range(p) for x3 in range(p)
            if (x1, x2, x3) != (0, 0, 0) and residual(params, (x1, x2, x3)) == 0]
-    arr = np.array(pts, dtype=np.int64).reshape(len(pts), 3)
+    arr = np.asfortranarray(np.array(pts, dtype=np.int32).reshape(len(pts), 3))
     counts = np.bincount(arr[:, 0] * p + arr[:, 1], minlength=p * p)
     return SolutionSet(params, arr, _offsets(counts))
 

@@ -7,10 +7,11 @@ square identity this yields move-closed character classes, hence at
 least two orbits, and at least four in the doubly degenerate case
 alpha = +-2.  All identities live on the surface rescaled to s = 1.
 
-Each label is written once, as a function of an (M, 3) array of
-solutions: _generic_characters and _sign_patterns.  class_label and
-degenerate_label evaluate it on one point; verify_breakup tallies it
-over the whole solution set.
+Each label is written once, as a function of the coordinate columns
+x[0..2] of a batch of solutions: _generic_characters and
+_sign_patterns.  class_label and degenerate_label evaluate it on one
+point; verify_breakup tallies it over the whole solution set, one block
+of SolutionSet.blocks at a time.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def class_label(params: SurfaceParams, x: Triple) -> ClassLabel:
     i, sigma, _alpha = _require_special_form(params)
     if not on_surface(params, x):
         raise ValueError(f"{x} is not on the surface")
-    c1, c2 = (int(c[0]) for c in _generic_characters(params, _one_row(params, x), i, sigma))
+    c1, c2 = (int(c[0]) for c in _generic_characters(params, _one_point(params, x), i, sigma))
     return ClassLabel(_KIND_BY_SIGN[int(np.sign(c1 + c2))], c1, c2)
 
 
@@ -93,63 +94,66 @@ def degenerate_label(params: SurfaceParams, x: Triple) -> tuple[int, int, int]:
         raise ValueError("degenerate label needs alpha = +-2")
     if not on_surface(params, x):
         raise ValueError(f"{x} is not on the surface")
-    return tuple(int(e) for e in _sign_patterns(params, _one_row(params, x))[0])
+    return tuple(int(e[0]) for e in _sign_patterns(params, _one_point(params, x)))
 
 
-def _one_row(params: SurfaceParams, x: Triple) -> np.ndarray:
-    return np.array([[int(v) % params.p for v in x]], dtype=np.int64)
+def _one_point(params: SurfaceParams, x: Triple) -> np.ndarray:
+    """The (3, 1) int64 coordinate columns of one point."""
+    return np.array([[int(v) % params.p] for v in x], dtype=np.int64)
 
 
-def _first_point(pts: np.ndarray, bad: np.ndarray) -> Triple:
-    return tuple(int(v) for v in pts[np.flatnonzero(bad)[0]])
+def _first_point(x, bad: np.ndarray) -> Triple:
+    k = np.flatnonzero(bad)[0]
+    return tuple(int(col[k]) for col in x)
 
 
-def _generic_characters(params: SurfaceParams, pts: np.ndarray, i: int,
+def _generic_characters(params: SurfaceParams, x, i: int,
                         sigma: int) -> tuple[np.ndarray, np.ndarray]:
-    """(chi(y_i), chi(y_i + y_i' + 2 y_{i+1} + 2 sigma y_{i-1})) per row, y = s*x.
+    """(chi(y_i), chi(y_i + y_i' + 2 y_{i+1} + 2 sigma y_{i-1})) per point, y = s*x.
 
-    pts is an (M, 3) int64 array of solutions in [0, p) and y_i' is m_i
-    of y on the s = 1 surface.  The two characters can both vanish and
-    can share a sign, but are never strictly opposite; that is the
-    content of the obstruction, and an opposite pair raises
-    CertificateViolation.
+    x[0..2] are the int64 coordinate columns of solutions in [0, p), as
+    SolutionSet.blocks yields them, and y_i' is m_i of y on the s = 1
+    surface.  The two characters can both vanish and can share a sign,
+    but are never strictly opposite; that is the content of the
+    obstruction, and an opposite pair raises CertificateViolation.
     """
     p = params.p
     chi_table = params.field.chi_table
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    y = params.s * pts % p
+    y = [params.s * col % p for col in x]
     unit_params = SurfaceParams(params.field, params.a, 1 % p)
-    y_moved = moved_coordinate(unit_params, y.T, i)
-    companion = (y[:, i] + y_moved + 2 * y[:, ip1] + 2 * sigma * y[:, im1]) % p
-    c1 = chi_table[y[:, i]].astype(np.int64)
-    c2 = chi_table[companion].astype(np.int64)
+    y_moved = moved_coordinate(unit_params, y, i)
+    companion = (y[i] + y_moved + 2 * y[ip1] + 2 * sigma * y[im1]) % p
+    c1 = chi_table[y[i]]
+    c2 = chi_table[companion]
     opposite = c1 * c2 == -1
     if bool(opposite.any()):
         raise CertificateViolation(
-            f"strictly opposite obstruction characters at {_first_point(pts, opposite)}")
+            f"strictly opposite obstruction characters at {_first_point(x, opposite)}")
     return c1, c2
 
 
-def _sign_patterns(params: SurfaceParams, pts: np.ndarray) -> np.ndarray:
-    """(M, 3) sign patterns with product +1 per row of solutions, alpha = +-2.
+def _sign_patterns(params: SurfaceParams, x) -> np.ndarray:
+    """(3, N) sign patterns with product +1, one column per solution, alpha = +-2.
 
-    On the rescaled surface the equation is a perfect square equal to
+    x[0..2] are the int64 coordinate columns of the solutions.  On the
+    rescaled surface the equation is a perfect square equal to
     y1*y2*y3, so the character product of the coordinates is never -1.
     Nonzero characters force their sign; a vanished one is absorbed so
     that the product is +1.  Each solution satisfies exactly one of the
     four patterns and every move preserves it.
     """
-    chars = params.field.chi_table[params.s * pts % params.p].astype(np.int64)
+    chars = np.stack([params.field.chi_table[params.s * col % params.p] for col in x])
     zero = chars == 0
-    zero_counts = zero.sum(axis=1)
+    zero_counts = zero.sum(axis=0)
     if bool((zero_counts > 1).any()):
         raise CertificateViolation("two vanishing coordinates off the origin at "
-                                   f"{_first_point(pts, zero_counts > 1)}")
-    prod = np.where(zero, 1, chars).prod(axis=1)
+                                   f"{_first_point(x, zero_counts > 1)}")
+    prod = np.where(zero, 1, chars).prod(axis=0)
     negative = (zero_counts == 0) & (prod == -1)
     if bool(negative.any()):
-        raise CertificateViolation(f"character product -1 at {_first_point(pts, negative)}")
-    return np.where(zero, prod[:, None], chars)  # the unique completion with product +1
+        raise CertificateViolation(f"character product -1 at {_first_point(x, negative)}")
+    return np.where(zero, prod, chars)  # the unique completion with product +1
 
 
 def satisfied_patterns(params: SurfaceParams, x: Triple) -> tuple[tuple[int, int, int], ...]:
@@ -219,20 +223,25 @@ def verify_breakup(params: SurfaceParams) -> BreakupReport:
         raise ValueError("breakup verdict needs p >= 5")
     degenerate = (alpha * alpha - 4) % p == 0
     sol = enumerate_solutions(params)
-    part = compute_orbits(sol)
-    sizes = sorted(part.orbit_sizes())
+    sizes = sorted(compute_orbits(sol).orbit_sizes())
 
     if degenerate:
-        eps = _sign_patterns(params, sol.points)
-        class_sizes = {"".join("+" if e > 0 else "-" for e in pattern):
-                       int((eps == pattern).all(axis=1).sum()) for pattern in SIGN_PATTERNS}
+        tally = np.zeros(4, dtype=np.int64)
+        for _, x in sol.blocks():
+            eps = _sign_patterns(params, x)
+            # e3 = e1*e2, and SIGN_PATTERNS lists (e1, e2) in binary order of e < 0
+            tally += np.bincount(2 * (eps[0] < 0) + (eps[1] < 0), minlength=4)
+        class_sizes = {"".join("+" if e > 0 else "-" for e in pattern): int(n)
+                       for pattern, n in zip(SIGN_PATTERNS, tally)}
         chm1 = chi(-1, p)
         conj = sorted([p * (p + 3 * chm1) // 4] + [p * (p - chm1) // 4] * 3)
         min_orbits = 4
     else:
-        c1, c2 = _generic_characters(params, sol.points, i, sigma)
-        signs = np.sign(c1 + c2)
-        class_sizes = {kind: int((signs == sign).sum()) for sign, kind in _KIND_BY_SIGN.items()}
+        tally = np.zeros(3, dtype=np.int64)  # points per sign -1, 0, +1
+        for _, x in sol.blocks():
+            c1, c2 = _generic_characters(params, x, i, sigma)
+            tally += np.bincount(np.sign(c1 + c2) + 1, minlength=3)
+        class_sizes = {kind: int(tally[sign + 1]) for sign, kind in _KIND_BY_SIGN.items()}
         ch = chi(alpha * alpha - 4, p)
         conj = sorted([p * (p - ch) // 2, p * (p + 3 * ch) // 2])
         min_orbits = 2

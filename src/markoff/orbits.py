@@ -15,26 +15,31 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .enumeration import SolutionSet
+from .enumeration import SolutionSet, row_blocks
 from .surface import (ALL_NONDEGENERATE, SPECIAL_FORM, ParamClass, Triple,
                       classify_parameters, moved_coordinate)
 
 
 def neighbor_indices(sol: SolutionSet) -> np.ndarray:
-    """(3, M) array: entry [i, k] is the index of m_i applied to point k.
+    """(3, M) int32 array: entry [i, k] is the index of m_i applied to point k.
 
     m_2 keeps the cell (x1, x2) and swaps the two roots in x3, so its
     image is the other row of the same cell.  m_0 and m_1 change x1 or
-    x2 and are looked up in the cell of the moved point.
+    x2 and are looked up in the cell of the moved point, one block of
+    rows at a time.  The result is the transpose of an (M, 3) C-ordered
+    array: the three images of a point are adjacent in memory, which is
+    the CSR layout _component_labels hands to scipy without a copy.
     """
-    m = len(sol)
-    out = np.empty((3, m), dtype=np.int64)
-    x = [np.ascontiguousarray(col) for col in sol.points.T]
-    out[0] = sol.lookup_array((moved_coordinate(sol.params, x, 0), x[1], x[2]))
-    out[1] = sol.lookup_array((x[0], moved_coordinate(sol.params, x, 1), x[2]))
-    cell = x[0] * sol.params.p + x[1]
-    out[2] = np.take(sol.offsets, cell) + np.take(sol.offsets, cell + 1) - 1 - np.arange(m)
-    return out
+    params = sol.params
+    p = params.p
+    out = np.empty((len(sol), 3), dtype=np.int32)
+    for rows, x in sol.blocks():
+        out[rows, 0] = sol.lookup_array((moved_coordinate(params, x, 0), x[1], x[2]))
+        out[rows, 1] = sol.lookup_array((x[0], moved_coordinate(params, x, 1), x[2]))
+        cell = x[0] * p + x[1]
+        out[rows, 2] = (np.take(sol.offsets, cell) + np.take(sol.offsets, cell + 1) - 1
+                        - np.arange(rows.start, rows.stop))
+    return out.T
 
 
 @dataclass
@@ -42,10 +47,10 @@ class OrbitPartition:
     """Partition of a SolutionSet into move-graph components."""
 
     solutions: SolutionSet
-    component_id: np.ndarray            # (M,) int64, canonical numbering
+    component_id: np.ndarray            # (M,) int32, canonical numbering
     orbits: list[tuple[int, Triple]]    # (size, lexicographically smallest point)
     multiset: dict[int, int]            # size -> number of orbits
-    neighbors: np.ndarray               # (3, M) move images, kept for reuse
+    neighbors: np.ndarray               # (3, M) int32 move images, kept for reuse
 
     @property
     def params(self):
@@ -57,18 +62,19 @@ class OrbitPartition:
 
 def compute_orbits(sol: SolutionSet) -> OrbitPartition:
     m = len(sol)
-    if m == 0:
-        return OrbitPartition(sol, np.empty(0, dtype=np.int64), [], {}, np.empty((3, 0), dtype=np.int64))
     nbr = neighbor_indices(sol)
+    if m == 0:
+        return OrbitPartition(sol, np.empty(0, dtype=np.int32), [], {}, nbr)
     n, labels = _component_labels(nbr, m)
     # canonical numbering: order components by first (= lex smallest) member
-    first = np.full(n, m, dtype=np.int64)
-    np.minimum.at(first, labels, np.arange(m))
+    first = np.full(n, m, dtype=np.int32)
+    np.minimum.at(first, labels, np.arange(m, dtype=np.int32))
     order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(n)
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
     component_id = rank[labels]
-    sizes = np.bincount(component_id, minlength=n)
+    # bincount casts its input to int64, so count block by block
+    sizes = sum(np.bincount(component_id[rows], minlength=n) for rows in row_blocks(m))
     reps_idx = first[order]
     orbits = [(int(sizes[k]), sol.triple(int(reps_idx[k]))) for k in range(n)]
     multiset: dict[int, int] = {}
@@ -79,19 +85,30 @@ def compute_orbits(sol: SolutionSet) -> OrbitPartition:
 
 
 def _component_labels(nbr: np.ndarray, m: int) -> tuple[int, np.ndarray]:
-    """Move-graph components as (count, label per point).
+    """Move-graph components as (count, int32 label per point).
 
     Row k of the CSR matrix lists the three move images of point k.  The
     moves are involutions, so every edge comes with its reverse and the
     strongly connected components are the orbits; the directed search
     skips the transpose that scipy's undirected search builds.  scipy's
     graph routines take int32 indices, which bounds the graph at 3M < 2^31.
+    The indices are a view of neighbor_indices' buffer.  The search
+    reads no edge weights, so a zero-stride array of ones stands in for
+    them and scipy's float64 cast of the weights copies nothing.
+
+    On scipy 1.17.1 the strong search hangs when a CSR row lists another
+    vertex twice; a graph on cells, whose rows do, hangs already at
+    p = 13.  A repeated self-loop is harmless.  These rows are safe by
+    the no-bigons fact (no_bigons_holds): two distinct moves have the
+    same image only when both fix the point, so a row repeats a column
+    only as the self-loop of a point that two moves fix.
     """
     if 3 * m >= 2 ** 31:
         raise ValueError(f"{m} points exceed the int32 edge bound of the component search")
     indices = np.ascontiguousarray(nbr.T, dtype=np.int32).ravel()
     indptr = np.arange(0, 3 * m + 1, 3, dtype=np.int32)
-    graph = csr_matrix((np.ones(3 * m), indices, indptr), shape=(m, m))
+    weights = np.broadcast_to(np.float64(1.0), (3 * m,))
+    graph = csr_matrix((weights, indices, indptr), shape=(m, m))
     return connected_components(graph, directed=True, connection="strong")
 
 

@@ -136,7 +136,7 @@ def orbits_00_minus3(p: int) -> DihedralReport:
     elements = _dihedral_elements(p, order)
 
     def burnside(points: np.ndarray) -> int:
-        x, y = points[:, 0], points[:, 1]
+        x, y = points[:, 0].astype(np.int64), points[:, 1].astype(np.int64)
         total = sum(int(np.count_nonzero(((g[0][0] * x + g[0][1] * y) % p == x)
                                          & ((g[1][0] * x + g[1][1] * y) % p == y)))
                     for g in elements)

@@ -368,7 +368,20 @@ def _check_cycles():
 
 
 def _check_perfect_square_and_labels():
-    from markoff.obstruction import class_label
+    """Square identities at every point; label classes closed under every move.
+
+    Each parameter set is labelled once through _generic_characters, and
+    so is each move's image array; the moved points are checked to lie
+    on the surface first, as class_label checks them.
+    """
+    from markoff.obstruction import _generic_characters, special_form_detect
+
+    def classes(params, points):
+        """(in non-negative class, in non-positive class) per row of points."""
+        i, sigma, _alpha = special_form_detect(params)
+        c1, c2 = _generic_characters(params, points.T, i, sigma)
+        return (c1 >= 0) & (c2 >= 0), (c1 <= 0) & (c2 <= 0)
+
     count = 0
     for p in primes_up_to(31):
         if p < 5:
@@ -385,16 +398,18 @@ def _check_perfect_square_and_labels():
                 forms.add(a)
         for a in forms:
             params = SurfaceParams.make(p, a)
-            for x in enumerate_solutions(params).iter_triples():
+            pts = enumerate_solutions(params).points.astype(np.int64)
+            for x in map(tuple, pts.tolist()):
                 assert perfect_square_check(params, x), (p, a, x)
-                label = class_label(params, x)
-                for i in range(3):
-                    moved = class_label(params, apply_move(params, x, i))
-                    if label.in_non_negative:
-                        assert moved.in_non_negative, (p, a, x, i)
-                    if label.in_non_positive:
-                        assert moved.in_non_positive, (p, a, x, i)
-                count += 1
+            non_neg, non_pos = classes(params, pts)
+            for i in range(3):
+                moved = apply_move_array(params, pts, i)
+                assert not residual_array(params, moved.T).any(), (p, a, i)
+                moved_non_neg, moved_non_pos = classes(params, moved)
+                for left, right in ((non_neg, moved_non_neg), (non_pos, moved_non_pos)):
+                    broken = left & ~right
+                    assert not broken.any(), (p, a, tuple(pts[np.argmax(broken)]), i)
+            count += len(pts)
     assert count > 50 * 31
 
 

@@ -166,6 +166,10 @@ def test_resource_guard_exit_code(capsys):
         assert code == EXIT_RESOURCE and out == ""
         assert err == (f"resource guard: p = {p} exceeds the brute-force guard "
                        f"{DEFAULT_MAX_PRIME} ({p}^3 grid cells)\n")
+    # --allow-large lifts the enumeration guard, not the int32 bound p^2 + 1 < 2^31
+    code, out, err = run(capsys, "enumerate", "-p", "46349", "-a", "1,1,1", "--allow-large")
+    assert code == EXIT_RESOURCE and out == ""
+    assert err.startswith("resource guard: p = 46349: the 2148229802 cell offsets exceed")
     # the field-table limit is a domain error, not an overridable guard
     code, _, err = run(capsys, "orbits", "-p", "20000003", "-a", "0,0,0")
     assert code == EXIT_USAGE

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from markoff.conics import closed_form_total
-from markoff.enumeration import (DEFAULT_MAX_PRIME, ResourceGuardError,
-                                 SolutionSet, count_solutions_bruteforce,
+from markoff.enumeration import (BLOCK, DEFAULT_MAX_PRIME, INT32_MAX,
+                                 ResourceGuardError, SolutionSet,
+                                 _require_int32, count_solutions_bruteforce,
                                  enumerate_solutions, exchange_roots,
-                                 zero_locus)
+                                 row_blocks, zero_locus)
 from markoff.field import chi, is_prime
-from markoff.surface import SurfaceParams, apply_move, residual
+from markoff.surface import SurfaceParams, apply_move, residual, residual_array
 
 from conftest import naive_solutions
 
@@ -103,6 +104,48 @@ def test_memory_guard():
         enumerate_solutions(SurfaceParams.make(p, (0, 0, 0)))
     with pytest.raises(ResourceGuardError, match="brute-force guard"):
         count_solutions_bruteforce(SurfaceParams.make(p, (1, 1, 1)))
+
+
+def test_int32_guard_is_arithmetic_only():
+    """p^2 + 1 cell offsets and M points must fit in int32; no array is built to check."""
+    largest, refused = 46337, 46349  # consecutive primes either side of the bound
+    assert [q for q in range(largest, refused + 1) if is_prime(q)] == [largest, refused]
+    assert largest ** 2 + 1 <= INT32_MAX < refused ** 2 + 1
+    _require_int32(largest, INT32_MAX)
+    with pytest.raises(ResourceGuardError, match="cell offsets exceed the int32 bound"):
+        _require_int32(refused)
+    with pytest.raises(ResourceGuardError, match="points exceed the int32 bound"):
+        _require_int32(largest, INT32_MAX + 1)
+    # allow_large lifts the size guard only; the int32 guard refuses before
+    # the field tables or any p^2 array exist
+    params = SurfaceParams.make(refused, (1, 1, 1))
+    with pytest.raises(ResourceGuardError, match="int32"):
+        enumerate_solutions(params, allow_large=True)
+    assert not {"chi_table", "sqrt_table"} & set(vars(params.field))
+
+
+def test_blocks_join_without_seams():
+    """At a prime that enumerates in at least three blocks the joined set is exact."""
+    p = 409
+    params = SurfaceParams.make(p, (1, 1, 1))
+    assert -(-p // max(1, BLOCK // p)) >= 3  # blocks of x1 rows in enumeration
+    sol = enumerate_solutions(params)
+    m = len(sol)
+    assert len(list(row_blocks(m))) >= 3
+    assert sol.points.dtype == np.int32 and sol.offsets.dtype == np.int32
+
+    pts = sol.points.astype(np.int64)
+    assert not residual_array(params, pts.T).any()
+    keys = (pts[:, 0] * p + pts[:, 1]) * p + pts[:, 2]
+    assert (np.diff(keys) > 0).all()  # strictly lexicographic
+    counts = np.diff(sol.offsets)
+    assert sol.offsets[0] == 0 and sol.offsets[-1] == m
+    assert counts.min() >= 0 and counts.max() <= 2
+    assert np.array_equal(np.repeat(np.arange(p * p), counts), pts[:, 0] * p + pts[:, 1])
+    assert m == count_solutions_bruteforce(params)
+    # SolutionSet.blocks covers every row once, in order
+    joined = np.concatenate([x for _, x in sol.blocks()], axis=1)
+    assert np.array_equal(joined, pts.T)
 
 
 def test_bruteforce_guard_keeps_int32_exact():

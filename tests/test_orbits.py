@@ -1,10 +1,13 @@
 import itertools
+import signal
 
 import numpy as np
+import pytest
 
 from markoff.enumeration import enumerate_solutions
-from markoff.orbits import (compute_orbits, neighbor_indices, no_bigons_holds,
-                            partition_report, size_table, verify_divisibility)
+from markoff.orbits import (_component_labels, compute_orbits, neighbor_indices,
+                            no_bigons_holds, partition_report, size_table,
+                            verify_divisibility)
 from markoff.surface import SurfaceParams, apply_move
 
 from conftest import naive_orbits
@@ -73,6 +76,40 @@ def test_neighbor_indices_are_involutive():
     nbr = neighbor_indices(sol)
     for i in range(3):
         assert np.array_equal(nbr[i][nbr[i]], np.arange(len(sol)))
+
+
+def test_neighbor_buffer_is_the_csr_layout():
+    """The CSR indices _component_labels builds are a view of neighbor_indices' buffer."""
+    nbr = neighbor_indices(enumerate_solutions(SurfaceParams.make(11, (1, 2, 3))))
+    assert nbr.dtype == np.int32 and nbr.T.flags.c_contiguous
+    assert np.shares_memory(np.ascontiguousarray(nbr.T, dtype=np.int32).ravel(), nbr)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_rows_repeat_only_self_loops(p):
+    """Every a at p: a CSR row repeats a column only as a self-loop.
+
+    scipy's strong search hangs on a row that lists another vertex twice,
+    inside C code that no Python handler can interrupt, so the alarm keeps
+    its default action: a hang ends the test run instead of stalling it.
+    """
+    previous = signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    signal.alarm(120)
+    try:
+        for a in itertools.product(range(p), repeat=3):
+            sol = enumerate_solutions(SurfaceParams.make(p, a))
+            m = len(sol)
+            rows = neighbor_indices(sol).T
+            own = np.arange(m)
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                repeated = rows[:, i] == rows[:, j]
+                assert np.array_equal(rows[repeated, i], own[repeated]), (p, a, i, j)
+            if m:
+                n, labels = _component_labels(rows.T, m)
+                assert len(labels) == m and labels.max() == n - 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_verify_divisibility_frozen_examples():

@@ -54,11 +54,14 @@ def test_cell_layout_matches_naive_oracles(data):
 
     m = len(sol)
     counts = np.diff(sol.offsets)
+    assert sol.points.dtype == np.int32 and sol.offsets.dtype == np.int32
     assert sol.offsets.shape == (p * p + 1,) and sol.offsets[-1] == m
     assert counts.min() >= 0 and counts.max() <= 2
 
     row = {x: k for k, x in enumerate(expected)}
-    assert neighbor_indices(sol).tolist() == [
+    nbr = neighbor_indices(sol)
+    assert nbr.dtype == np.int32 and compute_orbits(sol).component_id.dtype == np.int32
+    assert nbr.tolist() == [
         [row[naive_move(p, a, x, i)] for x in expected] for i in range(3)]
 
     with pytest.raises(KeyError):
