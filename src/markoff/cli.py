@@ -138,7 +138,7 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     params = _parse_params(validate_prime(args.prime), args.params)
     sol = enumerate_solutions(params, allow_large=args.allow_large)
-    sys.stdout.write(sol.to_csv())
+    sol.write_csv(sys.stdout)
     return EXIT_OK
 
 

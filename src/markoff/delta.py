@@ -61,9 +61,11 @@ def delta_at(params: SurfaceParams, x: Triple, i: int) -> int:
 def _closed_form(params: SurfaceParams, x, i: int):
     """Delta_i = x_i/(x_{i-1}x_{i+1}) + (a_{i-1}/x_{i-1} + a_{i+1}/x_{i+1})/2.
 
-    x[0..2] are ints or broadcastable int64 arrays in [0, p), with
-    x_{i-1} and x_{i+1} nonzero.  Inverses come from inv_table, and every
-    intermediate stays below 2 p^2, so int64 is exact for any table prime.
+    x[0..2] are ints or broadcastable int64 arrays in [0, p).  The value
+    is Delta_i where x_{i-1} and x_{i+1} are nonzero; elsewhere
+    inv_table[0] = 0 makes it a finite value in [0, p) that is not
+    Delta_i.  Inverses come from inv_table, and every intermediate stays
+    below 2 p^2, so int64 is exact for any table prime.
     """
     p = params.p
     a = params.a
@@ -211,6 +213,12 @@ def build_certificate(sol: SolutionSet, delta0: int | None = None,
     delta0 fixes the starting value on every cycle (default s/2); pass
     rng instead to draw an independent starting value per cycle, which
     the identities must survive equally well.
+
+    The closed form is first written into every row, unmasked.  A row
+    where it is not Delta_i has x_{i-1} = 0 or x_{i+1} = 0, so its point
+    lies on a zero locus; the zero-cycle pass walks a cycle through
+    every point of every zero locus and overwrites all three values of
+    each row it visits, so none of those placeholders survive.
     """
     params = sol.params
     p = params.p
@@ -221,11 +229,8 @@ def build_certificate(sol: SolutionSet, delta0: int | None = None,
                          "s = 0 surfaces are supported by enumeration and orbits only")
     values = np.zeros((3, len(sol)), dtype=np.int32).T  # column-major, like sol.points
     for rows, x in sol.blocks():
-        block = values[rows]
-        nonzero = x != 0
         for i in range(3):
-            mask = nonzero[(i - 1) % 3] & nonzero[(i + 1) % 3]
-            block[mask, i] = _closed_form(params, x[:, mask], i)
+            values[rows, i] = _closed_form(params, x, i)
 
     # each zero-locus point lies on exactly one locus and one cycle
     cycle_values: dict[Triple, Triple] = {}

@@ -27,7 +27,6 @@ int32 holds exactly for every p up to DEFAULT_MAX_PRIME.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +139,40 @@ class SolutionSet:
         for row in self.points:
             yield (int(row[0]), int(row[1]), int(row[2]))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        for x1, x2, x3 in self.iter_triples():
-            buf.write(f"{x1},{x2},{x3}\n")
-        return buf.getvalue()
+    def write_csv(self, out) -> None:
+        """Write one "x1,x2,x3" line per point to the text stream out.
+
+        The lines are written one block of rows at a time, so no string
+        for the whole set is ever built.
+        """
+        for rows in row_blocks(len(self)):
+            block = self.points[rows]
+            out.write(("%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist()))
+
+    def restrict(self, keep: np.ndarray) -> SolutionSet:
+        """The rows where the bool mask keep is True, as a SolutionSet.
+
+        Every kept cell must be whole: ValueError is raised if a cell
+        keeps one row and drops the other, so the m_2 image of a kept
+        point (the other row of its cell) is always kept.  Cells with no
+        kept row become empty, so lookup_array raises KeyError for any
+        point outside the kept rows; compute_orbits on the result thus
+        checks that the kept rows are closed under m_0 and m_1.
+        """
+        p = self.params.p
+        points = np.stack([self.points[:, j][keep] for j in range(3)]).T  # column-major
+        cell = points[:, 0].astype(np.int64) * p + points[:, 1]
+        cells, first = np.unique(cell, return_index=True)
+        counts = np.diff(first, append=len(cell))
+        whole = counts == np.take(self.offsets, cells + 1) - np.take(self.offsets, cells)
+        if not bool(whole.all()):
+            k = int(first[np.flatnonzero(~whole)[0]])
+            raise ValueError(f"the kept rows split the cell of {tuple(points[k].tolist())}")
+        # offsets[c] is first[k] for cells[k-1] < c <= cells[k], and M past
+        # the last kept cell; no array of p^2 counts is built
+        offsets = np.repeat(np.append(first, len(cell)).astype(np.int32),
+                            np.diff(cells, prepend=-1, append=p * p))
+        return SolutionSet(self.params, points, offsets)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:

@@ -114,10 +114,14 @@ def orbits_00_minus3(p: int) -> DihedralReport:
     m1 and m2 act linearly on (x1, x2).
 
     The bfs_* counts come from the orbit engine, compute_orbits, run on
-    the whole surface.  m1 and m2 do not read x3 and m3 only negates
-    it, so each orbit meets the slice x3 = 1 in exactly one
-    <m1, m2>-orbit of conic1, and a point of conic0 only in its
-    <m1, m2>-orbit.  The Burnside counts take the same slices as arrays.
+    the slices x3 in {0, 1, -1} of the enumerated surface.  m1 and m2
+    do not read x3 and m3 only negates it, so these slices are closed
+    under the moves and their orbits are orbits of the whole surface;
+    SolutionSet.restrict refuses a split cell and compute_orbits a move
+    that leaves the slices, so the closure is checked, not assumed.
+    Each orbit meets the slice x3 = 1 in exactly one <m1, m2>-orbit of
+    conic1, and a point of conic0 only in its <m1, m2>-orbit.  The
+    Burnside counts take the same slices as arrays.
     """
     if p <= 5:
         raise ValueError("this family needs p > 5")
@@ -125,13 +129,15 @@ def orbits_00_minus3(p: int) -> DihedralReport:
     ch5 = chi(5, p)
 
     sol = enumerate_solutions(SurfaceParams.make(p, (0, 0, -3)))
-    component_id = compute_orbits(sol).component_id
     x3 = sol.points[:, 2]
+    sol = sol.restrict((x3 <= 1) | (x3 == p - 1))
+    x3 = sol.points[:, 2]  # the last reference to the whole surface goes here
+    component_id = compute_orbits(sol).component_id
     on1, on0 = x3 == 1, x3 == 0
     sizes1 = np.bincount(component_id[on1])
     sizes1 = sizes1[sizes1 > 0]
     ids0 = np.unique(component_id[on0])
-    ids_pm1 = np.unique(component_id[on1 | (x3 == p - 1)])
+    ids_pm1 = np.unique(component_id[~on0])
 
     elements = _dihedral_elements(p, order)
 

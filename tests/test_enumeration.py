@@ -1,3 +1,4 @@
+import io
 import itertools
 
 import numpy as np
@@ -91,10 +92,41 @@ def test_enumerate_p2():
 
 def test_csv_export():
     sol = enumerate_solutions(SurfaceParams.make(3, (0, 0, 0)))
-    lines = sol.to_csv().strip().split("\n")
+    buf = io.StringIO()
+    sol.write_csv(buf)
+    lines = buf.getvalue().strip().split("\n")
     assert len(lines) == 8
     assert lines[0] == "1,1,1"
     assert all(len(line.split(",")) == 3 for line in lines)
+
+
+def test_csv_export_across_blocks():
+    sol = enumerate_solutions(SurfaceParams.make(263, (1, 1, 1)))
+    assert len(sol) > BLOCK
+    buf = io.StringIO()
+    sol.write_csv(buf)
+    assert buf.getvalue() == "".join(f"{x1},{x2},{x3}\n" for x1, x2, x3 in sol.iter_triples())
+
+
+def test_restrict_keeps_whole_cells():
+    sol = enumerate_solutions(SurfaceParams.make(13, (0, 0, -3)))
+    everything = sol.restrict(np.ones(len(sol), dtype=bool))
+    assert np.array_equal(everything.points, sol.points)
+    assert np.array_equal(everything.offsets, sol.offsets)
+    assert everything.points.flags.f_contiguous and everything.offsets.dtype == np.int32
+    x3 = sol.points[:, 2]
+    pm1 = sol.restrict((x3 == 1) | (x3 == 12))
+    assert list(pm1.iter_triples()) == [x for x in sol.iter_triples() if x[2] in (1, 12)]
+    cell = pm1.points[:, 0] * 13 + pm1.points[:, 1]
+    assert pm1.offsets.tolist() == [0] + np.cumsum(np.bincount(cell, minlength=169)).tolist()
+    for k, x in enumerate(pm1.iter_triples()):
+        assert pm1.index_of(x) == k
+    outside = [x for x in sol.iter_triples() if x[2] not in (1, 12)]
+    assert outside and not any(x in pm1 for x in outside)
+    assert len(sol.restrict(np.zeros(len(sol), dtype=bool))) == 0
+    # x3 = 1 alone keeps one root of cells whose other root is x3 = -1
+    with pytest.raises(ValueError, match="split"):
+        sol.restrict(x3 == 1)
 
 
 def test_memory_guard():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from markoff.enumeration import enumerate_solutions
@@ -5,7 +6,8 @@ from markoff.field import (QuadExtElement, chi, inverse, is_prime,
                            smallest_nonresidue, sqrt_mod)
 from markoff.orbits import compute_orbits
 from markoff.special_cases import (REFERENCE_TABLE_22M2, UNDERCOUNTED_SIZE4,
-                                   CubeReport, _check_move_graph, lambda_order,
+                                   CubeReport, DihedralReport,
+                                   _check_move_graph, lambda_order,
                                    markoff_p3, orbit_table_22m2,
                                    orbits_00_minus3, primes_up_to, table_csv,
                                    tiny_orbits_22m2)
@@ -91,6 +93,34 @@ class TestDihedralFamily:
         for p in (7, 11, 13, 19, 89):
             rep = orbits_00_minus3(p)
             assert rep.full_orbits_pm1 == rep.bfs_conic1
+
+    def test_slices_match_whole_surface(self):
+        # reference: label the whole surface, then read the slices x3 in {0, +-1}
+        for p in (7, 11, 13, 17, 19, 29, 31, 41):
+            sol = enumerate_solutions(SurfaceParams.make(p, (0, 0, -3)))
+            ids = compute_orbits(sol).component_id
+            x3 = sol.points[:, 2]
+            sizes1 = np.bincount(ids[x3 == 1])
+            sizes1 = sorted(sizes1[sizes1 > 0].tolist())
+            n0 = len(np.unique(ids[x3 == 0]))
+            n1 = len(sizes1)
+            sqrt5, order = lambda_order(p)
+            assert sqrt5 == (chi(5, p) == 1) == (n0 > 0)
+            oracle = DihedralReport(
+                p=p, sqrt5_in_fp=sqrt5, lambda_order=order,
+                conic1_orbits=n1, conic0_orbits=n0, bfs_conic1=n1, bfs_conic0=n0,
+                burnside_conic1=n1, burnside_conic0=n0, conic1_sizes=sizes1,
+                full_orbits_pm1=len(np.unique(ids[(x3 == 1) | (x3 == p - 1)])))
+            assert orbits_00_minus3(p) == oracle, p
+
+    def test_slices_are_not_closed_off_the_family(self):
+        # for a = (1, 1, 1) the cells meeting x3 in {0, +-1} are not move-closed
+        p = 13
+        sol = enumerate_solutions(SurfaceParams.make(p, (1, 1, 1)))
+        cell = sol.points[:, 0].astype(np.int64) * p + sol.points[:, 1]
+        hit = cell[np.isin(sol.points[:, 2], (0, 1, p - 1))]
+        with pytest.raises(KeyError):
+            compute_orbits(sol.restrict(np.isin(cell, hit)))
 
     def test_matrix_product_trace_and_det(self):
         for p in (7, 11, 13):
