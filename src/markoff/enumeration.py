@@ -17,12 +17,16 @@ cells, and the per-point stages read the points through
 SolutionSet.blocks, BLOCK rows at a time; inside a block the arithmetic
 is int64, far from overflow for any admitted p.
 
-The independent oracle count_solutions_bruteforce evaluates the residual
-over the whole p^3 grid instead and shares no logic with the closed-form
-count.  It calls residual_array on int32 axes, slab by slab of x1 rows;
-residual_array's Horner form ((x3 + b) * x3 + c) % p computes b and c
-once per (x1, x2) cell and keeps every intermediate below 3 p^2, which
-int32 holds exactly for every p up to DEFAULT_MAX_PRIME.
+The independent oracle count_solutions_bruteforce counts the x3 roots of
+every cell exhaustively and shares no logic with the closed-form count:
+no quadratic character, no square root and no conics.  The residual is
+the monic quadratic x3^2 + b*x3 + c in x3, with (b, c) from
+x3_coefficients (the residual's own coefficients, which enumeration
+reads too), so the roots of a cell are an entry of a table indexed by
+(b, c) that depends only on p.  _root_table fills it from the p^2
+values x3 * (x3 + b), and the oracle sums it over the p^2 cells: O(p^2)
+time and a p^2-byte table, int8 being exact because a quadratic has at
+most 2 roots.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import sqrt_mod
-from .surface import SurfaceParams, Triple, residual, residual_array
+from .surface import SurfaceParams, Triple, residual, x3_coefficients
 
 # ~4e8 enumeration cells, overridable with allow_large=True; it also caps
-# the int32 brute-force oracle, with no override
+# the brute-force oracle's p^2-byte root table, with no override
 DEFAULT_MAX_PRIME = 20_000
 INT32_MAX = 2 ** 31 - 1
 # cells per enumeration block and rows per SolutionSet.blocks block: each
@@ -51,6 +55,11 @@ def row_blocks(m: int):
     """Consecutive slices of up to BLOCK rows covering range(m)."""
     for start in range(0, m, BLOCK):
         yield slice(start, min(start + BLOCK, m))
+
+
+def rows_per_block(p: int) -> int:
+    """Rows of p cells in one block of about BLOCK cells, at least 1."""
+    return max(1, BLOCK // p)
 
 
 def _require_int32(p: int, m: int = 0) -> None:
@@ -201,21 +210,17 @@ def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> Sol
     if p == 2:
         return _enumerate_tiny(params)
 
-    a1, a2, a3 = params.a
     fld = params.field
     inv2 = pow(2, -1, p)
     x2 = np.arange(p, dtype=np.int64)
     counts = np.empty(p * p, dtype=np.int8)
     blocks: list[np.ndarray] = []
     m = 0
-    step = max(1, BLOCK // p)
+    step = rows_per_block(p)
     for start in range(0, p, step):
         stop = min(start + step, p)
         x1 = np.arange(start, stop, dtype=np.int64)[:, None]
-        x1x2 = x1 * x2 % p
-        # quadratic in x3: x3^2 + b*x3 + c = 0
-        b = (a1 * x2 + a2 * x1 - params.s * x1x2) % p
-        c = (x1 * x1 + x2 * x2 + a3 * x1x2) % p
+        b, c = x3_coefficients(params, x1, x2)  # quadratic in x3: x3^2 + b*x3 + c = 0
         disc = (b * b - 4 * c) % p
         count = fld.chi_table[disc] + 1
         if start == 0:
@@ -247,28 +252,55 @@ def _enumerate_tiny(params: SurfaceParams) -> SolutionSet:
     return SolutionSet(params, arr, _offsets(counts))
 
 
-def count_solutions_bruteforce(params: SurfaceParams, chunk: int | None = None) -> int:
-    """Number of nonzero solutions by evaluating the residual on the p^3 grid.
+def _root_table(p: int) -> np.ndarray:
+    """Flat int8 table: entry b*p + c is #{x3 in F_p : x3^2 + b*x3 + c = 0}.
 
-    The axes are int32.  residual_array keeps every intermediate below
-    3 p^2, and the guard at DEFAULT_MAX_PRIME keeps 3 p^2 < 2^31, so int32
-    is exact for every admitted prime; the guard has no override and there
-    is no int64 path.  Each slab of chunk x1 rows holds the (chunk, p, 1)
-    coefficients b and c and one (chunk, p, p) int32 grid.
+    Each pair (b, x3) is a root for exactly one c, c = -x3 * (x3 + b)
+    mod p, so one np.bincount per block of b rows fills the table from
+    the p^2 values of x3 * (x3 + b).  A monic quadratic has at most 2
+    roots, so int8 is exact and the table takes p^2 bytes.  The blocks
+    are int32, exact while 2 p^2 < 2^31.
     """
+    table = np.empty(p * p, dtype=np.int8)
+    x3 = np.arange(p, dtype=np.int32)
+    step = rows_per_block(p)
+    for start in range(0, p, step):
+        stop = min(start + step, p)
+        b = np.arange(start, stop, dtype=np.int32)[:, None]
+        cell = -x3 * (x3 + b) % p + (b - start) * p
+        table[start * p:stop * p] = np.bincount(cell.ravel(), minlength=(stop - start) * p)
+    return table
+
+
+def count_solutions_bruteforce(params: SurfaceParams, chunk: int | None = None) -> int:
+    """Number of nonzero solutions, counted exhaustively cell by cell.
+
+    The residual is x3^2 + b*x3 + c with (b, c) = x3_coefficients on the
+    cell (x1, x2), so the cell holds _root_table(p)[b*p + c] solutions.
+    The count sums that over all p^2 cells, slab by slab of chunk x1 rows
+    (default: about BLOCK cells), and drops the origin: O(p^2) time and a
+    p^2-byte int8 table, exact because a quadratic has at most 2 roots.
+    Nothing is cached.  The slabs are int32: x3_coefficients keeps its
+    intermediates below 3 p^2, and the guard at DEFAULT_MAX_PRIME, which
+    has no override, keeps 3 p^2 < 2^31 and the table under 4e8 bytes.
+    ValueError if chunk is below 1.
+    """
+    if chunk is not None and chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     p = params.p
     if p > DEFAULT_MAX_PRIME:
         raise ResourceGuardError(
             f"p = {p} exceeds the brute-force guard {DEFAULT_MAX_PRIME} "
             f"({p}^3 grid cells)")
     if chunk is None:
-        chunk = max(1, 2 ** 20 // (p * p))  # keep each int32 slab around 4 MB
-    x2 = np.arange(p, dtype=np.int32)[None, :, None]
-    x3 = np.arange(p, dtype=np.int32)[None, None, :]
+        chunk = rows_per_block(p)
+    roots = _root_table(p)
+    x2 = np.arange(p, dtype=np.int32)
     total = 0
     for start in range(0, p, chunk):
-        x1 = np.arange(start, min(start + chunk, p), dtype=np.int32)[:, None, None]
-        total += int(np.count_nonzero(residual_array(params, (x1, x2, x3)) == 0))
+        x1 = np.arange(start, min(start + chunk, p), dtype=np.int32)[:, None]
+        b, c = x3_coefficients(params, x1, x2)
+        total += int(np.take(roots, b * p + c).sum(dtype=np.int64))
     return total - 1  # discount the origin
 
 

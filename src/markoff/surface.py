@@ -2,10 +2,12 @@
 
 Points are triples of ints reduced mod p; bulk operations act on numpy
 arrays of shape (M, 3).  The residual and the move are each written
-once, in residual_array and moved_coordinate, on ints or broadcastable
-arrays alike; residual, on_surface and apply_move evaluate them on one
-point.  Coordinate indices are 0-based (i in {0, 1, 2}) and cyclic:
-i - 1 and i + 1 are taken mod 3.
+once, on ints or broadcastable arrays alike: the residual is the monic
+quadratic in x3 whose coefficients x3_coefficients gives and
+residual_array evaluates, and the move is moved_coordinate; residual,
+on_surface and apply_move evaluate them on one point.  Coordinate
+indices are 0-based (i in {0, 1, 2}) and cyclic: i - 1 and i + 1 are
+taken mod 3.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def residual(params: SurfaceParams, x: Triple) -> int:
 
 
 def on_surface(params: SurfaceParams, x: Triple) -> bool:
-    return residual(params, x) == 0
+    return residual_array(params, x) == 0
 
 
 def moved_coordinate(params: SurfaceParams, x, i: int):
@@ -90,28 +92,39 @@ def apply_move_array(params: SurfaceParams, pts: np.ndarray, i: int) -> np.ndarr
     return out
 
 
+def x3_coefficients(params: SurfaceParams, x1, x2):
+    """(b, c) with residual = x3^2 + b*x3 + c (mod p) on the cell (x1, x2).
+
+    b = (a1*x2 + a2*x1 - s*x1*x2) % p and c = (x1^2 + x2^2 + a3*x1*x2) % p,
+    on ints or broadcastable integer arrays, both in [0, p).  For
+    coordinates in [0, p) every intermediate stays below 3 p^2.
+    """
+    p = params.field.p  # params.p is a property call, and on_surface lands here per point
+    a1, a2, a3 = params.a
+    x1x2 = x1 * x2 % p
+    b = (a1 * x2 + a2 * x1 - params.s * x1x2) % p
+    c = (x1 * x1 + x2 * x2 + a3 * x1x2) % p
+    return b, c
+
+
 def residual_array(params: SurfaceParams, x) -> np.ndarray:
     """Vectorised residual; x[0..2] are ints or broadcastable integer arrays.
 
     Pass ``pts.T`` for an (M, 3) point array, or three grid axes.  The
     residual is a monic quadratic in x3, evaluated in Horner form
-    ((x3 + b) * x3 + c) % p with b = (a1*x2 + a2*x1 - s*x1*x2) % p and
-    c = (x1^2 + x2^2 + a3*x1*x2) % p.  On a grid with x3 along the last
-    axis, b and c have the shape of the (x1, x2) slab, so only the last
-    four passes touch every cell.  For coordinates in [0, p) every
-    intermediate stays below 3 p^2, so int32 arrays are exact while
-    3 p^2 < 2^31 (p <= 26737); int64 arrays are exact for any table prime.
+    ((x3 + b) * x3 + c) % p with (b, c) from x3_coefficients.  On a grid
+    with x3 along the last axis, b and c have the shape of the (x1, x2)
+    slab, so only the last four passes touch every cell.  For coordinates
+    in [0, p) every intermediate stays below 3 p^2, so int32 arrays are
+    exact while 3 p^2 < 2^31 (p <= 26737); int64 arrays are exact for any
+    table prime.
     """
-    p = params.p
-    a1, a2, a3 = params.a
-    x1, x2, x3 = x[0], x[1], x[2]
-    x1x2 = x1 * x2 % p
-    b = (a1 * x2 + a2 * x1 - params.s * x1x2) % p
-    c = (x1 * x1 + x2 * x2 + a3 * x1x2) % p
+    x3 = x[2]
+    b, c = x3_coefficients(params, x[0], x[1])
     r = x3 + b  # full broadcast shape; the three passes below reuse it in place
     r *= x3
     r += c
-    r %= p
+    r %= params.field.p
     return r
 
 

@@ -7,9 +7,10 @@ import pytest
 from markoff.conics import closed_form_total
 from markoff.enumeration import (BLOCK, DEFAULT_MAX_PRIME, INT32_MAX,
                                  ResourceGuardError, SolutionSet,
-                                 _require_int32, count_solutions_bruteforce,
+                                 _require_int32, _root_table,
+                                 count_solutions_bruteforce,
                                  enumerate_solutions, exchange_roots,
-                                 row_blocks, zero_locus)
+                                 row_blocks, rows_per_block, zero_locus)
 from markoff.field import chi, is_prime
 from markoff.surface import SurfaceParams, apply_move, residual, residual_array
 
@@ -71,17 +72,47 @@ def test_size_equals_closed_form():
 
 
 def test_bruteforce_count_matches_enumeration():
+    # at p = 409 the root table and the default slabs both take at least 3 blocks of rows
+    assert -(-409 // rows_per_block(409)) >= 3
     for p, a in [(5, (0, 0, 0)), (7, (2, 2, -2)), (11, (1, 2, 3)), (13, (2, 3, 3)),
-                 (7, (0, 0, -3)), (5, (2, 2, -2))]:
+                 (7, (0, 0, -3)), (5, (2, 2, -2)),
+                 (409, (2, 5, 5)), (409, (0, 0, -3)), (409, (2, 2, -2))]:
         params = SurfaceParams.make(p, a)
-        assert count_solutions_bruteforce(params) == len(enumerate_solutions(params))
+        assert count_solutions_bruteforce(params) == len(enumerate_solutions(params)), (p, a)
 
 
 def test_bruteforce_count_chunking_invariant():
     params = SurfaceParams.make(11, (1, 2, 3))
     expected = count_solutions_bruteforce(params)
-    for chunk in (1, 2, 5, 11):
+    for chunk in (1, 2, 5, 11, 12):
         assert count_solutions_bruteforce(params, chunk=chunk) == expected
+    for chunk in (0, -1):
+        with pytest.raises(ValueError, match="chunk"):
+            count_solutions_bruteforce(params, chunk=chunk)
+    # checked before the size guard, so before any work
+    with pytest.raises(ValueError, match="chunk"):
+        count_solutions_bruteforce(SurfaceParams.make(20011, (1, 1, 1)), chunk=0)
+
+
+def test_root_table_counts_roots_exhaustively():
+    for p in (2, 3, 5, 7, 11, 13):
+        table = _root_table(p)
+        assert table.dtype == np.int8 and table.shape == (p * p,)
+        expected = [sum(1 for x3 in range(p) if (x3 * x3 + b * x3 + c) % p == 0)
+                    for b in range(p) for c in range(p)]
+        assert table.tolist() == expected, p
+        assert max(expected) <= 2
+
+
+def test_bruteforce_matches_grid_scan_exhaustive():
+    """The root-table count equals a residual scan of the whole p^3 grid."""
+    for p in (5, 7, 11):
+        x = np.arange(p, dtype=np.int64)
+        grid = (x[:, None, None], x[None, :, None], x[None, None, :])
+        for a in itertools.product(range(p), repeat=3):
+            params = SurfaceParams.make(p, a)
+            scan = int(np.count_nonzero(residual_array(params, grid) == 0)) - 1
+            assert count_solutions_bruteforce(params) == scan, (p, a)
 
 
 def test_enumerate_p2():
@@ -181,7 +212,7 @@ def test_blocks_join_without_seams():
 
 
 def test_bruteforce_guard_keeps_int32_exact():
-    # residual_array's intermediates stay below 3 p^2 on int32 axes
+    # x3_coefficients' intermediates stay below 3 p^2 on the oracle's int32 slabs
     assert 3 * DEFAULT_MAX_PRIME ** 2 < 2 ** 31
 
 

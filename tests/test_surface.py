@@ -9,7 +9,8 @@ from markoff.surface import (ALL_NONDEGENERATE, HYPOTHESIS_VIOLATED, S_ZERO,
                              double_fixed_residual, is_double_fixed,
                              on_surface, permute, rescale, residual,
                              residual_array, special_form_detect, u_coords,
-                             u_move, u_move_equivariance, u_residual)
+                             u_move, u_move_equivariance, u_residual,
+                             x3_coefficients)
 
 from conftest import naive_move, naive_residual, naive_solutions
 
@@ -277,6 +278,16 @@ def test_singleton_for_params_2_a_b():
             assert moved[0] == (1 - params.s) * (a_val - b_val) ** 2 % p
             if params.s != 1 and a_val != b_val:
                 assert moved != x
+
+
+def test_x3_coefficients_int32_exact_at_the_guard():
+    p = 19997  # the largest prime below DEFAULT_MAX_PRIME = 20000
+    params = params_of(p, (p - 1, p - 2, p - 1))
+    x1 = np.array([0, 1, p - 2, p - 1])[:, None]
+    x2 = np.arange(p)
+    for got, want in zip(x3_coefficients(params, x1.astype(np.int32), x2.astype(np.int32)),
+                         x3_coefficients(params, x1, x2.astype(np.int64))):
+        assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
 def test_residual_array_matches_scalar():

@@ -10,8 +10,9 @@ and prints one line per command:
 Two checkouts whose lines are equal give byte-identical stdout and
 stderr and the same exit codes on this list.  The list holds every
 README example, the p = 997 and p = 2017 runs behind the benchmark
-families, the p = 2 and p = 3 edge inputs and the usage (exit 2) and
-resource-guard (exit 3) inputs.  It calls only markoff.cli.main, so it
+families, the p = 2 and p = 3 edge inputs, the brute-force count at
+p = 997 and 2003, and the usage (exit 2) and resource-guard (exit 3)
+inputs.  It calls only markoff.cli.main, so it
 runs unchanged on older commits.
 """
 
@@ -65,6 +66,11 @@ COMMANDS = [
     "sweep --p-list 3 --exhaustive",
     "sweep --p-list 3,5 --samples 4",
     "table-22m2 --max-p 2",
+    "count -p 2 -a 1,1,1",
+    "count -p 3 -a 0,0,0",
+    # the brute-force count oracle at larger primes
+    "count -p 997 -a 1,1,1",
+    "verify numel -p 2003 -a 2,5,5",
     # usage errors (exit 2)
     "orbits -p 13",
     "count -p 10 -a 1,1,1",
