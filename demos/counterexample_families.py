@@ -44,5 +44,5 @@ print()
 print("p = 3 Markoff surface:")
 rep = markoff_p3()
 print(f"  {rep.n_points} nonzero solutions, orbit multiset {rep.multiset}")
-print(f"  moves are coordinate negations: {rep.moves_negate};"
+print(f"  moves are coordinate negations: {rep.is_cube};"
       f" move graph is the 3-cube: {rep.is_cube}")

@@ -13,6 +13,12 @@ x_{i-1} x_{i+1} != 0, written once in _closed_form for ints and arrays
 alike; on a hyperplane x_i = 0 the two values Delta_{i +- 1} are
 propagated around the dihedral cycle generated by m_{i-1} and m_{i+1},
 one free starting value per cycle.
+
+verify_certificate checks a certificate in one pass over the blocks of
+rows: every move edge against coordinates, the total identity, and the
+pair identity, which on a self-loop m_i x = x reads 2 Delta_i(x) = s,
+the fix identity for odd p.  It then rederives s*V = 0 per orbit from
+the per-orbit sums of each Delta_i gathered in the same pass.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ from random import Random
 
 import numpy as np
 
-from .enumeration import SolutionSet, row_blocks, zero_locus
+from .enumeration import SolutionSet, zero_locus
 from .field import chi, inverse, mult_order
-from .orbits import OrbitPartition, compute_orbits
+from .orbits import OrbitPartition
 from .surface import SurfaceParams, Triple, apply_move, moved_coordinate
 
 
@@ -270,128 +276,101 @@ class CertificateReport:
         return all(c.divisible_by_p for c in self.orbit_checks)
 
 
-def _check_edges(sol: SolutionSet, nbr: np.ndarray, component_id: np.ndarray) -> None:
-    """Check every move edge against coordinates, independently of the lookup.
-
-    Row nbr[i, k] must hold m_i of point k, recomputed here with
-    moved_coordinate block by block, and both ends of every edge must
-    share a component.
-    """
-    m = len(sol)
-    if m and (nbr.min() < 0 or nbr.max() >= m):
-        raise CertificateError("neighbour index outside the solution set")
-    cols = [sol.points[:, j] for j in range(3)]
-    for rows, x in sol.blocks():
-        ids = component_id[rows]
-        for i in range(3):
-            target = nbr[i, rows]
-            ok = np.take(cols[i], target) == moved_coordinate(sol.params, x, i)
-            for j in ((i - 1) % 3, (i + 1) % 3):
-                ok &= np.take(cols[j], target) == x[j]
-            if not bool(ok.all()):
-                k = rows.start + int(np.flatnonzero(~ok)[0])
-                raise CertificateError(
-                    f"move {i} neighbour of {sol.triple(k)} is {sol.triple(int(nbr[i, k]))}, "
-                    f"not {apply_move(sol.params, sol.triple(k), i)}")
-            same = np.take(component_id, target) == ids
-            if not bool(same.all()):
-                k = rows.start + int(np.flatnonzero(~same)[0])
-                raise CertificateError(
-                    f"move {i} edge from {sol.triple(k)} to {sol.triple(int(nbr[i, k]))} "
-                    f"joins components {int(component_id[k])} and "
-                    f"{int(component_id[nbr[i, k]])}")
+def _first_failure(rows: slice, ok: np.ndarray) -> int | None:
+    """Row index of the first False in a block's bool array, None if all hold."""
+    if bool(ok.all()):
+        return None
+    return rows.start + int(np.flatnonzero(~ok)[0])
 
 
-def verify_certificate(assign: DeltaAssignment,
-                       part: OrbitPartition | None = None) -> CertificateReport:
+def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> CertificateReport:
     """Check every move edge and every identity, and rederive p | V per orbit.
 
-    The edges of part.neighbors are checked against coordinates first,
-    so a faulty neighbour lookup cannot certify itself.  Raises
-    CertificateError on any violated identity; the assignment
-    must cover the whole solution set (build_certificate guarantees it).
-    The identities are checked one block of rows at a time, in int64.
+    One pass over the blocks of rows checks, in int64, the total
+    identity at each row and then, for each move i and target row
+    part.neighbors[i, k]: the target's coordinates against m_i recomputed
+    with moved_coordinate, so a faulty neighbour lookup cannot certify
+    itself; that both ends share a component id; and the pair identity,
+    which at a fixed edge (target k) reads 2 Delta_i = s, the fix
+    identity for odd p.  The same pass counts the rows of each id and
+    sums each Delta_i per id.  The ids must then count the partition's
+    orbit sizes, and each orbit's Delta_i sum must be s*V/2; summed
+    over i it is s*V, so s*V/2 = 0 and p | V.  Raises CertificateError
+    naming the point (or the orbit's representative), the move and the
+    identity; ValueError outside the domain of build_certificate.
     """
     sol = assign.solutions
     params = sol.params
     p, s = params.p, params.s
+    if p < 5 or s == 0:
+        raise ValueError("certificate verification needs p >= 5 and s != 0")
     vals = assign.values
-    m = len(sol)
+    nbr, component_id = part.neighbors, part.component_id
+    m, n_orbits = len(sol), len(part.orbits)
     if vals.shape != (m, 3):
         raise ValueError("assignment does not cover the solution set")
-    if part is None:
-        part = compute_orbits(sol)
-
-    nbr, component_id = part.neighbors, part.component_id
-    n_orbits = len(part.orbits)
     if nbr.shape != (3, m) or component_id.shape != (m,):
         raise ValueError("orbit partition does not match the solution set")
+    # np.take wraps negative indices, so the range is checked up front
+    if m and (nbr.min() < 0 or nbr.max() >= m):
+        raise CertificateError("neighbour index outside the solution set")
     if m and (component_id.min() < 0 or component_id.max() >= n_orbits):
         raise CertificateError("component id outside the orbit numbering")
-    _check_edges(sol, nbr, component_id)
 
+    cols = [sol.points[:, j] for j in range(3)]
     n_fixed = 0
-    inv2 = (p + 1) // 2
     sizes = np.zeros(n_orbits, dtype=np.int64)
     half_sums = np.zeros((3, n_orbits), dtype=np.int64)  # per orbit: sum of Delta_i mod p
-    for rows in row_blocks(m):
-        block = vals[rows].T.astype(np.int64)
-        total_ok = (block[0] + block[1] + block[2] - s) % p == 0
-        if not bool(total_ok.all()):
-            bad = rows.start + int(np.flatnonzero(~total_ok)[0])
-            raise CertificateError(f"total identity fails at {sol.triple(bad)}")
-        own = np.arange(rows.start, rows.stop)
+    for rows, x in sol.blocks():
+        # sums in int64, as a corrupted value may be any int32
+        total_ok = (vals[rows, 0].astype(np.int64) + vals[rows, 1] + vals[rows, 2] - s) % p == 0
+        k = _first_failure(rows, total_ok)
+        if k is not None:
+            raise CertificateError(f"total identity fails at {sol.triple(k)}")
+        own = np.arange(rows.start, rows.stop, dtype=np.int32)
         ids = component_id[rows]
         sizes += np.bincount(ids, minlength=n_orbits)
         for i in range(3):
             target = nbr[i, rows]
-            pair_ok = (block[i] + np.take(vals[:, i], target) - s) % p == 0
-            if not bool(pair_ok.all()):
-                bad = rows.start + int(np.flatnonzero(~pair_ok)[0])
-                raise CertificateError(f"pair identity fails at {sol.triple(bad)} for move {i}")
-            fixed = target == own
-            n_fixed += int(fixed.sum())
-            fix_ok = (block[i][fixed] - s * inv2) % p == 0
-            if not bool(fix_ok.all()):
-                raise CertificateError(f"fixed-point identity fails for move {i}")
-            # float64 sums are exact: a block adds at most BLOCK values below p
-            sums = np.bincount(ids, weights=block[i], minlength=n_orbits)
+            moved = np.take(cols[i], target) == moved_coordinate(params, x, i)
+            for j in ((i - 1) % 3, (i + 1) % 3):
+                moved &= np.take(cols[j], target) == x[j]
+            k = _first_failure(rows, moved)
+            if k is not None:
+                raise CertificateError(
+                    f"move {i} neighbour of {sol.triple(k)} is {sol.triple(int(nbr[i, k]))}, "
+                    f"not {apply_move(params, sol.triple(k), i)}")
+            k = _first_failure(rows, np.take(component_id, target) == ids)
+            if k is not None:
+                raise CertificateError(
+                    f"move {i} edge from {sol.triple(k)} to {sol.triple(int(nbr[i, k]))} "
+                    f"joins components {int(component_id[k])} and "
+                    f"{int(component_id[nbr[i, k]])}")
+            pair_ok = (np.add(vals[rows, i], np.take(vals[:, i], target), dtype=np.int64)
+                       - s) % p == 0
+            k = _first_failure(rows, pair_ok)
+            if k is not None:
+                identity = "fixed-point" if nbr[i, k] == k else "pair"
+                raise CertificateError(
+                    f"{identity} identity fails at {sol.triple(k)} for move {i}")
+            n_fixed += int(np.count_nonzero(target == own))
+            # float64 sums are exact: a block adds at most BLOCK int32 values, below 2^47
+            sums = np.bincount(ids, weights=vals[rows, i], minlength=n_orbits)
             half_sums[i] = (half_sums[i] + sums.astype(np.int64)) % p
 
-    # per-orbit double counting: sum_i sum_x Delta_i = s*V and each i-sum is s*V/2
-    if sizes.tolist() != part.orbit_sizes():
-        raise CertificateError("component ids do not match the orbit sizes")
-    checks = []
-    per_orbit_total = np.zeros(n_orbits, dtype=np.int64)
-    expect = (s % p) * (sizes % p) % p * inv2 % p  # s*V/2 from the pairing argument
+    # per-orbit double counting: each i-sum is s*V/2 by the pairing, and
+    # the three sum to s*V by the total identity, so s*V/2 = 0
+    def require_per_orbit(ok: np.ndarray, identity: str) -> None:
+        if not bool(ok.all()):
+            size, rep = part.orbits[int(np.flatnonzero(~ok)[0])]
+            raise CertificateError(f"{identity} fails for the orbit of {rep} (size {size})")
+
+    require_per_orbit(sizes == part.orbit_sizes(), "orbit size count")
+    expect = s * (sizes % p) % p * ((p + 1) // 2) % p  # s*V/2
     for i in range(3):
-        if not bool(((half_sums[i] - expect) % p == 0).all()):
-            raise CertificateError(f"orbit half-sum identity fails for move {i}")
-        per_orbit_total = (per_orbit_total + half_sums[i]) % p
-    for k, (size, rep) in enumerate(part.orbits):
-        sv = int(per_orbit_total[k])  # = s*V mod p
-        if sv != (s % p) * (size % p) % p:
-            raise CertificateError(f"orbit sum != s*V for orbit {k}")
-        checks.append(OrbitCheck(size, rep, sv, size % p == 0))
-        if s % p != 0 and sv != 0:
-            raise CertificateError(f"s*V != 0 for orbit {k}: certificate logic violated")
+        require_per_orbit((half_sums[i] - expect) % p == 0, f"half-sum identity for move {i}")
+    sv = half_sums.sum(axis=0) % p
+    require_per_orbit(sv == s * (sizes % p) % p, "orbit sum identity s*V")
+    checks = [OrbitCheck(size, rep, int(sum_mod_p), size % p == 0)
+              for (size, rep), sum_mod_p in zip(part.orbits, sv)]
     return CertificateReport(params, m, n_fixed, checks)
-
-
-def certificate_report(assign: DeltaAssignment, report: CertificateReport) -> dict:
-    """JSON-ready certificate dump: per-point values plus per-orbit sizes mod p."""
-    sol = assign.solutions
-    return {
-        "prime": sol.params.p,
-        "params": list(sol.params.a),
-        "s": sol.params.s,
-        "points": [
-            {"x": list(sol.triple(k)), "delta": [int(v) for v in assign.values[k]]}
-            for k in range(len(sol))
-        ],
-        "orbits": [
-            {"size": c.size, "rep": list(c.rep), "size_mod_p": c.size % sol.params.p,
-             "divisible_by_p": c.divisible_by_p}
-            for c in report.orbit_checks
-        ],
-    }

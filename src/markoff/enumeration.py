@@ -272,33 +272,29 @@ def _root_table(p: int) -> np.ndarray:
     return table
 
 
-def count_solutions_bruteforce(params: SurfaceParams, chunk: int | None = None) -> int:
+def count_solutions_bruteforce(params: SurfaceParams) -> int:
     """Number of nonzero solutions, counted exhaustively cell by cell.
 
     The residual is x3^2 + b*x3 + c with (b, c) = x3_coefficients on the
     cell (x1, x2), so the cell holds _root_table(p)[b*p + c] solutions.
-    The count sums that over all p^2 cells, slab by slab of chunk x1 rows
-    (default: about BLOCK cells), and drops the origin: O(p^2) time and a
+    The count sums that over all p^2 cells, slab by slab of
+    rows_per_block(p) x1 rows, and drops the origin: O(p^2) time and a
     p^2-byte int8 table, exact because a quadratic has at most 2 roots.
     Nothing is cached.  The slabs are int32: x3_coefficients keeps its
     intermediates below 3 p^2, and the guard at DEFAULT_MAX_PRIME, which
     has no override, keeps 3 p^2 < 2^31 and the table under 4e8 bytes.
-    ValueError if chunk is below 1.
     """
-    if chunk is not None and chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
     p = params.p
     if p > DEFAULT_MAX_PRIME:
         raise ResourceGuardError(
             f"p = {p} exceeds the brute-force guard {DEFAULT_MAX_PRIME} "
-            f"({p}^3 grid cells)")
-    if chunk is None:
-        chunk = rows_per_block(p)
+            f"({p}^2-byte root table)")
+    step = rows_per_block(p)
     roots = _root_table(p)
     x2 = np.arange(p, dtype=np.int32)
     total = 0
-    for start in range(0, p, chunk):
-        x1 = np.arange(start, min(start + chunk, p), dtype=np.int32)[:, None]
+    for start in range(0, p, step):
+        x1 = np.arange(start, min(start + step, p), dtype=np.int32)[:, None]
         b, c = x3_coefficients(params, x1, x2)
         total += int(np.take(roots, b * p + c).sum(dtype=np.int64))
     return total - 1  # discount the origin

@@ -8,6 +8,7 @@ Burnside average over a dihedral matrix group.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,52 +271,31 @@ def _check_move_graph(params: SurfaceParams, points: list[Triple],
 
 @dataclass
 class CubeReport:
-    n_points: int
-    multiset: dict[int, int]
-    moves_negate: bool
-    is_cube: bool
-    degrees: list[int]
-    bipartite: bool
+    points: list[Triple]                        # the vertices {1, 2}^3
+    edges: list[tuple[Triple, int, Triple]]     # edge i negates coordinate i
+    n_points: int                               # distinct points, once the move graph checks out
+    multiset: dict[int, int]                    # orbit sizes from compute_orbits
+    is_cube: bool                               # the vertices are every nonzero solution
 
 
 def markoff_p3() -> CubeReport:
-    """a = (0, 0, 0) mod 3: eight nonzero solutions forming one 3-cube orbit."""
+    """a = (0, 0, 0) mod 3: eight nonzero solutions forming one 3-cube orbit.
+
+    The cube is listed as the vertices {1, 2}^3 and, for each move i, the
+    four edges that negate coordinate i.  _check_move_graph checks that
+    these edges are exactly the moves among the vertices and raises
+    ArithmeticError otherwise; is_cube then says whether the vertices
+    are the whole enumerated solution set, so that the move graph of
+    the surface is the cube.
+    """
     params = SurfaceParams.make(3, (0, 0, 0))
+    points = list(itertools.product((1, 2), repeat=3))
+    edges = [(x, i, tuple(-v % 3 if j == i else v for j, v in enumerate(x)))
+             for x in points for i in range(3) if x[i] == 1]
+    _check_move_graph(params, points, edges)
     sol = enumerate_solutions(params)
-    part = compute_orbits(sol)
-    pts = list(sol.iter_triples())
-
-    negate = all(apply_move(params, x, i) == tuple((-v if j == i else v) % 3
-                                                   for j, v in enumerate(x))
-                 for x in pts for i in range(3))
-
-    # bijection to bits: coordinate value 2 -> bit 1; moves flip single bits
-    def bits(x: Triple) -> tuple[int, int, int]:
-        return tuple(1 if v == 2 else 0 for v in x)
-
-    edges = set()
-    degrees = []
-    for x in pts:
-        nbrs = {apply_move(params, x, i) for i in range(3)}
-        degrees.append(len(nbrs - {x}))
-        for y in nbrs:
-            edges.add(frozenset((bits(x), bits(y))))
-    cube_edges = {frozenset((u, v))
-                  for u in [(b1, b2, b3) for b1 in (0, 1) for b2 in (0, 1) for b3 in (0, 1)]
-                  for v in [tuple(u[k] ^ (1 if k == i else 0) for k in range(3)) for i in range(3)]}
-    is_cube = edges == cube_edges
-
-    bipartite = all(sum(bits(x)) % 2 != sum(bits(apply_move(params, x, i))) % 2
-                    for x in pts for i in range(3))
-
-    return CubeReport(
-        n_points=len(pts),
-        multiset=part.multiset,
-        moves_negate=negate,
-        is_cube=is_cube,
-        degrees=sorted(degrees),
-        bipartite=bipartite,
-    )
+    return CubeReport(points, edges, len(set(points)), compute_orbits(sol).multiset,
+                      points == list(sol.iter_triples()))
 
 
 # --- orbit tables for a = (2, 2, -2) ----------------------------------------

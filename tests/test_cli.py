@@ -26,6 +26,15 @@ def test_special_p3_example(capsys):
     assert out.startswith("orbits: 8^1")
 
 
+def test_special_p3_rejects_other_primes(capsys):
+    code, out, _ = run(capsys, "special", "p3", "-p", "3")
+    assert code == EXIT_OK and out.startswith("orbits: 8^1")
+    for p in ("7", "5", "10"):
+        code, out, err = run(capsys, "special", "p3", "-p", p)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: special p3 is the p = 3 surface; got -p {p}\n"
+
+
 def test_verify_numel_example(capsys):
     code, out, _ = run(capsys, "verify", "numel", "-p", "5", "-a", "0,0,0")
     assert code == EXIT_OK
@@ -165,7 +174,7 @@ def test_resource_guard_exit_code(capsys):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_RESOURCE and out == ""
         assert err == (f"resource guard: p = {p} exceeds the brute-force guard "
-                       f"{DEFAULT_MAX_PRIME} ({p}^3 grid cells)\n")
+                       f"{DEFAULT_MAX_PRIME} ({p}^2-byte root table)\n")
     # --allow-large lifts the enumeration guard, not the int32 bound p^2 + 1 < 2^31
     code, out, err = run(capsys, "enumerate", "-p", "46349", "-a", "1,1,1", "--allow-large")
     assert code == EXIT_RESOURCE and out == ""

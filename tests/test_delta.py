@@ -1,13 +1,15 @@
 import dataclasses
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 
-from markoff.delta import (CertificateError, NoConsistentExtension,
-                           build_certificate, build_zero_cycle, delta_at,
-                           delta_values, extend_delta, verify_certificate,
-                           certificate_report)
+from markoff.delta import (CertificateError, DeltaAssignment,
+                           NoConsistentExtension, build_certificate,
+                           build_zero_cycle, delta_at, delta_values,
+                           extend_delta, verify_certificate)
 from markoff.enumeration import enumerate_solutions, zero_locus
 from markoff.field import chi, inverse, mult_order
 from markoff.orbits import compute_orbits
@@ -314,7 +316,7 @@ class TestCertificate:
         assign = build_certificate(sol)
         assign.values[3, 1] = (assign.values[3, 1] + 1) % 7
         with pytest.raises(CertificateError):
-            verify_certificate(assign)
+            verify_certificate(assign, compute_orbits(sol))
 
     def test_corrupted_partition_fails_loudly(self):
         """A wrong neighbour row or component id must not certify itself."""
@@ -338,6 +340,55 @@ class TestCertificate:
                 verify_certificate(assign, bad)
         verify_certificate(assign, part)
 
+    def test_wrong_delta_at_fixed_edge_names_fixed_point(self):
+        # m_0 fixes (1, 7, 7); moving 1 from Delta_1 to Delta_0 keeps the
+        # total, so the first identity to fail is the fixed-point one
+        params = params_of(13, (2, 5, 5))
+        sol = enumerate_solutions(params)
+        part = compute_orbits(sol)
+        x = (1, 7, 7)
+        k = sol.index_of(x)
+        assert part.neighbors[0, k] == k
+        assign = build_certificate(sol)
+        assign.values[k, 0] = (assign.values[k, 0] + 1) % 13
+        assign.values[k, 1] = (assign.values[k, 1] - 1) % 13
+        with pytest.raises(CertificateError,
+                           match=r"fixed-point identity fails at \(1, 7, 7\) for move 0"):
+            verify_certificate(assign, part)
+
+    def test_orbit_level_failures_name_the_representative(self, monkeypatch):
+        params = params_of(13, (2, 5, 5))
+        sol = enumerate_solutions(params)
+        part = compute_orbits(sol)
+        assign = build_certificate(sol)
+        (size0, rep0), (size1, rep1) = part.orbits
+        wrong_sizes = dataclasses.replace(part, orbits=[(size0, rep0), (size1 + 13, rep1)])
+        with pytest.raises(CertificateError,
+                           match="orbit size count fails for the orbit of " + re.escape(str(rep1))):
+            verify_certificate(assign, wrong_sizes)
+
+        # corrupt the per-orbit Delta sums of the second orbit only
+        bincount = np.bincount
+
+        def skewed(ids, weights=None, minlength=0):
+            out = bincount(ids, weights=weights, minlength=minlength)
+            if weights is not None:
+                out[1] += 1
+            return out
+
+        monkeypatch.setattr(np, "bincount", skewed)
+        with pytest.raises(CertificateError,
+                           match="half-sum identity for move 0 fails for the orbit of "
+                           + re.escape(str(rep1))):
+            verify_certificate(assign, part)
+
+    def test_verify_refuses_outside_the_certificate_domain(self):
+        for p, a in ((3, (0, 0, 1)), (7, (0, 0, -3))):
+            sol = enumerate_solutions(params_of(p, a))
+            assign = DeltaAssignment(sol, np.zeros((len(sol), 3), dtype=np.int32))
+            with pytest.raises(ValueError, match="p >= 5 and s != 0"):
+                verify_certificate(assign, compute_orbits(sol))
+
     def test_refuses_s_zero_and_tiny_p(self):
         with pytest.raises(ValueError):
             build_certificate(enumerate_solutions(params_of(7, (0, 0, -3))))
@@ -353,20 +404,8 @@ class TestCertificate:
                 continue
             sol = enumerate_solutions(params)
             if cls.kind in (ALL_NONDEGENERATE, SPECIAL_FORM):
-                report = verify_certificate(build_certificate(sol))
+                report = verify_certificate(build_certificate(sol), compute_orbits(sol))
                 assert report.all_divisible
             else:
                 with pytest.raises(NoConsistentExtension):
                     build_certificate(sol)
-
-    def test_report_dump_schema(self):
-        params = params_of(7, (2, 3, 3))
-        sol = enumerate_solutions(params)
-        part = compute_orbits(sol)
-        assign = build_certificate(sol)
-        report = verify_certificate(assign, part)
-        dump = certificate_report(assign, report)
-        assert dump["prime"] == 7 and dump["params"] == [2, 3, 3]
-        assert len(dump["points"]) == len(sol)
-        assert all(sum(pt["delta"]) % 7 == params.s for pt in dump["points"])
-        assert all(o["size_mod_p"] == 0 for o in dump["orbits"])

@@ -72,26 +72,13 @@ def test_size_equals_closed_form():
 
 
 def test_bruteforce_count_matches_enumeration():
-    # at p = 409 the root table and the default slabs both take at least 3 blocks of rows
+    # at p = 409 the root table and the slabs both take at least 3 blocks of rows
     assert -(-409 // rows_per_block(409)) >= 3
     for p, a in [(5, (0, 0, 0)), (7, (2, 2, -2)), (11, (1, 2, 3)), (13, (2, 3, 3)),
                  (7, (0, 0, -3)), (5, (2, 2, -2)),
                  (409, (2, 5, 5)), (409, (0, 0, -3)), (409, (2, 2, -2))]:
         params = SurfaceParams.make(p, a)
         assert count_solutions_bruteforce(params) == len(enumerate_solutions(params)), (p, a)
-
-
-def test_bruteforce_count_chunking_invariant():
-    params = SurfaceParams.make(11, (1, 2, 3))
-    expected = count_solutions_bruteforce(params)
-    for chunk in (1, 2, 5, 11, 12):
-        assert count_solutions_bruteforce(params, chunk=chunk) == expected
-    for chunk in (0, -1):
-        with pytest.raises(ValueError, match="chunk"):
-            count_solutions_bruteforce(params, chunk=chunk)
-    # checked before the size guard, so before any work
-    with pytest.raises(ValueError, match="chunk"):
-        count_solutions_bruteforce(SurfaceParams.make(20011, (1, 1, 1)), chunk=0)
 
 
 def test_root_table_counts_roots_exhaustively():

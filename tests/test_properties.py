@@ -1,4 +1,4 @@
-"""Property tests: the vectorised residual, the p^3 count oracle, the
+"""Property tests: the vectorised residual, the root-table count oracle, the
 cell-indexed solution set, the orbit partition and the Delta closed form
 against naive oracles, on random small primes, parameters and points;
 and the int32 residual against the naive Python-int one up to the int32

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from markoff import special_cases
 from markoff.enumeration import enumerate_solutions
 from markoff.field import (QuadExtElement, chi, inverse, is_prime,
                            smallest_nonresidue, sqrt_mod)
@@ -253,10 +256,30 @@ class TestMarkoffP3:
         assert isinstance(rep, CubeReport)
         assert rep.n_points == 8
         assert rep.multiset == {8: 1}
-        assert rep.moves_negate
         assert rep.is_cube
-        assert rep.degrees == [3] * 8
-        assert rep.bipartite
+        # twelve edges, each vertex on one edge per move: the 3-cube
+        assert len(rep.edges) == 12
+        for x in rep.points:
+            assert sorted(i for left, i, right in rep.edges if x in (left, right)) == [0, 1, 2]
+        _check_move_graph(SurfaceParams.make(3, (0, 0, 0)), rep.points, rep.edges)
+
+    def test_wrong_listed_edge_raises(self):
+        params = SurfaceParams.make(3, (0, 0, 0))
+        rep = markoff_p3()
+        (left, i, right), *rest = rep.edges
+        for wrong in ([(left, (i + 1) % 3, right)] + rest,   # wrong move index
+                      [(left, i, (2, 2, 2))] + rest,           # wrong far end
+                      rest):                                   # a missing edge
+            with pytest.raises(ArithmeticError, match=re.escape(str(left))):
+                _check_move_graph(params, rep.points, wrong)
+
+    def test_moves_off_the_cube_raise(self, monkeypatch):
+        def shifted(params, x, i):
+            return apply_move(params, x, (i + 1) % 3)
+
+        monkeypatch.setattr(special_cases, "apply_move", shifted)
+        with pytest.raises(ArithmeticError, match=r"move 0 maps \(1, 1, 1\)"):
+            markoff_p3()
 
 
 class TestReferenceTable:

@@ -2,12 +2,16 @@
 
 Usage: python tools/bench_stages.py P [a1,a2,a3]
 
-Runs enumerate -> move-neighbour lookup -> labelling + numbering ->
-certificate build -> certificate verify once, in this process, and
-prints one JSON object.  Run one process per prime so that peak RSS
-belongs to that prime alone.  The neighbour time is taken from a wrapper
-around orbits.neighbor_indices, so "labelling" is compute_orbits minus
-the neighbour lookup inside it.
+Builds the field tables untimed, then runs the brute-force count oracle
+(oracle_s) and, after it, enumerate -> move-neighbour lookup ->
+labelling + numbering -> certificate build -> certificate verify once,
+in this process, and prints one JSON object.  total_s covers the
+pipeline from enumeration on; the oracle is timed on its own and stays
+out of it.  Run one process per prime so that peak RSS belongs to that
+prime alone.  The neighbour time is taken from a wrapper around
+orbits.neighbor_indices, so "labelling" is compute_orbits minus the
+neighbour lookup inside it.  It calls only public functions, so it runs
+unchanged on older commits.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 import scipy
 
 from markoff import delta, orbits
-from markoff.enumeration import enumerate_solutions
+from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.surface import SurfaceParams
 
 
@@ -46,6 +50,11 @@ def main(argv: list[str]) -> int:
         out = lookup(sol)
         stages["neighbours_s"] = time.perf_counter() - start
         return out
+
+    start = time.perf_counter()
+    oracle_count = count_solutions_bruteforce(params)
+    stages["oracle_s"] = time.perf_counter() - start
+    rss["oracle"] = _rss_mb()
 
     orbits.neighbor_indices = timed_lookup
     t0 = time.perf_counter()
@@ -70,7 +79,8 @@ def main(argv: list[str]) -> int:
     stages["cert_verify_s"] = t4 - t3
     stages["total_s"] = t4 - t0
     print(json.dumps({
-        "p": p, "a": list(params.a), "points": len(sol), "orbits": len(part.orbits),
+        "p": p, "a": list(params.a), "points": len(sol), "oracle_count": oracle_count,
+        "orbits": len(part.orbits),
         "fixed_edges": report.n_fixed_edges, "all_divisible": report.all_divisible,
         "stages_s": {k: round(v, 3) for k, v in sorted(stages.items())},
         "peak_rss_mb_after": {k: round(v, 1) for k, v in rss.items()},

@@ -82,6 +82,7 @@ COMMANDS = [
     "table-22m2 --max-p 1",
     "orbits -p 20000003 -a 0,0,0",
     "special 00m3 -p 5",
+    "special p3 -p 7",
     "verify delta -p 13 -a 2,5,5 --format json",
     # resource guards (exit 3); 20011 is the least prime above the 20000 guard
     "enumerate -p 20011 -a 0,0,0",
