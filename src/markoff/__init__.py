@@ -15,8 +15,7 @@ from .delta import (DeltaAssignment, NoConsistentExtension, ZeroCycle,
                     extend_delta, verify_certificate)
 from .enumeration import (SolutionSet, ZeroLocus, count_solutions_bruteforce,
                           enumerate_solutions, zero_locus)
-from .field import (PrimeField, QuadExtElement, chi, is_prime, mult_order,
-                    prime_field, sqrt_mod)
+from .field import PrimeField, chi, is_prime, mult_order, prime_field
 from .obstruction import (class_label, degenerate_label, perfect_square_check,
                           special_form_detect, verify_breakup)
 from .orbits import (OrbitPartition, compute_orbits, size_table,
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConicParams", "DeltaAssignment", "NoConsistentExtension", "OrbitPartition",
-    "PrimeField", "QuadExtElement", "SolutionSet", "SurfaceParams", "ZeroCycle",
+    "PrimeField", "SolutionSet", "SurfaceParams", "ZeroCycle",
     "ZeroLocus", "apply_move", "build_certificate", "build_zero_cycle",
     "cayley_membership", "chi", "class_label", "classify_and_count",
     "classify_parameters", "closed_form_total", "compute_orbits",
@@ -40,7 +39,7 @@ __all__ = [
     "lambda_order", "markoff_p3", "mult_order", "on_surface",
     "orbit_table_22m2", "orbits_00_minus3", "perfect_square_check",
     "prime_field", "rescale", "residual", "size_table", "special_form_detect",
-    "sqrt_mod", "tiny_orbits_22m2", "total_via_fibers", "u_coords", "u_move",
+    "tiny_orbits_22m2", "total_via_fibers", "u_coords", "u_move",
     "u_move_equivariance", "verify_breakup", "verify_certificate",
     "verify_divisibility", "zero_locus",
 ]

@@ -273,8 +273,7 @@ def _special_p3(args) -> int:
     if args.prime not in (None, 3):
         raise ValueError(f"special p3 is the p = 3 surface; got -p {args.prime}")
     report = special_cases.markoff_p3()
-    table = ", ".join(f"{k}^{v}" for k, v in sorted(report.multiset.items()))
-    print(f"orbits: {table}")
+    print(f"orbits: {orbits.size_table(report.multiset)}")
     # markoff_p3 checked that the moves negate coordinates on the listed
     # cube; is_cube says the cube is the whole surface
     print(f"moves negate coordinates: {report.is_cube}; "

@@ -151,14 +151,11 @@ def degenerate_slice_values(params: SurfaceParams) -> list[int]:
     t_+- = (a1*a2 +- sqrt((a1^2-4)(a2^2-4)))/2, kept only when the square
     root exists in F_p.  Used to cross-check the closed-form correction.
     """
-    from .field import sqrt_mod
-    p = params.p
+    p = validate_odd_prime(params.p)
     a1, a2, a3 = params.a
-    values = [a3 % p]
-    disc = (a1 * a1 - 4) * (a2 * a2 - 4) % p
-    roots = sqrt_mod(disc, p)
-    if roots is not None:
+    values = {a3 % p}
+    r = int(params.field.sqrt_table[(a1 * a1 - 4) * (a2 * a2 - 4) % p])
+    if r >= 0:
         inv2 = pow(2, -1, p)
-        for r in {roots[0], (-roots[0]) % p}:
-            values.append((a1 * a2 + r) * inv2 % p)
-    return sorted(set(values))
+        values |= {(a1 * a2 + r) * inv2 % p, (a1 * a2 - r) * inv2 % p}
+    return sorted(values)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import sqrt_mod
+from .field import validate_odd_prime
 from .surface import SurfaceParams, Triple, residual, x3_coefficients
 
 # ~4e8 enumeration cells, overridable with allow_large=True; it also caps
@@ -314,14 +314,13 @@ class ZeroLocus:
 
 def exchange_roots(params: SurfaceParams, i: int) -> tuple[int, ...]:
     """Roots of r^2 + a_i*r + 1 = 0 in F_p; empty tuple when chi(a_i^2-4) = -1."""
-    p = params.p
+    p = validate_odd_prime(params.p)
     ai = params.a[i]
-    roots = sqrt_mod((ai * ai - 4) % p, p)
-    if roots is None:
+    r = int(params.field.sqrt_table[(ai * ai - 4) % p])
+    if r < 0:
         return ()
     inv2 = pow(2, -1, p)
-    vals = sorted({(-ai + r) * inv2 % p for r in roots} | {(-ai - r) * inv2 % p for r in roots})
-    return tuple(vals)
+    return tuple(sorted({(-ai + r) * inv2 % p, (-ai - r) * inv2 % p}))
 
 
 def zero_locus(params: SurfaceParams, i: int) -> ZeroLocus:

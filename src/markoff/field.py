@@ -1,9 +1,9 @@
-"""Exact arithmetic in F_p and F_{p^2}.
+"""Exact arithmetic in F_p.
 
 Residues are plain Python ints (or numpy int64 arrays for bulk work),
 always reduced into [0, p).  A PrimeField caches lookup tables for the
 quadratic character, square roots and inverses, so that p^2-sized sweeps
-pay O(1) per query.
+pay O(1) per query.  Square roots come only from PrimeField.sqrt_table.
 """
 
 from __future__ import annotations
@@ -61,60 +61,6 @@ def inverse(x: int, p: int) -> int:
     return pow(x, -1, p)
 
 
-def sqrt_mod(x: int, p: int) -> tuple[int, ...] | None:
-    """All square roots of x mod an odd prime p.
-
-    Returns (r, p - r) with r < p - r when x is a nonzero square, (0,)
-    when x = 0, and None when x is a non-residue.  Tonelli-Shanks, with
-    the x^((p+1)/4) shortcut for p = 3 mod 4.
-    """
-    if p == 2:
-        raise ValueError("sqrt_mod needs an odd prime")
-    x %= p
-    if x == 0:
-        return (0,)
-    if chi(x, p) == -1:
-        return None
-    if p % 4 == 3:
-        r = pow(x, (p + 1) // 4, p)
-    else:
-        r = _tonelli_shanks(x, p)
-    r = min(r, p - r)
-    return (r, p - r)
-
-
-def _tonelli_shanks(x: int, p: int) -> int:
-    # p-1 = q * 2^e with q odd; x known to be a nonzero residue
-    q, e = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    z = smallest_nonresidue(p)
-    c = pow(z, q, p)
-    r = pow(x, (q + 1) // 2, p)
-    t = pow(x, q, p)
-    m = e
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return r
-
-
-def smallest_nonresidue(p: int) -> int:
-    """Smallest positive quadratic non-residue mod p (deterministic choice)."""
-    for n in range(2, p):
-        if chi(n, p) == -1:
-            return n
-    raise ValueError(f"no non-residue mod {p}")
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division."""
     out: dict[int, int] = {}
@@ -152,79 +98,6 @@ def mult_order(x: int, p: int) -> int:
     return _order_from_group(lambda k: pow(x, k, p) == 1, p - 1)
 
 
-class QuadExtElement:
-    """Element c0 + c1*w of F_{p^2} with w^2 = n, n a fixed non-residue."""
-
-    __slots__ = ("c0", "c1", "p", "n")
-
-    def __init__(self, c0: int, c1: int, p: int, n: int | None = None):
-        self.p = p
-        self.n = smallest_nonresidue(p) if n is None else n % p
-        self.c0 = c0 % p
-        self.c1 = c1 % p
-
-    def in_base_field(self) -> bool:
-        return self.c1 == 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.c1 == 0 and self.c0 == other % self.p
-        return (self.p, self.n, self.c0, self.c1) == (other.p, other.n, other.c0, other.c1)
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.c0, self.c1))
-
-    def __mul__(self, other: "QuadExtElement") -> "QuadExtElement":
-        p, n = self.p, self.n
-        c0 = (self.c0 * other.c0 + self.c1 * other.c1 % p * n) % p
-        c1 = (self.c0 * other.c1 + self.c1 * other.c0) % p
-        return QuadExtElement(c0, c1, p, n)
-
-    def __pow__(self, k: int) -> "QuadExtElement":
-        result = QuadExtElement(1, 0, self.p, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def norm(self) -> int:
-        # N(c0 + c1*w) = c0^2 - n*c1^2
-        return (self.c0 * self.c0 - self.n * self.c1 * self.c1) % self.p
-
-    def is_one(self) -> bool:
-        return self.c0 == 1 and self.c1 == 0
-
-    def mult_order(self) -> int:
-        """Order in F_{p^2}^x; order divides p-1 inside F_p, p+1 for norm-1 elements."""
-        if self.c0 == 0 and self.c1 == 0:
-            raise ValueError("0 has no multiplicative order")
-        p = self.p
-        if self.in_base_field():
-            group = p - 1
-        elif self.norm() == 1:
-            group = p + 1
-        else:
-            group = p * p - 1
-        return _order_from_group(lambda k: (self ** k).is_one(), group)
-
-    def __repr__(self):
-        return f"QuadExtElement({self.c0} + {self.c1}*sqrt({self.n}) mod {self.p})"
-
-
-def sqrt_in_extension(x: int, p: int) -> QuadExtElement:
-    """A square root of x, in F_p if chi(x) >= 0, else in F_{p^2}."""
-    roots = sqrt_mod(x, p)
-    if roots is not None:
-        return QuadExtElement(roots[0], 0, p)
-    n = smallest_nonresidue(p)
-    # x = n * (x/n) with x/n a residue, so sqrt(x) = w * sqrt(x/n)
-    t = sqrt_mod(x * inverse(n, p) % p, p)[0]
-    return QuadExtElement(0, t, p, n)
-
-
 class PrimeField:
     """Cached lookup tables for one odd prime (chi, sqrt, inverse).
 
@@ -251,7 +124,10 @@ class PrimeField:
 
     @functools.cached_property
     def sqrt_table(self) -> np.ndarray:
-        """int64 array: the smaller square root of x, or -1 if none."""
+        """int64 array: the smaller square root of x, or -1 for a non-residue.
+
+        Entry 0 is 0, the single root of 0.
+        """
         p = self.p
         t = np.full(p, -1, dtype=np.int64)
         r = np.arange(p // 2 + 1, dtype=np.int64)

@@ -50,11 +50,6 @@ def _require_special_form(params: SurfaceParams) -> tuple[int, int, int]:
     return sf
 
 
-def rescale_to_unit(params: SurfaceParams, x: Triple) -> tuple[SurfaceParams, Triple]:
-    """Map a solution for parameter s to one for parameter 1 (y = s*x)."""
-    return rescale(params, x, params.s)
-
-
 @dataclass(frozen=True)
 class ClassLabel:
     """Move-invariant label from the pair of obstruction characters."""
@@ -156,14 +151,6 @@ def _sign_patterns(params: SurfaceParams, x) -> np.ndarray:
     return np.where(zero, prod, chars)  # the unique completion with product +1
 
 
-def satisfied_patterns(params: SurfaceParams, x: Triple) -> tuple[tuple[int, int, int], ...]:
-    """All admissible sign patterns compatible with the point's characters."""
-    _, y = rescale_to_unit(params, x)
-    chars = [chi(v, params.p) for v in y]
-    return tuple(e for e in SIGN_PATTERNS
-                 if all(c * t >= 0 for c, t in zip(chars, e)))
-
-
 def perfect_square_check(params: SurfaceParams, x: Triple) -> bool:
     """Verify the square identities behind move-invariance of the labels.
 
@@ -177,7 +164,7 @@ def perfect_square_check(params: SurfaceParams, x: Triple) -> bool:
     """
     i, sigma, alpha = _require_special_form(params)
     p = params.p
-    unit_params, y = rescale_to_unit(params, x)
+    unit_params, y = rescale(params, x, params.s)
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
     ok_direct = _square_identity(unit_params, y, i, im1, ip1, sigma, alpha)
     ok_mirror = _square_identity(unit_params, y, i, ip1, im1, sigma, alpha * sigma % p)

@@ -127,7 +127,6 @@ class DivisibilityReport:
     asserted: bool                       # whether divisibility is a theorem here
     orbits: list[tuple[int, Triple, bool]]  # (size, rep, size % p == 0)
     all_divisible: bool
-    total: int
 
     @property
     def passed(self) -> bool | None:
@@ -152,7 +151,7 @@ def verify_divisibility(part: OrbitPartition) -> DivisibilityReport:
     rows = [(size, rep, size % p == 0) for size, rep in part.orbits]
     all_div = all(ok for _, _, ok in rows)
     asserted = cls.kind in (ALL_NONDEGENERATE, SPECIAL_FORM)
-    return DivisibilityReport(cls, asserted, rows, all_div, sum(s for s, _, _ in rows))
+    return DivisibilityReport(cls, asserted, rows, all_div)
 
 
 def partition_report(part: OrbitPartition) -> dict:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import enumerate_solutions
-from .field import (QuadExtElement, chi, inverse, sqrt_in_extension,
-                    validate_odd_prime, validate_prime)
+from .field import (_order_from_group, chi, inverse, validate_odd_prime,
+                    validate_prime)
 from .orbits import compute_orbits, size_table
 from .surface import SurfaceParams, Triple, apply_move, on_surface
 
@@ -44,20 +44,26 @@ UNDERCOUNTED_SIZE4 = frozenset({7, 11, 19, 23, 29, 31, 37, 41, 43})
 # --- a = (0, 0, -3) ---------------------------------------------------------
 
 def lambda_order(p: int) -> tuple[bool, int]:
-    """Order of lambda = (7 + 3*sqrt(5))/2 in F_p or F_{p^2}, for p > 5.
+    """Whether sqrt(5) is in F_p, and the order of lambda = (7 + 3*sqrt(5))/2.
 
-    lambda is an eigenvalue of the composed move m1 m2 on the linear
-    fibres of the a = (0, 0, -3) surface; lambda = theta^2 with
-    theta = (3 + sqrt(5))/2, so its order divides (p -+ 1)/2 according
-    to whether sqrt(5) exists mod p.
+    lambda and 1/lambda are the roots of t^2 - 7t + 1, the characteristic
+    polynomial of rho = m1 m2 = ((8, -3), (3, -1)), the composed move on
+    the linear fibres of the a = (0, 0, -3) surface.  For p > 5 the
+    discriminant 45 is nonzero, so the roots are distinct, rho is
+    diagonalisable over F_p or F_{p^2}, and ord(lambda) = ord(rho).
+    lambda lies in F_p^x when chi(5) = 1 and in the norm-1 torus of
+    F_{p^2} otherwise, so ord(rho) divides p - chi(5); as lambda =
+    theta^2 with theta = (3 + sqrt(5))/2, it even divides (p - chi(5))/2.
     """
     validate_prime(p)
     if p <= 5:
         raise ValueError("lambda order needs p > 5")
-    inv2 = inverse(2, p)
-    root5 = sqrt_in_extension(5, p)
-    lam = QuadExtElement((7 + 3 * root5.c0) * inv2, 3 * root5.c1 * inv2, p, root5.n)
-    return root5.in_base_field(), lam.mult_order()
+    ch5 = chi(5, p)
+    _, rho = _m1_and_rho(p)
+    return ch5 == 1, _order_from_group(lambda k: _mat_pow(rho, k, p) == _IDENTITY, p - ch5)
+
+
+_IDENTITY = ((1, 0), (0, 1))
 
 
 def _mat_mul(a, b, p):
@@ -67,19 +73,34 @@ def _mat_mul(a, b, p):
     )
 
 
-def _dihedral_elements(p: int, order: int):
-    """The 2*order matrices rho^k and m1*rho^k with rho = m1*m2."""
+def _mat_pow(a, k: int, p: int):
+    """a^k mod p by square-and-multiply."""
+    result = _IDENTITY
+    while k:
+        if k & 1:
+            result = _mat_mul(result, a, p)
+        a = _mat_mul(a, a, p)
+        k >>= 1
+    return result
+
+
+def _m1_and_rho(p: int):
+    """m1 and rho = m1 m2 as matrices acting on (x1, x2) mod p."""
     m1 = ((p - 1, 3), (0, 1))
     m2 = ((1, 0), (3, p - 1))
-    rho = _mat_mul(m1, m2, p)
-    identity = ((1, 0), (0, 1))
+    return m1, _mat_mul(m1, m2, p)
+
+
+def _dihedral_elements(p: int, order: int):
+    """The 2*order matrices rho^k and m1*rho^k with rho = m1*m2."""
+    m1, rho = _m1_and_rho(p)
     elements = []
-    cur = identity
+    cur = _IDENTITY
     for _ in range(order):
         elements.append(cur)
         elements.append(_mat_mul(m1, cur, p))
         cur = _mat_mul(rho, cur, p)
-    if cur != identity:
+    if cur != _IDENTITY:
         raise ArithmeticError("rho does not have the claimed order")
     return elements
 

@@ -20,16 +20,16 @@ from markoff.delta import (NoConsistentExtension, build_certificate,
                            verify_certificate)
 from markoff.enumeration import (count_solutions_bruteforce,
                                  enumerate_solutions, zero_locus)
-from markoff.field import chi, inverse, mult_order, prime_field
+from markoff.field import inverse, mult_order, prime_field
 from markoff.obstruction import perfect_square_check, verify_breakup
-from markoff.orbits import compute_orbits, size_table, verify_divisibility
+from markoff.orbits import compute_orbits, size_table
 from markoff.special_cases import (UNDERCOUNTED_SIZE4, markoff_p3,
                                    orbit_table_22m2, orbits_00_minus3,
                                    primes_up_to, REFERENCE_TABLE_22M2)
 from markoff.surface import (ALL_NONDEGENERATE, SPECIAL_FORM, SurfaceParams,
                              apply_move, apply_move_array,
                              classify_parameters, double_fixed_residual,
-                             is_double_fixed, residual, residual_array)
+                             is_double_fixed, residual_array)
 
 SMALL_PRIMES = (5, 7, 11, 13)
 LARGE_PRIMES = tuple(p for p in primes_up_to(97) if p >= 17)

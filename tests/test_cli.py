@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from markoff import cli, delta
 from markoff.cli import (EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main)
 from markoff.enumeration import DEFAULT_MAX_PRIME
@@ -46,6 +44,10 @@ def test_special_00m3_example(capsys):
     assert code == EXIT_OK
     assert out.strip() == ("ord(lambda)=11; conic1 orbits=5 (22,22,22,11,11); "
                            "conic0 orbits=8")
+    # sqrt(5) is not in F_13, so lambda has order dividing 14 in F_{13^2}
+    code, out, _ = run(capsys, "special", "00m3", "-p", "13")
+    assert code == EXIT_OK
+    assert out.strip() == "ord(lambda)=7; conic1 orbits=1 (14); conic0 orbits=0"
 
 
 def test_count_s_zero_reports_unavailable(capsys):

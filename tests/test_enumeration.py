@@ -6,8 +6,7 @@ import pytest
 
 from markoff.conics import closed_form_total
 from markoff.enumeration import (BLOCK, DEFAULT_MAX_PRIME, INT32_MAX,
-                                 ResourceGuardError, SolutionSet,
-                                 _require_int32, _root_table,
+                                 ResourceGuardError, _require_int32, _root_table,
                                  count_solutions_bruteforce,
                                  enumerate_solutions, exchange_roots,
                                  row_blocks, rows_per_block, zero_locus)
@@ -222,6 +221,23 @@ class TestZeroLocus:
                 for r in exchange_roots(params, 0):
                     assert (r * r + ai * r + 1) % p == 0
                     assert pow(r, -1, p) in exchange_roots(params, 0)
+
+    def test_exchange_roots_match_brute_force(self):
+        # every a_i at each prime up to 50: residue, non-residue and zero discriminants
+        for p in [q for q in range(3, 51) if is_prime(q)]:
+            for ai in range(p):
+                params = SurfaceParams.make(p, (ai, ai + 1, ai + 2))
+                points = enumerate_solutions(params).points
+                for i in range(3):
+                    expected = tuple(r for r in range(p)
+                                     if (r * r + params.a[i] * r + 1) % p == 0)
+                    assert exchange_roots(params, i) == expected
+                    on_plane = [tuple(x) for x in points[points[:, i] == 0].tolist()]
+                    assert zero_locus(params, i).points == on_plane
+
+    def test_exchange_roots_reject_p2(self):
+        with pytest.raises(ValueError):
+            exchange_roots(SurfaceParams.make(2, (1, 1, 1)), 0)
 
     def test_locus_equals_solution_slice(self):
         for p, a in [(7, (1, 1, 1)), (11, (2, 5, 5)), (13, (4, 1, 0)), (5, (2, 2, 2))]:

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from markoff.field import (PrimeField, QuadExtElement, chi, factorize,
-                           inverse, is_prime, mult_order, prime_field,
-                           smallest_nonresidue, sqrt_in_extension, sqrt_mod,
-                           validate_odd_prime, validate_prime)
+from markoff.field import (PrimeField, chi, factorize, inverse, is_prime,
+                           mult_order, prime_field, validate_odd_prime,
+                           validate_prime)
 
-from conftest import naive_chi, squares_mod
+from conftest import naive_chi
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
@@ -49,23 +48,18 @@ def test_chi_rejects_p2():
 
 
 def test_sqrt_frozen_examples():
-    assert sqrt_mod(2, 7) == (3, 4)
-    assert sqrt_mod(0, 11) == (0,)
-    assert sqrt_mod(5, 13) is None
+    assert prime_field(7).sqrt_table[2] == 3      # roots 3 and 4
+    assert prime_field(11).sqrt_table[0] == 0
+    assert prime_field(13).sqrt_table[5] == -1
 
 
 def test_sqrt_exhaustive_to_200():
+    # each entry is the smaller root found by scanning, -1 when there is none
     for p in [q for q in range(3, 201) if is_prime(q)]:
-        squares = squares_mod(p)
+        table = prime_field(p).sqrt_table
         for x in range(p):
-            roots = sqrt_mod(x, p)
-            if x not in squares:
-                assert roots is None
-            else:
-                assert roots is not None
-                assert all(r * r % p == x for r in roots)
-                expected = {r for r in range(p) if r * r % p == x}
-                assert set(roots) == expected
+            roots = [r for r in range(p) if r * r % p == x]
+            assert int(table[x]) == (min(roots) if roots else -1)
 
 
 def test_shifted_square_sums():
@@ -89,7 +83,7 @@ def test_mult_order_identity():
 
 def test_mult_order_example_in_f89():
     # lambda = (7 + 3*sqrt(5))/2 has order 11 mod 89
-    root5 = sqrt_mod(5, 89)[0]
+    root5 = int(prime_field(89).sqrt_table[5])
     lam = (7 + 3 * root5) * inverse(2, 89) % 89
     assert mult_order(lam, 89) == 11
 
@@ -114,50 +108,6 @@ def test_factorize():
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(97) == {97: 1}
     assert factorize(2 * 2 * 3 * 29) == {2: 2, 3: 1, 29: 1}
-
-
-def test_smallest_nonresidue():
-    assert smallest_nonresidue(7) == 3
-    assert smallest_nonresidue(11) == 2
-    for p in SMALL_PRIMES:
-        n = smallest_nonresidue(p)
-        assert chi(n, p) == -1
-        assert all(chi(m, p) >= 0 for m in range(1, n))
-
-
-class TestQuadExt:
-    def test_base_field_embedding(self):
-        x = QuadExtElement(4, 0, 7)
-        assert x.in_base_field()
-        assert x == 4
-        assert x.mult_order() == mult_order(4, 7)
-
-    def test_extension_order_divides_p_plus_1_for_norm_one(self):
-        for p in (7, 11, 13, 19):
-            n = smallest_nonresidue(p)
-            for c0 in range(p):
-                for c1 in range(1, p):
-                    x = QuadExtElement(c0, c1, p, n)
-                    if x.norm() != 1:
-                        continue
-                    order = x.mult_order()
-                    assert (p + 1) % order == 0
-                    assert (x ** order).is_one()
-
-    def test_order_minimality(self):
-        p = 11
-        x = QuadExtElement(3, 5, p)
-        order = x.mult_order()
-        assert (x ** order).is_one()
-        for d in range(1, order):
-            if order % d == 0:
-                assert not (x ** d).is_one()
-
-    def test_sqrt_in_extension(self):
-        for p in (7, 11, 13):
-            for x in range(p):
-                r = sqrt_in_extension(x, p)
-                assert r * r == x
 
 
 class TestPrimeField:

@@ -1,14 +1,11 @@
-import itertools
-
 import pytest
 
 from markoff.field import chi
 from markoff.obstruction import (AMBIGUOUS, NON_NEG, NON_POS, SIGN_PATTERNS,
                                  breakup_report_dict, class_label,
                                  degenerate_label, perfect_square_check,
-                                 satisfied_patterns, special_form_detect,
-                                 verify_breakup)
-from markoff.surface import SurfaceParams, apply_move
+                                 special_form_detect, verify_breakup)
+from markoff.surface import SurfaceParams, apply_move, rescale
 
 from conftest import naive_chi, naive_move, naive_solutions
 
@@ -79,6 +76,14 @@ def test_nonempty_split_into_closed_classes():
     sols = naive_solutions(5, (2, 2, 2))
     labels = {x: degenerate_label(params, x) for x in sols}
     assert set(labels.values()) == set(SIGN_PATTERNS)
+
+
+def satisfied_patterns(params, x):
+    """All admissible sign patterns compatible with the characters of s*x."""
+    _, y = rescale(params, x, params.s)
+    chars = [chi(v, params.p) for v in y]
+    return tuple(e for e in SIGN_PATTERNS
+                 if all(c * t >= 0 for c, t in zip(chars, e)))
 
 
 class TestDegenerateLabel:

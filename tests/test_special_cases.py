@@ -5,8 +5,7 @@ import pytest
 
 from markoff import special_cases
 from markoff.enumeration import enumerate_solutions
-from markoff.field import (QuadExtElement, chi, inverse, is_prime,
-                           smallest_nonresidue, sqrt_mod)
+from markoff.field import chi, inverse, is_prime
 from markoff.orbits import compute_orbits
 from markoff.special_cases import (REFERENCE_TABLE_22M2, UNDERCOUNTED_SIZE4,
                                    CubeReport, DihedralReport,
@@ -43,23 +42,25 @@ class TestLambdaOrder:
             assert lambda_order(p)[0] == (p % 5 in (1, 4))
 
     def test_theta_squared_identity(self):
-        # theta = (3 + sqrt(5))/2 satisfies theta^2 = 3*theta - 1 = lambda
-        for p in (11, 19, 29, 31):
+        # pairs (c0, c1) = c0 + c1*w in F_p[w]/(w^2 - 5): the field F_p(sqrt(5))
+        # when chi(5) = -1, and F_p x F_p with lambda -> (lambda, 1/lambda),
+        # which has the same order, when chi(5) = 1
+        def mul(x, y, p):
+            return ((x[0] * y[0] + 5 * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+        for p in primes_up_to(200):
+            if p <= 5:
+                continue
             inv2 = inverse(2, p)
-            if chi(5, p) == 1:
-                root5 = sqrt_mod(5, p)[0]
-                theta = (3 + root5) * inv2 % p
-                lam = (7 + 3 * root5) * inv2 % p
-                assert theta * theta % p == (3 * theta - 1) % p == lam
-            else:
-                n = smallest_nonresidue(p)
-                t = sqrt_mod(5 * inverse(n, p) % p, p)[0]
-                theta = QuadExtElement(3 * inv2 % p, t * inv2 % p, p, n)
-                lam = QuadExtElement(7 * inv2 % p, 3 * t * inv2 % p, p, n)
-                three_theta_minus_1 = QuadExtElement(
-                    (3 * theta.c0 - 1) % p, 3 * theta.c1 % p, p, n)
-                assert theta * theta == lam
-                assert three_theta_minus_1 == lam
+            theta = (3 * inv2 % p, inv2)
+            lam = (7 * inv2 % p, 3 * inv2 % p)
+            # theta = (3 + sqrt(5))/2 satisfies theta^2 = 3*theta - 1 = lambda
+            assert mul(theta, theta, p) == ((3 * theta[0] - 1) % p, 3 * theta[1] % p) == lam
+            order, power = 1, lam
+            while power != (1, 0):
+                power = mul(power, lam, p)
+                order += 1
+            assert lambda_order(p)[1] == order, p
 
 
 class TestDihedralFamily:

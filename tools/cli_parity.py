@@ -53,8 +53,10 @@ COMMANDS = [
     "verify divisibility -p 997 -a 2,-2,-2",
     "verify delta -p 2017 -a 0,0,0",
     "sweep --p-list 11,13 --exhaustive --with-delta",
-    # worked families: conic0 non-empty at p = 11, and the p = 997 items
+    # worked families: conic0 non-empty at p = 11, sqrt(5) outside F_p at
+    # p = 13, and the p = 997 items
     "special 00m3 -p 11",
+    "special 00m3 -p 13",
     "special 00m3 -p 997",
     "special 22m2 -p 997",
     # p = 2 and p = 3 edge inputs
