@@ -5,12 +5,11 @@
 # functions satisfy Delta_1 + Delta_2 + Delta_3 = s pointwise and
 # Delta_i(x) + Delta_i(m_i x) = s across every edge.  Summing over an
 # orbit of size V gives s*V = (3/2) s*V, so s*V = 0 and p | V.
-# On the locus x_i = 0 the two neighbouring values are not determined
-# pointwise; they are propagated around dihedral cycles instead.
+# On the plane x_i = 0 the two neighbouring values have a closed form of
+# their own, in the two nonzero coordinates.
 
-from markoff import (SurfaceParams, build_certificate, build_zero_cycle,
-                     compute_orbits, delta_values, enumerate_solutions,
-                     extend_delta, verify_certificate, zero_locus)
+from markoff import (SurfaceParams, build_certificate, compute_orbits,
+                     delta_values, enumerate_solutions, verify_certificate)
 from markoff.delta import NoConsistentExtension
 
 params = SurfaceParams.make(7, (1, 1, 1))
@@ -19,24 +18,15 @@ print("closed form at (1,1,1):", delta_values(params, (1, 1, 1)),
       " (sums to s)")
 print()
 
-# The locus x_1 = 0 is a pair of lines; the moves m_2, m_3 act on it as
-# a dihedral group whose rotation order is the order of r^2 for a root
-# of r^2 + a_1 r + 1 = 0.
-locus = zero_locus(params, 0)
-print(f"locus x1=0: roots of the exchange quadratic {locus.roots},"
-      f" {len(locus)} points")
-cycle = build_zero_cycle(params, locus.points[0], 0)
-print(f"one cycle: rotation order {cycle.rho_order},"
-      f" {len(cycle.points())} points")
-print("  rotation orbit:", cycle.zs)
-print("  mirror image:  ", cycle.ws)
-
-# Any starting value delta works; the identities force the rest.
-for delta0 in (0, 3):
-    filled = extend_delta(params, cycle, delta0)
-    print(f"  extension from delta={delta0}:")
-    for pt in cycle.zs:
-        print(f"    {pt} -> {filled[pt]}")
+# The plane x1 = 0 is a pair of lines x3 = r x2 with r^2 + a_1 r + 1 = 0.
+# There Delta_1 keeps its closed form and, for {j, k} = {2, 3},
+#   Delta_j = s/2 + (2a_j - a_1 a_k) x_j / (2(x_k^2 - x_j^2)).
+sol = enumerate_solutions(params)
+assign = build_certificate(sol)
+plane = [x for x in sol.iter_triples() if x[0] == 0]
+print(f"plane x1=0: {len(plane)} points")
+for x in plane:
+    print(f"  {x} -> {assign.at(x)}")
 print()
 
 # Full certificate mod 13 for a special-form parameter set.
@@ -55,8 +45,7 @@ print()
 # Where the theorem's hypothesis fails, no consistent assignment exists:
 # a double fixed point with x_i = 0 forces Delta_i = 0, which is false.
 params = SurfaceParams.make(13, (2, 2, -2))
-cycle = build_zero_cycle(params, zero_locus(params, 0).points[0], 0)
 try:
-    extend_delta(params, cycle, 0)
+    build_certificate(enumerate_solutions(params))
 except NoConsistentExtension as exc:
     print(f"a=(2,2,-2): {exc}")

@@ -10,11 +10,10 @@ and orbit-splitting formulas against brute force.
 
 from .conics import (ConicParams, cayley_membership, classify_and_count,
                      closed_form_total, fiber_conic, total_via_fibers)
-from .delta import (DeltaAssignment, NoConsistentExtension, ZeroCycle,
-                    build_certificate, build_zero_cycle, delta_values,
-                    extend_delta, verify_certificate)
-from .enumeration import (SolutionSet, ZeroLocus, count_solutions_bruteforce,
-                          enumerate_solutions, zero_locus)
+from .delta import (DeltaAssignment, NoConsistentExtension, build_certificate,
+                    delta_values, verify_certificate)
+from .enumeration import (SolutionSet, count_solutions_bruteforce,
+                          enumerate_solutions)
 from .field import PrimeField, chi, is_prime, mult_order, prime_field
 from .obstruction import (class_label, degenerate_label, perfect_square_check,
                           special_form_detect, verify_breakup)
@@ -30,16 +29,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConicParams", "DeltaAssignment", "NoConsistentExtension", "OrbitPartition",
-    "PrimeField", "SolutionSet", "SurfaceParams", "ZeroCycle",
-    "ZeroLocus", "apply_move", "build_certificate", "build_zero_cycle",
-    "cayley_membership", "chi", "class_label", "classify_and_count",
-    "classify_parameters", "closed_form_total", "compute_orbits",
-    "count_solutions_bruteforce", "degenerate_label", "delta_values",
-    "enumerate_solutions", "extend_delta", "fiber_conic", "is_prime",
+    "PrimeField", "SolutionSet", "SurfaceParams", "apply_move",
+    "build_certificate", "cayley_membership", "chi", "class_label",
+    "classify_and_count", "classify_parameters", "closed_form_total",
+    "compute_orbits", "count_solutions_bruteforce", "degenerate_label",
+    "delta_values", "enumerate_solutions", "fiber_conic", "is_prime",
     "lambda_order", "markoff_p3", "mult_order", "on_surface",
     "orbit_table_22m2", "orbits_00_minus3", "perfect_square_check",
     "prime_field", "rescale", "residual", "size_table", "special_form_detect",
     "tiny_orbits_22m2", "total_via_fibers", "u_coords", "u_move",
     "u_move_equivariance", "verify_breakup", "verify_certificate",
-    "verify_divisibility", "zero_locus",
+    "verify_divisibility",
 ]

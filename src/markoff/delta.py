@@ -10,9 +10,11 @@ subject to three identities:
 Summing them over an orbit of size V gives s*V = 3*s*V/2, hence
 s*V = 0, hence p | V when s != 0.  Delta_i has a closed form wherever
 x_{i-1} x_{i+1} != 0, written once in _closed_form for ints and arrays
-alike; on a hyperplane x_i = 0 the two values Delta_{i +- 1} are
-propagated around the dihedral cycle generated by m_{i-1} and m_{i+1},
-one free starting value per cycle.
+alike; on a plane x_i = 0 the two values Delta_{i +- 1} have a second
+closed form in x_{i-1} and x_{i+1}, which build_certificate writes over
+the first.  So every value is a formula in the coordinates of its row.
+Where a_i^2 = 4 and 2a_{i-1} != a_{i+1}a_i no assignment exists, and
+build_certificate raises NoConsistentExtension before it writes a row.
 
 verify_certificate checks a certificate in one pass over the blocks of
 rows: every move edge against coordinates, the total identity, and the
@@ -24,18 +26,16 @@ the per-orbit sums of each Delta_i gathered in the same pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
 import numpy as np
 
-from .enumeration import SolutionSet, zero_locus
-from .field import chi, inverse, mult_order
+from .enumeration import SolutionSet
 from .orbits import OrbitPartition
 from .surface import SurfaceParams, Triple, apply_move, moved_coordinate
 
 
 class NoConsistentExtension(Exception):
-    """The angle functions admit no extension over a degenerate zero cycle."""
+    """The angle functions admit no extension over a plane of double fixed points."""
 
 
 class CertificateError(Exception):
@@ -46,15 +46,15 @@ def delta_values(params: SurfaceParams, x: Triple) -> Triple:
     """The closed-form (Delta_1, Delta_2, Delta_3) at a point with x1*x2*x3 != 0."""
     if any(v % params.p == 0 for v in x):
         raise ValueError("closed form needs all coordinates nonzero; "
-                         "zero-coordinate points are handled by cycle extension")
+                         "build_certificate fills the zero-coordinate points")
     return tuple(delta_at(params, x, i) for i in range(3))
 
 
 def delta_at(params: SurfaceParams, x: Triple, i: int) -> int:
-    """Delta_i(x) from _closed_form, the package's only Delta formula.
+    """Delta_i(x) from _closed_form.
 
     Well-defined whenever the two other coordinates are nonzero; in
-    particular on the locus x_i = 0, where the first term drops out.
+    particular on the plane x_i = 0, where the first term drops out.
     Coordinates may be any ints; they are reduced mod p first.
     """
     p = params.p
@@ -83,120 +83,6 @@ def _closed_form(params: SurfaceParams, x, i: int):
 
 
 @dataclass
-class ZeroCycle:
-    """Dihedral orbit of a point with x_i = 0 under m_{i-1} and m_{i+1}.
-
-    Stored as the rotation orbit zs = [x, rho x, ...] and its mirror
-    ws = [m_{i-1} z for z in zs], rho = m_{i+1} m_{i-1} of order rho_order.
-    """
-
-    i: int
-    base: Triple
-    root: int            # r with x_{i+1} = r * x_{i-1} on the base line
-    rho_order: int
-    zs: list[Triple]
-    ws: list[Triple]
-
-    def points(self) -> list[Triple]:
-        if self.rho_order == 1 and self.ws[0] == self.zs[0]:
-            return list(self.zs)
-        return self.zs + self.ws
-
-
-def build_zero_cycle(params: SurfaceParams, x: Triple, i: int) -> ZeroCycle:
-    """Walk the m_{i+1}, m_{i-1} cycle through a nonzero solution with x_i = 0."""
-    p = params.p
-    x = tuple(v % p for v in x)
-    if x == (0, 0, 0) or x[i] != 0:
-        raise ValueError(f"need a nonzero point with coordinate {i} equal to zero")
-    ai = params.a[i]
-    if chi(ai * ai - 4, p) == -1:
-        raise ValueError("no nonzero points on this locus: chi(a_i^2 - 4) = -1")
-    im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    r = x[ip1] * inverse(x[im1], p) % p
-    order = mult_order(r * r % p, p)
-
-    zs, ws = [x], []
-    z = x
-    while True:
-        w = apply_move(params, z, im1)
-        ws.append(w)
-        z = apply_move(params, w, ip1)
-        if z == x:
-            break
-        zs.append(z)
-        if len(zs) > 2 * p:
-            raise CertificateError("runaway cycle walk")  # pragma: no cover
-
-    if len(zs) != order:
-        raise CertificateError(f"walked cycle length {len(zs)} != order {order}")
-    if order == 1:
-        if ws[0] != x:
-            raise CertificateError("order-1 cycle not collapsed to a fixed point")
-    else:
-        pts = zs + ws
-        if len(set(pts)) != 2 * order:
-            raise CertificateError("degenerate 2N cycle with N >= 2")
-    return ZeroCycle(i, x, r, order, zs, ws)
-
-
-def extend_delta(params: SurfaceParams, cycle: ZeroCycle,
-                 delta0: int | None = None) -> dict[Triple, Triple]:
-    """Fill all three Delta values on a zero cycle, starting from delta0.
-
-    Delta_i on the locus comes from the closed form; Delta_{i-1} starts
-    at delta0 on the base point z_0.  One walk around the cycle then
-    forces the rest: across each edge the pair identity gives the moved
-    neighbour's value, and at its far end the total identity gives the
-    other one.  Back at z_0 the recomputed Delta_{i-1} must equal
-    delta0, else NoConsistentExtension is raised; it does equal it because
-    the Delta_i values sum to zero around any non-degenerate cycle.  For
-    an order-1 cycle there is no freedom: both neighbours of Delta_i are
-    pinned to s/2, which is consistent only when 2a_{i-1} = a_{i+1}a_i.
-    """
-    p = params.p
-    s = params.s
-    i = cycle.i
-    im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    inv2 = (p + 1) // 2
-    if delta0 is None:
-        delta0 = s * inv2 % p
-
-    di = {pt: delta_at(params, pt, i) for pt in cycle.points()}
-    out: dict[Triple, list[int | None]] = {pt: [None, None, None] for pt in cycle.points()}
-    for pt, v in di.items():
-        out[pt][i] = v
-
-    if cycle.rho_order == 1:
-        x = cycle.base
-        a = params.a
-        if (2 * a[im1] - a[ip1] * a[i]) % p != 0:
-            raise NoConsistentExtension(
-                f"double fixed point {x} forces Delta_{i} = 0 but "
-                f"2a_{im1} != a_{ip1}a_{i} (mod {p})")
-        out[x][im1] = s * inv2 % p
-        out[x][ip1] = s * inv2 % p
-        assert out[x][i] == 0
-        return {pt: tuple(v) for pt, v in out.items()}
-
-    # walk z_0, w_0, z_1, ..., w_{N-1}, z_0; edge k is m_{i-1} for even k
-    # and m_{i+1} for odd k: pair identity across it, total at its far end
-    z0 = cycle.zs[0]
-    walk = [pt for zw in zip(cycle.zs, cycle.ws) for pt in zw] + [z0]
-    start = delta0 % p
-    out[z0][im1] = start
-    for k in range(len(walk) - 1):
-        near, far = walk[k], walk[k + 1]
-        j, other = (im1, ip1) if k % 2 == 0 else (ip1, im1)
-        out[far][j] = (s - out[near][j]) % p
-        out[far][other] = (s - di[far] - out[far][j]) % p
-    if out[z0][im1] != start:
-        raise NoConsistentExtension(
-            f"cycle through {cycle.base} (i={i}) is inconsistent")
-    return {pt: tuple(v) for pt, v in out.items()}
-
-
-@dataclass
 class DeltaAssignment:
     """Total assignment of (Delta_1, Delta_2, Delta_3) over a SolutionSet."""
 
@@ -212,47 +98,76 @@ class DeltaAssignment:
         return (int(row[0]), int(row[1]), int(row[2]))
 
 
-def build_certificate(sol: SolutionSet, delta0: int | None = None,
-                      rng: Random | None = None) -> DeltaAssignment:
-    """Construct a full certificate for one parameter set.
+def _require_consistent(params: SurfaceParams) -> None:
+    """Raise NoConsistentExtension if a double fixed point breaks the identities.
 
-    delta0 fixes the starting value on every cycle (default s/2); pass
-    rng instead to draw an independent starting value per cycle, which
-    the identities must survive equally well.
+    When a_i^2 = 4 the plane x_i = 0 is the line x_{i+1} = r x_{i-1},
+    r = -a_i/2 = +-1, and each of its points is fixed by m_{i-1} and
+    m_{i+1}.  The fix identity pins Delta_{i-1} and Delta_{i+1} to s/2,
+    so the total identity forces Delta_i = 0; but the pair identity
+    across m_i, whose image lies off the plane, pins Delta_i to its
+    closed form (2a_{i-1} - a_{i+1}a_i)/(4 x_{i-1}).  The two agree only
+    if 2a_{i-1} = a_{i+1}a_i.  The point named is the least of the
+    plane, with 1 in the lower-indexed of coordinates i-1, i+1 and r in
+    the other.
+    """
+    p, a = params.p, params.a
+    for i in range(3):
+        im1, ip1 = (i - 1) % 3, (i + 1) % 3
+        if (a[i] * a[i] - 4) % p != 0 or (2 * a[im1] - a[ip1] * a[i]) % p == 0:
+            continue
+        x = [0, 0, 0]
+        x[min(im1, ip1)] = 1
+        x[max(im1, ip1)] = -a[i] * pow(2, -1, p) % p
+        raise NoConsistentExtension(
+            f"double fixed point {tuple(x)} forces Delta_{i} = 0 but "
+            f"2a_{im1} != a_{ip1}a_{i} (mod {p})")
 
-    The closed form is first written into every row, unmasked.  A row
-    where it is not Delta_i has x_{i-1} = 0 or x_{i+1} = 0, so its point
-    lies on a zero locus; the zero-cycle pass walks a cycle through
-    every point of every zero locus and overwrites all three values of
-    each row it visits, so none of those placeholders survive.
+
+def build_certificate(sol: SolutionSet) -> DeltaAssignment:
+    """Construct a full certificate for one parameter set, row by row.
+
+    Every row first gets _closed_form for all three Delta_i.  That is
+    Delta_i except where x_{i-1} or x_{i+1} vanishes, so on a row with
+    x_i = 0 the values Delta_{i-1} and Delta_{i+1} are overwritten.
+    There the surface equation reads x_j^2 + a_i x_j x_k + x_k^2 = 0
+    for {j, k} = {i-1, i+1}, and
+
+      Delta_j = s/2 + (2a_j - a_i a_k) x_j / (2(x_k^2 - x_j^2)):
+
+    m_j maps x_j to x_k^2/x_j, which flips the sign of the second term,
+    so the pair identity holds, and the equation gives the total one.
+    Delta_{i-1} is computed so and Delta_{i+1} = s - Delta_i - Delta_{i-1}.
+    The denominator vanishes exactly when a_i^2 = 4, where every point
+    of the plane is a double fixed point; inv_table[0] = 0 then gives
+    the forced value s/2.  _require_consistent refuses, before any row
+    is written, the parameters for which those forced values contradict
+    the closed form of Delta_i.
     """
     params = sol.params
-    p = params.p
+    p, s, a = params.p, params.s, params.a
     if p < 5:
         raise ValueError("certificate construction needs p >= 5")
-    if params.s == 0:
+    if s == 0:
         raise ValueError("certificate construction needs s != 0; "
                          "s = 0 surfaces are supported by enumeration and orbits only")
+    _require_consistent(params)
+    inv = params.field.inv_table
+    inv2 = (p + 1) // 2
+    half_s = s * inv2 % p
     values = np.zeros((3, len(sol)), dtype=np.int32).T  # column-major, like sol.points
     for rows, x in sol.blocks():
         for i in range(3):
             values[rows, i] = _closed_form(params, x, i)
-
-    # each zero-locus point lies on exactly one locus and one cycle
-    cycle_values: dict[Triple, Triple] = {}
-    for i in range(3):
-        locus = zero_locus(params, i)
-        covered: set[Triple] = set()
-        for base in locus.points:  # sorted, so each base is the least uncovered point
-            if base in covered:
-                continue
-            cycle = build_zero_cycle(params, base, i)
-            start = rng.randrange(p) if rng is not None else delta0
-            cycle_values.update(extend_delta(params, cycle, start))
-            covered.update(cycle.points())
-    if cycle_values:
-        rows = sol.lookup_array(np.array(list(cycle_values), dtype=np.int64).T)
-        values[rows] = list(cycle_values.values())
+        for i in range(3):
+            on_plane = np.flatnonzero(x[i] == 0)
+            im1, ip1 = (i - 1) % 3, (i + 1) % 3
+            xj, xk = x[im1, on_plane], x[ip1, on_plane]
+            c = (2 * a[im1] - a[i] * a[ip1]) * inv2 % p
+            dj = (half_s + c * xj % p * inv[(xk * xk - xj * xj) % p]) % p
+            k = rows.start + on_plane
+            values[k, im1] = dj
+            values[k, ip1] = (s - values[k, i] - dj) % p
     return DeltaAssignment(sol, values)
 
 

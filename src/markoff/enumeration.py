@@ -1,4 +1,4 @@
-"""Materialise the full nonzero solution set and the zero-coordinate loci.
+"""Materialise the full nonzero solution set and count it by brute force.
 
 Enumeration solves the surface equation as a quadratic in x3 for each
 cell (x1, x2), which is O(p^2) with table lookups.  A cell holds 0, 1 or
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import validate_odd_prime
 from .surface import SurfaceParams, Triple, residual, x3_coefficients
 
 # ~4e8 enumeration cells, overridable with allow_large=True; it also caps
@@ -299,40 +298,3 @@ def count_solutions_bruteforce(params: SurfaceParams) -> int:
         total += int(np.take(roots, b * p + c).sum(dtype=np.int64))
     return total - 1  # discount the origin
 
-
-@dataclass
-class ZeroLocus:
-    """The nonzero solutions with x_i = 0: a pair of lines x_{i+1} = r * x_{i-1}."""
-
-    i: int
-    roots: tuple[int, ...]   # solutions of r^2 + a_i*r + 1 = 0 in F_p (may be empty)
-    points: list[Triple]
-
-    def __len__(self):
-        return len(self.points)
-
-
-def exchange_roots(params: SurfaceParams, i: int) -> tuple[int, ...]:
-    """Roots of r^2 + a_i*r + 1 = 0 in F_p; empty tuple when chi(a_i^2-4) = -1."""
-    p = validate_odd_prime(params.p)
-    ai = params.a[i]
-    r = int(params.field.sqrt_table[(ai * ai - 4) % p])
-    if r < 0:
-        return ()
-    inv2 = pow(2, -1, p)
-    return tuple(sorted({(-ai + r) * inv2 % p, (-ai - r) * inv2 % p}))
-
-
-def zero_locus(params: SurfaceParams, i: int) -> ZeroLocus:
-    p = params.p
-    roots = exchange_roots(params, i)
-    pts: list[Triple] = []
-    im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    for r in roots:
-        for c in range(1, p):
-            x = [0, 0, 0]
-            x[im1] = c
-            x[ip1] = r * c % p
-            pts.append(tuple(x))
-    pts = sorted(set(pts))
-    return ZeroLocus(i, roots, pts)

@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .enumeration import SolutionSet, row_blocks
 from .surface import (ALL_NONDEGENERATE, SPECIAL_FORM, ParamClass, Triple,
-                      classify_parameters, moved_coordinate)
+                      apply_move, classify_parameters, moved_coordinate)
 
 
 def neighbor_indices(sol: SolutionSet) -> np.ndarray:
@@ -181,7 +181,6 @@ def no_bigons_holds(params, points) -> bool:
     graph-simplicity fact behind treating the three moves as three
     distinct edges.
     """
-    from .surface import apply_move
     for x in points:
         images = [apply_move(params, x, i) for i in range(3)]
         for i in range(3):

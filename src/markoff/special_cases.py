@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import enumerate_solutions
-from .field import (_order_from_group, chi, inverse, validate_odd_prime,
-                    validate_prime)
+from .field import (_order_from_group, chi, inverse, is_prime,
+                    validate_odd_prime, validate_prime)
 from .orbits import compute_orbits, size_table
 from .surface import SurfaceParams, Triple, apply_move, on_surface
 
@@ -334,7 +334,6 @@ class TableRow:
 
 
 def primes_up_to(n: int) -> list[int]:
-    from .field import is_prime
     return [p for p in range(2, n + 1) if is_prime(p)]
 
 

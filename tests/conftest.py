@@ -31,6 +31,35 @@ def naive_move(p, a, x, i):
     return tuple(y)
 
 
+def zero_plane(sol, i):
+    """The rows of a SolutionSet with x_i = 0, as sorted tuples."""
+    pts = sol.points
+    return [tuple(x) for x in pts[pts[:, i] == 0].tolist()]
+
+
+def dihedral_cycles(p, a, points, i):
+    """Split points of the plane x_i = 0 into orbits of m_{i-1} and m_{i+1}.
+
+    Yields (zs, ws) for each orbit, from its least remaining point z:
+    zs = [z, rho z, ...] is the rotation orbit under rho = m_{i+1} m_{i-1}
+    and ws = [m_{i-1} y for y in zs], so len(zs) is the order of rho and
+    zs + ws lists each point of a dihedral cycle once, except that an
+    order-one cycle (a double fixed point) appears twice.
+    """
+    im1, ip1 = (i - 1) % 3, (i + 1) % 3
+    remaining = set(points)
+    while remaining:
+        z0 = min(remaining)
+        zs, ws = [], []
+        z = z0
+        while not zs or z != z0:
+            zs.append(z)
+            ws.append(naive_move(p, a, z, im1))
+            z = naive_move(p, a, ws[-1], ip1)
+        remaining -= set(zs) | set(ws)
+        yield zs, ws
+
+
 def naive_orbits(p, a):
     """Orbits by plain BFS over dicts; returns a list of sorted point lists."""
     solutions = set(naive_solutions(p, a))

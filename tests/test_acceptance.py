@@ -16,10 +16,8 @@ import pytest
 from markoff.conics import (ConicParams, classify_and_count,
                             closed_form_total, count_conic_bruteforce)
 from markoff.delta import (NoConsistentExtension, build_certificate,
-                           build_zero_cycle, delta_at, extend_delta,
-                           verify_certificate)
-from markoff.enumeration import (count_solutions_bruteforce,
-                                 enumerate_solutions, zero_locus)
+                           delta_at, verify_certificate)
+from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.field import inverse, mult_order, prime_field
 from markoff.obstruction import perfect_square_check, verify_breakup
 from markoff.orbits import compute_orbits, size_table
@@ -30,6 +28,8 @@ from markoff.surface import (ALL_NONDEGENERATE, SPECIAL_FORM, SurfaceParams,
                              apply_move, apply_move_array,
                              classify_parameters, double_fixed_residual,
                              is_double_fixed, residual_array)
+
+from conftest import dihedral_cycles, zero_plane
 
 SMALL_PRIMES = (5, 7, 11, 13)
 LARGE_PRIMES = tuple(p for p in primes_up_to(97) if p >= 17)
@@ -114,13 +114,10 @@ def test_criterion_3_delta_certificate():
                 assert report.all_divisible, (p, a)
                 built += 1
             elif kind == "hypothesis-violated":
-                # every such set has a degenerate index, whose zero locus
-                # consists of order-one cycles; the extension must refuse
-                i = next(k for k in range(3) if (params.a[k] ** 2 - 4) % p == 0)
-                cycle = build_zero_cycle(params, zero_locus(params, i).points[0], i)
-                assert cycle.rho_order == 1
+                # a double fixed point with x_i = 0 pins Delta_i to two
+                # different values; the construction must refuse
                 with pytest.raises(NoConsistentExtension):
-                    extend_delta(params, cycle, delta0=0)
+                    build_certificate(enumerate_solutions(params))
                 refused += 1
     elapsed = time.perf_counter() - start
     _verdict(3, "delta certificate", True,
@@ -324,11 +321,12 @@ def _check_nine_equivalences():
         param_sets += [(2, 2, p - 2), (1, 1, 1)]
         for a in param_sets:
             params = SurfaceParams.make(p, a)
+            sol = enumerate_solutions(params)
             for i in range(3):
                 im1, ip1 = (i - 1) % 3, (i + 1) % 3
                 ai = params.a[i]
                 half = ai * inverse(2, p) % p
-                for x in zero_locus(params, i).points:
+                for x in zero_plane(sol, i):
                     r = x[ip1] * inverse(x[im1], p) % p
                     conds = (
                         (ai * ai - 4) % p == 0,
@@ -354,17 +352,15 @@ def _check_cycles():
         param_sets += [(0, 0, 0), (1, 1, 1)]
         for a in param_sets:
             params = SurfaceParams.make(p, a)
+            sol = enumerate_solutions(params)
             for i in range(3):
-                remaining = set(zero_locus(params, i).points)
-                while remaining:
-                    cycle = build_zero_cycle(params, min(remaining), i)
-                    pts = cycle.zs + cycle.ws
-                    if cycle.rho_order >= 2:
-                        assert len(set(pts)) == 2 * cycle.rho_order
+                for zs, ws in dihedral_cycles(p, params.a, zero_plane(sol, i), i):
+                    pts = zs + ws
+                    if len(zs) >= 2:
+                        assert len(set(pts)) == 2 * len(zs)
                     if (params.a[i] ** 2 - 4) % p != 0:
                         total = sum(delta_at(params, q, i) for q in pts)
                         assert total % p == 0
-                    remaining -= set(cycle.points())
 
 
 def _check_perfect_square_and_labels():

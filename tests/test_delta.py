@@ -1,22 +1,20 @@
 import dataclasses
 import itertools
-import random
 import re
 
 import numpy as np
 import pytest
 
 from markoff.delta import (CertificateError, DeltaAssignment,
-                           NoConsistentExtension, build_certificate,
-                           build_zero_cycle, delta_at, delta_values,
-                           extend_delta, verify_certificate)
-from markoff.enumeration import enumerate_solutions, zero_locus
+                           NoConsistentExtension, build_certificate, delta_at,
+                           delta_values, verify_certificate)
+from markoff.enumeration import enumerate_solutions
 from markoff.field import chi, inverse, mult_order
 from markoff.orbits import compute_orbits
 from markoff.surface import (SurfaceParams, apply_move, classify_parameters,
-                             ALL_NONDEGENERATE, SPECIAL_FORM)
+                             ALL_NONDEGENERATE, HYPOTHESIS_VIOLATED, SPECIAL_FORM)
 
-from conftest import naive_solutions
+from conftest import dihedral_cycles, naive_solutions, zero_plane
 
 
 def params_of(p, a):
@@ -78,41 +76,38 @@ def test_delta_fix_identity():
                     assert delta_values(params, x)[i] == params.s * inverse(2, p) % p
 
 
+def cycles(params, i):
+    """The dihedral cycles (zs, ws) of the enumerated plane x_i = 0."""
+    plane = zero_plane(enumerate_solutions(params), i)
+    return dihedral_cycles(params.p, params.a, plane, i)
+
+
 class TestZeroCycle:
     def test_markoff_cycle_has_length_four(self):
         # r^2 = -1, so the rotation has order 2 whenever -1 is a square
-        params = params_of(5, (0, 0, 0))
-        locus = zero_locus(params, 0)
-        cycle = build_zero_cycle(params, locus.points[0], 0)
-        assert cycle.rho_order == 2
-        assert len(set(cycle.points())) == 4
+        zs, ws = next(cycles(params_of(5, (0, 0, 0)), 0))
+        assert len(zs) == 2
+        assert len(set(zs + ws)) == 4
 
     def test_order_one_iff_degenerate(self):
         params = params_of(7, (2, 3, 3))
-        locus = zero_locus(params, 0)
-        assert len(locus) == 6  # single line, p - 1 points
-        cycle = build_zero_cycle(params, locus.points[0], 0)
-        assert cycle.rho_order == 1
-        x = cycle.base
-        assert apply_move(params, x, 1) == x and apply_move(params, x, 2) == x
+        plane = zero_plane(enumerate_solutions(params), 0)
+        assert len(plane) == 6  # single line, p - 1 points
+        for zs, ws in dihedral_cycles(7, params.a, plane, 0):
+            assert zs == ws and len(zs) == 1
+            x = zs[0]
+            assert apply_move(params, x, 1) == x and apply_move(params, x, 2) == x
 
     def test_cycle_frozen_example_p7_a111(self):
         params = params_of(7, (1, 1, 1))
-        locus = zero_locus(params, 0)
-        assert locus.roots == (2, 4)
-        cycle = build_zero_cycle(params, locus.points[0], 0)
-        assert cycle.rho_order == 3           # 4 has order 3 mod 7
-        assert len(set(cycle.points())) == 6
-        # the twelve locus points split into two 6-cycles
-        seen = set()
-        n_cycles = 0
-        for x in locus.points:
-            if x in seen:
-                continue
-            c = build_zero_cycle(params, x, 0)
-            seen |= set(c.points())
-            n_cycles += 1
-        assert n_cycles == 2 and seen == set(locus.points)
+        plane = zero_plane(enumerate_solutions(params), 0)
+        # the plane is the pair of lines x3 = r x2, r^2 + r + 1 = 0
+        assert {x[2] * inverse(x[1], 7) % 7 for x in plane} == {2, 4}
+        # the twelve plane points split into two 6-cycles; 4 has order 3 mod 7
+        found = list(dihedral_cycles(7, params.a, plane, 0))
+        assert [len(zs) for zs, _ in found] == [3, 3]
+        assert all(len(set(zs + ws)) == 6 for zs, ws in found)
+        assert set().union(*(zs + ws for zs, ws in found)) == set(plane)
 
     def test_rho_order_divides_p_minus_chi(self):
         for p in (5, 7, 11, 13, 17):
@@ -120,27 +115,24 @@ class TestZeroCycle:
                 params = params_of(p, (ai, 1, 2))
                 if chi(ai * ai - 4, p) == -1:
                     continue
-                locus = zero_locus(params, 0)
-                cycle = build_zero_cycle(params, locus.points[0], 0)
-                assert (p - chi(ai * ai - 4, p)) % cycle.rho_order == 0
+                zs, _ = next(cycles(params, 0))
+                r = zs[0][2] * inverse(zs[0][1], p) % p
+                assert len(zs) == mult_order(r * r % p, p)
+                assert (p - chi(ai * ai - 4, p)) % len(zs) == 0
 
     def test_cycle_points_distinct_when_order_at_least_two(self):
         for p, a in [(7, (1, 1, 1)), (11, (3, 1, 4)), (13, (5, 2, 8)), (17, (0, 0, 0))]:
             params = params_of(p, a)
             for i in range(3):
-                locus = zero_locus(params, i)
-                remaining = set(locus.points)
-                while remaining:
-                    cycle = build_zero_cycle(params, min(remaining), i)
-                    pts = cycle.points()
-                    if cycle.rho_order >= 2:
-                        assert len(set(pts)) == 2 * cycle.rho_order
-                    remaining -= set(pts)
+                for zs, ws in cycles(params, i):
+                    if len(zs) >= 2:
+                        assert len(set(zs + ws)) == 2 * len(zs)
 
     def test_dihedral_relation_on_cycle(self):
-        # m_{i-1} rho = rho^{-1} m_{i-1} pointwise on the locus
+        # m_{i-1} rho = rho^{-1} m_{i-1} pointwise on the plane
         for p, a in [(7, (1, 1, 1)), (13, (5, 2, 8))]:
             params = params_of(p, a)
+            sol = enumerate_solutions(params)
             for i in range(3):
                 im1, ip1 = (i - 1) % 3, (i + 1) % 3
 
@@ -150,7 +142,7 @@ class TestZeroCycle:
                 def rho_inv(x):
                     return apply_move(params, apply_move(params, x, ip1), im1)
 
-                for x in zero_locus(params, i).points:
+                for x in zero_plane(sol, i):
                     lhs = apply_move(params, rho(x), im1)
                     rhs = rho_inv(apply_move(params, x, im1))
                     assert lhs == rhs
@@ -160,22 +152,19 @@ class TestZeroCycle:
         params = params_of(7, (1, 1, 1))
         for i in range(3):
             im1, ip1 = (i - 1) % 3, (i + 1) % 3
-            locus = zero_locus(params, i)
-            remaining = set(locus.points)
-            while remaining:
-                cycle = build_zero_cycle(params, min(remaining), i)
-                for x in cycle.points():
+            for zs, ws in cycles(params, i):
+                for x in zs + ws:
                     y = x
-                    for _ in range(cycle.rho_order - 1):
+                    for _ in range(len(zs) - 1):
                         y = apply_move(params, apply_move(params, y, im1), ip1)
                     assert apply_move(params, y, im1) == apply_move(params, x, ip1)
-                remaining -= set(cycle.points())
 
     def test_rho_scales_delta_by_inverse_square_root(self):
         for p, a in [(7, (1, 1, 1)), (11, (3, 1, 4)), (13, (5, 2, 8))]:
             params = params_of(p, a)
+            sol = enumerate_solutions(params)
             for i in range(3):
-                for x in zero_locus(params, i).points:
+                for x in zero_plane(sol, i):
                     im1, ip1 = (i - 1) % 3, (i + 1) % 3
                     r = x[ip1] * inverse(x[im1], p) % p
                     rx = apply_move(params, apply_move(params, x, im1), ip1)
@@ -189,44 +178,25 @@ class TestZeroCycle:
             for i in range(3):
                 if (params.a[i] ** 2 - 4) % p == 0:
                     continue
-                remaining = set(zero_locus(params, i).points)
-                while remaining:
-                    cycle = build_zero_cycle(params, min(remaining), i)
-                    total = sum(delta_at(params, z, i) + delta_at(params, w, i)
-                                for z, w in zip(cycle.zs, cycle.ws))
+                for zs, ws in cycles(params, i):
+                    total = sum(delta_at(params, x, i) for x in zs + ws)
                     assert total % p == 0
-                    remaining -= set(cycle.points())
 
     def test_cycle_average_balance(self):
         # summing Delta_{i-1} + Delta_{i+1} over the 2N dihedral-group images
-        # of a locus point (with multiplicity) gives 2*N*s
+        # of a plane point (with multiplicity) gives 2*N*s
         for p, a in [(7, (1, 1, 1)), (11, (3, 1, 5)), (13, (2, 5, 5))]:
             params = params_of(p, a)
-            sol = enumerate_solutions(params)
-            assign = build_certificate(sol)
+            assign = build_certificate(enumerate_solutions(params))
             for i in range(3):
                 im1, ip1 = (i - 1) % 3, (i + 1) % 3
-                remaining = set(zero_locus(params, i).points)
-                while remaining:
-                    cycle = build_zero_cycle(params, min(remaining), i)
-                    total = sum(assign.at(x)[im1] + assign.at(x)[ip1]
-                                for x in cycle.zs + cycle.ws)
-                    assert total % p == 2 * cycle.rho_order * params.s % p
-                    remaining -= set(cycle.points())
-
-    def test_rejects_bad_input(self):
-        params = params_of(7, (1, 1, 1))
-        with pytest.raises(ValueError):
-            build_zero_cycle(params, (1, 1, 1), 0)       # coordinate not zero
-        with pytest.raises(ValueError):
-            build_zero_cycle(params, (0, 0, 0), 0)       # origin
-        params = params_of(7, (0, 0, 3))                 # chi(a_3^2 - 4) = -1
-        with pytest.raises(ValueError):
-            build_zero_cycle(params, (1, 1, 0), 2)
+                for zs, ws in cycles(params, i):
+                    total = sum(assign.at(x)[im1] + assign.at(x)[ip1] for x in zs + ws)
+                    assert total % p == 2 * len(zs) * params.s % p
 
 
 class TestNineEquivalences:
-    """The nine equivalent degeneracy conditions on a locus point."""
+    """The nine equivalent degeneracy conditions on a point of x_i = 0."""
 
     @staticmethod
     def conditions(params, x, i):
@@ -252,40 +222,76 @@ class TestNineEquivalences:
         for p in (5, 7, 11, 13):
             for a in [(1, 1, 1), (2, 3, 3), (2, 2, -2), (0, 0, 0), (4, 1, 3)]:
                 params = params_of(p, a)
+                sol = enumerate_solutions(params)
                 for i in range(3):
-                    for x in zero_locus(params, i).points:
+                    for x in zero_plane(sol, i):
                         conds = self.conditions(params, x, i)
                         assert len(set(conds)) == 1, (p, a, i, x, conds)
 
 
 class TestExtendDelta:
-    def test_markoff_alternation(self):
-        # starting value delta propagates as (delta, s-delta) around a 4-cycle
-        params = params_of(5, (0, 0, 0))
-        s = params.s
-        locus = zero_locus(params, 0)
-        cycle = build_zero_cycle(params, locus.points[0], 0)
-        for delta0 in range(5):
-            filled = extend_delta(params, cycle, delta0)
-            vals = {(v[2], v[1]) for v in filled.values()}
-            assert vals == {(delta0, (s - delta0) % 5), ((s - delta0) % 5, delta0)}
+    """Delta_{i-1} and Delta_{i+1} on the planes x_i = 0, and the refusals."""
 
     def test_forced_values_at_order_one(self):
+        # a_1 = 2: every point of x1 = 0 is a double fixed point
         params = params_of(7, (2, 3, 3))
-        locus = zero_locus(params, 0)
-        cycle = build_zero_cycle(params, locus.points[0], 0)
-        filled = extend_delta(params, cycle, delta0=4)   # delta0 ignored
-        (x, vals), = filled.items()
+        sol = enumerate_solutions(params)
+        assign = build_certificate(sol)
         half_s = params.s * inverse(2, 7) % 7
-        assert vals == (0, half_s, half_s)
+        plane = zero_plane(sol, 0)
+        assert len(plane) == 6
+        for x in plane:
+            assert assign.at(x) == (0, half_s, half_s)
 
     def test_no_consistent_extension_for_broken_hypothesis(self):
-        for p in (3, 7, 11, 13):
-            params = params_of(p, (2, 2, -2))
-            locus = zero_locus(params, 0)
-            cycle = build_zero_cycle(params, locus.points[0], 0)
+        for p in (7, 11, 13):
+            sol = enumerate_solutions(params_of(p, (2, 2, -2)))
             with pytest.raises(NoConsistentExtension):
-                extend_delta(params, cycle, delta0=0)
+                build_certificate(sol)
+
+    @pytest.mark.parametrize("p", (5, 7, 11, 13))
+    def test_zero_plane_values_match_the_formula(self, p):
+        # Delta_j = s/2 + (2a_j - a_i a_k) x_j / (2(x_k^2 - x_j^2)) for both
+        # neighbours j of i, {j, k} = {i-1, i+1}; 1/0 reads as 0, the
+        # double fixed points' forced s/2
+        def inv(v):
+            return pow(v, -1, p) if v % p else 0
+
+        checked = 0
+        for raw in itertools.product(range(p), repeat=3):
+            params = params_of(p, raw)
+            if classify_parameters(params).kind not in (ALL_NONDEGENERATE, SPECIAL_FORM):
+                continue
+            sol = enumerate_solutions(params)
+            values = build_certificate(sol).values
+            a, s = params.a, params.s
+            for i in range(3):
+                for k in np.flatnonzero(sol.points[:, i] == 0):
+                    x = sol.triple(k)
+                    for j, o in (((i - 1) % 3, (i + 1) % 3), ((i + 1) % 3, (i - 1) % 3)):
+                        c = (2 * a[j] - a[i] * a[o]) * x[j] * inv(x[o] ** 2 - x[j] ** 2)
+                        assert values[k, j] == (s + c) * inv(2) % p, (a, x, j)
+                        checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("p", (5, 7, 11, 13))
+    def test_refusal_names_the_least_point_of_the_plane(self, p):
+        refused = 0
+        for raw in itertools.product(range(p), repeat=3):
+            params = params_of(p, raw)
+            if classify_parameters(params).kind != HYPOTHESIS_VIOLATED:
+                continue
+            a = params.a
+            i = next(i for i in range(3) if (a[i] ** 2 - 4) % p == 0
+                     and (2 * a[i - 1] - a[(i + 1) % 3] * a[i]) % p != 0)
+            sol = enumerate_solutions(params)
+            with pytest.raises(NoConsistentExtension) as refusal:
+                build_certificate(sol)
+            assert str(refusal.value) == (
+                f"double fixed point {zero_plane(sol, i)[0]} forces Delta_{i} = 0 but "
+                f"2a_{(i - 1) % 3} != a_{(i + 1) % 3}a_{i} (mod {p})")
+            refused += 1
+        assert refused > 0
 
 
 class TestCertificate:
@@ -300,15 +306,6 @@ class TestCertificate:
             report = verify_certificate(build_certificate(sol), part)
             assert report.all_divisible
             assert report.n_points == len(sol)
-
-    def test_delta_independence(self):
-        params = params_of(13, (2, 5, 5))
-        sol = enumerate_solutions(params)
-        part = compute_orbits(sol)
-        for delta0 in (0, 1, 5, 12):
-            verify_certificate(build_certificate(sol, delta0=delta0), part)
-        for seed in (1, 2, 3):
-            verify_certificate(build_certificate(sol, rng=random.Random(seed)), part)
 
     def test_corrupted_assignment_fails_loudly(self):
         params = params_of(7, (1, 1, 1))

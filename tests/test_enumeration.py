@@ -8,12 +8,12 @@ from markoff.conics import closed_form_total
 from markoff.enumeration import (BLOCK, DEFAULT_MAX_PRIME, INT32_MAX,
                                  ResourceGuardError, _require_int32, _root_table,
                                  count_solutions_bruteforce,
-                                 enumerate_solutions, exchange_roots,
-                                 row_blocks, rows_per_block, zero_locus)
+                                 enumerate_solutions, row_blocks,
+                                 rows_per_block)
 from markoff.field import chi, is_prime
-from markoff.surface import SurfaceParams, apply_move, residual, residual_array
+from markoff.surface import SurfaceParams, apply_move, residual_array
 
-from conftest import naive_solutions
+from conftest import naive_solutions, zero_plane
 
 
 def test_enumerate_frozen_examples():
@@ -203,66 +203,19 @@ def test_bruteforce_guard_keeps_int32_exact():
 
 
 class TestZeroLocus:
-    def test_frozen_examples(self):
-        locus = zero_locus(SurfaceParams.make(5, (0, 0, 0)), 0)
-        assert locus.roots == (2, 3)
-        assert len(locus) == 8
-        locus = zero_locus(SurfaceParams.make(7, (1, 1, 1)), 0)
-        assert locus.roots == (2, 4)
-        assert len(locus) == 12
-        locus = zero_locus(SurfaceParams.make(7, (0, 0, 3)), 2)
-        assert locus.roots == ()
-        assert len(locus) == 0
-
-    def test_roots_satisfy_exchange_polynomial(self):
-        for p in (5, 7, 11, 13, 17):
-            for ai in range(p):
-                params = SurfaceParams.make(p, (ai, 0, 0))
-                for r in exchange_roots(params, 0):
-                    assert (r * r + ai * r + 1) % p == 0
-                    assert pow(r, -1, p) in exchange_roots(params, 0)
-
-    def test_exchange_roots_match_brute_force(self):
-        # every a_i at each prime up to 50: residue, non-residue and zero discriminants
-        for p in [q for q in range(3, 51) if is_prime(q)]:
-            for ai in range(p):
-                params = SurfaceParams.make(p, (ai, ai + 1, ai + 2))
-                points = enumerate_solutions(params).points
-                for i in range(3):
-                    expected = tuple(r for r in range(p)
-                                     if (r * r + params.a[i] * r + 1) % p == 0)
-                    assert exchange_roots(params, i) == expected
-                    on_plane = [tuple(x) for x in points[points[:, i] == 0].tolist()]
-                    assert zero_locus(params, i).points == on_plane
-
-    def test_exchange_roots_reject_p2(self):
-        with pytest.raises(ValueError):
-            exchange_roots(SurfaceParams.make(2, (1, 1, 1)), 0)
-
-    def test_locus_equals_solution_slice(self):
-        for p, a in [(7, (1, 1, 1)), (11, (2, 5, 5)), (13, (4, 1, 0)), (5, (2, 2, 2))]:
-            params = SurfaceParams.make(p, a)
-            sols = naive_solutions(p, params.a)
-            for i in range(3):
-                expected = sorted(x for x in sols if x[i] == 0)
-                assert list(zero_locus(params, i).points) == expected
+    """The nonzero solutions on the planes x_i = 0."""
 
     def test_sizes_by_character(self):
+        # x_i = 0 is the pair of lines x_{i+1} = r x_{i-1}, r^2 + a_i r + 1 = 0
         for p in (5, 7, 11, 13):
             for ai in range(p):
-                params = SurfaceParams.make(p, (ai, 1, 1))
+                sol = enumerate_solutions(SurfaceParams.make(p, (ai, 1, 1)))
                 ch = chi(ai * ai - 4, p)
                 expected = {1: 2 * (p - 1), 0: p - 1, -1: 0}[ch]
-                assert len(zero_locus(params, 0)) == expected
+                assert len(zero_plane(sol, 0)) == expected
 
     def test_two_zero_coordinates_force_origin(self):
         for p, a in [(7, (1, 1, 1)), (11, (2, 5, 5)), (13, (3, 3, 0))]:
             params = SurfaceParams.make(p, a)
             for x in enumerate_solutions(params).iter_triples():
                 assert sum(1 for v in x if v == 0) <= 1
-
-    def test_points_are_on_surface(self):
-        params = SurfaceParams.make(13, (2, 3, 3))
-        for i in range(3):
-            for x in zero_locus(params, i).points:
-                assert residual(params, x) == 0

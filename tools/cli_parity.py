@@ -11,9 +11,9 @@ Two checkouts whose lines are equal give byte-identical stdout and
 stderr and the same exit codes on this list.  The list holds every
 README example, the p = 997 and p = 2017 runs behind the benchmark
 families, the p = 2 and p = 3 edge inputs, the brute-force count at
-p = 997 and 2003, and the usage (exit 2) and resource-guard (exit 3)
-inputs.  It calls only markoff.cli.main, so it
-runs unchanged on older commits.
+p = 997 and 2003, two refusals of the Delta certificate, and the usage
+(exit 2) and resource-guard (exit 3) inputs.  It calls only
+markoff.cli.main, so it runs unchanged on older commits.
 """
 
 from __future__ import annotations
@@ -73,6 +73,10 @@ COMMANDS = [
     # the brute-force count oracle at larger primes
     "count -p 997 -a 1,1,1",
     "verify numel -p 2003 -a 2,5,5",
+    # Delta certificate refusals: a double fixed point on x1 = 0, and on
+    # x3 = 0 at (1, 4, 0)
+    "verify delta -p 13 -a 2,2,-2",
+    "verify delta -p 5 -a 0,1,2",
     # usage errors (exit 2)
     "orbits -p 13",
     "count -p 10 -a 1,1,1",
