@@ -1,5 +1,10 @@
 """Command-line front end: single runs, verification verbs, tables and sweeps.
 
+One argparse tree dispatches every command: verify and special hold one
+nested parser per check and per family, and each parser declares only
+the options its handler reads, so any other option is a usage error.
+main turns -p/-a into a SurfaceParams once, before the handler runs.
+
 Exit codes: 0 on success (conjecture mismatches only warn), 1 when an
 asserted check fails or an unexpected error ends the run (one "error:"
 line naming the exception type, no traceback), 2 on usage errors and
@@ -10,6 +15,7 @@ Output is deterministic for a fixed command line and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -74,23 +80,34 @@ def main(argv: list[str] | None = None) -> int:
     p_orb.add_argument("--format", choices=("text", "json"), default="text")
     p_orb.set_defaults(handler=_cmd_orbits)
 
-    p_ver = sub.add_parser("verify", help="run one verification suite")
-    p_ver.add_argument("check", choices=tuple(_VERIFY))
-    p_ver.add_argument("-p", "--prime", type=int, required=True)
-    p_ver.add_argument("-a", "--params", type=str, default=None)
-    p_ver.add_argument("--samples", type=_positive_int, default=1000)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.set_defaults(handler=_cmd_verify)
+    checks = sub.add_parser("verify", help="run one verification suite").add_subparsers(
+        dest="check", required=True)
+    for name, handler in (("divisibility", _verify_divisibility), ("breakup", _verify_breakup),
+                          ("delta", _verify_delta), ("numel", _cmd_count)):
+        check = checks.add_parser(name)
+        _add_pa(check)
+        check.set_defaults(handler=handler)
+    for name, handler in (("conics", _verify_conics), ("nobigons", _verify_nobigons)):
+        check = checks.add_parser(name)
+        _add_pa(check, require_a=False)
+        check.add_argument("--samples", type=_positive_int, default=1000)
+        check.add_argument("--seed", type=int, default=0)
+        check.set_defaults(handler=handler)
 
     p_tab = sub.add_parser("table-22m2", help="orbit-size tables for a = (2,2,-2)")
     p_tab.add_argument("--max-p", type=int, default=43)
     p_tab.add_argument("--format", choices=("csv", "text"), default="csv")
     p_tab.set_defaults(handler=_cmd_table)
 
-    p_fam = sub.add_parser("special", help="worked families")
-    p_fam.add_argument("family", choices=tuple(_SPECIAL))
-    p_fam.add_argument("-p", "--prime", type=int, default=None)
-    p_fam.set_defaults(handler=_cmd_special)
+    families = sub.add_parser("special", help="worked families").add_subparsers(
+        dest="family", required=True)
+    for name, handler in (("00m3", _special_00m3), ("p3", _special_p3),
+                          ("22m2", _special_22m2)):
+        family = families.add_parser(name)
+        # p3 is the p = 3 surface; its -p only guards against another prime
+        family.add_argument("-p", "--prime", type=int, required=name != "p3",
+                            help="odd prime modulus")
+        family.set_defaults(handler=handler)
 
     p_sweep = sub.add_parser("sweep", help="count/divisibility sweep over parameters")
     p_sweep.add_argument("--p-list", type=str, required=True,
@@ -111,6 +128,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
     try:
+        if "params" in args:  # every command that reads -p/-a
+            p = validate_prime(args.prime)
+            if args.params is not None:
+                args.params = _parse_params(p, args.params)
         return args.handler(args)
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
@@ -124,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_count(args) -> int:
-    params = _parse_params(validate_prime(args.prime), args.params)
+    params = args.params
     brute = count_solutions_bruteforce(params)
     if params.s == 0 or params.p < 5:
         print(f"brute={brute} formula=unavailable (s={params.s}, p={params.p})")
@@ -136,14 +157,13 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    params = _parse_params(validate_prime(args.prime), args.params)
-    sol = enumerate_solutions(params, allow_large=args.allow_large)
+    sol = enumerate_solutions(args.params, allow_large=args.allow_large)
     sol.write_csv(sys.stdout)
     return EXIT_OK
 
 
 def _cmd_orbits(args) -> int:
-    params = _parse_params(validate_prime(args.prime), args.params)
+    params = args.params
     part = orbits.compute_orbits(enumerate_solutions(params))
     if args.format == "json":
         print(json.dumps(orbits.partition_report(part), sort_keys=True))
@@ -155,16 +175,8 @@ def _cmd_orbits(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    p = validate_prime(args.prime)
-    if args.check in ("divisibility", "delta", "numel", "breakup") and args.params is None:
-        raise ValueError(f"verify {args.check} needs -a a1,a2,a3")
-    return _VERIFY[args.check](args, p)
-
-
-def _verify_divisibility(args, p: int) -> int:
-    params = _parse_params(p, args.params)
-    part = orbits.compute_orbits(enumerate_solutions(params))
+def _verify_divisibility(args) -> int:
+    part = orbits.compute_orbits(enumerate_solutions(args.params))
     report = orbits.verify_divisibility(part)
     table = orbits.size_table(part)
     if report.passed is None:
@@ -175,10 +187,11 @@ def _verify_divisibility(args, p: int) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _verify_delta(args, p: int) -> int:
-    params = _parse_params(p, args.params)
-    sol = enumerate_solutions(params)
+def _verify_delta(args) -> int:
+    params = args.params
     try:
+        delta.require_consistent(params)  # a refusal needs no enumeration
+        sol = enumerate_solutions(params)
         assign = delta.build_certificate(sol)
         part = orbits.compute_orbits(sol)
         report = delta.verify_certificate(assign, part)
@@ -196,9 +209,8 @@ def _verify_delta(args, p: int) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _verify_breakup(args, p: int) -> int:
-    params = _parse_params(p, args.params)
-    report = obstruction.verify_breakup(params)
+def _verify_breakup(args) -> int:
+    report = obstruction.verify_breakup(args.params)
     print(json.dumps(obstruction.breakup_report_dict(report), sort_keys=True))
     if not report.bound_holds:
         return EXIT_FAIL
@@ -208,7 +220,8 @@ def _verify_breakup(args, p: int) -> int:
     return EXIT_OK
 
 
-def _verify_conics(args, p: int) -> int:
+def _verify_conics(args) -> int:
+    p = args.prime
     rng = random.Random(args.seed)
     bad = 0
     for _ in range(args.samples):
@@ -217,37 +230,26 @@ def _verify_conics(args, p: int) -> int:
         if classify_and_count(c)[1] != count_conic_bruteforce(c):
             bad += 1
     extra = ""
-    if args.params is not None:
-        params = _parse_params(p, args.params)
-        if params.s != 0 and p >= 5:
-            fib = total_via_fibers(params)
-            form = closed_form_total(params)
-            extra = f"; fiber-sum={fib} formula={form}"
-            if fib != form:
-                bad += 1
+    params = args.params
+    if params is not None and params.s != 0 and p >= 5:
+        fib = total_via_fibers(params)
+        form = closed_form_total(params)
+        extra = f"; fiber-sum={fib} formula={form}"
+        if fib != form:
+            bad += 1
     print(f"conics checked={args.samples} mismatches={bad}{extra} "
           f"{'PASS' if bad == 0 else 'FAIL'}")
     return EXIT_OK if bad == 0 else EXIT_FAIL
 
 
-def _verify_nobigons(args, p: int) -> int:
-    params = (_parse_params(p, args.params) if args.params is not None
-              else SurfaceParams.make(p, (0, 0, 0)))
+def _verify_nobigons(args) -> int:
+    p = args.prime
+    params = args.params if args.params is not None else SurfaceParams.make(p, (0, 0, 0))
     rng = random.Random(args.seed)
     pts = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(args.samples)]
     ok = orbits.no_bigons_holds(params, pts)
     print(f"no-bigons on {len(pts)} points: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_FAIL
-
-
-_VERIFY = {
-    "divisibility": _verify_divisibility,
-    "breakup": _verify_breakup,
-    "delta": _verify_delta,
-    "numel": lambda args, p: _cmd_count(args),
-    "conics": _verify_conics,
-    "nobigons": _verify_nobigons,
-}
 
 
 def _cmd_table(args) -> int:
@@ -265,10 +267,6 @@ def _cmd_table(args) -> int:
     return EXIT_FAIL if bad else EXIT_OK
 
 
-def _cmd_special(args) -> int:
-    return _SPECIAL[args.family](args)
-
-
 def _special_p3(args) -> int:
     if args.prime not in (None, 3):
         raise ValueError(f"special p3 is the p = 3 surface; got -p {args.prime}")
@@ -282,8 +280,6 @@ def _special_p3(args) -> int:
 
 
 def _special_00m3(args) -> int:
-    if args.prime is None:
-        raise ValueError("special 00m3 needs -p")
     rep = special_cases.orbits_00_minus3(validate_prime(args.prime))
     sizes = ",".join(str(v) for v in sorted(rep.conic1_sizes, reverse=True))
     print(f"ord(lambda)={rep.lambda_order}; "
@@ -293,8 +289,6 @@ def _special_00m3(args) -> int:
 
 
 def _special_22m2(args) -> int:
-    if args.prime is None:
-        raise ValueError("special 22m2 needs -p")
     params = SurfaceParams.make(validate_prime(args.prime), (2, 2, -2))
     rep = special_cases.tiny_orbits_22m2(params)
     if rep.s_zero:
@@ -307,19 +301,11 @@ def _special_22m2(args) -> int:
     return EXIT_OK if rep.all_verified() else EXIT_FAIL
 
 
-_SPECIAL = {"00m3": _special_00m3, "p3": _special_p3, "22m2": _special_22m2}
-
-
 def _iter_sweep_params(p: int, exhaustive: bool, samples: int, seed: int):
     if exhaustive:
-        for a1 in range(p):
-            for a2 in range(p):
-                for a3 in range(p):
-                    yield (a1, a2, a3)
-        return
+        return itertools.product(range(p), repeat=3)
     rng = random.Random(seed * 1_000_003 + p)
-    for _ in range(samples):
-        yield (rng.randrange(p), rng.randrange(p), rng.randrange(p))
+    return [(rng.randrange(p), rng.randrange(p), rng.randrange(p)) for _ in range(samples)]
 
 
 def _sweep_one(p: int, a: tuple[int, int, int], with_delta: bool) -> list[str]:

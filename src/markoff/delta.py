@@ -13,8 +13,9 @@ x_{i-1} x_{i+1} != 0, written once in _closed_form for ints and arrays
 alike; on a plane x_i = 0 the two values Delta_{i +- 1} have a second
 closed form in x_{i-1} and x_{i+1}, which build_certificate writes over
 the first.  So every value is a formula in the coordinates of its row.
-Where a_i^2 = 4 and 2a_{i-1} != a_{i+1}a_i no assignment exists, and
-build_certificate raises NoConsistentExtension before it writes a row.
+Where a_i^2 = 4 and 2a_{i-1} != a_{i+1}a_i no assignment exists;
+require_consistent reads that from the parameters alone, and
+build_certificate calls it before it writes a row.
 
 verify_certificate checks a certificate in one pass over the blocks of
 rows: every move edge against coordinates, the total identity, and the
@@ -98,8 +99,12 @@ class DeltaAssignment:
         return (int(row[0]), int(row[1]), int(row[2]))
 
 
-def _require_consistent(params: SurfaceParams) -> None:
-    """Raise NoConsistentExtension if a double fixed point breaks the identities.
+def require_consistent(params: SurfaceParams) -> None:
+    """Refuse, from the parameters alone, what build_certificate would refuse.
+
+    Raises ValueError outside the certificate's domain (p < 5 or s = 0)
+    and NoConsistentExtension if a double fixed point breaks the
+    identities.  Callers can run it before enumerating the surface.
 
     When a_i^2 = 4 the plane x_i = 0 is the line x_{i+1} = r x_{i-1},
     r = -a_i/2 = +-1, and each of its points is fixed by m_{i-1} and
@@ -112,6 +117,11 @@ def _require_consistent(params: SurfaceParams) -> None:
     the other.
     """
     p, a = params.p, params.a
+    if p < 5:
+        raise ValueError("certificate construction needs p >= 5")
+    if params.s == 0:
+        raise ValueError("certificate construction needs s != 0; "
+                         "s = 0 surfaces are supported by enumeration and orbits only")
     for i in range(3):
         im1, ip1 = (i - 1) % 3, (i + 1) % 3
         if (a[i] * a[i] - 4) % p != 0 or (2 * a[im1] - a[ip1] * a[i]) % p == 0:
@@ -140,18 +150,13 @@ def build_certificate(sol: SolutionSet) -> DeltaAssignment:
     Delta_{i-1} is computed so and Delta_{i+1} = s - Delta_i - Delta_{i-1}.
     The denominator vanishes exactly when a_i^2 = 4, where every point
     of the plane is a double fixed point; inv_table[0] = 0 then gives
-    the forced value s/2.  _require_consistent refuses, before any row
+    the forced value s/2.  require_consistent refuses, before any row
     is written, the parameters for which those forced values contradict
-    the closed form of Delta_i.
+    the closed form of Delta_i, and those outside p >= 5, s != 0.
     """
     params = sol.params
     p, s, a = params.p, params.s, params.a
-    if p < 5:
-        raise ValueError("certificate construction needs p >= 5")
-    if s == 0:
-        raise ValueError("certificate construction needs s != 0; "
-                         "s = 0 surfaces are supported by enumeration and orbits only")
-    _require_consistent(params)
+    require_consistent(params)
     inv = params.field.inv_table
     inv2 = (p + 1) // 2
     half_s = s * inv2 % p

@@ -91,20 +91,6 @@ def _m1_and_rho(p: int):
     return m1, _mat_mul(m1, m2, p)
 
 
-def _dihedral_elements(p: int, order: int):
-    """The 2*order matrices rho^k and m1*rho^k with rho = m1*m2."""
-    m1, rho = _m1_and_rho(p)
-    elements = []
-    cur = _IDENTITY
-    for _ in range(order):
-        elements.append(cur)
-        elements.append(_mat_mul(m1, cur, p))
-        cur = _mat_mul(rho, cur, p)
-    if cur != _IDENTITY:
-        raise ArithmeticError("rho does not have the claimed order")
-    return elements
-
-
 @dataclass
 class DihedralReport:
     """Orbit counts for a = (0, 0, -3): closed form, orbit engine and Burnside agree."""
@@ -161,16 +147,28 @@ def orbits_00_minus3(p: int) -> DihedralReport:
     ids0 = np.unique(component_id[on0])
     ids_pm1 = np.unique(component_id[~on0])
 
-    elements = _dihedral_elements(p, order)
+    m1, rho = _m1_and_rho(p)
+    (m00, m01), (m10, m11) = m1
+    (r00, r01), (r10, r11) = rho
 
     def burnside(points: np.ndarray) -> int:
+        """Fixed points averaged over the 2*order elements rho^k and m1 rho^k.
+
+        One walk w = rho^k v counts both: rho^k fixes v where w = v, and
+        m1 rho^k, m1 being an involution, where w = m1 v.
+        """
         x, y = points[:, 0].astype(np.int64), points[:, 1].astype(np.int64)
-        total = sum(int(np.count_nonzero(((g[0][0] * x + g[0][1] * y) % p == x)
-                                         & ((g[1][0] * x + g[1][1] * y) % p == y)))
-                    for g in elements)
-        if total % len(elements):
+        m1x, m1y = (m00 * x + m01 * y) % p, (m10 * x + m11 * y) % p
+        wx, wy, total = x, y, 0
+        for _ in range(order):
+            total += (int(np.count_nonzero((wx == x) & (wy == y)))
+                      + int(np.count_nonzero((wx == m1x) & (wy == m1y))))
+            wx, wy = (r00 * wx + r01 * wy) % p, (r10 * wx + r11 * wy) % p
+        if not (np.array_equal(wx, x) and np.array_equal(wy, y)):
+            raise ArithmeticError("rho does not have the claimed order")
+        if total % (2 * order):
             raise ArithmeticError("Burnside average is not an integer")
-        return total // len(elements)
+        return total // (2 * order)
 
     formula1 = (p - ch5) // (2 * order) + (1 if sqrt5 else 0)
     formula0 = (p - 1) // order if sqrt5 else 0

@@ -164,6 +164,36 @@ def test_usage_error_exit_code(capsys):
     assert main(["verify", "delta", "-p", "13", "-a", "2,5,5", "--format", "json"]) == EXIT_USAGE
 
 
+def test_each_command_takes_only_its_own_options(capsys):
+    pa_commands = (["count"], ["enumerate"], ["orbits"], ["verify", "divisibility"],
+                   ["verify", "delta"], ["verify", "breakup"], ["verify", "numel"])
+    for command in pa_commands:
+        code, out, err = run(capsys, *command, "-p", "7")
+        assert code == EXIT_USAGE and out == ""
+        assert "required: -a/--params" in err
+    # only conics and nobigons draw samples
+    for command in pa_commands[3:]:
+        for extra in (["--seed", "1"], ["--samples", "5"]):
+            code, out, err = run(capsys, *command, "-p", "7", "-a", "1,1,1", *extra)
+            assert code == EXIT_USAGE and out == ""
+            assert f"unrecognized arguments: {' '.join(extra)}" in err
+    for family in ("00m3", "22m2"):
+        code, out, err = run(capsys, "special", family)
+        assert code == EXIT_USAGE and out == ""
+        assert "required: -p/--prime" in err
+
+
+def test_verify_delta_refuses_without_enumerating(capsys, monkeypatch):
+    def enumerate_refused(*args, **kwargs):
+        raise AssertionError("a refusal read from the parameters enumerated the surface")
+
+    monkeypatch.setattr(cli, "enumerate_solutions", enumerate_refused)
+    code, out, _ = run(capsys, "verify", "delta", "-p", "13", "-a", "2,2,-2")
+    assert code == EXIT_OK
+    assert out == ("no consistent extension: double fixed point (0, 1, 12) forces "
+                   "Delta_0 = 0 but 2a_2 != a_1a_0 (mod 13)\n")
+
+
 def test_resource_guard_exit_code(capsys):
     p = next(q for q in range(DEFAULT_MAX_PRIME + 1, DEFAULT_MAX_PRIME + 200)
              if is_prime(q))

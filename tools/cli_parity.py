@@ -11,7 +11,7 @@ Two checkouts whose lines are equal give byte-identical stdout and
 stderr and the same exit codes on this list.  The list holds every
 README example, the p = 997 and p = 2017 runs behind the benchmark
 families, the p = 2 and p = 3 edge inputs, the brute-force count at
-p = 997 and 2003, two refusals of the Delta certificate, and the usage
+p = 997 and 2003, three refusals of the Delta certificate, and the usage
 (exit 2) and resource-guard (exit 3) inputs.  It calls only
 markoff.cli.main, so it runs unchanged on older commits.
 """
@@ -77,6 +77,8 @@ COMMANDS = [
     # x3 = 0 at (1, 4, 0)
     "verify delta -p 13 -a 2,2,-2",
     "verify delta -p 5 -a 0,1,2",
+    # a refusal read from the parameters, before any enumeration
+    "verify delta -p 997 -a 2,2,-2",
     # usage errors (exit 2)
     "orbits -p 13",
     "count -p 10 -a 1,1,1",
@@ -90,6 +92,10 @@ COMMANDS = [
     "special 00m3 -p 5",
     "special p3 -p 7",
     "verify delta -p 13 -a 2,5,5 --format json",
+    # a check given an option it does not read, or missing one it needs
+    "verify divisibility -p 7",
+    "verify delta -p 13 -a 2,5,5 --seed 1",
+    "special 00m3",
     # resource guards (exit 3); 20011 is the least prime above the 20000 guard
     "enumerate -p 20011 -a 0,0,0",
     "count -p 20011 -a 1,1,1",
