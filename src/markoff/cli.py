@@ -116,7 +116,9 @@ def main(argv: list[str] | None = None) -> int:
     group.add_argument("--exhaustive", action="store_true",
                        help="all parameter triples per prime")
     group.add_argument("--samples", type=_positive_int, default=None,
-                       help="seeded random triples per prime (default 200)")
+                       help="seeded random triples per prime; without it or "
+                            "--exhaustive, primes <= 13 run every triple and "
+                            "larger primes 200 seeded triples")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--with-delta", action="store_true",
                          help="also build and verify the certificate per run")

@@ -12,10 +12,10 @@ The points, the offsets and every per-point array built from them
 (move neighbours, component ids, Delta values) are int32, so p^2 + 1
 cells and M points must fit in int32; _require_int32 refuses larger
 sizes before anything is allocated.  No stage holds a full-size int64
-temporary.  Enumeration runs through blocks of x1 rows of about BLOCK
-cells, and the per-point stages read the points through
-SolutionSet.blocks, BLOCK rows at a time; inside a block the arithmetic
-is int64, far from overflow for any admitted p.
+temporary.  Every walk of the p^2 cells runs through the x1 slabs of
+cell_slabs, about BLOCK cells each, and the per-point stages read the
+points through SolutionSet.blocks, BLOCK rows at a time; inside a
+block the arithmetic is int64, far from overflow for any admitted p.
 
 The independent oracle count_solutions_bruteforce counts the x3 roots of
 every cell exhaustively and shares no logic with the closed-form count:
@@ -56,9 +56,11 @@ def row_blocks(m: int):
         yield slice(start, min(start + BLOCK, m))
 
 
-def rows_per_block(p: int) -> int:
-    """Rows of p cells in one block of about BLOCK cells, at least 1."""
-    return max(1, BLOCK // p)
+def cell_slabs(p: int):
+    """(start, stop) ranges of x1 rows covering range(p), about BLOCK cells each."""
+    step = max(1, BLOCK // p)
+    for start in range(0, p, step):
+        yield start, min(start + step, p)
 
 
 def _require_int32(p: int, m: int = 0) -> None:
@@ -183,22 +185,16 @@ class SolutionSet:
         return SolutionSet(self.params, points, offsets)
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Start row of every cell, plus the total M at the end, as int32."""
-    offsets = np.zeros(len(counts) + 1, dtype=np.int32)
-    np.cumsum(counts, dtype=np.int32, out=offsets[1:])
-    return offsets
-
-
 def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> SolutionSet:
     """All x != (0,0,0) with residual zero, as a cell-indexed SolutionSet.
 
     p above DEFAULT_MAX_PRIME needs allow_large=True.  With or without
     it, p^2 + 1 and the point count M must fit in int32 (p <= 46337);
     _require_int32 raises ResourceGuardError otherwise, before the
-    arrays are allocated.  Each block of x1 rows (about BLOCK cells)
-    solves its cells' quadratics in int64 and keeps only its int32
-    points; the blocks are then joined in order.
+    arrays are allocated.  Each slab of cell_slabs(p) solves its cells'
+    quadratics in int64, keeps only its int32 points and writes its
+    cells' offsets (the running point count plus the cumsum of the
+    slab's cell counts); the slabs' points are then joined in order.
     """
     p = params.p
     if p > DEFAULT_MAX_PRIME and not allow_large:
@@ -212,32 +208,30 @@ def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> Sol
     fld = params.field
     inv2 = pow(2, -1, p)
     x2 = np.arange(p, dtype=np.int64)
-    counts = np.empty(p * p, dtype=np.int8)
+    offsets = np.zeros(p * p + 1, dtype=np.int32)
     blocks: list[np.ndarray] = []
     m = 0
-    step = rows_per_block(p)
-    for start in range(0, p, step):
-        stop = min(start + step, p)
+    for start, stop in cell_slabs(p):
         x1 = np.arange(start, stop, dtype=np.int64)[:, None]
         b, c = x3_coefficients(params, x1, x2)  # quadratic in x3: x3^2 + b*x3 + c = 0
         disc = (b * b - 4 * c) % p
         count = fld.chi_table[disc] + 1
         if start == 0:
             count[0, 0] = 0  # cell (0, 0) holds only the origin
-        counts[start * p:stop * p] = count.ravel()
         root = fld.sqrt_table[disc]
         r1 = (p - b + root) * inv2 % p
         r2 = (2 * p - b - root) * inv2 % p
         # entry 2*cell + slot, slot 0 for the smaller root: ascending is lexicographic
         keep = np.flatnonzero(np.stack([count > 0, count == 2], axis=-1))
         roots = np.stack([np.minimum(r1, r2), np.maximum(r1, r2)], axis=-1).ravel()
+        _require_int32(p, m + len(keep))
+        offsets[start * p + 1:stop * p + 1] = m + np.cumsum(count)
         m += len(keep)
-        _require_int32(p, m)
         cols = np.empty((3, len(keep)), dtype=np.int32)
         cols[0], cols[1] = np.divmod(start * p + (keep >> 1), p)
         cols[2] = roots[keep]
         blocks.append(cols)
-    return SolutionSet(params, np.concatenate(blocks, axis=1).T, _offsets(counts))
+    return SolutionSet(params, np.concatenate(blocks, axis=1).T, offsets)
 
 
 def _enumerate_tiny(params: SurfaceParams) -> SolutionSet:
@@ -248,23 +242,21 @@ def _enumerate_tiny(params: SurfaceParams) -> SolutionSet:
            if (x1, x2, x3) != (0, 0, 0) and residual(params, (x1, x2, x3)) == 0]
     arr = np.asfortranarray(np.array(pts, dtype=np.int32).reshape(len(pts), 3))
     counts = np.bincount(arr[:, 0] * p + arr[:, 1], minlength=p * p)
-    return SolutionSet(params, arr, _offsets(counts))
+    return SolutionSet(params, arr, np.append(0, np.cumsum(counts)).astype(np.int32))
 
 
 def _root_table(p: int) -> np.ndarray:
     """Flat int8 table: entry b*p + c is #{x3 in F_p : x3^2 + b*x3 + c = 0}.
 
     Each pair (b, x3) is a root for exactly one c, c = -x3 * (x3 + b)
-    mod p, so one np.bincount per block of b rows fills the table from
-    the p^2 values of x3 * (x3 + b).  A monic quadratic has at most 2
-    roots, so int8 is exact and the table takes p^2 bytes.  The blocks
-    are int32, exact while 2 p^2 < 2^31.
+    mod p, so one np.bincount per slab of cell_slabs(p), read as a range
+    of b rows, fills the table from the p^2 values of x3 * (x3 + b).  A
+    monic quadratic has at most 2 roots, so int8 is exact and the table
+    takes p^2 bytes.  The slabs are int32, exact while 2 p^2 < 2^31.
     """
     table = np.empty(p * p, dtype=np.int8)
     x3 = np.arange(p, dtype=np.int32)
-    step = rows_per_block(p)
-    for start in range(0, p, step):
-        stop = min(start + step, p)
+    for start, stop in cell_slabs(p):
         b = np.arange(start, stop, dtype=np.int32)[:, None]
         cell = -x3 * (x3 + b) % p + (b - start) * p
         table[start * p:stop * p] = np.bincount(cell.ravel(), minlength=(stop - start) * p)
@@ -277,7 +269,7 @@ def count_solutions_bruteforce(params: SurfaceParams) -> int:
     The residual is x3^2 + b*x3 + c with (b, c) = x3_coefficients on the
     cell (x1, x2), so the cell holds _root_table(p)[b*p + c] solutions.
     The count sums that over all p^2 cells, slab by slab of
-    rows_per_block(p) x1 rows, and drops the origin: O(p^2) time and a
+    cell_slabs(p), and drops the origin: O(p^2) time and a
     p^2-byte int8 table, exact because a quadratic has at most 2 roots.
     Nothing is cached.  The slabs are int32: x3_coefficients keeps its
     intermediates below 3 p^2, and the guard at DEFAULT_MAX_PRIME, which
@@ -288,12 +280,11 @@ def count_solutions_bruteforce(params: SurfaceParams) -> int:
         raise ResourceGuardError(
             f"p = {p} exceeds the brute-force guard {DEFAULT_MAX_PRIME} "
             f"({p}^2-byte root table)")
-    step = rows_per_block(p)
     roots = _root_table(p)
     x2 = np.arange(p, dtype=np.int32)
     total = 0
-    for start in range(0, p, step):
-        x1 = np.arange(start, min(start + step, p), dtype=np.int32)[:, None]
+    for start, stop in cell_slabs(p):
+        x1 = np.arange(start, stop, dtype=np.int32)[:, None]
         b, c = x3_coefficients(params, x1, x2)
         total += int(np.take(roots, b * p + c).sum(dtype=np.int64))
     return total - 1  # discount the origin

@@ -155,6 +155,13 @@ def test_sweep_sampled_deterministic(capsys):
     assert out1 == out2
 
 
+def test_sweep_default_mode(capsys):
+    # without --exhaustive or --samples: every triple at p = 5, 200 seeded at p = 17
+    code, out, _ = run(capsys, "sweep", "--p-list", "5,17")
+    assert code == EXIT_OK
+    assert out.strip() == "sweep: 325 runs, 0 failures"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["orbits", "-p", "13"]) == EXIT_USAGE          # missing -a
     assert main(["count", "-p", "10", "-a", "1,1,1"]) == EXIT_USAGE  # not prime

@@ -8,7 +8,7 @@ import pytest
 from markoff.delta import (CertificateError, DeltaAssignment,
                            NoConsistentExtension, build_certificate, delta_at,
                            delta_values, verify_certificate)
-from markoff.enumeration import enumerate_solutions
+from markoff.enumeration import SolutionSet, enumerate_solutions
 from markoff.field import chi, inverse, mult_order
 from markoff.orbits import compute_orbits
 from markoff.surface import (SurfaceParams, apply_move, classify_parameters,
@@ -378,6 +378,29 @@ class TestCertificate:
                            match="half-sum identity for move 0 fails for the orbit of "
                            + re.escape(str(rep1))):
             verify_certificate(assign, part)
+
+    def test_duplicated_point_breaks_the_half_sum(self):
+        """A repeated row passes every edge check and the size count, not the half-sums."""
+        params = params_of(13, (2, 5, 5))
+        sol = enumerate_solutions(params)
+        part = compute_orbits(sol)
+        assign = build_certificate(sol)
+        k = 40
+        dup = SolutionSet(params, np.asfortranarray(np.vstack([sol.points, sol.points[k]])),
+                          sol.offsets)
+        orbit = int(part.component_id[k])
+        size, rep = part.orbits[orbit]
+        orbits = list(part.orbits)
+        orbits[orbit] = (size + 1, rep)
+        bad = dataclasses.replace(
+            part, solutions=dup, orbits=orbits,
+            component_id=np.append(part.component_id, part.component_id[k]),
+            neighbors=np.hstack([part.neighbors, part.neighbors[:, k:k + 1]]))
+        values = np.asfortranarray(np.vstack([assign.values, assign.values[k]]))
+        with pytest.raises(CertificateError,
+                           match=re.escape(f"half-sum identity for move 0 fails for the orbit "
+                                           f"of {rep} (size {size + 1})")):
+            verify_certificate(DeltaAssignment(dup, values), bad)
 
     def test_verify_refuses_outside_the_certificate_domain(self):
         for p, a in ((3, (0, 0, 1)), (7, (0, 0, -3))):

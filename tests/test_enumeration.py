@@ -7,9 +7,8 @@ import pytest
 from markoff.conics import closed_form_total
 from markoff.enumeration import (BLOCK, DEFAULT_MAX_PRIME, INT32_MAX,
                                  ResourceGuardError, _require_int32, _root_table,
-                                 count_solutions_bruteforce,
-                                 enumerate_solutions, row_blocks,
-                                 rows_per_block)
+                                 cell_slabs, count_solutions_bruteforce,
+                                 enumerate_solutions, row_blocks)
 from markoff.field import chi, is_prime
 from markoff.surface import SurfaceParams, apply_move, residual_array
 
@@ -71,8 +70,8 @@ def test_size_equals_closed_form():
 
 
 def test_bruteforce_count_matches_enumeration():
-    # at p = 409 the root table and the slabs both take at least 3 blocks of rows
-    assert -(-409 // rows_per_block(409)) >= 3
+    # at p = 409 the root table and the count each walk at least 3 cell slabs
+    assert len(list(cell_slabs(409))) >= 3
     for p, a in [(5, (0, 0, 0)), (7, (2, 2, -2)), (11, (1, 2, 3)), (13, (2, 3, 3)),
                  (7, (0, 0, -3)), (5, (2, 2, -2)),
                  (409, (2, 5, 5)), (409, (0, 0, -3)), (409, (2, 2, -2))]:
@@ -177,7 +176,7 @@ def test_blocks_join_without_seams():
     """At a prime that enumerates in at least three blocks the joined set is exact."""
     p = 409
     params = SurfaceParams.make(p, (1, 1, 1))
-    assert -(-p // max(1, BLOCK // p)) >= 3  # blocks of x1 rows in enumeration
+    assert len(list(cell_slabs(p))) >= 3
     sol = enumerate_solutions(params)
     m = len(sol)
     assert len(list(row_blocks(m))) >= 3
