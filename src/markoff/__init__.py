@@ -16,14 +16,13 @@ from .enumeration import (SolutionSet, count_solutions_bruteforce,
                           enumerate_solutions)
 from .field import PrimeField, chi, is_prime, mult_order, prime_field
 from .obstruction import (class_label, degenerate_label, perfect_square_check,
-                          special_form_detect, verify_breakup)
+                          verify_breakup)
 from .orbits import (OrbitPartition, compute_orbits, size_table,
                      verify_divisibility)
 from .special_cases import (lambda_order, markoff_p3, orbit_table_22m2,
                             orbits_00_minus3, tiny_orbits_22m2)
 from .surface import (SurfaceParams, apply_move, classify_parameters,
-                      on_surface, rescale, residual, u_coords, u_move,
-                      u_move_equivariance)
+                      on_surface, rescale, residual, special_form_detect)
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,6 @@ __all__ = [
     "lambda_order", "markoff_p3", "mult_order", "on_surface",
     "orbit_table_22m2", "orbits_00_minus3", "perfect_square_check",
     "prime_field", "rescale", "residual", "size_table", "special_form_detect",
-    "tiny_orbits_22m2", "total_via_fibers", "u_coords", "u_move",
-    "u_move_equivariance", "verify_breakup", "verify_certificate",
-    "verify_divisibility",
+    "tiny_orbits_22m2", "total_via_fibers", "verify_breakup",
+    "verify_certificate", "verify_divisibility",
 ]

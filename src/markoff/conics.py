@@ -143,19 +143,3 @@ def total_via_fibers(params: SurfaceParams, i: int = 2) -> int:
     for xi in range(p):
         total += classify_and_count(fiber_conic(params, i, xi))[1]
     return total - 1
-
-
-def degenerate_slice_values(params: SurfaceParams) -> list[int]:
-    """The B-values whose slice conic degenerates: a_3 and the roots t_+-.
-
-    t_+- = (a1*a2 +- sqrt((a1^2-4)(a2^2-4)))/2, kept only when the square
-    root exists in F_p.  Used to cross-check the closed-form correction.
-    """
-    p = validate_odd_prime(params.p)
-    a1, a2, a3 = params.a
-    values = {a3 % p}
-    r = int(params.field.sqrt_table[(a1 * a1 - 4) * (a2 * a2 - 4) % p])
-    if r >= 0:
-        inv2 = pow(2, -1, p)
-        values |= {(a1 * a2 + r) * inv2 % p, (a1 * a2 - r) * inv2 % p}
-    return sorted(values)

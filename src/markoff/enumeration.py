@@ -109,13 +109,15 @@ class SolutionSet:
             yield rows, self.points[rows].T.astype(np.int64, order="C")
 
     def index_of(self, x: Triple) -> int:
-        return int(self.lookup_array([np.array([v], dtype=np.int64) for v in x])[0])
+        """Row index of the point x, whose coordinates are reduced mod p first."""
+        p = self.params.p
+        return int(self.lookup_array([np.array([v % p], dtype=np.int64) for v in x])[0])
 
     def lookup_array(self, x) -> np.ndarray:
         """Row indices (int32) of points given as coordinate arrays x[0..2].
 
-        Pass ``pts.T`` for an (N, 3) point array.  Raises KeyError if a
-        point is not in the set.
+        Pass ``pts.T`` for an (N, 3) point array.  Coordinates must lie in
+        [0, p).  Raises KeyError naming the first point not in the set.
         """
         p, m = self.params.p, len(self)
         x1, x2, x3 = x[0], x[1], x[2]
@@ -123,7 +125,10 @@ class SolutionSet:
             return np.empty(0, dtype=np.int32)
         if m == 0 or min(v.min() for v in (x1, x2, x3)) < 0 \
                 or max(v.max() for v in (x1, x2, x3)) >= p:
-            raise KeyError("some points are not in the solution set")
+            # the gathers below need every coordinate in [0, p); an empty set holds no point
+            outside = (m == 0) | np.any([(v < 0) | (v >= p) for v in (x1, x2, x3)], axis=0)
+            k = int(np.argmax(outside))
+            raise KeyError(f"{(int(x1[k]), int(x2[k]), int(x3[k]))} is not in the solution set")
         cell = x1 * p + x2
         start = np.take(self.offsets, cell)
         col3 = self.points[:, 2]

@@ -24,8 +24,7 @@ from .enumeration import enumerate_solutions
 from .field import chi
 from .orbits import compute_orbits
 from .surface import (SurfaceParams, Triple, apply_move, moved_coordinate, on_surface,
-                      rescale)
-from .surface import special_form_detect  # re-exported: same convention as classify
+                      rescale, special_form_detect)
 
 NON_NEG = "non-negative"
 NON_POS = "non-positive"

@@ -84,14 +84,6 @@ def apply_move(params: SurfaceParams, x: Triple, i: int) -> Triple:
     return tuple(y)
 
 
-def apply_move_array(params: SurfaceParams, pts: np.ndarray, i: int) -> np.ndarray:
-    """Vectorised m_i on an (M, 3) int64 array of points."""
-    out = pts.copy()
-    cols = (pts[:, 0], pts[:, 1], pts[:, 2])
-    out[:, i] = moved_coordinate(params, cols, i)
-    return out
-
-
 def x3_coefficients(params: SurfaceParams, x1, x2):
     """(b, c) with residual = x3^2 + b*x3 + c (mod p) on the cell (x1, x2).
 
@@ -176,80 +168,3 @@ def rescale(params: SurfaceParams, x: Triple, t: int) -> tuple[SurfaceParams, Tr
     new_s = params.s * inverse(t, p) % p
     new_params = SurfaceParams(params.field, params.a, new_s)
     return new_params, tuple(t * v % p for v in x)
-
-
-def permute(params: SurfaceParams, x: Triple, perm: tuple[int, int, int]) -> tuple[SurfaceParams, Triple]:
-    """Apply one permutation of {0,1,2} to parameters and coordinates consistently."""
-    if sorted(perm) != [0, 1, 2]:
-        raise ValueError("perm must be a permutation of (0, 1, 2)")
-    a = tuple(params.a[j] for j in perm)
-    new_params = SurfaceParams(params.field, a, params.s)
-    return new_params, tuple(x[j] for j in perm)
-
-
-# --- u-coordinates ---------------------------------------------------------
-
-def u_coords(params: SurfaceParams, x: Triple) -> Triple:
-    """Affine change u_i = s*x_i - a_i."""
-    p = params.p
-    return tuple((params.s * x[i] - params.a[i]) % p for i in range(3))
-
-
-def u_move(params: SurfaceParams, u: Triple, i: int) -> Triple:
-    """The move in u-coordinates: u_i -> -u_i + u_{i-1}u_{i+1} - 2a_i - a_{i-1}a_{i+1}."""
-    p = params.p
-    a = params.a
-    im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    v = list(u)
-    v[i] = (-u[i] + u[im1] * u[ip1] - 2 * a[i] - a[im1] * a[ip1]) % p
-    return tuple(v)
-
-
-def u_residual(params: SurfaceParams, u: Triple) -> int:
-    """LHS - RHS of the four-holed-sphere trace equation in u-coordinates."""
-    p = params.p
-    a = params.a
-    lhs = 0
-    for i in range(3):
-        im1, ip1 = (i - 1) % 3, (i + 1) % 3
-        lhs += u[i] * u[i] + (2 * a[i] + a[im1] * a[ip1]) * u[i]
-    a1, a2, a3 = a
-    rhs = u[0] * u[1] * u[2] - 2 * a1 * a2 * a3 - a1 * a1 - a2 * a2 - a3 * a3
-    return (lhs - rhs) % p
-
-
-def u_move_equivariance(params: SurfaceParams, x: Triple, i: int) -> bool:
-    """Check the u-move commutes with the change of variables at x.
-
-    Two identities are verified: the moved u-coordinate equals
-    s*x_i' - a_i, and the u-equation residual equals s^2 times the
-    surface residual (so for s != 0 one vanishes iff the other does).
-    """
-    p = params.p
-    u = u_coords(params, x)
-    u_after = u_move(params, u, i)
-    x_after = apply_move(params, x, i)
-    equivariant = u_after[i] == (params.s * x_after[i] - params.a[i]) % p
-    scale_match = u_residual(params, u) == params.s ** 2 * residual(params, x) % p
-    return equivariant and scale_match
-
-
-# --- fixed points ----------------------------------------------------------
-
-def double_fixed_residual(params: SurfaceParams, x: Triple, i: int) -> int:
-    """x_i^2 (u^2-4)(u^2 + a_{i-1}a_{i+1}u + a_{i-1}^2 + a_{i+1}^2 - 4), u = s*x_i - a_i.
-
-    Vanishes whenever x is on the surface and fixed by both m_{i-1} and m_{i+1}.
-    """
-    p = params.p
-    a = params.a
-    im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    u = (params.s * x[i] - a[i]) % p
-    quad = (u * u + a[im1] * a[ip1] * u + a[im1] ** 2 + a[ip1] ** 2 - 4) % p
-    return x[i] ** 2 * (u * u - 4) % p * quad % p
-
-
-def is_double_fixed(params: SurfaceParams, x: Triple, i: int) -> bool:
-    """True when both m_{i-1} and m_{i+1} fix x."""
-    return (apply_move(params, x, (i - 1) % 3) == x
-            and apply_move(params, x, (i + 1) % 3) == x)

@@ -2,11 +2,15 @@
 
 Everything here is written the dumb way (triple loops, dict BFS, root
 search by scanning) so that agreement with the package is meaningful.
+The checks at the end test lemmas against the package on point arrays.
 """
 
 import itertools
 
+import numpy as np
 import pytest
+
+from markoff.surface import moved_coordinate, residual_array
 
 
 def naive_residual(p, a, x):
@@ -18,9 +22,12 @@ def naive_residual(p, a, x):
             - s * x1 * x2 * x3) % p
 
 
+def all_triples(p):
+    return list(itertools.product(range(p), repeat=3))
+
+
 def naive_solutions(p, a):
-    return [x for x in itertools.product(range(p), repeat=3)
-            if x != (0, 0, 0) and naive_residual(p, a, x) == 0]
+    return [x for x in all_triples(p) if x != (0, 0, 0) and naive_residual(p, a, x) == 0]
 
 
 def naive_move(p, a, x, i):
@@ -97,6 +104,41 @@ def naive_chi(x, p):
     if x == 0:
         return 0
     return 1 if x in squares_mod(p) else -1
+
+
+def double_fixed_residual(p, a, x, i):
+    """Zero at surface points fixed by m_{i-1} and m_{i+1}; u = s*x_i - a_i."""
+    s = (3 + sum(a)) % p
+    im1, ip1 = (i - 1) % 3, (i + 1) % 3
+    u = s * x[i] - a[i]
+    return (x[i] ** 2 * (u * u - 4)
+            * (u * u + a[im1] * a[ip1] * u + a[im1] ** 2 + a[ip1] ** 2 - 4)) % p
+
+
+def moved_points(params, pts, i):
+    out = pts.copy()
+    out[:, i] = moved_coordinate(params, pts.T, i)
+    return out
+
+
+def check_u_coordinates(params, pts):
+    """Check the four-holed-sphere form u_i = s*x_i - a_i on the rows of pts; return u.
+
+    The move m_i must read u_i -> -u_i + u_{i-1}u_{i+1} - 2a_i - a_{i-1}a_{i+1},
+    and the trace residual must be s^2 times the surface residual.
+    """
+    p, s, a = params.p, params.s, params.a
+    pts = np.asarray(pts, dtype=np.int64)
+    u = (s * pts - np.array(a)) % p
+    lhs = 0
+    for i in range(3):
+        im1, ip1 = (i - 1) % 3, (i + 1) % 3
+        u_new = (-u[:, i] + u[:, im1] * u[:, ip1] - 2 * a[i] - a[im1] * a[ip1]) % p
+        assert np.array_equal(u_new, (s * moved_coordinate(params, pts.T, i) - a[i]) % p), i
+        lhs = lhs + u[:, i] ** 2 + (2 * a[i] + a[im1] * a[ip1]) * u[:, i]
+    rhs = u[:, 0] * u[:, 1] % p * u[:, 2] - 2 * a[0] * a[1] * a[2] - sum(v * v for v in a)
+    assert np.array_equal((lhs - rhs) % p, s * s * residual_array(params, pts.T) % p)
+    return u
 
 
 @pytest.fixture

@@ -25,11 +25,11 @@ from markoff.special_cases import (UNDERCOUNTED_SIZE4, markoff_p3,
                                    orbit_table_22m2, orbits_00_minus3,
                                    primes_up_to, REFERENCE_TABLE_22M2)
 from markoff.surface import (ALL_NONDEGENERATE, SPECIAL_FORM, SurfaceParams,
-                             apply_move, apply_move_array,
-                             classify_parameters, double_fixed_residual,
-                             is_double_fixed, residual_array)
+                             apply_move, classify_parameters, moved_coordinate,
+                             residual_array, special_form_detect)
 
-from conftest import dihedral_cycles, zero_plane
+from conftest import (all_triples, check_u_coordinates, dihedral_cycles,
+                      double_fixed_residual, moved_points, zero_plane)
 
 SMALL_PRIMES = (5, 7, 11, 13)
 LARGE_PRIMES = tuple(p for p in primes_up_to(97) if p >= 17)
@@ -50,15 +50,11 @@ def _random_triples(p, n, salt):
             for _ in range(n)]
 
 
-def _all_triples(p):
-    return itertools.product(range(p), repeat=3)
-
-
 def test_criterion_1_count_formula():
     start = time.perf_counter()
     checked = 0
     for p in SMALL_PRIMES:
-        for a in _all_triples(p):
+        for a in all_triples(p):
             params = SurfaceParams.make(p, a)
             if params.s == 0:
                 continue
@@ -79,7 +75,7 @@ def test_criterion_2_divisibility():
     start = time.perf_counter()
     checked = 0
     for p in SMALL_PRIMES:
-        for a in _all_triples(p):
+        for a in all_triples(p):
             params = SurfaceParams.make(p, a)
             if classify_parameters(params).kind not in (ALL_NONDEGENERATE, SPECIAL_FORM):
                 continue
@@ -104,7 +100,7 @@ def test_criterion_3_delta_certificate():
     start = time.perf_counter()
     built = refused = 0
     for p in SMALL_PRIMES:
-        for a in _all_triples(p):
+        for a in all_triples(p):
             params = SurfaceParams.make(p, a)
             kind = classify_parameters(params).kind
             if kind in (ALL_NONDEGENERATE, SPECIAL_FORM):
@@ -233,7 +229,7 @@ PANEL_LARGE = [(17, (2, 9, 9)), (17, (4, 4, 4)), (29, (1, 7, 20)), (31, (2, 2, 2
 
 def _panel_points(p, a, salt):
     if p <= 11:
-        return np.array(list(_all_triples(p)), dtype=np.int64)
+        return np.array(all_triples(p), dtype=np.int64)
     return np.array(_random_triples(p, 4000, salt), dtype=np.int64)
 
 
@@ -243,8 +239,8 @@ def _check_involution_and_preservation():
         pts = _panel_points(p, a, salt)
         res = residual_array(params, pts.T)
         for i in range(3):
-            moved = apply_move_array(params, pts, i)
-            assert np.array_equal(apply_move_array(params, moved, i), pts)
+            moved = moved_points(params, pts, i)
+            assert np.array_equal(moved_points(params, moved, i), pts)
             assert np.array_equal(residual_array(params, moved.T) == 0, res == 0)
 
 
@@ -256,11 +252,11 @@ def _check_vieta():
         s = params.s
         for i in range(3):
             im1, ip1 = (i - 1) % 3, (i + 1) % 3
-            moved = apply_move_array(params, pts, i)[:, i]
+            moved = moved_coordinate(params, pts.T, i)
             sums = (s * (pts[:, im1] * pts[:, ip1] % p)
                     - params.a[im1] * pts[:, ip1] - params.a[ip1] * pts[:, im1]) % p
             assert np.array_equal((pts[:, i] + moved) % p, sums)
-            moved_on = apply_move_array(params, on, i)[:, i]
+            moved_on = moved_coordinate(params, on.T, i)
             prods = (on[:, im1] ** 2 + on[:, ip1] ** 2
                      + params.a[i] * (on[:, im1] * on[:, ip1] % p)) % p
             assert np.array_equal(on[:, i] * moved_on % p, prods)
@@ -270,7 +266,7 @@ def _check_no_bigons():
     for salt, (p, a) in enumerate(PANEL_SMALL + PANEL_LARGE):
         params = SurfaceParams.make(p, a)
         pts = _panel_points(p, a, salt + 200)
-        images = [apply_move_array(params, pts, i) for i in range(3)]
+        images = [moved_points(params, pts, i) for i in range(3)]
         for i in range(3):
             for j in range(i + 1, 3):
                 same = (images[i] == images[j]).all(axis=1)
@@ -280,28 +276,7 @@ def _check_no_bigons():
 
 def _check_u_equivariance():
     for salt, (p, a) in enumerate(PANEL_SMALL + PANEL_LARGE):
-        params = SurfaceParams.make(p, a)
-        pts = _panel_points(p, a, salt + 300)
-        s = params.s
-        a_arr = np.array(params.a, dtype=np.int64)
-        u = (s * pts - a_arr) % p
-        for i in range(3):
-            im1, ip1 = (i - 1) % 3, (i + 1) % 3
-            u_new = (-u[:, i] + u[:, im1] * u[:, ip1]
-                     - 2 * a_arr[i] - a_arr[im1] * a_arr[ip1]) % p
-            x_new = apply_move_array(params, pts, i)[:, i]
-            assert np.array_equal(u_new, (s * x_new - a_arr[i]) % p)
-        # u-equation residual is s^2 times the surface residual
-        lhs = np.zeros(len(pts), dtype=np.int64)
-        for i in range(3):
-            im1, ip1 = (i - 1) % 3, (i + 1) % 3
-            lhs = (lhs + u[:, i] * u[:, i]
-                   + (2 * a_arr[i] + a_arr[im1] * a_arr[ip1]) * u[:, i]) % p
-        a1, a2, a3 = params.a
-        rhs = (u[:, 0] * u[:, 1] % p * u[:, 2]
-               - 2 * a1 * a2 * a3 - a1 * a1 - a2 * a2 - a3 * a3) % p
-        assert np.array_equal((lhs - rhs) % p,
-                              s * s % p * residual_array(params, pts.T) % p)
+        check_u_coordinates(SurfaceParams.make(p, a), _panel_points(p, a, salt + 300))
 
 
 def _check_shifted_squares():
@@ -370,7 +345,7 @@ def _check_perfect_square_and_labels():
     so is each move's image array; the moved points are checked to lie
     on the surface first, as class_label checks them.
     """
-    from markoff.obstruction import _generic_characters, special_form_detect
+    from markoff.obstruction import _generic_characters
 
     def classes(params, points):
         """(in non-negative class, in non-positive class) per row of points."""
@@ -399,7 +374,7 @@ def _check_perfect_square_and_labels():
                 assert perfect_square_check(params, x), (p, a, x)
             non_neg, non_pos = classes(params, pts)
             for i in range(3):
-                moved = apply_move_array(params, pts, i)
+                moved = moved_points(params, pts, i)
                 assert not residual_array(params, moved.T).any(), (p, a, i)
                 moved_non_neg, moved_non_pos = classes(params, moved)
                 for left, right in ((non_neg, moved_non_neg), (non_pos, moved_non_pos)):
@@ -411,7 +386,7 @@ def _check_perfect_square_and_labels():
 
 def _check_double_fixed():
     for p in SMALL_PRIMES:
-        for a in _all_triples(p):
+        for a in all_triples(p):
             params = SurfaceParams.make(p, a)
             sol = enumerate_solutions(params)
             if len(sol) == 0:
@@ -424,8 +399,8 @@ def _check_double_fixed():
                 both = (nbr[im1] == idx) & (nbr[ip1] == idx)
                 for k in np.flatnonzero(both):
                     x = sol.triple(int(k))
-                    assert is_double_fixed(params, x, i)
-                    assert double_fixed_residual(params, x, i) == 0
+                    assert apply_move(params, x, im1) == x and apply_move(params, x, ip1) == x
+                    assert double_fixed_residual(p, params.a, x, i) == 0
 
 
 def test_criterion_8_property_suites():

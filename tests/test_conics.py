@@ -7,8 +7,7 @@ from markoff.conics import (DOUBLE_LINE, ELLIPSE, EMPTY, HYPERBOLA,
                             SINGLE_POINT, ConicParams, cayley_correction,
                             cayley_membership, classify_and_count,
                             closed_form_total, count_conic_bruteforce,
-                            degeneracy_quantity, degenerate_slice_values,
-                            fiber_conic, total_via_fibers)
+                            degeneracy_quantity, fiber_conic, total_via_fibers)
 from markoff.field import chi
 from markoff.surface import SurfaceParams
 
@@ -174,7 +173,10 @@ def test_degenerate_slices_are_a3_and_quadratic_roots():
             params = SurfaceParams.make(p, a)
             if params.s == 0:
                 continue
-            expected = set(degenerate_slice_values(params))
+            # a3 and t+- = (a1*a2 +- sqrt((a1^2-4)(a2^2-4)))/2 when the root is in F_p
+            a1, a2, a3 = params.a
+            r = int(params.field.sqrt_table[(a1 * a1 - 4) * (a2 * a2 - 4) % p])
+            expected = {a3} | {(a1 * a2 + e * r) * pow(2, -1, p) % p for e in (1, -1) if r >= 0}
             inv_s = pow(params.s, -1, p)
             seen = set()
             for x3 in range(p):

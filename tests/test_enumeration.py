@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from markoff.conics import closed_form_total
+from markoff.delta import build_certificate
 from markoff.enumeration import (BLOCK, DEFAULT_MAX_PRIME, INT32_MAX,
                                  ResourceGuardError, _require_int32, _root_table,
                                  cell_slabs, count_solutions_bruteforce,
                                  enumerate_solutions, row_blocks)
 from markoff.field import chi, is_prime
-from markoff.surface import SurfaceParams, apply_move, residual_array
+from markoff.surface import SurfaceParams, apply_move, on_surface, residual_array
 
 from conftest import naive_solutions, zero_plane
 
@@ -49,6 +50,18 @@ def test_solution_set_lookup():
         sol.index_of((0, 0, 0))
     idx = sol.lookup_array(sol.points[::-1].T)
     assert np.array_equal(idx, np.arange(len(sol))[::-1])
+
+
+def test_lookup_reduces_mod_p_and_names_the_missing_point():
+    params = SurfaceParams.make(7, (1, 1, 1))
+    sol = enumerate_solutions(params)
+    assert on_surface(params, (-7, -4, -1)) and (-7, -4, -1) in sol
+    assert sol.index_of((-7, -4, -1)) == sol.index_of((0, 3, 6)) == sol.index_of((7, 10, 13))
+    assert build_certificate(sol).at((-7, -4, -1)) == build_certificate(sol).at((0, 3, 6))
+    with pytest.raises(KeyError, match=r"\(9, 1, 1\)"):
+        sol.lookup_array(np.array([(1, 1, 1), (0, 3, 6), (9, 1, 1), (-1, 1, 1)]).T)
+    with pytest.raises(KeyError, match=r"\(1, 1, 1\)"):
+        sol.restrict(np.zeros(len(sol), dtype=bool)).index_of((1, 1, 1))
 
 
 def test_solution_set_closed_under_moves():

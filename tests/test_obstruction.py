@@ -4,8 +4,8 @@ from markoff.field import chi
 from markoff.obstruction import (AMBIGUOUS, NON_NEG, NON_POS, SIGN_PATTERNS,
                                  breakup_report_dict, class_label,
                                  degenerate_label, perfect_square_check,
-                                 special_form_detect, verify_breakup)
-from markoff.surface import SurfaceParams, apply_move, rescale
+                                 verify_breakup)
+from markoff.surface import SurfaceParams, apply_move, rescale, special_form_detect
 
 from conftest import naive_chi, naive_move, naive_solutions
 

@@ -5,14 +5,12 @@ import pytest
 
 from markoff.surface import (ALL_NONDEGENERATE, HYPOTHESIS_VIOLATED, S_ZERO,
                              SPECIAL_FORM, SurfaceParams, apply_move,
-                             apply_move_array, classify_parameters,
-                             double_fixed_residual, is_double_fixed,
-                             on_surface, permute, rescale, residual,
-                             residual_array, special_form_detect, u_coords,
-                             u_move, u_move_equivariance, u_residual,
+                             classify_parameters, on_surface, rescale,
+                             residual, residual_array, special_form_detect,
                              x3_coefficients)
 
-from conftest import naive_move, naive_residual, naive_solutions
+from conftest import (all_triples, check_u_coordinates, double_fixed_residual,
+                      moved_points, naive_move, naive_residual, naive_solutions)
 
 # a deterministic panel of parameter sets used by the exhaustive-in-x sweeps
 PANEL = [
@@ -24,10 +22,6 @@ PANEL = [
 
 def params_of(p, a):
     return SurfaceParams.make(p, a)
-
-
-def all_triples(p):
-    return list(itertools.product(range(p), repeat=3))
 
 
 def test_s_is_derived():
@@ -67,7 +61,7 @@ def test_moves_are_involutions_exhaustive():
         params = params_of(p, a)
         pts = np.array(all_triples(p), dtype=np.int64)
         for i in range(3):
-            twice = apply_move_array(params, apply_move_array(params, pts, i), i)
+            twice = moved_points(params, moved_points(params, pts, i), i)
             assert np.array_equal(twice, pts)
 
 
@@ -207,50 +201,50 @@ def test_rescale_preserves_solutions(rng):
 def test_permute_consistency():
     params = params_of(7, (2, 3, 4))
     for perm in itertools.permutations(range(3)):
-        new_params, _ = permute(params, (0, 0, 0), perm)
+        new_params = params_of(7, tuple(params.a[j] for j in perm))
         for x in naive_solutions(7, params.a):
-            _, y = permute(params, x, perm)
+            y = tuple(x[j] for j in perm)
             assert residual(new_params, y) == 0
             # moves conjugate: permuting then moving = moving then permuting
             for i in range(3):
-                j = perm.index(i)
-                _, lhs = permute(params, apply_move(params, x, i), perm)
-                assert apply_move(new_params, y, j) == lhs
+                moved = apply_move(params, x, i)
+                assert apply_move(new_params, y, perm.index(i)) == tuple(moved[j] for j in perm)
 
 
 def test_u_coords_frozen_example():
     params = params_of(11, (2, 3, 4))
     s = params.s
-    assert u_coords(params, (1, 1, 1)) == ((s - 2) % 11, (s - 3) % 11, (s - 4) % 11)
+    u = check_u_coordinates(params, [(1, 1, 1)])
+    assert tuple(u[0]) == ((s - 2) % 11, (s - 3) % 11, (s - 4) % 11)
 
 
 def test_u_move_markoff_reduces():
+    # a = 0, s = 3 mod 7: x = (3, 1, 6) has u = (2, 3, 4), and m_0 sends u_0 to -u_0 + u_1 u_2
     params = params_of(7, (0, 0, 0))
-    u = (2, 3, 4)
-    assert u_move(params, u, 0) == ((-2 + 3 * 4) % 7, 3, 4)
+    x = (3, 1, 6)
+    u = check_u_coordinates(params, [x, apply_move(params, x, 0)])
+    assert tuple(u[0]) == (2, 3, 4)
+    assert tuple(u[1]) == ((-2 + 3 * 4) % 7, 3, 4)
 
 
 def test_u_move_equivariance_exhaustive():
     for p, a in PANEL:
-        params = params_of(p, a)
-        for x in all_triples(p):
-            for i in range(3):
-                assert u_move_equivariance(params, x, i)
+        check_u_coordinates(params_of(p, a), all_triples(p))
 
 
 def test_u_residual_scales_by_s_squared():
-    for p, a in PANEL:
+    # s = 0 puts every point at u = -a, where both residuals vanish
+    for p, a in [(7, (0, 0, 4)), (11, (2, 3, 3))]:
         params = params_of(p, a)
-        for x in all_triples(p)[:300]:
-            u = u_coords(params, x)
-            assert u_residual(params, u) == params.s ** 2 * residual(params, x) % p
+        u = check_u_coordinates(params, all_triples(p))
+        assert (u == -np.array(params.a) % p).all()
 
 
 def test_double_fixed_residual_frozen_examples():
     params = params_of(7, (2, 2, -2))
-    assert double_fixed_residual(params, (5, 5, 0), 2) == 0
-    assert is_double_fixed(params, (5, 5, 0), 2)
-    assert double_fixed_residual(params, (0, 0, 0), 1) == 0
+    assert apply_move(params, (5, 5, 0), 1) == apply_move(params, (5, 5, 0), 0) == (5, 5, 0)
+    assert double_fixed_residual(7, params.a, (5, 5, 0), 2) == 0
+    assert double_fixed_residual(7, params.a, (0, 0, 0), 1) == 0
 
 
 def test_double_fixed_residual_vanishes_on_double_fixed_points():
@@ -259,8 +253,9 @@ def test_double_fixed_residual_vanishes_on_double_fixed_points():
             params = params_of(p, a)
             for x in naive_solutions(p, a):
                 for i in range(3):
-                    if is_double_fixed(params, x, i):
-                        assert double_fixed_residual(params, x, i) == 0
+                    if (apply_move(params, x, (i - 1) % 3) == x
+                            and apply_move(params, x, (i + 1) % 3) == x):
+                        assert double_fixed_residual(p, a, x, i) == 0
 
 
 def test_singleton_for_params_2_a_b():

@@ -1,19 +1,22 @@
-"""Fingerprints of the CLI's output on a fixed list of command lines.
+"""Fingerprints of the CLI's and the demos' output.
 
 Usage: PYTHONPATH=src python tools/cli_parity.py
 
-Runs every command line below in this process through markoff.cli.main
-and prints one line per command:
+Runs every command line below in this process through markoff.cli.main,
+then every demos/*.py script in this process as __main__, and prints one
+line for each:
 
     <exit code> <sha256(stdout)[:16]> <sha256(stderr)[:16]> <command line>
+    <exit code> <sha256(stdout)[:16]> <sha256(stderr)[:16]> demos/<name>
 
 Two checkouts whose lines are equal give byte-identical stdout and
-stderr and the same exit codes on this list.  The list holds every
+stderr and the same exit codes on these runs.  The list holds every
 README example, the p = 997 and p = 2017 runs behind the benchmark
 families, the p = 2 and p = 3 edge inputs, the brute-force count at
 p = 997 and 2003, three refusals of the Delta certificate, and the usage
 (exit 2) and resource-guard (exit 3) inputs.  It calls only
-markoff.cli.main, so it runs unchanged on older commits.
+markoff.cli.main and the demo scripts of the checkout it sits in, so it
+runs unchanged on older commits.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import pathlib
+import runpy
 import shlex
 
 from markoff.cli import main
@@ -107,13 +112,27 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def run(command: str) -> str:
+def _fingerprint(label: str, call) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(shlex.split(command))
-    return f"{code} {_digest(out.getvalue())} {_digest(err.getvalue())} {command}"
+        code = call()
+    return f"{code} {_digest(out.getvalue())} {_digest(err.getvalue())} {label}"
+
+
+def run(command: str) -> str:
+    return _fingerprint(command, lambda: main(shlex.split(command)))
+
+
+def run_demo(path: pathlib.Path) -> str:
+    def call() -> int:
+        runpy.run_path(str(path), run_name="__main__")
+        return 0  # a demo that raises stops this tool with its traceback
+
+    return _fingerprint(f"demos/{path.name}", call)
 
 
 if __name__ == "__main__":
     for command in COMMANDS:
         print(run(command), flush=True)
+    for path in sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py")):
+        print(run_demo(path), flush=True)
