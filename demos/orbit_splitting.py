@@ -8,17 +8,18 @@
 
 from collections import Counter
 
-from markoff import (SurfaceParams, class_label, degenerate_label,
-                     enumerate_solutions, perfect_square_check,
-                     special_form_detect, verify_breakup)
+from markoff import (SurfaceParams, enumerate_solutions, labels,
+                     perfect_square_check, special_form_detect, verify_breakup)
 
 params = SurfaceParams.make(7, (2, 3, 3))
 print("a=(2,3,3) mod 7 ->", special_form_detect(params),
       "(index, sigma, alpha)")
 
-labels = Counter(class_label(params, x).kind
-                 for x in enumerate_solutions(params).iter_triples())
-print("character classes:", dict(labels))
+# one class index per solution, in lexicographic order of the solutions
+sol = enumerate_solutions(params)
+names, index = labels(sol)
+classes = Counter(names[k] for k in index.tolist())
+print("character classes:", dict(classes))
 
 report = verify_breakup(params)
 print(f"orbit sizes {report.orbit_sizes}, conjectured"
@@ -26,22 +27,20 @@ print(f"orbit sizes {report.orbit_sizes}, conjectured"
 print()
 
 # The identity behind move-invariance, checked on every solution.
-assert all(perfect_square_check(params, x)
-           for x in enumerate_solutions(params).iter_triples())
-print("perfect-square identity holds on all", sum(labels.values()), "points")
+assert all(perfect_square_check(params, x) for x in sol.iter_triples())
+print("perfect-square identity holds on all", len(sol), "points")
 print()
 
 # The four degenerate parameter values split into four classes given by
 # sign patterns with product +1.
 for p in (5, 13):
     params = SurfaceParams.make(p, (2, 2, 2))
-    eps = Counter(degenerate_label(params, x)
-                  for x in enumerate_solutions(params).iter_triples())
+    names, index = labels(enumerate_solutions(params))
     report = verify_breakup(params)
     print(f"a=(2,2,2) mod {p}:")
-    for pattern, count in sorted(eps.items()):
-        signs = "".join("+" if e > 0 else "-" for e in pattern)
-        print(f"  sign pattern {signs}: {count} points")
+    # the names run (+++, +--, -+-, --+); print them in the reverse order
+    for k, count in sorted(Counter(index.tolist()).items(), reverse=True):
+        print(f"  sign pattern {names[k]}: {count} points")
     print(f"  orbit sizes {report.orbit_sizes}"
           f" (>= {report.min_orbits} orbits is a theorem;"
           f" the exact partition matched: {report.conjecture_matched})")

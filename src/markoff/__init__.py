@@ -15,8 +15,7 @@ from .delta import (DeltaAssignment, NoConsistentExtension, build_certificate,
 from .enumeration import (SolutionSet, count_solutions_bruteforce,
                           enumerate_solutions)
 from .field import PrimeField, chi, is_prime, mult_order, prime_field
-from .obstruction import (class_label, degenerate_label, perfect_square_check,
-                          verify_breakup)
+from .obstruction import labels, perfect_square_check, verify_breakup
 from .orbits import (OrbitPartition, compute_orbits, size_table,
                      verify_divisibility)
 from .special_cases import (lambda_order, markoff_p3, orbit_table_22m2,
@@ -29,13 +28,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ConicParams", "DeltaAssignment", "NoConsistentExtension", "OrbitPartition",
     "PrimeField", "SolutionSet", "SurfaceParams", "apply_move",
-    "build_certificate", "cayley_membership", "chi", "class_label",
-    "classify_and_count", "classify_parameters", "closed_form_total",
-    "compute_orbits", "count_solutions_bruteforce", "degenerate_label",
-    "delta_values", "enumerate_solutions", "fiber_conic", "is_prime",
-    "lambda_order", "markoff_p3", "mult_order", "on_surface",
-    "orbit_table_22m2", "orbits_00_minus3", "perfect_square_check",
-    "prime_field", "rescale", "residual", "size_table", "special_form_detect",
-    "tiny_orbits_22m2", "total_via_fibers", "verify_breakup",
-    "verify_certificate", "verify_divisibility",
+    "build_certificate", "cayley_membership", "chi", "classify_and_count",
+    "classify_parameters", "closed_form_total", "compute_orbits",
+    "count_solutions_bruteforce", "delta_values", "enumerate_solutions",
+    "fiber_conic", "is_prime", "labels", "lambda_order", "markoff_p3",
+    "mult_order", "on_surface", "orbit_table_22m2", "orbits_00_minus3",
+    "perfect_square_check", "prime_field", "rescale", "residual", "size_table",
+    "special_form_detect", "tiny_orbits_22m2", "total_via_fibers",
+    "verify_breakup", "verify_certificate", "verify_divisibility",
 ]

@@ -5,13 +5,12 @@ x_i * x_i' of a coordinate with its move image is a perfect square, so
 the character of x_i cannot flip sign under m_i.  Together with a second
 square identity this yields move-closed character classes, hence at
 least two orbits, and at least four in the doubly degenerate case
-alpha = +-2.  All identities live on the surface rescaled to s = 1.
+alpha = +-2.  All identities live on the surface rescaled to s = 1, and
+each is written once, on ints or coordinate columns x[0..2] alike.
 
-Each label is written once, as a function of the coordinate columns
-x[0..2] of a batch of solutions: _generic_characters and
-_sign_patterns.  class_label and degenerate_label evaluate it on one
-point; verify_breakup tallies it over the whole solution set, one block
-of SolutionSet.blocks at a time.
+labels gives every row of a SolutionSet its class index, from the two
+characters of _generic_characters or the sign pattern of _sign_patterns,
+one block of SolutionSet.blocks at a time; verify_breakup tallies them.
 """
 
 from __future__ import annotations
@@ -20,17 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import enumerate_solutions
+from .enumeration import SolutionSet, enumerate_solutions, row_blocks
 from .field import chi
 from .orbits import compute_orbits
-from .surface import (SurfaceParams, Triple, apply_move, moved_coordinate, on_surface,
-                      rescale, special_form_detect)
+from .surface import SurfaceParams, Triple, moved_coordinate, rescale, special_form_detect
 
 NON_NEG = "non-negative"
 NON_POS = "non-positive"
 AMBIGUOUS = "ambiguous"
-# kind of a generic label by the sign of chi_coord + chi_companion, in report order
-_KIND_BY_SIGN = {1: NON_NEG, -1: NON_POS, 0: AMBIGUOUS}
 
 # the four admissible sign patterns (product +1) in the degenerate case
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
@@ -49,51 +45,31 @@ def _require_special_form(params: SurfaceParams) -> tuple[int, int, int]:
     return sf
 
 
-@dataclass(frozen=True)
-class ClassLabel:
-    """Move-invariant label from the pair of obstruction characters."""
+def labels(sol: SolutionSet) -> tuple[tuple[str, ...], np.ndarray]:
+    """(names, index): the class names in report order and each row's int8 class index.
 
-    kind: str             # NON_NEG, NON_POS or AMBIGUOUS
-    chi_coord: int        # chi(y_i)
-    chi_companion: int    # chi(y_i + y_i' + 2 y_{i+1} + 2 sigma y_{i-1})
-
-    @property
-    def in_non_negative(self) -> bool:
-        return self.chi_coord >= 0 and self.chi_companion >= 0
-
-    @property
-    def in_non_positive(self) -> bool:
-        return self.chi_coord <= 0 and self.chi_companion <= 0
-
-
-def class_label(params: SurfaceParams, x: Triple) -> ClassLabel:
-    """Label a solution by the signs of the two obstruction characters.
-
-    One row of _generic_characters; the kind is the sign of their sum.
+    For a generic form the names are (NON_NEG, NON_POS, AMBIGUOUS): the
+    sign of chi(y_i) + chi(companion), which is +1, -1 or 0.  For
+    alpha = +-2 they are the four SIGN_PATTERNS as "+-" strings.  Every
+    move maps a row to a row with the same index.  A row where an
+    identity behind the labels fails raises CertificateViolation.
     """
-    i, sigma, _alpha = _require_special_form(params)
-    if not on_surface(params, x):
-        raise ValueError(f"{x} is not on the surface")
-    c1, c2 = (int(c[0]) for c in _generic_characters(params, _one_point(params, x), i, sigma))
-    return ClassLabel(_KIND_BY_SIGN[int(np.sign(c1 + c2))], c1, c2)
-
-
-def degenerate_label(params: SurfaceParams, x: Triple) -> tuple[int, int, int]:
-    """Sign pattern (e1, e2, e3) with product +1 in the alpha = +-2 case.
-
-    One row of _sign_patterns.
-    """
-    _i, _sigma, alpha = _require_special_form(params)
-    if (alpha * alpha - 4) % params.p != 0:
-        raise ValueError("degenerate label needs alpha = +-2")
-    if not on_surface(params, x):
-        raise ValueError(f"{x} is not on the surface")
-    return tuple(int(e[0]) for e in _sign_patterns(params, _one_point(params, x)))
-
-
-def _one_point(params: SurfaceParams, x: Triple) -> np.ndarray:
-    """The (3, 1) int64 coordinate columns of one point."""
-    return np.array([[int(v) % params.p] for v in x], dtype=np.int64)
+    params = sol.params
+    i, sigma, alpha = _require_special_form(params)
+    index = np.empty(len(sol), dtype=np.int8)
+    if (alpha * alpha - 4) % params.p == 0:
+        names = tuple("".join("+" if e > 0 else "-" for e in pattern)
+                      for pattern in SIGN_PATTERNS)
+        for rows, x in sol.blocks():
+            eps = _sign_patterns(params, x)
+            # e3 = e1*e2, and SIGN_PATTERNS lists (e1, e2) in binary order of e < 0
+            index[rows] = 2 * (eps[0] < 0) + (eps[1] < 0)
+    else:
+        names = (NON_NEG, NON_POS, AMBIGUOUS)
+        for rows, x in sol.blocks():
+            c1, c2 = _generic_characters(params, x, i, sigma)
+            index[rows] = (np.sign(c1 + c2) + 2) % 3  # sign +1, -1, 0 -> 0, 1, 2
+    return names, index
 
 
 def _first_point(x, bad: np.ndarray) -> Triple:
@@ -114,8 +90,7 @@ def _generic_characters(params: SurfaceParams, x, i: int,
     p = params.p
     chi_table = params.field.chi_table
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    y = [params.s * col % p for col in x]
-    unit_params = SurfaceParams(params.field, params.a, 1 % p)
+    unit_params, y = rescale(params, x, params.s)
     y_moved = moved_coordinate(unit_params, y, i)
     companion = (y[i] + y_moved + 2 * y[ip1] + 2 * sigma * y[im1]) % p
     c1 = chi_table[y[i]]
@@ -137,7 +112,7 @@ def _sign_patterns(params: SurfaceParams, x) -> np.ndarray:
     that the product is +1.  Each solution satisfies exactly one of the
     four patterns and every move preserves it.
     """
-    chars = np.stack([params.field.chi_table[params.s * col % params.p] for col in x])
+    chars = params.field.chi_table[np.stack(rescale(params, x, params.s)[1])]
     zero = chars == 0
     zero_counts = zero.sum(axis=0)
     if bool((zero_counts > 1).any()):
@@ -150,7 +125,7 @@ def _sign_patterns(params: SurfaceParams, x) -> np.ndarray:
     return np.where(zero, prod, chars)  # the unique completion with product +1
 
 
-def perfect_square_check(params: SurfaceParams, x: Triple) -> bool:
+def perfect_square_check(params: SurfaceParams, x):
     """Verify the square identities behind move-invariance of the labels.
 
     On the s = 1 surface with a_i = 2*sigma, a_{i+1} = alpha,
@@ -159,7 +134,8 @@ def perfect_square_check(params: SurfaceParams, x: Triple) -> bool:
     with its m_{i+1} image is the square of
     y_{i-1}^2 + y_{i-1}y_i - sigma(alpha-2)y_i.  The mirrored identity
     for m_{i-1} is the same statement after swapping i+1 with i-1 and
-    replacing alpha by alpha*sigma.
+    replacing alpha by alpha*sigma.  x is one point of ints, giving a
+    bool, or int64 coordinate columns x[0..2], giving a bool per point.
     """
     i, sigma, alpha = _require_special_form(params)
     p = params.p
@@ -167,14 +143,14 @@ def perfect_square_check(params: SurfaceParams, x: Triple) -> bool:
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
     ok_direct = _square_identity(unit_params, y, i, im1, ip1, sigma, alpha)
     ok_mirror = _square_identity(unit_params, y, i, ip1, im1, sigma, alpha * sigma % p)
-    return ok_direct and ok_mirror
+    return ok_direct & ok_mirror
 
 
-def _square_identity(unit_params, y, i, side, moved, sigma, alpha) -> bool:
+def _square_identity(unit_params, y, i, side, moved, sigma, alpha):
     """L(y_side, y_moved) * L(y_side, y_moved') == (y_side^2 + y_side*y_i - sigma*c*y_i)^2."""
     p = unit_params.p
     c = (alpha - 2) % p
-    y_new = apply_move(unit_params, y, moved)[moved]
+    y_new = moved_coordinate(unit_params, y, moved)
     lhs1 = (y[side] * y[moved] - sigma * c * y[moved] - c * y[side]) % p
     lhs2 = (y[side] * y_new - sigma * c * y_new - c * y[side]) % p
     rhs = (y[side] * y[side] + y[side] * y[i] - sigma * c * y[i]) % p
@@ -210,24 +186,16 @@ def verify_breakup(params: SurfaceParams) -> BreakupReport:
     degenerate = (alpha * alpha - 4) % p == 0
     sol = enumerate_solutions(params)
     sizes = sorted(compute_orbits(sol).orbit_sizes())
-
+    names, index = labels(sol)
+    tally = np.zeros(len(names), dtype=np.int64)
+    for rows in row_blocks(len(sol)):  # bincount casts to intp, so count block by block
+        tally += np.bincount(index[rows], minlength=len(names))
+    class_sizes = dict(zip(names, tally.tolist()))
     if degenerate:
-        tally = np.zeros(4, dtype=np.int64)
-        for _, x in sol.blocks():
-            eps = _sign_patterns(params, x)
-            # e3 = e1*e2, and SIGN_PATTERNS lists (e1, e2) in binary order of e < 0
-            tally += np.bincount(2 * (eps[0] < 0) + (eps[1] < 0), minlength=4)
-        class_sizes = {"".join("+" if e > 0 else "-" for e in pattern): int(n)
-                       for pattern, n in zip(SIGN_PATTERNS, tally)}
         chm1 = chi(-1, p)
         conj = sorted([p * (p + 3 * chm1) // 4] + [p * (p - chm1) // 4] * 3)
         min_orbits = 4
     else:
-        tally = np.zeros(3, dtype=np.int64)  # points per sign -1, 0, +1
-        for _, x in sol.blocks():
-            c1, c2 = _generic_characters(params, x, i, sigma)
-            tally += np.bincount(np.sign(c1 + c2) + 1, minlength=3)
-        class_sizes = {kind: int(tally[sign + 1]) for sign, kind in _KIND_BY_SIGN.items()}
         ch = chi(alpha * alpha - 4, p)
         conj = sorted([p * (p - ch) // 2, p * (p + 3 * ch) // 2])
         min_orbits = 2

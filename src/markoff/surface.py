@@ -159,8 +159,11 @@ def classify_parameters(params: SurfaceParams) -> ParamClass:
     return ParamClass(HYPOTHESIS_VIOLATED)
 
 
-def rescale(params: SurfaceParams, x: Triple, t: int) -> tuple[SurfaceParams, Triple]:
-    """Map x to t*x; a solution for parameter s becomes one for s/t (a unchanged)."""
+def rescale(params: SurfaceParams, x, t: int) -> tuple[SurfaceParams, tuple]:
+    """Map x to t*x; a solution for parameter s becomes one for s/t (a unchanged).
+
+    x is one point of ints or the coordinate columns x[0..2] of many.
+    """
     p = params.p
     t %= p
     if t == 0:

@@ -19,14 +19,14 @@ from markoff.delta import (NoConsistentExtension, build_certificate,
                            delta_at, verify_certificate)
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.field import inverse, mult_order, prime_field
-from markoff.obstruction import perfect_square_check, verify_breakup
+from markoff.obstruction import labels, perfect_square_check, verify_breakup
 from markoff.orbits import compute_orbits, size_table
 from markoff.special_cases import (UNDERCOUNTED_SIZE4, markoff_p3,
                                    orbit_table_22m2, orbits_00_minus3,
                                    primes_up_to, REFERENCE_TABLE_22M2)
 from markoff.surface import (ALL_NONDEGENERATE, SPECIAL_FORM, SurfaceParams,
                              apply_move, classify_parameters, moved_coordinate,
-                             residual_array, special_form_detect)
+                             residual_array)
 
 from conftest import (all_triples, check_u_coordinates, dihedral_cycles,
                       double_fixed_residual, moved_points, zero_plane)
@@ -341,18 +341,11 @@ def _check_cycles():
 def _check_perfect_square_and_labels():
     """Square identities at every point; label classes closed under every move.
 
-    Each parameter set is labelled once through _generic_characters, and
-    so is each move's image array; the moved points are checked to lie
-    on the surface first, as class_label checks them.
+    Each parameter set is labelled once through labels.  Every move
+    image, recomputed with moved_points, must lie on the surface and be
+    a row of the solution set (lookup_array raises KeyError otherwise)
+    that carries the same label.
     """
-    from markoff.obstruction import _generic_characters
-
-    def classes(params, points):
-        """(in non-negative class, in non-positive class) per row of points."""
-        i, sigma, _alpha = special_form_detect(params)
-        c1, c2 = _generic_characters(params, points.T, i, sigma)
-        return (c1 >= 0) & (c2 >= 0), (c1 <= 0) & (c2 <= 0)
-
     count = 0
     for p in primes_up_to(31):
         if p < 5:
@@ -369,17 +362,17 @@ def _check_perfect_square_and_labels():
                 forms.add(a)
         for a in forms:
             params = SurfaceParams.make(p, a)
-            pts = enumerate_solutions(params).points.astype(np.int64)
-            for x in map(tuple, pts.tolist()):
-                assert perfect_square_check(params, x), (p, a, x)
-            non_neg, non_pos = classes(params, pts)
+            sol = enumerate_solutions(params)
+            pts = sol.points.astype(np.int64)
+            ok = perfect_square_check(params, pts.T)
+            assert ok.all(), (p, a, tuple(pts[np.argmin(ok)]))
+            _names, index = labels(sol)
             for i in range(3):
                 moved = moved_points(params, pts, i)
                 assert not residual_array(params, moved.T).any(), (p, a, i)
-                moved_non_neg, moved_non_pos = classes(params, moved)
-                for left, right in ((non_neg, moved_non_neg), (non_pos, moved_non_pos)):
-                    broken = left & ~right
-                    assert not broken.any(), (p, a, tuple(pts[np.argmax(broken)]), i)
+                image = sol.lookup_array(moved.T)
+                broken = index[image] != index
+                assert not broken.any(), (p, a, tuple(pts[np.argmax(broken)]), i)
             count += len(pts)
     assert count > 50 * 31
 

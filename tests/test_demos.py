@@ -25,4 +25,5 @@ def test_public_names_resolve():
     # a stale name in __all__ would break only at `from markoff import *`
     assert len(set(markoff.__all__)) == len(markoff.__all__)
     assert [name for name in markoff.__all__ if not hasattr(markoff, name)] == []
-    assert not {"u_coords", "u_move", "u_move_equivariance"} & set(markoff.__all__)
+    assert not {"u_coords", "u_move", "u_move_equivariance",
+                "class_label", "degenerate_label"} & set(markoff.__all__)

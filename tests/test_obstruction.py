@@ -1,13 +1,18 @@
+import math
+import re
+
+import numpy as np
 import pytest
 
+from markoff.enumeration import SolutionSet, enumerate_solutions
 from markoff.field import chi
 from markoff.obstruction import (AMBIGUOUS, NON_NEG, NON_POS, SIGN_PATTERNS,
-                                 breakup_report_dict, class_label,
-                                 degenerate_label, perfect_square_check,
-                                 verify_breakup)
-from markoff.surface import SurfaceParams, apply_move, rescale, special_form_detect
+                                 CertificateViolation, breakup_report_dict,
+                                 labels, perfect_square_check, verify_breakup)
+from markoff.orbits import compute_orbits
+from markoff.surface import SurfaceParams, rescale, special_form_detect
 
-from conftest import naive_chi, naive_move, naive_solutions
+from conftest import all_triples, naive_chi, naive_move, naive_solutions
 
 SPECIAL_PANEL = [
     (5, (2, 3, 3)), (7, (2, 3, 3)), (7, (5, 3, 4)), (11, (2, 7, 7)),
@@ -37,45 +42,52 @@ def test_special_form_detect_frozen_examples():
     assert special_form_detect(params_of(7, (0, 0, 0))) is None
 
 
-def test_class_label_requires_surface_point():
-    params = params_of(7, (2, 3, 3))
-    with pytest.raises(ValueError):
-        class_label(params, (1, 2, 3))
-
-
 def test_class_label_requires_special_form():
     with pytest.raises(ValueError):
-        class_label(params_of(7, (1, 1, 1)), (1, 1, 1))
+        labels(enumerate_solutions(params_of(7, (1, 1, 1))))
+
+
+def signs(pattern):
+    return "".join("+" if e > 0 else "-" for e in pattern)
+
+
+def assert_labels_match_naive(p, a):
+    """labels(sol) names every point as naive_tally does; returns (sol, names, index)."""
+    params = params_of(p, a)
+    sol = enumerate_solutions(params)
+    names, index = labels(sol)
+    naive, _ = naive_tally(p, params.a, special_form_detect(params))
+    assert len(sol) == len(naive)
+    for k, x in enumerate(sol.iter_triples()):
+        assert names[index[k]] == naive[x], (p, a, x)
+    return sol, names, index
 
 
 def test_characters_never_strictly_opposite():
+    # labels raises CertificateViolation on a strictly opposite pair, and
+    # naive_tally asserts its own characters are never opposite
     for p, a in SPECIAL_PANEL:
-        params = params_of(p, a)
-        for x in naive_solutions(p, params.a):
-            label = class_label(params, x)
-            assert label.chi_coord * label.chi_companion != -1
-            assert label.kind in (NON_NEG, NON_POS, AMBIGUOUS)
-            assert label.in_non_negative or label.in_non_positive
+        assert_labels_match_naive(p, a)
+
+
+def assert_index_move_invariant(p, a):
+    """Every move edge of compute_orbits joins two rows with the same label."""
+    sol = enumerate_solutions(params_of(p, a))
+    _names, index = labels(sol)
+    part = compute_orbits(sol)
+    for i in range(3):
+        assert np.array_equal(index[part.neighbors[i]], index), (p, a, i)
 
 
 def test_predicates_are_move_invariant():
     for p, a in SPECIAL_PANEL:
-        params = params_of(p, a)
-        for x in naive_solutions(p, params.a):
-            label = class_label(params, x)
-            for i in range(3):
-                moved = class_label(params, apply_move(params, x, i))
-                if label.in_non_negative:
-                    assert moved.in_non_negative
-                if label.in_non_positive:
-                    assert moved.in_non_positive
+        assert_index_move_invariant(p, a)
 
 
 def test_nonempty_split_into_closed_classes():
-    params = params_of(5, (2, 2, 2))
-    sols = naive_solutions(5, (2, 2, 2))
-    labels = {x: degenerate_label(params, x) for x in sols}
-    assert set(labels.values()) == set(SIGN_PATTERNS)
+    names, index = labels(enumerate_solutions(params_of(5, (2, 2, 2))))
+    assert names == tuple(signs(e) for e in SIGN_PATTERNS)
+    assert set(index.tolist()) == {0, 1, 2, 3}
 
 
 def satisfied_patterns(params, x):
@@ -90,18 +102,15 @@ class TestDegenerateLabel:
     def test_exactly_one_admissible_pattern(self):
         for p, a in DEGENERATE_PANEL:
             params = params_of(p, a)
-            for x in naive_solutions(p, params.a):
+            sol, names, index = assert_labels_match_naive(p, a)
+            for k, x in enumerate(sol.iter_triples()):
                 pats = satisfied_patterns(params, x)
                 assert len(pats) == 1
-                assert degenerate_label(params, x) == pats[0]
+                assert names[index[k]] == signs(pats[0])
 
     def test_pattern_is_move_invariant(self):
         for p, a in DEGENERATE_PANEL:
-            params = params_of(p, a)
-            for x in naive_solutions(p, params.a):
-                e = degenerate_label(params, x)
-                for i in range(3):
-                    assert degenerate_label(params, apply_move(params, x, i)) == e
+            assert_index_move_invariant(p, a)
 
     def test_character_product_rule(self):
         # chi(y1)chi(y2)chi(y3) is never -chi(s') = -1 on the rescaled surface
@@ -114,19 +123,47 @@ class TestDegenerateLabel:
                 assert prod != -1
 
     def test_requires_degenerate_alpha(self):
-        with pytest.raises(ValueError):
-            degenerate_label(params_of(7, (2, 3, 3)), (1, 1, 1))
+        # sign patterns label only alpha = +-2; other forms get the character classes
+        names, _index = labels(enumerate_solutions(params_of(7, (2, 3, 3))))
+        assert names == (NON_NEG, NON_POS, AMBIGUOUS)
 
 
 def test_perfect_square_identity_exhaustive():
+    # on ints one point at a time, and on int64 coordinate columns
     for p, a in SPECIAL_PANEL + DEGENERATE_PANEL:
         params = params_of(p, a)
-        for x in naive_solutions(p, params.a):
+        sols = naive_solutions(p, params.a)
+        ok = perfect_square_check(params, np.array(sols, dtype=np.int64).T)
+        assert ok.all(), (p, a)
+        for x in sols:
             assert perfect_square_check(params, x), (p, a, x)
 
 
 def test_perfect_square_trivial_at_origin():
     assert perfect_square_check(params_of(7, (2, 3, 3)), (0, 0, 0))
+
+
+# (a, message, a test on naive_characters that selects the corrupting triple)
+VIOLATIONS = [
+    ((2, 5, 5), "strictly opposite obstruction characters", lambda c: math.prod(c) == -1),
+    ((2, 2, 2), "character product -1", lambda c: math.prod(c) == -1),
+    ((-2, 2, -2), "two vanishing coordinates off the origin", lambda c: c.count(0) >= 2),
+]
+
+
+@pytest.mark.parametrize("a, message, breaks", VIOLATIONS,
+                         ids=["opposite", "product", "two-zeros"])
+def test_corrupted_row_raises_naming_the_point(a, message, breaks):
+    """Each CertificateViolation of labels fires on one corrupted row and names it."""
+    p = 13
+    params = params_of(p, a)
+    form = special_form_detect(params)
+    x = next(x for x in all_triples(p) if breaks(naive_characters(p, params.a, form, x)))
+    sol = enumerate_solutions(params)
+    points = sol.points.copy(order="F")
+    points[30] = x
+    with pytest.raises(CertificateViolation, match=re.escape(f"{message} at {x}")):
+        labels(SolutionSet(params, points, sol.offsets))
 
 
 class TestBreakup:
@@ -178,40 +215,45 @@ class TestBreakup:
                           "conjecture_partition_matched"}
 
 
-def naive_tally(p, a, form):
-    """Obstruction labels from naive_chi and naive_move, tallied in report order.
+def naive_characters(p, a, form, x):
+    """Obstruction characters of x from naive_chi and naive_move, on y = s*x.
 
-    On the surface rescaled to s = 1 by y = s*x, the move image of y_i is
-    s times that of x_i, so naive_move on the original surface suffices.
+    (chi(y_i), chi(y_i + y_i' + 2 y_{i+1} + 2 sigma y_{i-1})) for a
+    generic form, (chi(y_1), chi(y_2), chi(y_3)) for alpha = +-2.  On
+    the surface rescaled to s = 1 the move image of y_i is s times that
+    of x_i, so naive_move on the original surface suffices.
     """
     i, sigma, alpha = form
     s = (3 + sum(a)) % p
-    labels = {}
+    y = [s * v % p for v in x]
+    if (alpha * alpha - 4) % p == 0:
+        return [naive_chi(v, p) for v in y]
+    y_moved = s * naive_move(p, a, x, i)[i] % p
+    return [naive_chi(y[i], p),
+            naive_chi(y[i] + y_moved + 2 * y[(i + 1) % 3] + 2 * sigma * y[(i - 1) % 3], p)]
+
+
+def naive_tally(p, a, form):
+    """Obstruction labels from naive_characters, tallied in report order."""
+    generic = (form[2] ** 2 - 4) % p != 0
+    naive = {}
     for x in naive_solutions(p, a):
-        y = [s * v % p for v in x]
-        if (alpha * alpha - 4) % p:
-            y_moved = s * naive_move(p, a, x, i)[i] % p
-            c1 = naive_chi(y[i], p)
-            c2 = naive_chi(y[i] + y_moved + 2 * y[(i + 1) % 3] + 2 * sigma * y[(i - 1) % 3], p)
+        chars = naive_characters(p, a, form, x)
+        if generic:
+            c1, c2 = chars
             assert c1 * c2 != -1, (p, a, x)
             if c1 == 0 and c2 == 0:
-                labels[x] = AMBIGUOUS
+                naive[x] = AMBIGUOUS
             else:
-                labels[x] = NON_NEG if c1 >= 0 and c2 >= 0 else NON_POS
+                naive[x] = NON_NEG if c1 >= 0 and c2 >= 0 else NON_POS
         else:
-            chars = [naive_chi(v, p) for v in y]
             assert chars.count(0) <= 1, (p, a, x)
-            completion = 1
-            for c in chars:
-                completion *= c or 1
+            completion = math.prod(c or 1 for c in chars)
             if 0 not in chars:
                 assert completion == 1, (p, a, x)
-            labels[x] = "".join("+" if (c or completion) > 0 else "-" for c in chars)
-    if (alpha * alpha - 4) % p:
-        keys = [NON_NEG, NON_POS, AMBIGUOUS]
-    else:
-        keys = ["".join("+" if e > 0 else "-" for e in pattern) for pattern in SIGN_PATTERNS]
-    return labels, {k: sum(1 for v in labels.values() if v == k) for k in keys}
+            naive[x] = "".join("+" if (c or completion) > 0 else "-" for c in chars)
+    keys = [NON_NEG, NON_POS, AMBIGUOUS] if generic else [signs(e) for e in SIGN_PATTERNS]
+    return naive, {k: sum(1 for v in naive.values() if v == k) for k in keys}
 
 
 @pytest.mark.parametrize("p, a, form", TALLY_PANEL)
@@ -219,12 +261,7 @@ def test_class_sizes_equal_naive_tally(p, a, form):
     params = params_of(p, a)
     a = params.a
     assert special_form_detect(params) == form
-    labels, tally = naive_tally(p, a, form)
+    _naive, tally = naive_tally(p, a, form)
     report = verify_breakup(params)
     assert list(report.class_sizes.items()) == list(tally.items())
-    for x, expected in labels.items():
-        if report.degenerate:
-            got = "".join("+" if e > 0 else "-" for e in degenerate_label(params, x))
-        else:
-            got = class_label(params, x).kind
-        assert got == expected, (p, a, x)
+    assert_labels_match_naive(p, a)

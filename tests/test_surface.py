@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from markoff.enumeration import enumerate_solutions
 from markoff.surface import (ALL_NONDEGENERATE, HYPOTHESIS_VIOLATED, S_ZERO,
                              SPECIAL_FORM, SurfaceParams, apply_move,
                              classify_parameters, on_surface, rescale,
@@ -10,7 +11,7 @@ from markoff.surface import (ALL_NONDEGENERATE, HYPOTHESIS_VIOLATED, S_ZERO,
                              x3_coefficients)
 
 from conftest import (all_triples, check_u_coordinates, double_fixed_residual,
-                      moved_points, naive_move, naive_residual, naive_solutions)
+                      naive_move, naive_residual, naive_solutions)
 
 # a deterministic panel of parameter sets used by the exhaustive-in-x sweeps
 PANEL = [
@@ -56,15 +57,6 @@ def test_apply_move_frozen_examples():
     assert apply_move(params, (0, 6, 1), 0) == (5, 6, 1)
 
 
-def test_moves_are_involutions_exhaustive():
-    for p, a in PANEL:
-        params = params_of(p, a)
-        pts = np.array(all_triples(p), dtype=np.int64)
-        for i in range(3):
-            twice = moved_points(params, moved_points(params, pts, i), i)
-            assert np.array_equal(twice, pts)
-
-
 def test_moves_match_naive():
     for p, a in PANEL[:4]:
         params = params_of(p, a)
@@ -79,44 +71,6 @@ def test_move_preserves_surface():
         for x in naive_solutions(p, params.a):
             for i in range(3):
                 assert residual(params, apply_move(params, x, i)) == 0
-
-
-def test_vieta_sum_identity_everywhere():
-    # x_i + x_i' equals the linear expression for every triple, on-surface or not
-    for p, a in PANEL[:5]:
-        params = params_of(p, a)
-        s = params.s
-        for x in all_triples(p):
-            for i in range(3):
-                im1, ip1 = (i - 1) % 3, (i + 1) % 3
-                xi2 = apply_move(params, x, i)[i]
-                want = (s * x[im1] * x[ip1] - params.a[im1] * x[ip1]
-                        - params.a[ip1] * x[im1]) % p
-                assert (x[i] + xi2) % p == want
-
-
-def test_vieta_product_identity_on_surface():
-    for p, a in PANEL:
-        params = params_of(p, a)
-        for x in naive_solutions(p, params.a):
-            for i in range(3):
-                im1, ip1 = (i - 1) % 3, (i + 1) % 3
-                xi2 = apply_move(params, x, i)[i]
-                want = (x[im1] ** 2 + x[ip1] ** 2 + params.a[i] * x[im1] * x[ip1]) % p
-                assert x[i] * xi2 % p == want
-
-
-def test_no_bigons_two_edges_force_equality():
-    # two distinct-move edges out of one vertex can only coincide at a
-    # point fixed by both moves
-    for p, a in PANEL[:6]:
-        params = params_of(p, a)
-        for x in all_triples(p):
-            images = [apply_move(params, x, i) for i in range(3)]
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if images[i] == images[j]:
-                        assert images[i] == x
 
 
 def test_classify_frozen_examples():
@@ -194,6 +148,10 @@ def test_rescale_preserves_solutions(rng):
             t = rng.randrange(1, p)
             new_params, y = rescale(params, x, t)
             assert residual(new_params, y) == 0
+        # the enumerated point array, passed as int64 coordinate columns
+        t = rng.randrange(1, p)
+        new_params, y = rescale(params, enumerate_solutions(params).points.astype(np.int64).T, t)
+        assert not residual_array(new_params, y).any()
     with pytest.raises(ValueError):
         rescale(params, (1, 1, 1), 0)
 

@@ -11,10 +11,11 @@ line for each:
 
 Two checkouts whose lines are equal give byte-identical stdout and
 stderr and the same exit codes on these runs.  The list holds every
-README example, the p = 997 and p = 2017 runs behind the benchmark
-families, the p = 2 and p = 3 edge inputs, the brute-force count at
-p = 997 and 2003, three refusals of the Delta certificate, and the usage
-(exit 2) and resource-guard (exit 3) inputs.  It calls only
+README example, two breakup runs with sigma = -1, the p = 997 and
+p = 2017 runs behind the benchmark families, the p = 2 and p = 3 edge
+inputs, the brute-force count at p = 997 and 2003, three refusals of the
+Delta certificate, and the usage (exit 2) and resource-guard (exit 3)
+inputs.  It calls only
 markoff.cli.main and the demo scripts of the checkout it sits in, so it
 runs unchanged on older commits.
 """
@@ -39,6 +40,10 @@ COMMANDS = [
     "verify divisibility -p 7 -a 1,1,1",
     "verify delta -p 13 -a 2,5,5",
     "verify breakup -p 7 -a 2,3,3",
+    # breakup with sigma = -1: a generic form at i = 1, and alpha = 2 as
+    # (-2, 2, -2) mod 11, since argparse reads "-a -2,..." as an option
+    "verify breakup -p 11 -a 8,9,3",
+    "verify breakup -p 11 -a 9,2,9",
     "verify numel -p 5 -a 0,0,0",
     "verify conics -p 11 --samples 1000 --seed 0",
     "verify nobigons -p 11 --samples 1000",
