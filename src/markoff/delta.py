@@ -11,11 +11,12 @@ Summing them over an orbit of size V gives s*V = 3*s*V/2, hence
 s*V = 0, hence p | V when s != 0.  Delta_i has a closed form wherever
 x_{i-1} x_{i+1} != 0, written once in _closed_form for ints and arrays
 alike; on a plane x_i = 0 the two values Delta_{i +- 1} have a second
-closed form in x_{i-1} and x_{i+1}, which build_certificate writes over
-the first.  So every value is a formula in the coordinates of its row.
-Where a_i^2 = 4 and 2a_{i-1} != a_{i+1}a_i no assignment exists;
-require_consistent reads that from the parameters alone, and
-build_certificate calls it before it writes a row.
+closed form in x_{i-1} and x_{i+1}, written once in _plane_form, which
+build_certificate writes over the first.  So every value is a formula
+in the coordinates of its row.  Where a_i^2 = 4 and
+2a_{i-1} != a_{i+1}a_i no assignment exists; require_consistent reads
+that from the parameters alone, and build_certificate calls it before
+it writes a row.
 
 verify_certificate checks a certificate in one pass over the blocks of
 rows: every move edge against coordinates, the total identity, and the
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import SolutionSet
+from .field import mod_p
 from .orbits import OrbitPartition
 from .surface import SurfaceParams, Triple, apply_move, moved_coordinate
 
@@ -68,19 +70,38 @@ def delta_at(params: SurfaceParams, x: Triple, i: int) -> int:
 def _closed_form(params: SurfaceParams, x, i: int):
     """Delta_i = x_i/(x_{i-1}x_{i+1}) + (a_{i-1}/x_{i-1} + a_{i+1}/x_{i+1})/2.
 
-    x[0..2] are ints or broadcastable int64 arrays in [0, p).  The value
-    is Delta_i where x_{i-1} and x_{i+1} are nonzero; elsewhere
-    inv_table[0] = 0 makes it a finite value in [0, p) that is not
-    Delta_i.  Inverses come from inv_table, and every intermediate stays
-    below 2 p^2, so int64 is exact for any table prime.
+    x[0..2] are ints or broadcastable int32 or int64 arrays in [0, p),
+    as SolutionSet.blocks yields them.  The value is Delta_i where
+    x_{i-1} and x_{i+1} are nonzero; elsewhere inv_table[0] = 0 makes it
+    a finite value in [0, p) that is not Delta_i.  Inverses are gathered
+    from the int64 inv_table with np.take, so every term that holds one
+    is int64 and below 2 p^2; the only int32 product, x_{i-1} x_{i+1},
+    stays below p^2.
     """
     p = params.p
     a = params.a
     inv = params.field.inv_table
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
     xm, xp = x[im1], x[ip1]
-    half = (a[im1] * inv[xm] + a[ip1] * inv[xp]) % p * ((p + 1) // 2)
-    return (x[i] * inv[xm * xp % p] + half) % p
+    half = mod_p(a[im1] * np.take(inv, xm) + a[ip1] * np.take(inv, xp), p) * ((p + 1) // 2)
+    return mod_p(x[i] * np.take(inv, mod_p(xm * xp, p)) + half, p)
+
+
+def _plane_form(params: SurfaceParams, x, i: int):
+    """Delta_{i-1} = s/2 + (2a_{i-1} - a_i a_{i+1}) x_{i-1} / (2(x_{i+1}^2 - x_{i-1}^2)).
+
+    The value of Delta_{i-1} on the plane x_i = 0 (see build_certificate),
+    on columns x[0..2] like those of _closed_form.  The int32 products
+    stay below p^2, and the inverse is gathered from the int64 inv_table,
+    so every term that holds it is int64 and below 2 p^2.
+    """
+    p, s, a = params.p, params.s, params.a
+    im1, ip1 = (i - 1) % 3, (i + 1) % 3
+    xj, xk = x[im1], x[ip1]
+    inv2 = (p + 1) // 2
+    c = (2 * a[im1] - a[i] * a[ip1]) * inv2 % p
+    inv = np.take(params.field.inv_table, mod_p(xk * xk - xj * xj, p))
+    return mod_p(s * inv2 % p + mod_p(c * xj, p) * inv, p)
 
 
 @dataclass
@@ -147,7 +168,8 @@ def build_certificate(sol: SolutionSet) -> DeltaAssignment:
 
     m_j maps x_j to x_k^2/x_j, which flips the sign of the second term,
     so the pair identity holds, and the equation gives the total one.
-    Delta_{i-1} is computed so and Delta_{i+1} = s - Delta_i - Delta_{i-1}.
+    Delta_{i-1} is computed so, by _plane_form, and
+    Delta_{i+1} = s - Delta_i - Delta_{i-1}.
     The denominator vanishes exactly when a_i^2 = 4, where every point
     of the plane is a double fixed point; inv_table[0] = 0 then gives
     the forced value s/2.  require_consistent refuses, before any row
@@ -155,11 +177,8 @@ def build_certificate(sol: SolutionSet) -> DeltaAssignment:
     the closed form of Delta_i, and those outside p >= 5, s != 0.
     """
     params = sol.params
-    p, s, a = params.p, params.s, params.a
+    p, s = params.p, params.s
     require_consistent(params)
-    inv = params.field.inv_table
-    inv2 = (p + 1) // 2
-    half_s = s * inv2 % p
     values = np.zeros((3, len(sol)), dtype=np.int32).T  # column-major, like sol.points
     for rows, x in sol.blocks():
         for i in range(3):
@@ -167,9 +186,7 @@ def build_certificate(sol: SolutionSet) -> DeltaAssignment:
         for i in range(3):
             on_plane = np.flatnonzero(x[i] == 0)
             im1, ip1 = (i - 1) % 3, (i + 1) % 3
-            xj, xk = x[im1, on_plane], x[ip1, on_plane]
-            c = (2 * a[im1] - a[i] * a[ip1]) * inv2 % p
-            dj = (half_s + c * xj % p * inv[(xk * xk - xj * xj) % p]) % p
+            dj = _plane_form(params, x[:, on_plane], i)
             k = rows.start + on_plane
             values[k, im1] = dj
             values[k, ip1] = (s - values[k, i] - dj) % p
@@ -243,7 +260,7 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
     half_sums = np.zeros((3, n_orbits), dtype=np.int64)  # per orbit: sum of Delta_i mod p
     for rows, x in sol.blocks():
         # sums in int64, as a corrupted value may be any int32
-        total_ok = (vals[rows, 0].astype(np.int64) + vals[rows, 1] + vals[rows, 2] - s) % p == 0
+        total_ok = mod_p(vals[rows, 0].astype(np.int64) + vals[rows, 1] + vals[rows, 2] - s, p) == 0
         k = _first_failure(rows, total_ok)
         if k is not None:
             raise CertificateError(f"total identity fails at {sol.triple(k)}")
@@ -266,8 +283,8 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
                     f"move {i} edge from {sol.triple(k)} to {sol.triple(int(nbr[i, k]))} "
                     f"joins components {int(component_id[k])} and "
                     f"{int(component_id[nbr[i, k]])}")
-            pair_ok = (np.add(vals[rows, i], np.take(vals[:, i], target), dtype=np.int64)
-                       - s) % p == 0
+            pair_ok = mod_p(np.add(vals[rows, i], np.take(vals[:, i], target), dtype=np.int64)
+                            - s, p) == 0
             k = _first_failure(rows, pair_ok)
             if k is not None:
                 identity = "fixed-point" if nbr[i, k] == k else "pair"

@@ -14,8 +14,16 @@ cells and M points must fit in int32; _require_int32 refuses larger
 sizes before anything is allocated.  No stage holds a full-size int64
 temporary.  Every walk of the p^2 cells runs through the x1 slabs of
 cell_slabs, about BLOCK cells each, and the per-point stages read the
-points through SolutionSet.blocks, BLOCK rows at a time; inside a
-block the arithmetic is int64, far from overflow for any admitted p.
+points through SolutionSet.blocks, BLOCK rows at a time.  A block is
+an int32 view of the points while 3 p^2 + p < 2^31 (p <= 26737), the
+bound below which every per-point formula stays exact in int32, and
+an int64 copy above it.
+
+Along a row x1 of the cell grid the residual's coefficients are
+b = b0 + b1*x2 and c = x2^2 + c1*x2 + c0, so the discriminant b^2 - 4c
+is a quadratic in x2 with three coefficients per row, read from
+x3_coefficients at x2 = 0 and 1.  Enumeration evaluates it in int32
+over the slab and solves for x3 only on the cells that hold a root.
 
 The independent oracle count_solutions_bruteforce counts the x3 roots of
 every cell exhaustively and shares no logic with the closed-form count:
@@ -26,15 +34,18 @@ reads too), so the roots of a cell are an entry of a table indexed by
 (b, c) that depends only on p.  _root_table fills it from the p^2
 values x3 * (x3 + b), and the oracle sums it over the p^2 cells: O(p^2)
 time and a p^2-byte table, int8 being exact because a quadratic has at
-most 2 roots.
+most 2 roots.  The table of the last prime is kept, read-only, since a
+sweep counts many parameter sets at one prime in a row.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .field import mod_p
 from .surface import SurfaceParams, Triple, residual, x3_coefficients
 
 # ~4e8 enumeration cells, overridable with allow_large=True; it also caps
@@ -42,7 +53,7 @@ from .surface import SurfaceParams, Triple, residual, x3_coefficients
 DEFAULT_MAX_PRIME = 20_000
 INT32_MAX = 2 ** 31 - 1
 # cells per enumeration block and rows per SolutionSet.blocks block: each
-# int64 temporary of a block is about 0.5 MB
+# int32 temporary of a block is about 0.25 MB, each int64 one 0.5 MB
 BLOCK = 2 ** 16
 
 
@@ -101,12 +112,24 @@ class SolutionSet:
     def blocks(self):
         """Yield (rows, x) for each slice of row_blocks(M).
 
-        x is the (3, len) int64 array of the rows' coordinate columns
-        x[0], x[1], x[2], so a per-point stage can do int64 arithmetic
-        without a full-size int64 temporary.
+        x is the (3, len) array of the rows' coordinate columns x[0],
+        x[1], x[2].  While 3 p^2 + p < 2^31 (p <= 26737) it is a
+        read-only int32 view of points: moved_coordinate,
+        x3_coefficients, residual_array, delta._closed_form,
+        delta._plane_form and the obstruction identities keep every
+        intermediate below that bound on coordinates in [0, p).  Above
+        it x is an int64 copy, so no block consumer overflows at any
+        admitted p.
         """
+        p = self.params.p
+        wide = 3 * p * p + p > INT32_MAX
         for rows in row_blocks(len(self)):
-            yield rows, self.points[rows].T.astype(np.int64, order="C")
+            x = self.points[rows].T
+            if wide:
+                x = x.astype(np.int64, order="C")
+            else:
+                x.flags.writeable = False
+            yield rows, x
 
     def index_of(self, x: Triple) -> int:
         """Row index of the point x, whose coordinates are reduced mod p first."""
@@ -125,16 +148,26 @@ class SolutionSet:
             return np.empty(0, dtype=np.int32)
         if m == 0 or min(v.min() for v in (x1, x2, x3)) < 0 \
                 or max(v.max() for v in (x1, x2, x3)) >= p:
-            # the gathers below need every coordinate in [0, p); an empty set holds no point
+            # the gathers of _find_rows need every coordinate in [0, p); an empty set holds no point
             outside = (m == 0) | np.any([(v < 0) | (v >= p) for v in (x1, x2, x3)], axis=0)
             k = int(np.argmax(outside))
             raise KeyError(f"{(int(x1[k]), int(x2[k]), int(x3[k]))} is not in the solution set")
+        return self._find_rows(x1, x2, x3)
+
+    def _find_rows(self, x1, x2, x3) -> np.ndarray:
+        """lookup_array without its range check, for a non-empty set.
+
+        Every coordinate must already lie in [0, p), as the columns of
+        points and the moved coordinates of moved_coordinate do.  Raises
+        KeyError naming the first point not in the set.
+        """
+        p = self.params.p
         cell = x1 * p + x2
         start = np.take(self.offsets, cell)
         col3 = self.points[:, 2]
         # an empty cell may start at m; mode="clip" keeps each gather in [0, m)
         rows = start + (x3 != np.take(col3, start, mode="clip"))
-        found = (rows < np.take(self.offsets, cell + 1)) & (np.take(col3, rows, mode="clip") == x3)
+        found = (rows < np.take(self.offsets[1:], cell)) & (np.take(col3, rows, mode="clip") == x3)
         if not bool(found.all()):
             k = int(np.flatnonzero(~found)[0])
             raise KeyError(f"{(int(x1[k]), int(x2[k]), int(x3[k]))} is not in the solution set")
@@ -190,16 +223,39 @@ class SolutionSet:
         return SolutionSet(self.params, points, offsets)
 
 
+def _row_coefficients(params: SurfaceParams, x1: np.ndarray):
+    """(b0, b1, c0, c1) with b = b0 + b1*x2 and c = x2^2 + c1*x2 + c0 (mod p).
+
+    (b, c) are x3_coefficients on the cells (x1, x2) of each row of the
+    int64 column x1, which are linear and monic quadratic in x2; the
+    four per-row coefficients are read from x3_coefficients at x2 = 0
+    and 1, so no second formula for the residual exists.  b0 and c0 lie
+    in [0, p), b1 in (-p, p) and c1 in [-p, p).
+    """
+    b, c = x3_coefficients(params, x1, np.arange(2))
+    b0, c0 = b[:, 0], c[:, 0]
+    return b0, b[:, 1] - b0, c0, c[:, 1] - c0 - 1
+
+
+def _interleave(first: np.ndarray, second: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """first[0], second[0], first[1], second[1], ... where the flat bool pick is True."""
+    pairs = np.empty((len(first), 2), dtype=np.int32)
+    pairs[:, 0], pairs[:, 1] = first, second
+    return pairs.ravel()[pick]
+
+
 def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> SolutionSet:
     """All x != (0,0,0) with residual zero, as a cell-indexed SolutionSet.
 
     p above DEFAULT_MAX_PRIME needs allow_large=True.  With or without
     it, p^2 + 1 and the point count M must fit in int32 (p <= 46337);
     _require_int32 raises ResourceGuardError otherwise, before the
-    arrays are allocated.  Each slab of cell_slabs(p) solves its cells'
-    quadratics in int64, keeps only its int32 points and writes its
-    cells' offsets (the running point count plus the cumsum of the
-    slab's cell counts); the slabs' points are then joined in order.
+    arrays are allocated.  Each slab of cell_slabs(p) evaluates the
+    discriminant of its cells' quadratics, a quadratic in x2 on each row
+    (see _row_coefficients), writes its cells' offsets (the running
+    point count plus the cumsum of the slab's cell counts), and solves
+    for x3 only on the cells that hold a root; the slabs' int32 points
+    are then joined in order.
     """
     p = params.p
     if p > DEFAULT_MAX_PRIME and not allow_large:
@@ -212,29 +268,50 @@ def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> Sol
 
     fld = params.field
     inv2 = pow(2, -1, p)
-    x2 = np.arange(p, dtype=np.int64)
+    x2 = np.arange(p, dtype=np.int32)
+    n_roots = fld.chi_table + 1  # a discriminant d gives 1 + chi(d) roots
+    # sqrt(d)/2, zero only at d = 0; the entries of non-residues are never read
+    half_root = (fld.sqrt_table * inv2 % p).astype(np.int32)
     offsets = np.zeros(p * p + 1, dtype=np.int32)
     blocks: list[np.ndarray] = []
     m = 0
     for start, stop in cell_slabs(p):
-        x1 = np.arange(start, stop, dtype=np.int64)[:, None]
-        b, c = x3_coefficients(params, x1, x2)  # quadratic in x3: x3^2 + b*x3 + c = 0
-        disc = (b * b - 4 * c) % p
-        count = fld.chi_table[disc] + 1
+        b0, b1, c0, c1 = _row_coefficients(params, np.arange(start, stop, dtype=np.int64)[:, None])
+        # b^2 - 4c = d2*x2^2 + d1*x2 + d0 on each row; the Horner passes
+        # stay below p^2 < 2^31, so int32 is exact for every p <= 46337
+        d2, d1, d0 = ((v % p).astype(np.int32)[:, None]
+                      for v in (b1 * b1 - 4, 2 * b0 * b1 - 4 * c1, b0 * b0 - 4 * c0))
+        disc = mod_p(mod_p(d2 * x2 + d1, p) * x2 + d0, p)
+        count = np.take(n_roots, disc)
         if start == 0:
             count[0, 0] = 0  # cell (0, 0) holds only the origin
-        root = fld.sqrt_table[disc]
-        r1 = (p - b + root) * inv2 % p
-        r2 = (2 * p - b - root) * inv2 % p
-        # entry 2*cell + slot, slot 0 for the smaller root: ascending is lexicographic
-        keep = np.flatnonzero(np.stack([count > 0, count == 2], axis=-1))
-        roots = np.stack([np.minimum(r1, r2), np.maximum(r1, r2)], axis=-1).ravel()
-        _require_int32(p, m + len(keep))
-        offsets[start * p + 1:stop * p + 1] = m + np.cumsum(count)
-        m += len(keep)
-        cols = np.empty((3, len(keep)), dtype=np.int32)
-        cols[0], cols[1] = np.divmod(start * p + (keep >> 1), p)
-        cols[2] = roots[keep]
+        counts = np.cumsum(count, dtype=np.int32)
+        n = int(counts[-1])
+        _require_int32(p, m + n)
+        np.add(counts, m, out=offsets[start * p + 1:stop * p + 1])
+        m += n
+        # x3 = -b/2 +- sqrt(disc)/2, solved only on the cells with a root;
+        # -b/2 is linear in x2 like b
+        cells = np.flatnonzero(count > 0)
+        row = cells // p
+        x1k = (row + start).astype(np.int32)
+        x2k = (cells - row * p).astype(np.int32)
+        half_b = mod_p(np.take((-b0 * inv2 % p).astype(np.int32), row)
+                       + np.take((-b1 * inv2 % p).astype(np.int32), row) * x2k, p)
+        e = np.take(half_root, np.take(disc, cells))
+        r1, r2 = mod_p(half_b + e, p), mod_p(half_b - e, p)
+        # each cell's points in order: the smaller root, then the larger
+        # one where disc != 0; ascending is lexicographic
+        pick = np.empty((len(cells), 2), dtype=bool)
+        pick[:, 0] = True
+        np.not_equal(e, 0, out=pick[:, 1])
+        pick = pick.ravel()
+        # one array per slab, larger than any temporary of the loop: the
+        # allocator then maps it on its own and returns it to the system
+        # when the slabs are joined, where many smaller ones stay resident
+        cols = np.empty((3, n), dtype=np.int32)
+        cols[0], cols[1], cols[2] = (_interleave(x1k, x1k, pick), _interleave(x2k, x2k, pick),
+                                     _interleave(np.minimum(r1, r2), np.maximum(r1, r2), pick))
         blocks.append(cols)
     return SolutionSet(params, np.concatenate(blocks, axis=1).T, offsets)
 
@@ -250,14 +327,17 @@ def _enumerate_tiny(params: SurfaceParams) -> SolutionSet:
     return SolutionSet(params, arr, np.append(0, np.cumsum(counts)).astype(np.int32))
 
 
+@functools.lru_cache(maxsize=1)
 def _root_table(p: int) -> np.ndarray:
-    """Flat int8 table: entry b*p + c is #{x3 in F_p : x3^2 + b*x3 + c = 0}.
+    """Flat read-only int8 table: entry b*p + c is #{x3 in F_p : x3^2 + b*x3 + c = 0}.
 
     Each pair (b, x3) is a root for exactly one c, c = -x3 * (x3 + b)
     mod p, so one np.bincount per slab of cell_slabs(p), read as a range
     of b rows, fills the table from the p^2 values of x3 * (x3 + b).  A
     monic quadratic has at most 2 roots, so int8 is exact and the table
     takes p^2 bytes.  The slabs are int32, exact while 2 p^2 < 2^31.
+    The table depends on p alone, and sweep runs its parameter sets
+    sorted by p, so the last prime's table is cached (p^2 bytes kept).
     """
     table = np.empty(p * p, dtype=np.int8)
     x3 = np.arange(p, dtype=np.int32)
@@ -265,6 +345,7 @@ def _root_table(p: int) -> np.ndarray:
         b = np.arange(start, stop, dtype=np.int32)[:, None]
         cell = -x3 * (x3 + b) % p + (b - start) * p
         table[start * p:stop * p] = np.bincount(cell.ravel(), minlength=(stop - start) * p)
+    table.flags.writeable = False
     return table
 
 
@@ -276,9 +357,11 @@ def count_solutions_bruteforce(params: SurfaceParams) -> int:
     The count sums that over all p^2 cells, slab by slab of
     cell_slabs(p), and drops the origin: O(p^2) time and a
     p^2-byte int8 table, exact because a quadratic has at most 2 roots.
-    Nothing is cached.  The slabs are int32: x3_coefficients keeps its
-    intermediates below 3 p^2, and the guard at DEFAULT_MAX_PRIME, which
-    has no override, keeps 3 p^2 < 2^31 and the table under 4e8 bytes.
+    The table of the last prime counted is reused (_root_table keeps
+    it), and nothing else is cached.  The slabs are int32:
+    x3_coefficients keeps its intermediates below 3 p^2, and the guard
+    at DEFAULT_MAX_PRIME, which has no override, keeps 3 p^2 < 2^31 and
+    the table under 4e8 bytes.
     """
     p = params.p
     if p > DEFAULT_MAX_PRIME:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import SolutionSet, enumerate_solutions, row_blocks
-from .field import chi
+from .field import chi, mod_p
 from .orbits import compute_orbits
 from .surface import SurfaceParams, Triple, moved_coordinate, rescale, special_form_detect
 
@@ -81,20 +81,21 @@ def _generic_characters(params: SurfaceParams, x, i: int,
                         sigma: int) -> tuple[np.ndarray, np.ndarray]:
     """(chi(y_i), chi(y_i + y_i' + 2 y_{i+1} + 2 sigma y_{i-1})) per point, y = s*x.
 
-    x[0..2] are the int64 coordinate columns of solutions in [0, p), as
-    SolutionSet.blocks yields them, and y_i' is m_i of y on the s = 1
-    surface.  The two characters can both vanish and can share a sign,
-    but are never strictly opposite; that is the content of the
-    obstruction, and an opposite pair raises CertificateViolation.
+    x[0..2] are the int32 or int64 coordinate columns of solutions in
+    [0, p), as SolutionSet.blocks yields them, and y_i' is m_i of y on
+    the s = 1 surface; the companion's sum stays within +-6p.  The two
+    characters can both vanish and can share a sign, but are never
+    strictly opposite; that is the content of the obstruction, and an
+    opposite pair raises CertificateViolation.
     """
     p = params.p
     chi_table = params.field.chi_table
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
     unit_params, y = rescale(params, x, params.s)
     y_moved = moved_coordinate(unit_params, y, i)
-    companion = (y[i] + y_moved + 2 * y[ip1] + 2 * sigma * y[im1]) % p
-    c1 = chi_table[y[i]]
-    c2 = chi_table[companion]
+    companion = mod_p(y[i] + y_moved + 2 * y[ip1] + 2 * sigma * y[im1], p)
+    c1 = np.take(chi_table, y[i])
+    c2 = np.take(chi_table, companion)
     opposite = c1 * c2 == -1
     if bool(opposite.any()):
         raise CertificateViolation(
@@ -105,14 +106,15 @@ def _generic_characters(params: SurfaceParams, x, i: int,
 def _sign_patterns(params: SurfaceParams, x) -> np.ndarray:
     """(3, N) sign patterns with product +1, one column per solution, alpha = +-2.
 
-    x[0..2] are the int64 coordinate columns of the solutions.  On the
-    rescaled surface the equation is a perfect square equal to
-    y1*y2*y3, so the character product of the coordinates is never -1.
+    x[0..2] are the int32 or int64 coordinate columns of the solutions
+    in [0, p), as SolutionSet.blocks yields them.  On the rescaled
+    surface the equation is a perfect square equal to y1*y2*y3, so the
+    character product of the coordinates is never -1.
     Nonzero characters force their sign; a vanished one is absorbed so
     that the product is +1.  Each solution satisfies exactly one of the
     four patterns and every move preserves it.
     """
-    chars = params.field.chi_table[np.stack(rescale(params, x, params.s)[1])]
+    chars = np.take(params.field.chi_table, np.stack(rescale(params, x, params.s)[1]))
     zero = chars == 0
     zero_counts = zero.sum(axis=0)
     if bool((zero_counts > 1).any()):
@@ -135,7 +137,8 @@ def perfect_square_check(params: SurfaceParams, x):
     y_{i-1}^2 + y_{i-1}y_i - sigma(alpha-2)y_i.  The mirrored identity
     for m_{i-1} is the same statement after swapping i+1 with i-1 and
     replacing alpha by alpha*sigma.  x is one point of ints, giving a
-    bool, or int64 coordinate columns x[0..2], giving a bool per point.
+    bool, or int32 or int64 coordinate columns x[0..2] in [0, p),
+    giving a bool per point; every intermediate stays below 3 p^2.
     """
     i, sigma, alpha = _require_special_form(params)
     p = params.p

@@ -34,11 +34,12 @@ def neighbor_indices(sol: SolutionSet) -> np.ndarray:
     p = params.p
     out = np.empty((len(sol), 3), dtype=np.int32)
     for rows, x in sol.blocks():
-        out[rows, 0] = sol.lookup_array((moved_coordinate(params, x, 0), x[1], x[2]))
-        out[rows, 1] = sol.lookup_array((x[0], moved_coordinate(params, x, 1), x[2]))
+        # moved coordinates are reduced mod p, so the lookup needs no range check
+        out[rows, 0] = sol._find_rows(moved_coordinate(params, x, 0), x[1], x[2])
+        out[rows, 1] = sol._find_rows(x[0], moved_coordinate(params, x, 1), x[2])
         cell = x[0] * p + x[1]
-        out[rows, 2] = (np.take(sol.offsets, cell) + np.take(sol.offsets, cell + 1) - 1
-                        - np.arange(rows.start, rows.stop))
+        out[rows, 2] = (np.take(sol.offsets, cell) + np.take(sol.offsets[1:], cell) - 1
+                        - np.arange(rows.start, rows.stop, dtype=np.int32))
     return out.T
 
 
@@ -66,22 +67,38 @@ def compute_orbits(sol: SolutionSet) -> OrbitPartition:
     if m == 0:
         return OrbitPartition(sol, np.empty(0, dtype=np.int32), [], {}, nbr)
     n, labels = _component_labels(nbr, m)
-    # canonical numbering: order components by first (= lex smallest) member
-    first = np.full(n, m, dtype=np.int32)
-    np.minimum.at(first, labels, np.arange(m, dtype=np.int32))
-    order = np.argsort(first)
-    rank = np.empty(n, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
-    component_id = rank[labels]
+    component_id, reps_idx = _first_row_numbering(labels, n)
     # bincount casts its input to int64, so count block by block
     sizes = sum(np.bincount(component_id[rows], minlength=n) for rows in row_blocks(m))
-    reps_idx = first[order]
     orbits = [(int(sizes[k]), sol.triple(int(reps_idx[k]))) for k in range(n)]
     multiset: dict[int, int] = {}
     for size, _ in orbits:
         multiset[size] = multiset.get(size, 0) + 1
     multiset = dict(sorted(multiset.items()))
     return OrbitPartition(sol, component_id, orbits, multiset, nbr)
+
+
+def _first_row_numbering(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(id per row, first row per id) for n labels, ids ordered by first row.
+
+    Canonical numbering orders the components by their first, that is
+    lexicographically smallest, row.  Labels already are that numbering
+    when each label first appears one above every earlier label; the
+    running maximum then rises n - 1 times, at the components' first
+    rows, and the labels are returned as they are.  scipy's strong
+    search gave such labels on every set tried, and one component
+    always does.  Other labels are ranked by their first row.
+    """
+    top = np.maximum.accumulate(labels)
+    rises = np.flatnonzero(top[1:] != top[:-1]) + 1
+    if labels[0] == 0 and len(rises) == n - 1:
+        return labels, np.append(0, rises)
+    first = np.full(n, len(labels), dtype=np.int32)
+    np.minimum.at(first, labels, np.arange(len(labels), dtype=np.int32))
+    order = np.argsort(first)
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    return rank[labels], first[order]
 
 
 def _component_labels(nbr: np.ndarray, m: int) -> tuple[int, np.ndarray]:

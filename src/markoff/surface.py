@@ -12,12 +12,13 @@ taken mod 3.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .field import PrimeField, inverse, prime_field
+from .field import PrimeField, inverse, mod_p, prime_field
 
 Triple = tuple[int, int, int]
 
@@ -67,12 +68,18 @@ def on_surface(params: SurfaceParams, x: Triple) -> bool:
 
 
 def moved_coordinate(params: SurfaceParams, x, i: int):
-    """The new i-th coordinate under the move m_i (works on ints or arrays)."""
-    p = params.p
+    """The new i-th coordinate under the move m_i (works on ints or arrays).
+
+    For coordinates in [0, p) every intermediate lies within +-3 p^2, so
+    int32 arrays are exact while 3 p^2 < 2^31 (p <= 26737).  Arrays are
+    reduced with mod_p and ints with %, the faster of the two on each.
+    """
+    p = params.field.p  # params.p is a property call, and apply_move lands here per point
+    mod = operator.mod if isinstance(x[i], int) else mod_p
     a = params.a
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    return (-x[i] + params.s * x[im1] % p * x[ip1]
-            - a[ip1] * x[im1] - a[im1] * x[ip1]) % p
+    return mod(-x[i] + mod(params.s * x[im1], p) * x[ip1]
+               - a[ip1] * x[im1] - a[im1] * x[ip1], p)
 
 
 def apply_move(params: SurfaceParams, x: Triple, i: int) -> Triple:
@@ -89,13 +96,16 @@ def x3_coefficients(params: SurfaceParams, x1, x2):
 
     b = (a1*x2 + a2*x1 - s*x1*x2) % p and c = (x1^2 + x2^2 + a3*x1*x2) % p,
     on ints or broadcastable integer arrays, both in [0, p).  For
-    coordinates in [0, p) every intermediate stays below 3 p^2.
+    coordinates in [0, p) every intermediate stays below 3 p^2.  Arrays
+    are reduced with mod_p and ints with %, as in moved_coordinate.
     """
     p = params.field.p  # params.p is a property call, and on_surface lands here per point
     a1, a2, a3 = params.a
-    x1x2 = x1 * x2 % p
-    b = (a1 * x2 + a2 * x1 - params.s * x1x2) % p
-    c = (x1 * x1 + x2 * x2 + a3 * x1x2) % p
+    x1x2 = x1 * x2
+    mod = operator.mod if isinstance(x1x2, int) else mod_p
+    x1x2 = mod(x1x2, p)
+    b = mod(a1 * x2 + a2 * x1 - params.s * x1x2, p)
+    c = mod(x1 * x1 + x2 * x2 + a3 * x1x2, p)
     return b, c
 
 
@@ -170,4 +180,4 @@ def rescale(params: SurfaceParams, x, t: int) -> tuple[SurfaceParams, tuple]:
         raise ValueError("rescaling factor must be nonzero")
     new_s = params.s * inverse(t, p) % p
     new_params = SurfaceParams(params.field, params.a, new_s)
-    return new_params, tuple(t * v % p for v in x)
+    return new_params, tuple(mod_p(t * v, p) for v in x)

@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from markoff.conics import closed_form_total
 from markoff.delta import build_certificate
 from markoff.enumeration import (BLOCK, DEFAULT_MAX_PRIME, INT32_MAX,
-                                 ResourceGuardError, _require_int32, _root_table,
-                                 cell_slabs, count_solutions_bruteforce,
-                                 enumerate_solutions, row_blocks)
+                                 ResourceGuardError, SolutionSet, _require_int32,
+                                 _root_table, _row_coefficients, cell_slabs,
+                                 count_solutions_bruteforce, enumerate_solutions, row_blocks)
 from markoff.field import chi, is_prime
-from markoff.surface import SurfaceParams, apply_move, on_surface, residual_array
+from markoff.surface import (SurfaceParams, apply_move, on_surface, residual_array,
+                             x3_coefficients)
 
 from conftest import naive_solutions, zero_plane
 
@@ -100,6 +102,46 @@ def test_root_table_counts_roots_exhaustively():
                     for b in range(p) for c in range(p)]
         assert table.tolist() == expected, p
         assert max(expected) <= 2
+
+
+def test_root_table_keeps_the_last_prime_read_only():
+    """Counts through the cached table equal the closed form and a fresh table's sum."""
+    assert _root_table.cache_info().maxsize == 1
+    for p in (97, 101, 97, 5):
+        fresh = _root_table.__wrapped__(p)
+        x = np.arange(p)
+        for a in [(1, 1, 1), (2, 5, 5), (0, 0, -3), (3, 1, 4), (2, 2, -2)]:
+            params = SurfaceParams.make(p, a)
+            if params.s == 0:
+                continue
+            b, c = x3_coefficients(params, x[:, None], x)
+            expected = int(fresh[b * p + c].sum()) - 1
+            assert count_solutions_bruteforce(params) == expected == closed_form_total(params), \
+                (p, a)
+        cached = _root_table(p)
+        assert cached.flags.writeable is False and np.array_equal(cached, fresh)
+        assert _root_table.cache_info().currsize == 1
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1
+
+
+def test_row_coefficients_reproduce_the_residual_on_every_cell():
+    """b = b0 + b1*x2 and c = x2^2 + c1*x2 + c0 on each row, and so the discriminant."""
+    rng = np.random.default_rng(18)
+    cases = [(3, (0, 0, 0)), (3, (2, 1, 1)), (5, (2, 2, -2)), (5, (-2, 1, 3)),
+             (7, (1, 1, 1)), (7, (0, 0, -3)), (11, (2, -2, 9)), (13, (2, 5, 5))]
+    cases += [(p, tuple(int(v) for v in rng.integers(0, p, 3))) for p in (17, 97, 409)
+              for _ in range(3)]
+    assert any(SurfaceParams.make(p, a).s == 0 for p, a in cases)
+    for p, a in cases:
+        params = SurfaceParams.make(p, a)
+        x1, x2 = np.arange(p, dtype=np.int64)[:, None], np.arange(p, dtype=np.int64)
+        b, c = x3_coefficients(params, x1, x2)
+        b0, b1, c0, c1 = (v[:, None] for v in _row_coefficients(params, x1))
+        assert np.array_equal((b0 + b1 * x2) % p, b), (p, a)
+        assert np.array_equal((x2 * x2 + c1 * x2 + c0) % p, c), (p, a)
+        d2, d1, d0 = b1 * b1 - 4, 2 * b0 * b1 - 4 * c1, b0 * b0 - 4 * c0
+        assert np.array_equal((d2 * x2 * x2 + d1 * x2 + d0) % p, (b * b - 4 * c) % p), (p, a)
 
 
 def test_bruteforce_matches_grid_scan_exhaustive():
@@ -207,6 +249,29 @@ def test_blocks_join_without_seams():
     # SolutionSet.blocks covers every row once, in order
     joined = np.concatenate([x for _, x in sol.blocks()], axis=1)
     assert np.array_equal(joined, pts.T)
+
+
+def test_blocks_are_int32_views_up_to_the_bound():
+    """blocks() views the int32 points while 3p^2 + p < 2^31 and copies to int64 above."""
+    largest, refused = 26737, 26759  # consecutive primes either side of the bound
+    assert [q for q in range(largest, refused + 1) if is_prime(q)] == [largest, refused]
+    assert 3 * largest ** 2 + largest <= INT32_MAX < 3 * refused ** 2 + refused
+    for p, dtype in ((largest, np.int32), (refused, np.int64)):
+        pts = np.asfortranarray(np.array([(1, 2, 3), (1, 2, p - 1), (p - 1, 0, 5),
+                                          (p - 1, p - 1, p - 1)], dtype=np.int32))
+        # blocks() reads no offsets, so a stub stands in for the p^2 + 1 of them
+        sol = SolutionSet(SurfaceParams.make(p, (1, 1, 1)), pts, np.zeros(1, dtype=np.int32))
+        tracemalloc.start()
+        try:
+            (rows, x), = list(sol.blocks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16, peak  # nothing of size p^2 (7e8 at these p)
+        assert rows == slice(0, 4) and x.dtype == dtype and np.array_equal(x, pts.T)
+        assert np.shares_memory(x, pts) == (dtype == np.int32)
+        if dtype == np.int32:
+            assert not x.flags.writeable
 
 
 def test_bruteforce_guard_keeps_int32_exact():

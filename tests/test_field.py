@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from markoff.field import (PrimeField, chi, factorize, inverse, is_prime,
+from markoff.field import (PrimeField, chi, factorize, inverse, is_prime, mod_p,
                            mult_order, prime_field, validate_odd_prime,
                            validate_prime)
 
@@ -67,6 +67,21 @@ def test_shifted_square_sums():
     for p in (5, 7, 11, 13, 17, 19, 23):
         for c in range(1, p):
             assert sum(chi(t * t - c, p) for t in range(p)) == -1
+
+
+def test_mod_p_is_the_remainder_on_ints_and_arrays():
+    """mod_p equals % on negative and positive values, ints and int32/int64 arrays."""
+    p = 26737
+    edge = 3 * p * p + p  # the int32 bound of SolutionSet.blocks
+    values = [-edge, -p * p, -p - 1, -p, -1, 0, 1, p - 1, p, p * p - 1, edge, 2 ** 31 - 1]
+    for v in values:
+        assert mod_p(v, p) == v % p
+    for dtype in (np.int32, np.int64):
+        x = np.array(values, dtype=dtype)
+        got = mod_p(x, p)
+        assert got.dtype == dtype and np.array_equal(got, x % p)
+    wide = np.array([-(2 ** 62), 2 ** 62])
+    assert np.array_equal(mod_p(wide, p), wide % p)
 
 
 def test_inverse():

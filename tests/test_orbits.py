@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from markoff.enumeration import enumerate_solutions
-from markoff.orbits import (_component_labels, compute_orbits, neighbor_indices,
-                            no_bigons_holds, partition_report, size_table,
-                            verify_divisibility)
+from markoff.orbits import (_component_labels, _first_row_numbering, compute_orbits,
+                            neighbor_indices, no_bigons_holds, partition_report,
+                            size_table, verify_divisibility)
 from markoff.surface import SurfaceParams, apply_move
 
 from conftest import naive_orbits
@@ -69,6 +69,25 @@ def test_representatives_are_lex_minima():
     # canonical ordering: representatives strictly increase
     reps = [rep for _, rep in part.orbits]
     assert reps == sorted(reps)
+
+
+def test_numbering_is_canonical_in_any_label_order():
+    """Labels in first-row order are kept; any other order is ranked to the same ids."""
+    rng = np.random.default_rng(18)
+    for p, a in [(7, (2, 2, -2)), (13, (2, 2, -2)), (11, (2, 5, 5)), (13, (0, 0, -3))]:
+        part = part_for(p, a)
+        n, m = len(part.orbits), len(part.solutions)
+        assert n > 1
+        ids, first = _first_row_numbering(part.component_id, n)
+        assert ids is part.component_id  # already canonical: reused, not copied
+        for relabel in (np.arange(n)[::-1], rng.permutation(n)):
+            ids, first = _first_row_numbering(relabel[part.component_id].astype(np.int32), n)
+            assert np.array_equal(ids, part.component_id)
+            assert [part.solutions.triple(int(k)) for k in first] == [r for _, r in part.orbits]
+            assert ids.dtype == np.int32 and first.max() < m
+    one = np.zeros(5, dtype=np.int32)
+    ids, first = _first_row_numbering(one, 1)
+    assert ids is one and first.tolist() == [0]
 
 
 def test_neighbor_indices_are_involutive():

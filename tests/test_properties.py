@@ -2,18 +2,20 @@
 cell-indexed solution set, the orbit partition and the Delta closed form
 against naive oracles, on random small primes, parameters and points;
 and the int32 residual against the naive Python-int one up to the int32
-edge."""
+edge, with every formula SolutionSet.blocks feeds at the int32 bound."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from markoff.delta import build_certificate, delta_at
+from markoff.delta import _closed_form, _plane_form, build_certificate, delta_at
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.field import is_prime
+from markoff.obstruction import _generic_characters, _sign_patterns, perfect_square_check
 from markoff.orbits import compute_orbits, neighbor_indices
-from markoff.surface import SurfaceParams, residual_array
+from markoff.surface import (SurfaceParams, moved_coordinate, residual_array,
+                             special_form_detect, x3_coefficients)
 
 from conftest import naive_move, naive_orbits, naive_residual, naive_solutions
 
@@ -90,6 +92,74 @@ def test_int32_residual_matches_python_ints(data):
     res = residual_array(params, np.array(points, dtype=np.int32).T)
     assert res.dtype == np.int32
     assert res.tolist() == [naive_residual(p, a, x) for x in points]
+
+
+def _solve_last(params, u, v):
+    """The surface points (u, v, w), w a root of the quadratic x3_coefficients gives."""
+    p = params.p
+    b, c = x3_coefficients(params, u, v)
+    root = params.field.sqrt_table[(b * b - 4 * c) % p]
+    has = root >= 0
+    w = [(-b + sign * root) * ((p + 1) // 2) % p for sign in (1, -1)]
+    return np.concatenate([np.stack([u, v, wk])[:, has] for wk in w], axis=1)
+
+
+def _seeded_surface_points(params, rng, n=400):
+    """(3, N) int64 surface points from seeded cells, each coordinate p - 1 on some.
+
+    x3 is solved on n random cells, a quarter of them on the row x1 = p - 1
+    and a quarter on the column x2 = p - 1.  Points with x3 = p - 1 solve
+    for x1 instead: the residual is unchanged when the coordinates and a
+    are permuted together, so (x2, x3, x1) solves the surface with
+    parameters (a2, a3, a1).  No enumeration is involved.
+    """
+    p = params.p
+    x1, x2 = rng.integers(0, p, (2, n))
+    x1[:n // 4] = p - 1
+    x2[n // 4:n // 2] = p - 1
+    cyclic = SurfaceParams.make(p, params.a[1:] + params.a[:1])
+    y = _solve_last(cyclic, rng.integers(0, p, n), np.full(n, p - 1))
+    pts = np.concatenate([_solve_last(params, x1, x2), y[[2, 0, 1]]], axis=1)
+    assert not residual_array(params, pts).any()
+    assert all((pts[j] == p - 1).any() for j in range(3))
+    return pts
+
+
+def test_block_formulas_int32_exact_at_the_bound():
+    """At p = 26737 every formula on SolutionSet.blocks agrees on int32 and int64 columns."""
+    p = INT32_EDGE
+    assert 3 * p * p + p < 2 ** 31
+    rng = np.random.default_rng(26737)
+    generic = SurfaceParams.make(p, (p - 1, p - 2, p - 1))
+    for params in (generic, SurfaceParams.make(p, (2, p - 5, p - 5)),
+                   SurfaceParams.make(p, (2, 2, 2))):
+        x64 = _seeded_surface_points(params, rng)
+        if params is generic:  # the formulas' worst case, on the surface or not
+            x64 = np.concatenate([x64, np.full((3, 1), p - 1)], axis=1)
+        x32 = x64.astype(np.int32)
+        assert residual_array(params, x32).dtype == np.int32
+        assert np.array_equal(residual_array(params, x32), residual_array(params, x64))
+        for got, want in zip(x3_coefficients(params, x32[0], x32[1]),
+                             x3_coefficients(params, x64[0], x64[1])):
+            assert got.dtype == np.int32 and np.array_equal(got, want)
+        for i in range(3):
+            moved = moved_coordinate(params, x32, i)
+            assert moved.dtype == np.int32
+            assert np.array_equal(moved, moved_coordinate(params, x64, i)), i
+            assert np.array_equal(_closed_form(params, x32, i), _closed_form(params, x64, i))
+            assert np.array_equal(_plane_form(params, x32, i), _plane_form(params, x64, i))
+        form = special_form_detect(params)
+        if params is generic:
+            assert form is None
+        elif form[2] == 2:  # alpha = 2: the sign patterns
+            assert np.array_equal(_sign_patterns(params, x32), _sign_patterns(params, x64))
+        else:
+            i, sigma, _ = form
+            for got, want in zip(_generic_characters(params, x32, i, sigma),
+                                 _generic_characters(params, x64, i, sigma)):
+                assert np.array_equal(got, want)
+            assert perfect_square_check(params, x32).all()
+            assert perfect_square_check(params, x64).all()
 
 
 def naive_delta(p, a, x, i):

@@ -12,8 +12,9 @@ line for each:
 Two checkouts whose lines are equal give byte-identical stdout and
 stderr and the same exit codes on these runs.  The list holds every
 README example, two breakup runs with sigma = -1, the p = 997 and
-p = 2017 runs behind the benchmark families, the p = 2 and p = 3 edge
-inputs, the brute-force count at p = 997 and 2003, three refusals of the
+p = 2017 runs behind the benchmark families, the sweep_mid workload's
+own sweep, the p = 2 and p = 3 edge inputs, the brute-force count at
+p = 101, 997 and 2003, three refusals of the
 Delta certificate, and the usage (exit 2) and resource-guard (exit 3)
 inputs.  It calls only
 markoff.cli.main and the demo scripts of the checkout it sits in, so it
@@ -63,6 +64,8 @@ COMMANDS = [
     "verify divisibility -p 997 -a 2,-2,-2",
     "verify delta -p 2017 -a 0,0,0",
     "sweep --p-list 11,13 --exhaustive --with-delta",
+    # the sweep_mid benchmark workload: 90 seeded runs at p = 97, 101, 103
+    "sweep --p-list 97,101,103 --samples 30 --seed 1",
     # worked families: conic0 non-empty at p = 11, sqrt(5) outside F_p at
     # p = 13, and the p = 997 items
     "special 00m3 -p 11",
@@ -81,6 +84,7 @@ COMMANDS = [
     "count -p 2 -a 1,1,1",
     "count -p 3 -a 0,0,0",
     # the brute-force count oracle at larger primes
+    "count -p 101 -a 17,42,88",
     "count -p 997 -a 1,1,1",
     "verify numel -p 2003 -a 2,5,5",
     # Delta certificate refusals: a double fixed point on x1 = 0, and on
