@@ -33,7 +33,7 @@ import numpy as np
 
 from .enumeration import SolutionSet
 from .field import mod_p
-from .orbits import OrbitPartition
+from .orbits import OrbitPartition, neighbor_indices
 from .surface import SurfaceParams, Triple, apply_move, moved_coordinate
 
 
@@ -224,10 +224,11 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
     """Check every move edge and every identity, and rederive p | V per orbit.
 
     One pass over the blocks of rows checks, in int64, the total
-    identity at each row and then, for each move i and target row
-    part.neighbors[i, k]: the target's coordinates against m_i recomputed
-    with moved_coordinate, so a faulty neighbour lookup cannot certify
-    itself; that both ends share a component id; and the pair identity,
+    identity at each row and then, for each move i and the target row
+    that neighbor_indices looks up for the block: the target's
+    coordinates against m_i recomputed with moved_coordinate, so a
+    faulty neighbour lookup cannot certify itself; that both ends share
+    a component id; and the pair identity,
     which at a fixed edge (target k) reads 2 Delta_i = s, the fix
     identity for odd p.  The same pass counts the rows of each id and
     sums each Delta_i per id.  The ids must then count the partition's
@@ -242,15 +243,12 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
     if p < 5 or s == 0:
         raise ValueError("certificate verification needs p >= 5 and s != 0")
     vals = assign.values
-    nbr, component_id = part.neighbors, part.component_id
+    component_id = part.component_id
     m, n_orbits = len(sol), len(part.orbits)
     if vals.shape != (m, 3):
         raise ValueError("assignment does not cover the solution set")
-    if nbr.shape != (3, m) or component_id.shape != (m,):
+    if component_id.shape != (m,):
         raise ValueError("orbit partition does not match the solution set")
-    # np.take wraps negative indices, so the range is checked up front
-    if m and (nbr.min() < 0 or nbr.max() >= m):
-        raise CertificateError("neighbour index outside the solution set")
     if m and (component_id.min() < 0 or component_id.max() >= n_orbits):
         raise CertificateError("component id outside the orbit numbering")
 
@@ -264,30 +262,36 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
         k = _first_failure(rows, total_ok)
         if k is not None:
             raise CertificateError(f"total identity fails at {sol.triple(k)}")
+        nbr = neighbor_indices(sol, (rows, x))
+        # np.take wraps negative indices, so the range is checked first
+        if nbr.min() < 0 or nbr.max() >= m:
+            raise CertificateError("neighbour index outside the solution set")
         own = np.arange(rows.start, rows.stop, dtype=np.int32)
         ids = component_id[rows]
         sizes += np.bincount(ids, minlength=n_orbits)
         for i in range(3):
-            target = nbr[i, rows]
+            target = nbr[i]
             moved = np.take(cols[i], target) == moved_coordinate(params, x, i)
             for j in ((i - 1) % 3, (i + 1) % 3):
                 moved &= np.take(cols[j], target) == x[j]
             k = _first_failure(rows, moved)
             if k is not None:
                 raise CertificateError(
-                    f"move {i} neighbour of {sol.triple(k)} is {sol.triple(int(nbr[i, k]))}, "
+                    f"move {i} neighbour of {sol.triple(k)} is "
+                    f"{sol.triple(int(target[k - rows.start]))}, "
                     f"not {apply_move(params, sol.triple(k), i)}")
             k = _first_failure(rows, np.take(component_id, target) == ids)
             if k is not None:
                 raise CertificateError(
-                    f"move {i} edge from {sol.triple(k)} to {sol.triple(int(nbr[i, k]))} "
+                    f"move {i} edge from {sol.triple(k)} to "
+                    f"{sol.triple(int(target[k - rows.start]))} "
                     f"joins components {int(component_id[k])} and "
-                    f"{int(component_id[nbr[i, k]])}")
+                    f"{int(component_id[target[k - rows.start]])}")
             pair_ok = mod_p(np.add(vals[rows, i], np.take(vals[:, i], target), dtype=np.int64)
                             - s, p) == 0
             k = _first_failure(rows, pair_ok)
             if k is not None:
-                identity = "fixed-point" if nbr[i, k] == k else "pair"
+                identity = "fixed-point" if target[k - rows.start] == k else "pair"
                 raise CertificateError(
                     f"{identity} identity fails at {sol.triple(k)} for move {i}")
             n_fixed += int(np.count_nonzero(target == own))

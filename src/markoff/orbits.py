@@ -1,57 +1,97 @@
-"""Connected components of the move graph and the divisibility verdict.
+"""Orbits of the move group, found on the cell grid, and the divisibility verdict.
 
-Each solution is adjacent to its three move images, found in O(1) per
-point from the cell-indexed SolutionSet.  Components are found with
-scipy's sparse connected_components, linear time in the number of
-points.  Representatives and orbit numbering are canonical: orbits are
-ordered by their lexicographically smallest point.
+The search runs on the p^2 cells (x1, x2) of the cell-indexed
+SolutionSet, not on its points.  A cell holds at most two points, the
+two roots in x3 that m_2 swaps, so one node stands for both and m_2
+needs no edge.  m_0 changes only x1 and m_1 only x2, so the m_0 image of
+a point of cell (x1, x2) lies in cell moved_coordinate(x, 0)*p + x2 and
+its m_1 image in cell x1*p + moved_coordinate(x, 1): both target cells
+are arithmetic on the coordinates, with no row lookup.  A cell's CSR row
+lists the two target cells of each of its rows, so the row pointers are
+2*offsets.  On a set of whole cells (enumerate_solutions builds them and
+SolutionSet.restrict refuses any other) a move image is in the set
+exactly when its target cell holds a row, so the search checks that
+every cell it reaches is non-empty and raises KeyError naming the moved
+point otherwise: the closure check of a restricted set.
+
+Orbits are numbered by their first, that is lexicographically smallest,
+row.  scipy's breadth_first_order labels up to MAX_BFS of them, each
+from the first cell not yet labelled.  Each call allocates and fills
+arrays over all p^2 cells, so an s = 0 surface with about p/2 orbits
+would go quadratic; the orbits left after MAX_BFS are found by one
+depth_first_order from a virtual root, node p^2, whose row lists the
+unlabelled cells in row order.  That search enters each orbit at its
+first cell, in row order, and visits the orbit's cells before it returns
+to the root, so each orbit is one run of the depth-first order and the
+runs come in first-row order.  scipy rescans the root's row from its
+start after each run, which costs the sum over the orbits of their
+first cell's place in that row: at p = 4001 about 23 entries per
+unlabelled cell for (0,0,-3), whose 10,008 orbits are the most seen, and
+5 for (2,2,-2).
+
+neighbor_indices looks up the row of each move image, one block of rows
+at a time, for the certificate verifier, which checks every edge.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, depth_first_order
 
-from .enumeration import SolutionSet, row_blocks
+from .enumeration import INT32_MAX, ResourceGuardError, SolutionSet, cell_slabs
 from .surface import (ALL_NONDEGENERATE, SPECIAL_FORM, ParamClass, Triple,
                       apply_move, classify_parameters, moved_coordinate)
 
+# orbits labelled by breadth-first searches before one depth-first search
+# takes the rest: one orbit is generic, and the special forms have at
+# least two or four
+MAX_BFS = 4
 
-def neighbor_indices(sol: SolutionSet) -> np.ndarray:
-    """(3, M) int32 array: entry [i, k] is the index of m_i applied to point k.
 
-    m_2 keeps the cell (x1, x2) and swaps the two roots in x3, so its
-    image is the other row of the same cell.  m_0 and m_1 change x1 or
-    x2 and are looked up in the cell of the moved point, one block of
-    rows at a time.  The result is the transpose of an (M, 3) C-ordered
-    array: the three images of a point are adjacent in memory, which is
-    the CSR layout _component_labels hands to scipy without a copy.
+def neighbor_indices(sol: SolutionSet,
+                     block: tuple[slice, np.ndarray] | None = None) -> np.ndarray:
+    """(3, n) int32 array: entry [i, k] is the row of m_i applied to the k-th row.
+
+    The rows are those of block, a (rows, x) pair yielded by
+    sol.blocks(), or all M rows without one.  m_2 keeps the cell
+    (x1, x2) and swaps the two roots in x3, so its image is the other
+    row of the same cell.  m_0 and m_1 change x1 or x2 and are looked up
+    in the cell of the moved point; KeyError names a moved point that is
+    not in the set.
     """
+    if block is not None:
+        return _move_rows(sol, *block)
+    out = np.empty((3, len(sol)), dtype=np.int32)
+    for rows, x in sol.blocks():
+        out[:, rows] = _move_rows(sol, rows, x)
+    return out
+
+
+def _move_rows(sol: SolutionSet, rows: slice, x) -> np.ndarray:
     params = sol.params
     p = params.p
-    out = np.empty((len(sol), 3), dtype=np.int32)
-    for rows, x in sol.blocks():
-        # moved coordinates are reduced mod p, so the lookup needs no range check
-        out[rows, 0] = sol._find_rows(moved_coordinate(params, x, 0), x[1], x[2])
-        out[rows, 1] = sol._find_rows(x[0], moved_coordinate(params, x, 1), x[2])
-        cell = x[0] * p + x[1]
-        out[rows, 2] = (np.take(sol.offsets, cell) + np.take(sol.offsets[1:], cell) - 1
-                        - np.arange(rows.start, rows.stop, dtype=np.int32))
-    return out.T
+    out = np.empty((3, rows.stop - rows.start), dtype=np.int32)
+    # moved coordinates are reduced mod p, so the lookup needs no range check
+    out[0] = sol._find_rows(moved_coordinate(params, x, 0), x[1], x[2])
+    out[1] = sol._find_rows(x[0], moved_coordinate(params, x, 1), x[2])
+    cell = x[0] * p + x[1]
+    out[2] = (np.take(sol.offsets, cell) + np.take(sol.offsets[1:], cell) - 1
+              - np.arange(rows.start, rows.stop, dtype=np.int32))
+    return out
 
 
 @dataclass
 class OrbitPartition:
-    """Partition of a SolutionSet into move-graph components."""
+    """Partition of a SolutionSet into orbits of the move group."""
 
     solutions: SolutionSet
     component_id: np.ndarray            # (M,) int32, canonical numbering
     orbits: list[tuple[int, Triple]]    # (size, lexicographically smallest point)
     multiset: dict[int, int]            # size -> number of orbits
-    neighbors: np.ndarray               # (3, M) int32 move images, kept for reuse
 
     @property
     def params(self):
@@ -61,72 +101,139 @@ class OrbitPartition:
         return [size for size, _ in self.orbits]
 
 
+def _require_search_bound(p: int, m: int) -> None:
+    """Refuse a search whose graph overflows scipy's int32 indices.
+
+    Arithmetic only: compute_orbits calls it before allocating anything.
+    The graph has p^2 cells and the virtual root, p^2 + 2 row pointers;
+    its index array holds two entries per row and the root's row, one
+    entry per unlabelled non-empty cell, at most min(M, p^2) of them.
+    """
+    if p * p + 2 > INT32_MAX:
+        raise ResourceGuardError(
+            f"p = {p}: the {p * p + 1} cell nodes exceed the int32 bound {INT32_MAX}")
+    if 2 * m + min(m, p * p) > INT32_MAX:
+        raise ResourceGuardError(
+            f"p = {p}: the search over {m} points exceeds the int32 edge bound {INT32_MAX}")
+
+
 def compute_orbits(sol: SolutionSet) -> OrbitPartition:
-    m = len(sol)
-    nbr = neighbor_indices(sol)
+    """The orbits of a SolutionSet of whole cells, numbered by first row.
+
+    Raises KeyError naming a move image outside the set, and
+    ResourceGuardError when the search graph exceeds int32 indices.
+    """
+    p, m = sol.params.p, len(sol)
+    _require_search_bound(p, m)
     if m == 0:
-        return OrbitPartition(sol, np.empty(0, dtype=np.int32), [], {}, nbr)
-    n, labels = _component_labels(nbr, m)
-    component_id, reps_idx = _first_row_numbering(labels, n)
-    # bincount casts its input to int64, so count block by block
-    sizes = sum(np.bincount(component_id[rows], minlength=n) for rows in row_blocks(m))
-    orbits = [(int(sizes[k]), sol.triple(int(reps_idx[k]))) for k in range(n)]
-    multiset: dict[int, int] = {}
-    for size, _ in orbits:
-        multiset[size] = multiset.get(size, 0) + 1
-    multiset = dict(sorted(multiset.items()))
-    return OrbitPartition(sol, component_id, orbits, multiset, nbr)
+        return OrbitPartition(sol, np.empty(0, dtype=np.int32), [], {})
+    # rows per unlabelled cell; a cell labelled by breadth-first search k holds ~k < 0
+    count = np.empty(p * p, dtype=np.int8)
+    np.subtract(sol.offsets[1:], sol.offsets[:-1], out=count, casting="unsafe")
+    # two target cells per row, then room for the root's row
+    indices = np.empty(2 * m + np.count_nonzero(count), dtype=np.int32)
+    _cell_targets(sol, indices)
+    indptr = np.empty(p * p + 2, dtype=np.int32)
+    np.multiply(sol.offsets, 2, out=indptr[:-1])
+    indptr[-1] = 2 * m
+    sizes: list[int] = []
+    firsts: list[int] = []
+    left, start = m, 0
+    while left and len(sizes) < MAX_BFS:
+        start += int(np.argmax(count[start:] > 0))
+        cells = breadth_first_order(_graph(indices, indptr), start, directed=True,
+                                    return_predecessors=False)
+        n = _row_counts(sol, count, cells, indices)
+        count[cells] = ~len(sizes)
+        del cells  # it spans all p^2 cells; the next search allocates its own
+        sizes.append(int(n.sum(dtype=np.int64)))
+        firsts.append(int(sol.offsets[start]))
+        left -= sizes[-1]
+    table = count  # ~id per labelled cell
+    if left:
+        table, more_sizes, more_firsts = _depth_first(sol, count, indices, indptr, len(sizes))
+        sizes += more_sizes
+        firsts += more_firsts
+    del indices, indptr
+    component_id = np.empty(m, dtype=np.int32)
+    for rows, x in sol.blocks():
+        np.invert(np.take(table, x[0] * p + x[1]), out=component_id[rows])
+    orbits = [(size, sol.triple(first)) for size, first in zip(sizes, firsts)]
+    return OrbitPartition(sol, component_id, orbits, dict(sorted(Counter(sizes).items())))
 
 
-def _first_row_numbering(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(id per row, first row per id) for n labels, ids ordered by first row.
+def _depth_first(sol: SolutionSet, count: np.ndarray, indices: np.ndarray,
+                 indptr: np.ndarray, first_id: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """Label every unlabelled cell by one depth-first search from the virtual root.
 
-    Canonical numbering orders the components by their first, that is
-    lexicographically smallest, row.  Labels already are that numbering
-    when each label first appears one above every earlier label; the
-    running maximum then rises n - 1 times, at the components' first
-    rows, and the labels are returned as they are.  scipy's strong
-    search gave such labels on every set tried, and one component
-    always does.  Other labels are ranked by their first row.
+    The root's row, written after the cells' rows in indices, lists the
+    cells that count still holds positive, in row order; their orbits
+    get ids from first_id on.  Returns the table of ~id per cell (the
+    search's predecessor array once read, with the breadth-first labels
+    of count copied in) and the new orbits' sizes and first rows.
     """
-    top = np.maximum.accumulate(labels)
-    rises = np.flatnonzero(top[1:] != top[:-1]) + 1
-    if labels[0] == 0 and len(rises) == n - 1:
-        return labels, np.append(0, rises)
-    first = np.full(n, len(labels), dtype=np.int32)
-    np.minimum.at(first, labels, np.arange(len(labels), dtype=np.int32))
-    order = np.argsort(first)
-    rank = np.empty(n, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
-    return rank[labels], first[order]
+    p = sol.params.p
+    root, end = p * p, 2 * len(sol)
+    for lo, hi in cell_slabs(p):
+        rest = np.flatnonzero(count[lo * p:hi * p] > 0) + lo * p
+        indices[end:end + len(rest)] = rest
+        end += len(rest)
+    indptr[-1] = end
+    cells, table = depth_first_order(_graph(indices, indptr), root, directed=True,
+                                     return_predecessors=True)
+    cells = cells[1:]
+    n = _row_counts(sol, count, cells, indices)
+    new = np.take(table, cells) == root
+    runs = np.flatnonzero(new)
+    sizes = np.add.reduceat(n, runs, dtype=np.int64).tolist()
+    firsts = np.take(sol.offsets, cells[runs]).tolist()
+    ids = np.cumsum(new, dtype=np.int32)
+    del new
+    ids += first_id - 1
+    table[cells] = np.invert(ids, out=ids)
+    np.copyto(table[:root], count, where=count < 0)
+    return table, sizes, firsts
 
 
-def _component_labels(nbr: np.ndarray, m: int) -> tuple[int, np.ndarray]:
-    """Move-graph components as (count, int32 label per point).
+def _cell_targets(sol: SolutionSet, out: np.ndarray) -> None:
+    """Write the m_0 and m_1 target cells of row k to out[2k] and out[2k + 1]."""
+    params = sol.params
+    p = params.p
+    for rows, x in sol.blocks():
+        pair = out[2 * rows.start:2 * rows.stop].reshape(-1, 2)
+        pair[:, 0] = moved_coordinate(params, x, 0) * p + x[1]
+        pair[:, 1] = x[0] * p + moved_coordinate(params, x, 1)
 
-    Row k of the CSR matrix lists the three move images of point k.  The
-    moves are involutions, so every edge comes with its reverse and the
-    strongly connected components are the orbits; the directed search
-    skips the transpose that scipy's undirected search builds.  scipy's
-    graph routines take int32 indices, which bounds the graph at 3M < 2^31.
-    The indices are a view of neighbor_indices' buffer.  The search
-    reads no edge weights, so a zero-stride array of ones stands in for
-    them and scipy's float64 cast of the weights copies nothing.
 
-    On scipy 1.17.1 the strong search hangs when a CSR row lists another
-    vertex twice; a graph on cells, whose rows do, hangs already at
-    p = 13.  A repeated self-loop is harmless.  These rows are safe by
-    the no-bigons fact (no_bigons_holds): two distinct moves have the
-    same image only when both fix the point, so a row repeats a column
-    only as the self-loop of a point that two moves fix.
+def _graph(indices: np.ndarray, indptr: np.ndarray) -> csr_matrix:
+    """The cell graph as a CSR matrix over indices[:indptr[-1]], nothing copied.
+
+    The searches read no edge weights, so a zero-stride array of ones
+    stands in for them and scipy's float64 cast copies nothing.
     """
-    if 3 * m >= 2 ** 31:
-        raise ValueError(f"{m} points exceed the int32 edge bound of the component search")
-    indices = np.ascontiguousarray(nbr.T, dtype=np.int32).ravel()
-    indptr = np.arange(0, 3 * m + 1, 3, dtype=np.int32)
-    weights = np.broadcast_to(np.float64(1.0), (3 * m,))
-    graph = csr_matrix((weights, indices, indptr), shape=(m, m))
-    return connected_components(graph, directed=True, connection="strong")
+    nnz = int(indptr[-1])
+    weights = np.broadcast_to(np.float64(1.0), (nnz,))
+    n = len(indptr) - 1
+    return csr_matrix((weights, indices[:nnz], indptr), shape=(n, n))
+
+
+def _row_counts(sol: SolutionSet, count: np.ndarray, cells: np.ndarray,
+                targets: np.ndarray) -> np.ndarray:
+    """The row counts of the reached cells, all positive.
+
+    A reached cell without a row is the target cell of a move image
+    outside the set: KeyError names the first such image, in row order,
+    that lands in the first such cell reached.
+    """
+    n = np.take(count, cells)
+    held = n > 0
+    if not held.all():
+        cell = int(cells[np.argmin(held)])
+        row, i = divmod(int(np.argmax(targets[:2 * len(sol)] == cell)), 2)
+        y = list(sol.triple(row))
+        y[i] = divmod(cell, sol.params.p)[i]  # m_0 sets x1, m_1 sets x2
+        raise KeyError(f"{tuple(y)} is not in the solution set")
+    return n
 
 
 def size_table(multiset: dict[int, int] | OrbitPartition) -> str:

@@ -9,7 +9,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+from markoff.orbits import neighbor_indices
 from markoff.surface import moved_coordinate, residual_array
 
 
@@ -88,6 +91,39 @@ def naive_orbits(p, a):
         seen |= component
         orbits.append(sorted(component))
     return orbits
+
+
+def strong_search_orbits(sol):
+    """(component_id, orbits, multiset) from scipy's strong search on the point graph.
+
+    The reference for compute_orbits' cell search: one node per point,
+    whose CSR row lists the rows of its three move images (found by
+    row lookup in neighbor_indices), and ids ranked by first row.  The
+    moves are involutions, so the strongly connected components are the
+    orbits.  On scipy 1.17.1 the strong search hangs, inside C code, when
+    a row lists another vertex twice, so that is refused first; by the
+    no-bigons fact a row repeats a column only as a self-loop.
+    """
+    m = len(sol)
+    rows = neighbor_indices(sol).T
+    own = np.arange(m)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        repeated = rows[:, i] == rows[:, j]
+        assert np.array_equal(rows[repeated, i], own[repeated]), (i, j)
+    graph = csr_matrix((np.ones(3 * m), rows.ravel(), np.arange(0, 3 * m + 1, 3)), shape=(m, m))
+    n, labels = connected_components(graph, directed=True, connection="strong")
+    first = np.full(n, m)
+    np.minimum.at(first, labels, own)
+    order = np.argsort(first)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    ids = rank[labels]
+    sizes = np.bincount(ids, minlength=n)
+    orbits = [(int(sizes[k]), sol.triple(int(first[order[k]]))) for k in range(n)]
+    multiset = {}
+    for size, _ in orbits:
+        multiset[size] = multiset.get(size, 0) + 1
+    return ids, orbits, dict(sorted(multiset.items()))
 
 
 def naive_conic_count(p, B, D, E, F):

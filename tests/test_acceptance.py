@@ -20,7 +20,7 @@ from markoff.delta import (NoConsistentExtension, build_certificate,
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.field import inverse, mult_order, prime_field
 from markoff.obstruction import labels, perfect_square_check, verify_breakup
-from markoff.orbits import compute_orbits, size_table
+from markoff.orbits import compute_orbits, neighbor_indices, size_table
 from markoff.special_cases import (UNDERCOUNTED_SIZE4, markoff_p3,
                                    orbit_table_22m2, orbits_00_minus3,
                                    primes_up_to, REFERENCE_TABLE_22M2)
@@ -384,8 +384,7 @@ def _check_double_fixed():
             sol = enumerate_solutions(params)
             if len(sol) == 0:
                 continue
-            part = compute_orbits(sol)
-            nbr = part.neighbors
+            nbr = neighbor_indices(sol)
             idx = np.arange(len(sol))
             for i in range(3):
                 im1, ip1 = (i - 1) % 3, (i + 1) % 3

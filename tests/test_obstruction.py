@@ -9,7 +9,7 @@ from markoff.field import chi
 from markoff.obstruction import (AMBIGUOUS, NON_NEG, NON_POS, SIGN_PATTERNS,
                                  CertificateViolation, breakup_report_dict,
                                  labels, perfect_square_check, verify_breakup)
-from markoff.orbits import compute_orbits
+from markoff.orbits import neighbor_indices
 from markoff.surface import SurfaceParams, rescale, special_form_detect
 
 from conftest import all_triples, naive_chi, naive_move, naive_solutions
@@ -71,12 +71,12 @@ def test_characters_never_strictly_opposite():
 
 
 def assert_index_move_invariant(p, a):
-    """Every move edge of compute_orbits joins two rows with the same label."""
+    """Every move edge joins two rows with the same label."""
     sol = enumerate_solutions(params_of(p, a))
     _names, index = labels(sol)
-    part = compute_orbits(sol)
+    nbr = neighbor_indices(sol)
     for i in range(3):
-        assert np.array_equal(index[part.neighbors[i]], index), (p, a, i)
+        assert np.array_equal(index[nbr[i]], index), (p, a, i)
 
 
 def test_predicates_are_move_invariant():

@@ -1,16 +1,16 @@
+import ast
 import itertools
-import signal
 
 import numpy as np
 import pytest
 
-from markoff.enumeration import enumerate_solutions
-from markoff.orbits import (_component_labels, _first_row_numbering, compute_orbits,
+from markoff.enumeration import INT32_MAX, ResourceGuardError, enumerate_solutions
+from markoff.orbits import (MAX_BFS, _require_search_bound, compute_orbits,
                             neighbor_indices, no_bigons_holds, partition_report,
                             size_table, verify_divisibility)
 from markoff.surface import SurfaceParams, apply_move
 
-from conftest import naive_orbits
+from conftest import naive_orbits, strong_search_orbits
 
 
 def part_for(p, a):
@@ -48,7 +48,7 @@ def test_orbits_match_naive_bfs():
 def test_component_id_is_move_invariant():
     for p, a in [(7, (1, 1, 1)), (13, (2, 2, -2))]:
         part = part_for(p, a)
-        nbr = part.neighbors
+        nbr = neighbor_indices(part.solutions)
         for i in range(3):
             assert np.array_equal(part.component_id[nbr[i]], part.component_id)
 
@@ -71,25 +71,6 @@ def test_representatives_are_lex_minima():
     assert reps == sorted(reps)
 
 
-def test_numbering_is_canonical_in_any_label_order():
-    """Labels in first-row order are kept; any other order is ranked to the same ids."""
-    rng = np.random.default_rng(18)
-    for p, a in [(7, (2, 2, -2)), (13, (2, 2, -2)), (11, (2, 5, 5)), (13, (0, 0, -3))]:
-        part = part_for(p, a)
-        n, m = len(part.orbits), len(part.solutions)
-        assert n > 1
-        ids, first = _first_row_numbering(part.component_id, n)
-        assert ids is part.component_id  # already canonical: reused, not copied
-        for relabel in (np.arange(n)[::-1], rng.permutation(n)):
-            ids, first = _first_row_numbering(relabel[part.component_id].astype(np.int32), n)
-            assert np.array_equal(ids, part.component_id)
-            assert [part.solutions.triple(int(k)) for k in first] == [r for _, r in part.orbits]
-            assert ids.dtype == np.int32 and first.max() < m
-    one = np.zeros(5, dtype=np.int32)
-    ids, first = _first_row_numbering(one, 1)
-    assert ids is one and first.tolist() == [0]
-
-
 def test_neighbor_indices_are_involutive():
     sol = enumerate_solutions(SurfaceParams.make(11, (1, 2, 3)))
     nbr = neighbor_indices(sol)
@@ -97,38 +78,85 @@ def test_neighbor_indices_are_involutive():
         assert np.array_equal(nbr[i][nbr[i]], np.arange(len(sol)))
 
 
-def test_neighbor_buffer_is_the_csr_layout():
-    """The CSR indices _component_labels builds are a view of neighbor_indices' buffer."""
-    nbr = neighbor_indices(enumerate_solutions(SurfaceParams.make(11, (1, 2, 3))))
-    assert nbr.dtype == np.int32 and nbr.T.flags.c_contiguous
-    assert np.shares_memory(np.ascontiguousarray(nbr.T, dtype=np.int32).ravel(), nbr)
-
-
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_rows_repeat_only_self_loops(p):
-    """Every a at p: a CSR row repeats a column only as a self-loop.
+    """Every a at p: a neighbour row repeats a row only as a self-loop.
 
-    scipy's strong search hangs on a row that lists another vertex twice,
-    inside C code that no Python handler can interrupt, so the alarm keeps
-    its default action: a hang ends the test run instead of stalling it.
+    This is the no-bigons fact on the point graph, and the condition
+    under which the strong search of strong_search_orbits terminates.
     """
-    previous = signal.signal(signal.SIGALRM, signal.SIG_DFL)
-    signal.alarm(120)
-    try:
-        for a in itertools.product(range(p), repeat=3):
-            sol = enumerate_solutions(SurfaceParams.make(p, a))
-            m = len(sol)
-            rows = neighbor_indices(sol).T
-            own = np.arange(m)
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                repeated = rows[:, i] == rows[:, j]
-                assert np.array_equal(rows[repeated, i], own[repeated]), (p, a, i, j)
-            if m:
-                n, labels = _component_labels(rows.T, m)
-                assert len(labels) == m and labels.max() == n - 1
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    for a in itertools.product(range(p), repeat=3):
+        sol = enumerate_solutions(SurfaceParams.make(p, a))
+        rows = neighbor_indices(sol).T
+        own = np.arange(len(sol))
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            repeated = rows[:, i] == rows[:, j]
+            assert np.array_equal(rows[repeated, i], own[repeated]), (p, a, i, j)
+
+
+def assert_matches_strong_search(p, a):
+    """compute_orbits agrees with the point-graph strong search; returns the orbit count."""
+    sol = enumerate_solutions(SurfaceParams.make(p, a))
+    part = compute_orbits(sol)
+    assert part.component_id.dtype == np.int32 and part.component_id.shape == (len(sol),)
+    if len(sol) == 0:
+        assert part.orbits == [] and part.multiset == {}
+        return 0
+    ids, orbits, multiset = strong_search_orbits(sol)
+    assert np.array_equal(part.component_id, ids), (p, a)
+    assert part.orbits == orbits and part.multiset == multiset, (p, a)
+    return len(orbits)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_cell_search_matches_strong_search_on_every_triple(p):
+    counts = {assert_matches_strong_search(p, a) for a in itertools.product(range(p), repeat=3)}
+    if p >= 7:  # both the breadth-first and the depth-first path ran
+        assert {1, MAX_BFS} <= counts and max(counts) > MAX_BFS
+
+
+def test_cell_search_matches_strong_search_on_seeded_sets():
+    rng = np.random.default_rng(19)
+    counts = {}
+    for p in (17, 31, 61, 101, 151, 211):
+        special = [(0, 0, -3), (2, 2, -2), (0, 0, 0), (2, 2, 2), (2, 5, 5)]
+        seeded = [tuple(int(v) for v in rng.integers(0, p, 3)) for _ in range(4)]
+        for a in special + seeded:
+            counts[p, a] = assert_matches_strong_search(p, a)
+    # exactly MAX_BFS orbits, all found breadth-first, and sets that
+    # reach the depth-first search with hundreds of orbits
+    assert counts[211, (2, 2, 2)] == MAX_BFS
+    assert counts[211, (2, 2, -2)] > MAX_BFS and counts[211, (0, 0, -3)] > 100
+
+
+def test_search_bound_is_arithmetic_only():
+    """2M targets plus a root row of min(M, p^2) cells, and p^2 + 2 row pointers, fit in int32."""
+    p = 26003
+    limit = (INT32_MAX - p * p) // 2  # M above p^2: the root row holds at most p^2 cells
+    _require_search_bound(p, limit)
+    with pytest.raises(ResourceGuardError, match="int32 edge bound"):
+        _require_search_bound(p, limit + 1)
+    m = INT32_MAX // 3  # M below p^2: the root row holds at most M cells
+    assert m < 46337 ** 2
+    _require_search_bound(46337, m)
+    with pytest.raises(ResourceGuardError, match="int32 edge bound"):
+        _require_search_bound(46337, m + 1)
+    with pytest.raises(ResourceGuardError, match="cell nodes"):
+        _require_search_bound(46349, 0)
+
+
+def test_move_out_of_a_restricted_set_is_named():
+    """A kept row whose move image was dropped: KeyError names that image."""
+    p = 13
+    params = SurfaceParams.make(p, (1, 1, 1))
+    sol = enumerate_solutions(params)
+    keep = sol.points[:, 0] < 6
+    with pytest.raises(KeyError) as raised:
+        compute_orbits(sol.restrict(keep))
+    image = ast.literal_eval(raised.value.args[0].split(" is not")[0])
+    assert image in sol and image[0] >= 6
+    kept = [x for x in sol.iter_triples() if x[0] < 6]
+    assert any(apply_move(params, x, 0) == image for x in kept)
 
 
 def test_verify_divisibility_frozen_examples():
