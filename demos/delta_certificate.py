@@ -37,9 +37,9 @@ assign = build_certificate(sol)
 report = verify_certificate(assign, part)
 print(f"p=13, a=(2,5,5): certificate over {report.n_points} points,"
       f" {report.n_fixed_edges} fixed edges")
-for check in report.orbit_checks:
-    print(f"  orbit of size {check.size} (rep {check.rep}):"
-          f" size mod p = {check.size % 13}")
+for size, rep in part.orbits:
+    print(f"  orbit of size {size} (rep {rep}):"
+          f" size mod p = {size % 13}")
 print()
 
 # Where the theorem's hypothesis fails, no consistent assignment exists:

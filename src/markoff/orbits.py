@@ -29,8 +29,9 @@ first cell's place in that row: at p = 4001 about 23 entries per
 unlabelled cell for (0,0,-3), whose 10,008 orbits are the most seen, and
 5 for (2,2,-2).
 
-neighbor_indices looks up the row of each move image, one block of rows
-at a time, for the certificate verifier, which checks every edge.
+neighbor_indices looks up the row of every move image.  The pipeline
+makes no such lookup: the certificate verifier locates each image
+itself, and the tests' strong-search oracle reads the whole array.
 """
 
 from __future__ import annotations
@@ -52,35 +53,17 @@ from .surface import (ALL_NONDEGENERATE, SPECIAL_FORM, ParamClass, Triple,
 MAX_BFS = 4
 
 
-def neighbor_indices(sol: SolutionSet,
-                     block: tuple[slice, np.ndarray] | None = None) -> np.ndarray:
-    """(3, n) int32 array: entry [i, k] is the row of m_i applied to the k-th row.
+def neighbor_indices(sol: SolutionSet) -> np.ndarray:
+    """(3, M) int32 array: entry [i, k] is the row of m_i applied to the k-th row.
 
-    The rows are those of block, a (rows, x) pair yielded by
-    sol.blocks(), or all M rows without one.  m_2 keeps the cell
-    (x1, x2) and swaps the two roots in x3, so its image is the other
-    row of the same cell.  m_0 and m_1 change x1 or x2 and are looked up
-    in the cell of the moved point; KeyError names a moved point that is
-    not in the set.
+    Each image, from apply_move on a block of rows, is looked up by its
+    coordinates like any point; m_2's image is the other root of the
+    same cell.  KeyError names a moved point that is not in the set.
     """
-    if block is not None:
-        return _move_rows(sol, *block)
     out = np.empty((3, len(sol)), dtype=np.int32)
     for rows, x in sol.blocks():
-        out[:, rows] = _move_rows(sol, rows, x)
-    return out
-
-
-def _move_rows(sol: SolutionSet, rows: slice, x) -> np.ndarray:
-    params = sol.params
-    p = params.p
-    out = np.empty((3, rows.stop - rows.start), dtype=np.int32)
-    # moved coordinates are reduced mod p, so the lookup needs no range check
-    out[0] = sol._find_rows(moved_coordinate(params, x, 0), x[1], x[2])
-    out[1] = sol._find_rows(x[0], moved_coordinate(params, x, 1), x[2])
-    cell = x[0] * p + x[1]
-    out[2] = (np.take(sol.offsets, cell) + np.take(sol.offsets[1:], cell) - 1
-              - np.arange(rows.start, rows.stop, dtype=np.int32))
+        for i in range(3):
+            out[i, rows] = sol._find_rows(*apply_move(sol.params, x, i))
     return out
 
 

@@ -4,8 +4,9 @@ Points are triples of ints reduced mod p; bulk operations act on numpy
 arrays of shape (M, 3).  The residual and the move are each written
 once, on ints or broadcastable arrays alike: the residual is the monic
 quadratic in x3 whose coefficients x3_coefficients gives and
-residual_array evaluates, and the move is moved_coordinate; residual,
-on_surface and apply_move evaluate them on one point.  Coordinate
+residual_array evaluates, and the move is moved_coordinate; residual
+and on_surface evaluate them on one point, apply_move on one point or
+on coordinate columns.  Coordinate
 indices are 0-based (i in {0, 1, 2}) and cyclic: i - 1 and i + 1 are
 taken mod 3.
 """
@@ -82,12 +83,16 @@ def moved_coordinate(params: SurfaceParams, x, i: int):
                - a[ip1] * x[im1] - a[im1] * x[ip1], p)
 
 
-def apply_move(params: SurfaceParams, x: Triple, i: int) -> Triple:
-    """Replace x_i by the other root of the surface equation seen as a quadratic in x_i."""
+def apply_move(params: SurfaceParams, x, i: int) -> tuple:
+    """Replace x_i by the other root of the surface equation seen as a quadratic in x_i.
+
+    x is one point of ints, whose image is a point of ints, or the
+    coordinate columns x[0..2] of many, as in rescale.
+    """
     if i not in (0, 1, 2):
         raise ValueError("move index must be 0, 1 or 2")
     y = list(x)
-    y[i] = int(moved_coordinate(params, x, i))
+    y[i] = moved_coordinate(params, x, i)
     return tuple(y)
 
 

@@ -10,7 +10,6 @@ from markoff.delta import (CertificateError, DeltaAssignment,
                            delta_values, verify_certificate)
 from markoff.enumeration import SolutionSet, enumerate_solutions
 from markoff.field import chi, inverse, mult_order
-from markoff import delta
 from markoff.orbits import compute_orbits, neighbor_indices
 from markoff.surface import (SurfaceParams, apply_move, classify_parameters,
                              ALL_NONDEGENERATE, HYPOTHESIS_VIOLATED, SPECIAL_FORM)
@@ -317,21 +316,29 @@ class TestCertificate:
             verify_certificate(assign, compute_orbits(sol))
 
     def test_corrupted_partition_fails_loudly(self, monkeypatch):
-        """A wrong neighbour row or component id must not certify itself."""
+        """A wrong image row or component id must not certify itself."""
         params = params_of(13, (2, 5, 5))
         sol = enumerate_solutions(params)
         assign = build_certificate(sol)
         part = compute_orbits(sol)
         k = 40
-        for i, row, message in ((0, (int(neighbor_indices(sol)[0, k]) + 1) % len(sol),
-                                 "move 0 neighbour of"),
-                                (2, -1, "neighbour index outside")):
-            nbr = neighbor_indices(sol)
-            nbr[i, k] = row
-            with monkeypatch.context() as patch:
-                patch.setattr(delta, "neighbor_indices", lambda sol, block: nbr[:, block[0]])
-                with pytest.raises(CertificateError, match=message):
-                    verify_certificate(assign, part)
+        # a locator one row off for the m_0 image of row k alone; move 0 is
+        # checked first, and m_0 is an involution, so no other row has that
+        # image under m_0
+        y = apply_move(params, sol.triple(k), 0)
+        locate = SolutionSet._locate
+
+        def faulty(self, x1, x2, x3):
+            rows = locate(self, x1, x2, x3)
+            hit = (x1 == y[0]) & (x2 == y[1]) & (x3 == y[2])
+            rows[hit] = (rows[hit] + 1) % len(self)
+            return rows
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SolutionSet, "_locate", faulty)
+            with pytest.raises(CertificateError,
+                               match=re.escape(f"move 0 neighbour of {sol.triple(k)} is ")):
+                verify_certificate(assign, part)
         ids = part.component_id.copy()
         ids[k] = 1 - ids[k]
         with pytest.raises(CertificateError, match="joins components"):
@@ -380,12 +387,12 @@ class TestCertificate:
                            + re.escape(str(rep1))):
             verify_certificate(assign, part)
 
-    def test_duplicated_point_breaks_the_half_sum(self, monkeypatch):
+    def test_duplicated_point_breaks_the_half_sum(self):
         """A repeated row passes every edge check and the size count, not the half-sums.
 
-        The repeated row lies outside every cell, so a row lookup would
-        fail at its m_2 edge first; the verifier is handed the neighbour
-        rows of the row it repeats instead.
+        The repeated row lies outside every cell, but its images are
+        located by their coordinates, at the rows of the images of the
+        row it repeats.
         """
         params = params_of(13, (2, 5, 5))
         sol = enumerate_solutions(params)
@@ -401,9 +408,6 @@ class TestCertificate:
         bad = dataclasses.replace(
             part, solutions=dup, orbits=orbits,
             component_id=np.append(part.component_id, part.component_id[k]))
-        nbr = neighbor_indices(sol)
-        nbr = np.hstack([nbr, nbr[:, k:k + 1]])
-        monkeypatch.setattr(delta, "neighbor_indices", lambda sol, block: nbr[:, block[0]])
         values = np.asfortranarray(np.vstack([assign.values, assign.values[k]]))
         with pytest.raises(CertificateError,
                            match=re.escape(f"half-sum identity for move 0 fails for the orbit "

@@ -66,6 +66,16 @@ def test_lookup_reduces_mod_p_and_names_the_missing_point():
         sol.restrict(np.zeros(len(sol), dtype=bool)).index_of((1, 1, 1))
 
 
+def test_lookup_refuses_points_that_are_not_triples():
+    sol = enumerate_solutions(SurfaceParams.make(7, (1, 1, 1)))
+    assign = build_certificate(sol)
+    for x in ((1, 1, 1, 5), (1, 1), ()):
+        for lookup in (sol.index_of, assign.at):
+            with pytest.raises(ValueError, match="three coordinates"):
+                lookup(x)
+        assert x not in sol
+
+
 def test_solution_set_closed_under_moves():
     for p, a in [(7, (1, 1, 1)), (11, (2, 5, 5)), (13, (0, 4, 4))]:
         params = SurfaceParams.make(p, a)

@@ -10,7 +10,7 @@ from markoff.orbits import (MAX_BFS, _require_search_bound, compute_orbits,
                             size_table, verify_divisibility)
 from markoff.surface import SurfaceParams, apply_move
 
-from conftest import naive_orbits, strong_search_orbits
+from conftest import naive_move, naive_orbits, strong_search_orbits
 
 
 def part_for(p, a):
@@ -76,6 +76,17 @@ def test_neighbor_indices_are_involutive():
     nbr = neighbor_indices(sol)
     for i in range(3):
         assert np.array_equal(nbr[i][nbr[i]], np.arange(len(sol)))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_neighbor_indices_match_naive_moves(p):
+    """Every a at p: each image row, m_2's included, is the row of the naive image."""
+    for a in itertools.product(range(p), repeat=3):
+        sol = enumerate_solutions(SurfaceParams.make(p, a))
+        nbr = neighbor_indices(sol)
+        for k, x in enumerate(sol.iter_triples()):
+            for i in range(3):
+                assert nbr[i, k] == sol.index_of(naive_move(p, a, x, i)), (p, a, x, i)
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))

@@ -58,11 +58,17 @@ def test_apply_move_frozen_examples():
 
 
 def test_moves_match_naive():
+    """On a point of ints and on int32 coordinate columns alike."""
     for p, a in PANEL[:4]:
         params = params_of(p, a)
-        for x in all_triples(p):
-            for i in range(3):
-                assert apply_move(params, x, i) == naive_move(p, params.a, x, i)
+        triples = all_triples(p)
+        cols = np.array(triples, dtype=np.int32).T
+        for i in range(3):
+            expected = [naive_move(p, params.a, x, i) for x in triples]
+            for x, y in zip(triples, expected):
+                image = apply_move(params, x, i)
+                assert image == y and all(type(v) is int for v in image)
+            assert np.array_equal(np.stack(apply_move(params, cols, i)), np.array(expected).T)
 
 
 def test_move_preserves_surface():

@@ -16,11 +16,12 @@ wrappers around the functions that do them: orbits_lookup_s is the time
 compute_orbits spends finding its edges (the cell targets of
 orbits._cell_targets, or on older commits the row lookups of
 orbits.neighbor_indices), and search_s the rest of compute_orbits;
-verify_lookup_s is the time verify_certificate spends in
-orbits.neighbor_indices, which older commits did not call there.  A
-wrapper replaces the function on every markoff module that holds it, and
-a function a commit lacks is not wrapped, so the tool runs unchanged on
-older commits.
+verify_lookup_s is the time verify_certificate spends locating move
+images, in SolutionSet._locate, or on older commits in
+orbits.neighbor_indices.  A wrapper replaces a function on every markoff
+module that holds it, and _locate on the SolutionSet class; a function a
+commit lacks is not wrapped, so the tool runs unchanged on older
+commits.
 
 peak_rss_mb_after is the process's RSS high-water mark after each stage.
 traced_peak_mb is the tracemalloc peak within each stage, which numpy's
@@ -43,11 +44,13 @@ import numpy as np
 import scipy
 
 from markoff import delta, orbits
-from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
+from markoff.enumeration import SolutionSet, count_solutions_bruteforce, enumerate_solutions
 from markoff.surface import SurfaceParams
 
 # the functions that look up move images, where a commit has them
 LOOKUPS = ("_cell_targets", "neighbor_indices")
+# the method that locates move images, where a commit has it
+LOCATE = "_locate"
 
 
 def _rss_mb() -> float:
@@ -55,23 +58,31 @@ def _rss_mb() -> float:
 
 
 def _wrap_lookups(spent: dict, current: list) -> None:
-    """Add each lookup's time to spent[(stage running, name)], on every markoff module."""
+    """Add each lookup's time to spent[(stage running, name)].
+
+    The functions are replaced on every markoff module that holds them,
+    and the method on SolutionSet.
+    """
+    def timed(fn, name):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            out = fn(*args, **kwargs)
+            spent[current[0], name] += time.perf_counter() - start
+            return out
+        return wrapper
+
     modules = [m for n, m in list(sys.modules.items())
                if m is not None and n.startswith("markoff")]
     for name in LOOKUPS:
         fn = getattr(orbits, name, None)
         if fn is None:
             continue
-
-        def timed(*args, _fn=fn, _name=name, **kwargs):
-            start = time.perf_counter()
-            out = _fn(*args, **kwargs)
-            spent[current[0], _name] += time.perf_counter() - start
-            return out
         for mod in modules:
             for attr, value in list(vars(mod).items()):
                 if value is fn:
-                    setattr(mod, attr, timed)
+                    setattr(mod, attr, timed(fn, name))
+    if hasattr(SolutionSet, LOCATE):
+        setattr(SolutionSet, LOCATE, timed(getattr(SolutionSet, LOCATE), LOCATE))
 
 
 def main(argv: list[str]) -> int:
@@ -113,7 +124,7 @@ def main(argv: list[str]) -> int:
 
     stages["orbits_lookup_s"] = sum(spent["orbits", name] for name in LOOKUPS)
     stages["search_s"] = stages["orbits_s"] - stages["orbits_lookup_s"]
-    stages["verify_lookup_s"] = spent["cert_verify", "neighbor_indices"]
+    stages["verify_lookup_s"] = sum(spent["cert_verify", name] for name in (*LOOKUPS, LOCATE))
     stages["total_s"] = sum(stages.get(k + "_s", 0.0)
                             for k in ("enumerate", "orbits", "cert_build", "cert_verify"))
     print(json.dumps({

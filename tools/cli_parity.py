@@ -12,7 +12,8 @@ line for each:
 Two checkouts whose lines are equal give byte-identical stdout and
 stderr and the same exit codes on these runs.  The list holds every
 README example, two breakup runs with sigma = -1, the p = 997 and
-p = 2017 runs behind the benchmark families, the sweep_mid workload's
+p = 2017 runs behind the benchmark families, a certificate on the
+all-nondegenerate a = (1,1,1) at p = 997, the sweep_mid workload's
 own sweep, the p = 2 and p = 3 edge inputs, the brute-force count at
 p = 101, 997 and 2003, three refusals of the
 Delta certificate, and the usage (exit 2) and resource-guard (exit 3)
@@ -56,6 +57,8 @@ COMMANDS = [
     "sweep --p-list 17,19 --samples 50 --seed 1",
     # larger primes; (2,5,5) is special form with alpha = 5, (2,-2,-2) with alpha = -2
     "orbits -p 997 -a 1,1,1 --format json",
+    # a certificate on an all-nondegenerate set at scale
+    "verify delta -p 997 -a 1,1,1",
     "verify delta -p 997 -a 2,5,5",
     "verify breakup -p 997 -a 2,5,5",
     "verify divisibility -p 997 -a 2,5,5",
