@@ -1,4 +1,4 @@
-"""Construction and verification of the orbit-divisibility certificate.
+"""The orbit-divisibility certificate: its formula and its verification.
 
 Three angle functions Delta_i assign a value to every nonzero solution
 subject to three identities:
@@ -9,21 +9,18 @@ subject to three identities:
 
 Summing them over an orbit of size V gives s*V = 3*s*V/2, hence
 s*V = 0, hence p | V when s != 0.  Delta_i has a closed form wherever
-x_{i-1} x_{i+1} != 0, written once in _closed_form for ints and arrays
-alike; on a plane x_i = 0 the two values Delta_{i +- 1} have a second
-closed form in x_{i-1} and x_{i+1}, written once in _plane_form, which
-build_certificate writes over the first.  So every value is a formula
-in the coordinates of its row.  Where a_i^2 = 4 and
-2a_{i-1} != a_{i+1}a_i no assignment exists; require_consistent reads
-that from the parameters alone, and build_certificate calls it before
-it writes a row.
+x_{i-1} x_{i+1} != 0, _closed_form, and on a plane x_j = 0 the values
+Delta_{j +- 1} have a second one, _plane_form.  delta_column picks
+between them on coordinate columns, so the certificate is a formula in
+the coordinates of each point, and a DeltaAssignment stores no values.
+Where a_i^2 = 4 and 2a_{i-1} != a_{i+1}a_i no assignment exists;
+require_consistent reads that from the parameters alone.
 
-verify_certificate checks a certificate in one pass over the blocks of
-rows: every move edge, found by locating the image of apply_move and
-comparing the coordinates read there, the total identity, and the pair
-identity, which on a self-loop m_i x = x reads 2 Delta_i(x) = s, the
-fix identity for odd p.  It then rederives s*V = 0 per orbit from the
-per-orbit sums of each Delta_i gathered in the same pass.
+verify_certificate proves the set complete (the closed-form count of
+rows, each on the surface, strictly increasing from above the origin),
+so every move image on the surface is a row and none is looked up.  It
+checks each edge's identities with Delta evaluated at both ends and its
+orbit ids read per cell, then rederives s*V = 0 per orbit.
 """
 
 from __future__ import annotations
@@ -34,23 +31,19 @@ import numpy as np
 
 from .enumeration import SolutionSet
 from .field import mod_p
-from .orbits import OrbitPartition
-from .surface import SurfaceParams, Triple, apply_move
+from .orbits import CertificateError, OrbitPartition, require_complete
+from .surface import SurfaceParams, Triple, apply_move, residual_array
 
 
 class NoConsistentExtension(Exception):
     """The angle functions admit no extension over a plane of double fixed points."""
 
 
-class CertificateError(Exception):
-    """A certificate identity failed; the assignment is not valid."""
-
-
 def delta_values(params: SurfaceParams, x: Triple) -> Triple:
     """The closed-form (Delta_1, Delta_2, Delta_3) at a point with x1*x2*x3 != 0."""
     if any(v % params.p == 0 for v in x):
         raise ValueError("closed form needs all coordinates nonzero; "
-                         "build_certificate fills the zero-coordinate points")
+                         "delta_column covers the zero-coordinate points")
     return tuple(delta_at(params, x, i) for i in range(3))
 
 
@@ -91,7 +84,7 @@ def _closed_form(params: SurfaceParams, x, i: int):
 def _plane_form(params: SurfaceParams, x, i: int):
     """Delta_{i-1} = s/2 + (2a_{i-1} - a_i a_{i+1}) x_{i-1} / (2(x_{i+1}^2 - x_{i-1}^2)).
 
-    The value of Delta_{i-1} on the plane x_i = 0 (see build_certificate),
+    The value of Delta_{i-1} on the plane x_i = 0 (see delta_column),
     on columns x[0..2] like those of _closed_form.  The int32 products
     stay below p^2, and the inverse is gathered from the int64 inv_table,
     so every term that holds it is int64 and below 2 p^2.
@@ -105,38 +98,74 @@ def _plane_form(params: SurfaceParams, x, i: int):
     return mod_p(s * inv2 % p + mod_p(c * xj, p) * inv, p)
 
 
+def delta_column(params: SurfaceParams, x, i: int) -> np.ndarray:
+    """Delta_i on the coordinate columns x[0..2], the planes x_{i +- 1} = 0 included.
+
+    x holds int32 or int64 arrays in [0, p), a block of SolutionSet.blocks
+    or an image of apply_move; the values are int64 in [0, p).  Every
+    point gets _closed_form, which is Delta_i unless x_{i-1} or x_{i+1}
+    vanishes.  On a plane x_j = 0 the surface equation reads
+    x_k^2 + a_j x_k x_l + x_l^2 = 0 for {k, l} = {j-1, j+1}, and
+
+      Delta_k = s/2 + (2a_k - a_j a_l) x_k / (2(x_l^2 - x_k^2)):
+
+    m_k maps x_k to x_l^2/x_k, which flips the sign of the second term,
+    so the pair identity holds, and the equation gives the total one.
+    So Delta_i is _plane_form(x, i + 1) on x_{i+1} = 0, and
+    s - Delta_{i-1} - _plane_form(x, i - 1) on x_{i-1} = 0.  The
+    denominator vanishes exactly when a_j^2 = 4, where every point of
+    the plane is a double fixed point; inv_table[0] = 0 then gives the
+    forced value s/2.  A surface point has at most one zero coordinate.
+    """
+    p, s = params.p, params.s
+    out = _closed_form(params, x, i)
+    j = (i + 1) % 3
+    on = np.flatnonzero(x[j] == 0)
+    out[on] = _plane_form(params, [v[on] for v in x], j)
+    j = (i - 1) % 3
+    on = np.flatnonzero(x[j] == 0)
+    y = [v[on] for v in x]
+    out[on] = mod_p(s - _closed_form(params, y, j) - _plane_form(params, y, j), p)
+    return out
+
+
 @dataclass
 class DeltaAssignment:
-    """Total assignment of (Delta_1, Delta_2, Delta_3) over a SolutionSet."""
+    """(Delta_1, Delta_2, Delta_3) over a SolutionSet, given by delta_column; no values stored."""
 
     solutions: SolutionSet
-    values: np.ndarray        # (M, 3) int32 in [0, p), column-major, aligned with solutions.points
 
     @property
-    def params(self) -> SurfaceParams:
-        return self.solutions.params
+    def values(self) -> np.ndarray:
+        """(M, 3) int32 values of every row, column-major; built on each access."""
+        sol = self.solutions
+        out = np.empty((3, len(sol)), dtype=np.int32).T
+        for rows, x in sol.blocks():
+            for i in range(3):
+                out[rows, i] = delta_column(sol.params, x, i)
+        return out
 
     def at(self, x: Triple) -> Triple:
-        row = self.values[self.solutions.index_of(x)]
-        return (int(row[0]), int(row[1]), int(row[2]))
+        """The three values at a point of the set; index_of raises for any other."""
+        sol = self.solutions
+        y = sol.points[sol.index_of(x)].astype(np.int64)[:, None]
+        return tuple(int(delta_column(sol.params, y, i)[0]) for i in range(3))
 
 
 def require_consistent(params: SurfaceParams) -> None:
-    """Refuse, from the parameters alone, what build_certificate would refuse.
+    """Refuse, from the parameters alone, the sets on which delta_column breaks an identity.
 
-    Raises ValueError outside the certificate's domain (p < 5 or s = 0)
-    and NoConsistentExtension if a double fixed point breaks the
-    identities.  Callers can run it before enumerating the surface.
-
-    When a_i^2 = 4 the plane x_i = 0 is the line x_{i+1} = r x_{i-1},
-    r = -a_i/2 = +-1, and each of its points is fixed by m_{i-1} and
-    m_{i+1}.  The fix identity pins Delta_{i-1} and Delta_{i+1} to s/2,
-    so the total identity forces Delta_i = 0; but the pair identity
-    across m_i, whose image lies off the plane, pins Delta_i to its
-    closed form (2a_{i-1} - a_{i+1}a_i)/(4 x_{i-1}).  The two agree only
-    if 2a_{i-1} = a_{i+1}a_i.  The point named is the least of the
-    plane, with 1 in the lower-indexed of coordinates i-1, i+1 and r in
-    the other.
+    ValueError outside the domain p >= 5, s != 0; NoConsistentExtension
+    where a double fixed point breaks the identities.  When a_i^2 = 4
+    the plane x_i = 0 is the line x_{i+1} = r x_{i-1}, r = -a_i/2 = +-1,
+    and each of its points is fixed by m_{i-1} and m_{i+1}.  The fix
+    identity pins Delta_{i-1} and Delta_{i+1} to s/2, so the total
+    identity forces Delta_i = 0; but the pair identity across m_i, whose
+    image lies off the plane, pins Delta_i to its closed form
+    (2a_{i-1} - a_{i+1}a_i)/(4 x_{i-1}).  The two agree only if
+    2a_{i-1} = a_{i+1}a_i.  The point named is the least of the plane,
+    with 1 in the lower-indexed of coordinates i-1, i+1 and r in the
+    other.
     """
     p, a = params.p, params.a
     if p < 5:
@@ -157,41 +186,9 @@ def require_consistent(params: SurfaceParams) -> None:
 
 
 def build_certificate(sol: SolutionSet) -> DeltaAssignment:
-    """Construct a full certificate for one parameter set, row by row.
-
-    Every row first gets _closed_form for all three Delta_i.  That is
-    Delta_i except where x_{i-1} or x_{i+1} vanishes, so on a row with
-    x_i = 0 the values Delta_{i-1} and Delta_{i+1} are overwritten.
-    There the surface equation reads x_j^2 + a_i x_j x_k + x_k^2 = 0
-    for {j, k} = {i-1, i+1}, and
-
-      Delta_j = s/2 + (2a_j - a_i a_k) x_j / (2(x_k^2 - x_j^2)):
-
-    m_j maps x_j to x_k^2/x_j, which flips the sign of the second term,
-    so the pair identity holds, and the equation gives the total one.
-    Delta_{i-1} is computed so, by _plane_form, and
-    Delta_{i+1} = s - Delta_i - Delta_{i-1}.
-    The denominator vanishes exactly when a_i^2 = 4, where every point
-    of the plane is a double fixed point; inv_table[0] = 0 then gives
-    the forced value s/2.  require_consistent refuses, before any row
-    is written, the parameters for which those forced values contradict
-    the closed form of Delta_i, and those outside p >= 5, s != 0.
-    """
-    params = sol.params
-    p, s = params.p, params.s
-    require_consistent(params)
-    values = np.zeros((3, len(sol)), dtype=np.int32).T  # column-major, like sol.points
-    for rows, x in sol.blocks():
-        for i in range(3):
-            values[rows, i] = _closed_form(params, x, i)
-        for i in range(3):
-            on_plane = np.flatnonzero(x[i] == 0)
-            im1, ip1 = (i - 1) % 3, (i + 1) % 3
-            dj = _plane_form(params, x[:, on_plane], i)
-            k = rows.start + on_plane
-            values[k, im1] = dj
-            values[k, ip1] = (s - values[k, i] - dj) % p
-    return DeltaAssignment(sol, values)
+    """The certificate of one parameter set, delta_column over sol, after require_consistent."""
+    require_consistent(sol.params)
+    return DeltaAssignment(sol)
 
 
 @dataclass
@@ -202,94 +199,79 @@ class CertificateReport:
     all_divisible: bool   # p | V for every orbit
 
 
-def _first_failure(rows: slice, ok: np.ndarray) -> int | None:
-    """Row index of the first False in a block's bool array, None if all hold."""
-    if bool(ok.all()):
-        return None
-    return rows.start + int(np.flatnonzero(~ok)[0])
+def _require(rows: slice, ok: np.ndarray, message) -> None:
+    """Raise CertificateError(message(k)) at the first row k of a block where ok is False."""
+    if not bool(ok.all()):
+        raise CertificateError(message(rows.start + int(np.flatnonzero(~ok)[0])))
 
 
 def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> CertificateReport:
-    """Check every move edge and every identity, and rederive p | V per orbit.
+    """Prove the set complete, check every move edge and identity, and rederive p | V per orbit.
 
-    One pass over the blocks of rows checks, in int64, the total
-    identity at each row and then, for each move i: the image of the
-    block under m_i, from apply_move, is located with
-    SolutionSet._locate, and the three coordinates read at that row
-    must equal the image's, so a faulty lookup cannot certify itself;
-    both ends must share a component id; and the pair identity must
-    hold, which at a fixed edge (the image's row is the row itself)
-    reads 2 Delta_i = s, the fix identity for odd p.  The same pass
-    counts the rows of each id and sums each Delta_i per id.  The ids
-    must then count the partition's orbit sizes, and each orbit's
-    Delta_i sum must be s*V/2.  Summed over i the three sums are s*V
-    by the total identity, so s*V/2 = 0 and p | V.  That sum is not
-    checked again: the total identity at every row and the size count
-    already fix it at s*V.  Raises CertificateError naming the point
-    (or the orbit's representative), the move and the identity;
-    ValueError outside the domain of build_certificate.
+    The set must hold closed_form_total's count of rows (require_complete),
+    and one pass over the blocks of rows checks that each row is in
+    [0, p)^3 and on the surface, and that the rows strictly increase in
+    (x1, x2, x3) from above the origin: they are then exactly the
+    nonzero solutions.  The pass checks, in int64, the total identity at
+    each row and, for each move i: the image from apply_move is on the
+    surface, so it is a row; m_0 and m_1 keep the orbit id (m_2 keeps
+    the cell, and with it the id); the pair identity holds with
+    delta_column at both ends, which at a fixed edge (image[i] == x[i])
+    reads 2 Delta_i = s, the fix identity for odd p.  It also counts the
+    rows of each id, which must be the partition's orbit sizes, and sums
+    each Delta_i per id, which must be s*V/2.  By the total identity the
+    three sums are s*V, so s*V/2 = 0 and p | V.  Raises CertificateError
+    naming the point (or the orbit's representative, or M and the
+    count), the move and the identity; ValueError outside the domain.
     """
     sol = assign.solutions
     params = sol.params
     p, s = params.p, params.s
     if p < 5 or s == 0:
         raise ValueError("certificate verification needs p >= 5 and s != 0")
-    vals = assign.values
-    component_id = part.component_id
-    m, n_orbits = len(sol), len(part.orbits)
-    if vals.shape != (m, 3):
-        raise ValueError("assignment does not cover the solution set")
-    if component_id.shape != (m,):
+    if part.cell_ids.shape != (p * p,):
         raise ValueError("orbit partition does not match the solution set")
-    if m and (component_id.min() < 0 or component_id.max() >= n_orbits):
-        raise CertificateError("component id outside the orbit numbering")
+    require_complete(sol)
 
-    cols = [sol.points[:, j] for j in range(3)]
+    n_orbits = len(part.orbits)
     n_fixed = 0
+    last = 0  # the origin's key; the first row must lie above it
     sizes = np.zeros(n_orbits, dtype=np.int64)
     half_sums = np.zeros((3, n_orbits), dtype=np.int64)  # per orbit: sum of Delta_i mod p
     for rows, x in sol.blocks():
-        # sums in int64, as a corrupted value may be any int32
-        total_ok = mod_p(vals[rows, 0].astype(np.int64) + vals[rows, 1] + vals[rows, 2] - s, p) == 0
-        k = _first_failure(rows, total_ok)
-        if k is not None:
-            raise CertificateError(f"total identity fails at {sol.triple(k)}")
-        own = np.arange(rows.start, rows.stop, dtype=np.int32)
-        ids = component_id[rows]
+        _require(rows, ((x >= 0) & (x < p)).all(axis=0),
+                 lambda k: f"row {sol.triple(k)} is not reduced mod {p}")
+        key = (x[0].astype(np.int64) * p + x[1]) * p + x[2]
+        _require(rows, np.diff(key, prepend=last) > 0,
+                 lambda k: f"rows do not strictly increase from above the origin at {sol.triple(k)}")
+        last = key[-1]
+        _require(rows, residual_array(params, x) == 0,
+                 lambda k: f"row {sol.triple(k)} is not on the surface")
+        ids = part.ids(x)
+        _require(rows, (ids >= 0) & (ids < n_orbits),
+                 lambda k: f"{sol.triple(k)} has no orbit id below {n_orbits}")
         sizes += np.bincount(ids, minlength=n_orbits)
+        d = [delta_column(params, x, i) for i in range(3)]
+        _require(rows, mod_p(d[0] + d[1] + d[2] - s, p) == 0,
+                 lambda k: f"total identity fails at {sol.triple(k)}")
         for i in range(3):
             image = apply_move(params, x, i)
-            target = sol._locate(*image)
-            moved = np.take(cols[0], target) == image[0]
-            moved &= np.take(cols[1], target) == image[1]
-            moved &= np.take(cols[2], target) == image[2]
-            k = _first_failure(rows, moved)
-            if k is not None:
-                raise CertificateError(
-                    f"move {i} neighbour of {sol.triple(k)} is "
-                    f"{sol.triple(int(target[k - rows.start]))}, "
-                    f"not {apply_move(params, sol.triple(k), i)}")
-            k = _first_failure(rows, np.take(component_id, target) == ids)
-            if k is not None:
-                raise CertificateError(
-                    f"move {i} edge from {sol.triple(k)} to "
-                    f"{sol.triple(int(target[k - rows.start]))} "
-                    f"joins components {int(component_id[k])} and "
-                    f"{int(component_id[target[k - rows.start]])}")
-            pair_ok = mod_p(np.add(vals[rows, i], np.take(vals[:, i], target), dtype=np.int64)
-                            - s, p) == 0
-            k = _first_failure(rows, pair_ok)
-            if k is not None:
-                identity = "fixed-point" if target[k - rows.start] == k else "pair"
-                raise CertificateError(
-                    f"{identity} identity fails at {sol.triple(k)} for move {i}")
-            n_fixed += int(np.count_nonzero(target == own))
-            # float64 sums are exact: a block adds at most BLOCK int32 values, below 2^47
-            sums = np.bincount(ids, weights=vals[rows, i], minlength=n_orbits)
+            _require(rows, residual_array(params, image) == 0,
+                     lambda k: f"move {i} image of {sol.triple(k)} is off the surface")
+            if i < 2:
+                moved = part.ids(image)
+                _require(rows, moved == ids,
+                         lambda k: f"move {i} edge from {sol.triple(k)} joins components "
+                                   f"{ids[k - rows.start]} and {moved[k - rows.start]}")
+            fixed = image[i] == x[i]
+            _require(rows, mod_p(d[i] + delta_column(params, image, i) - s, p) == 0,
+                     lambda k: f"{'fixed-point' if fixed[k - rows.start] else 'pair'} "
+                               f"identity fails at {sol.triple(k)} for move {i}")
+            n_fixed += int(np.count_nonzero(fixed))
+            # float64 sums are exact: a block adds at most BLOCK values below p, below 2^47
+            sums = np.bincount(ids, weights=d[i], minlength=n_orbits)
             half_sums[i] = (half_sums[i] + sums.astype(np.int64)) % p
 
-    # per-orbit double counting: each i-sum is s*V/2 by the pairing, and
-    # the three sum to s*V by the total identity, so s*V/2 = 0
     def require_per_orbit(ok: np.ndarray, identity: str) -> None:
         if not bool(ok.all()):
             size, rep = part.orbits[int(np.flatnonzero(~ok)[0])]
@@ -299,4 +281,5 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
     expect = s * (sizes % p) % p * ((p + 1) // 2) % p  # s*V/2
     for i in range(3):
         require_per_orbit((half_sums[i] - expect) % p == 0, f"half-sum identity for move {i}")
-    return CertificateReport(params, m, n_fixed, all(size % p == 0 for size in part.orbit_sizes()))
+    return CertificateReport(params, len(sol), n_fixed,
+                             all(size % p == 0 for size in part.orbit_sizes()))

@@ -7,14 +7,13 @@ cell order with the smaller root first, which is lexicographic order,
 and an offsets array of length p^2 + 1 marks where each cell starts.  A
 point is then found in O(1) from its cell and whether its x3 is the
 cell's first root; no sort and no packed keys are needed.
-SolutionSet._locate states that rule once: the index lookups check the
-row it gives, and so does the certificate verifier for each move image.
+SolutionSet._find_rows states that rule once, for every index lookup.
 
-The points, the offsets and every per-point array built from them
-(component ids, Delta values) are int32, so p^2 + 1
-cells and M points must fit in int32; _require_int32 refuses larger
-sizes before anything is allocated.  No stage holds a full-size int64
-temporary.  Every walk of the p^2 cells runs through the x1 slabs of
+The points and the offsets are int32, so p^2 + 1 cells and M points
+must fit in int32; _require_int32 refuses larger sizes before anything
+is allocated.  Orbit ids are kept per cell and the Delta values are a
+formula, so neither is a per-point array.  No stage holds a full-size
+int64 temporary.  Every walk of the p^2 cells runs through the x1 slabs of
 cell_slabs, about BLOCK cells each, and the per-point stages read the
 points through SolutionSet.blocks, BLOCK rows at a time.  A block is
 an int32 view of the points while 3 p^2 + p < 2^31 (p <= 26737), the
@@ -156,33 +155,24 @@ class SolutionSet:
             return np.empty(0, dtype=np.int32)
         if m == 0 or min(v.min() for v in (x1, x2, x3)) < 0 \
                 or max(v.max() for v in (x1, x2, x3)) >= p:
-            # the gathers of _locate need every coordinate in [0, p); an empty set holds no point
+            # the gathers of _find_rows need every coordinate in [0, p); an empty set holds no point
             outside = (m == 0) | np.any([(v < 0) | (v >= p) for v in (x1, x2, x3)], axis=0)
             k = int(np.argmax(outside))
             raise KeyError(f"{(int(x1[k]), int(x2[k]), int(x3[k]))} is not in the solution set")
         return self._find_rows(x1, x2, x3)
 
-    def _locate(self, x1, x2, x3) -> np.ndarray:
-        """The row each point (x1, x2, x3) sits at if the set holds it, unchecked.
+    def _find_rows(self, x1, x2, x3) -> np.ndarray:
+        """lookup_array without its range check: KeyError names the first point not in the set.
 
-        A point sits at its cell's first row, or at the next row when
-        its x3 is not the cell's first root.  The candidate is clipped
-        into [0, M), so it can always be gathered from, but whether the
-        point is there is left to the caller.  The set must be non-empty
-        and every coordinate lie in [0, p), as the columns of points and
-        the images of apply_move do.
+        A point sits at its cell's first row, or at the next row when its
+        x3 is not the cell's first root; that row, clipped into [0, M),
+        is read and compared.  The set must be non-empty and every
+        coordinate lie in [0, p).
         """
         start = np.take(self.offsets, x1 * self.params.p + x2)
         # an empty cell may start at M, so the first gather clips too
         rows = start + (x3 != np.take(self.points[:, 2], start, mode="clip"))
-        return np.minimum(rows, len(self) - 1, out=rows)
-
-    def _find_rows(self, x1, x2, x3) -> np.ndarray:
-        """lookup_array without its range check: _locate, then the points compared.
-
-        Raises KeyError naming the first point not in the set.
-        """
-        rows = self._locate(x1, x2, x3)
+        np.minimum(rows, len(self) - 1, out=rows)
         found = np.take(self.points[:, 0], rows) == x1
         found &= np.take(self.points[:, 1], rows) == x2
         found &= np.take(self.points[:, 2], rows) == x3

@@ -29,9 +29,10 @@ first cell's place in that row: at p = 4001 about 23 entries per
 unlabelled cell for (0,0,-3), whose 10,008 orbits are the most seen, and
 5 for (2,2,-2).
 
-neighbor_indices looks up the row of every move image.  The pipeline
-makes no such lookup: the certificate verifier locates each image
-itself, and the tests' strong-search oracle reads the whole array.
+A cell's rows share an orbit, since m_2 joins them, so the partition
+keeps one id per cell (-1 where empty) and no per-row array;
+OrbitPartition.ids reads any point's id from its cell.  neighbor_indices
+looks up the row of every move image: only the tests' oracle reads it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, depth_first_order
 
+from .conics import closed_form_total
 from .enumeration import INT32_MAX, ResourceGuardError, SolutionSet, cell_slabs
 from .surface import (ALL_NONDEGENERATE, SPECIAL_FORM, ParamClass, Triple,
                       apply_move, classify_parameters, moved_coordinate)
@@ -67,12 +69,24 @@ def neighbor_indices(sol: SolutionSet) -> np.ndarray:
     return out
 
 
+class CertificateError(Exception):
+    """A certificate check failed: the set is incomplete, or an identity broke."""
+
+
+def require_complete(sol: SolutionSet) -> None:
+    """Raise CertificateError unless sol has closed_form_total's O(1) count (s != 0, p >= 5)."""
+    total = closed_form_total(sol.params)
+    if len(sol) != total:
+        raise CertificateError(f"the set holds M = {len(sol)} points, "
+                               f"but the surface has {total} nonzero points")
+
+
 @dataclass
 class OrbitPartition:
     """Partition of a SolutionSet into orbits of the move group."""
 
     solutions: SolutionSet
-    component_id: np.ndarray            # (M,) int32, canonical numbering
+    cell_ids: np.ndarray                # (p*p,) int8 or int32: orbit id per cell, -1 if empty
     orbits: list[tuple[int, Triple]]    # (size, lexicographically smallest point)
     multiset: dict[int, int]            # size -> number of orbits
 
@@ -82,6 +96,10 @@ class OrbitPartition:
 
     def orbit_sizes(self) -> list[int]:
         return [size for size, _ in self.orbits]
+
+    def ids(self, x) -> np.ndarray:
+        """The orbit id of each point of the columns x[0..2] in [0, p): its cell's, -1 if empty."""
+        return np.take(self.cell_ids, x[0] * self.params.p + x[1])
 
 
 def _require_search_bound(p: int, m: int) -> None:
@@ -108,8 +126,6 @@ def compute_orbits(sol: SolutionSet) -> OrbitPartition:
     """
     p, m = sol.params.p, len(sol)
     _require_search_bound(p, m)
-    if m == 0:
-        return OrbitPartition(sol, np.empty(0, dtype=np.int32), [], {})
     # rows per unlabelled cell; a cell labelled by breadth-first search k holds ~k < 0
     count = np.empty(p * p, dtype=np.int8)
     np.subtract(sol.offsets[1:], sol.offsets[:-1], out=count, casting="unsafe")
@@ -138,11 +154,9 @@ def compute_orbits(sol: SolutionSet) -> OrbitPartition:
         sizes += more_sizes
         firsts += more_firsts
     del indices, indptr
-    component_id = np.empty(m, dtype=np.int32)
-    for rows, x in sol.blocks():
-        np.invert(np.take(table, x[0] * p + x[1]), out=component_id[rows])
+    np.invert(table, out=table)  # ids, and -1 on the empty cells, where count holds 0
     orbits = [(size, sol.triple(first)) for size, first in zip(sizes, firsts)]
-    return OrbitPartition(sol, component_id, orbits, dict(sorted(Counter(sizes).items())))
+    return OrbitPartition(sol, table, orbits, dict(sorted(Counter(sizes).items())))
 
 
 def _depth_first(sol: SolutionSet, count: np.ndarray, indices: np.ndarray,
@@ -152,8 +166,9 @@ def _depth_first(sol: SolutionSet, count: np.ndarray, indices: np.ndarray,
     The root's row, written after the cells' rows in indices, lists the
     cells that count still holds positive, in row order; their orbits
     get ids from first_id on.  Returns the table of ~id per cell (the
-    search's predecessor array once read, with the breadth-first labels
-    of count copied in) and the new orbits' sizes and first rows.
+    search's predecessor array once read, cut to the p^2 cells, with the
+    breadth-first labels and the empty cells' 0 of count copied in) and
+    the new orbits' sizes and first rows.
     """
     p = sol.params.p
     root, end = p * p, 2 * len(sol)
@@ -174,7 +189,10 @@ def _depth_first(sol: SolutionSet, count: np.ndarray, indices: np.ndarray,
     del new
     ids += first_id - 1
     table[cells] = np.invert(ids, out=ids)
-    np.copyto(table[:root], count, where=count < 0)
+    table = table[:root]
+    # count is 0 exactly on the empty cells, which the search never
+    # reaches: they hold scipy's -9999 there, that is ~9998, a valid id
+    np.copyto(table, count, where=count <= 0)
     return table, sizes, firsts
 
 
@@ -247,8 +265,9 @@ def verify_divisibility(part: OrbitPartition) -> DivisibilityReport:
     """Check p | orbit size for every orbit, where the hypotheses hold.
 
     The trivial orbit {(0,0,0)} is outside the SolutionSet and exempt.
-    For hypothesis-violated or s = 0 parameters the sizes are reported
-    without any assertion.
+    Where it is asserted, require_complete refuses a set that misses
+    points, naming M and the count.  For hypothesis-violated or s = 0
+    parameters the sizes are reported without any assertion.
     """
     params = part.params
     if params.p < 5:
@@ -258,6 +277,8 @@ def verify_divisibility(part: OrbitPartition) -> DivisibilityReport:
     rows = [(size, rep, size % p == 0) for size, rep in part.orbits]
     all_div = all(ok for _, _, ok in rows)
     asserted = cls.kind in (ALL_NONDEGENERATE, SPECIAL_FORM)
+    if asserted:
+        require_complete(part.solutions)
     return DivisibilityReport(cls, asserted, rows, all_div)
 
 

@@ -140,7 +140,7 @@ def orbits_00_minus3(p: int) -> DihedralReport:
     x3 = sol.points[:, 2]
     sol = sol.restrict((x3 <= 1) | (x3 == p - 1))
     x3 = sol.points[:, 2]  # the last reference to the whole surface goes here
-    component_id = compute_orbits(sol).component_id
+    component_id = compute_orbits(sol).ids(sol.points.T)
     on1, on0 = x3 == 1, x3 == 0
     sizes1 = np.bincount(component_id[on1])
     sizes1 = sizes1[sizes1 > 0]

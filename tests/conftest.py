@@ -34,6 +34,7 @@ def naive_solutions(p, a):
 
 
 def naive_move(p, a, x, i):
+    """m_i x for one point, or for the int64 coordinate columns x[0..2] of many."""
     s = (3 + sum(a)) % p
     y = list(x)
     im1, ip1 = (i - 1) % 3, (i + 1) % 3

@@ -79,6 +79,22 @@ def test_verify_divisibility(capsys):
     assert code == EXIT_OK and "not asserted" in out
 
 
+def test_incomplete_enumeration_fails_the_verdicts(capsys, monkeypatch):
+    """A set missing an orbit exits 1 in verify divisibility and verify delta, naming the counts."""
+    enumerate_solutions = cli.enumerate_solutions
+
+    def one_orbit(params):
+        sol = enumerate_solutions(params)
+        return sol.restrict(cli.orbits.compute_orbits(sol).ids(sol.points.T) == 1)
+
+    monkeypatch.setattr(cli, "enumerate_solutions", one_orbit)
+    counts = "the set holds M = 65 points, but the surface has 156 nonzero points"
+    code, _, err = run(capsys, "verify", "divisibility", "-p", "13", "-a", "2,5,5")
+    assert code == EXIT_FAIL and err == f"error: CertificateError: {counts}\n"
+    code, out, _ = run(capsys, "verify", "delta", "-p", "13", "-a", "2,5,5")
+    assert code == EXIT_FAIL and out == f"certificate FAILED: {counts}\n"
+
+
 def test_verify_delta(capsys):
     code, out, _ = run(capsys, "verify", "delta", "-p", "13", "-a", "2,5,5")
     assert code == EXIT_OK

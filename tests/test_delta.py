@@ -5,12 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from markoff import delta
 from markoff.delta import (CertificateError, DeltaAssignment,
                            NoConsistentExtension, build_certificate, delta_at,
                            delta_values, verify_certificate)
 from markoff.enumeration import SolutionSet, enumerate_solutions
 from markoff.field import chi, inverse, mult_order
-from markoff.orbits import compute_orbits, neighbor_indices
+from markoff.orbits import compute_orbits
 from markoff.surface import (SurfaceParams, apply_move, classify_parameters,
                              ALL_NONDEGENERATE, HYPOTHESIS_VIOLATED, SPECIAL_FORM)
 
@@ -307,59 +308,59 @@ class TestCertificate:
             assert report.all_divisible
             assert report.n_points == len(sol)
 
-    def test_corrupted_assignment_fails_loudly(self):
+    def test_corrupted_assignment_fails_loudly(self, monkeypatch):
+        """A wrong formula on the plane x_0 = 0 breaks the pair identity there.
+
+        Delta_2 moves by +1 and Delta_1 by -1 on the plane, so the total
+        holds; m_1 keeps x_0 = 0, so both ends of its edges carry the
+        shift, and move 1 is the first checked that reads either value.
+        """
         params = params_of(7, (1, 1, 1))
         sol = enumerate_solutions(params)
-        assign = build_certificate(sol)
-        assign.values[3, 1] = (assign.values[3, 1] + 1) % 7
-        with pytest.raises(CertificateError):
-            verify_certificate(assign, compute_orbits(sol))
+        part = compute_orbits(sol)
+        plane_form = delta._plane_form
 
-    def test_corrupted_partition_fails_loudly(self, monkeypatch):
-        """A wrong image row or component id must not certify itself."""
+        def corrupted(params, x, i):
+            out = plane_form(params, x, i)
+            return (out + 1) % params.p if i == 0 else out
+
+        monkeypatch.setattr(delta, "_plane_form", corrupted)
+        with pytest.raises(CertificateError,
+                           match=r"^pair identity fails at \(0, \d+, \d+\) for move 1$"):
+            verify_certificate(build_certificate(sol), part)
+
+    def test_corrupted_partition_fails_loudly(self):
+        """A flipped orbit id on one cell must not certify itself."""
         params = params_of(13, (2, 5, 5))
         sol = enumerate_solutions(params)
         assign = build_certificate(sol)
         part = compute_orbits(sol)
-        k = 40
-        # a locator one row off for the m_0 image of row k alone; move 0 is
-        # checked first, and m_0 is an involution, so no other row has that
-        # image under m_0
-        y = apply_move(params, sol.triple(k), 0)
-        locate = SolutionSet._locate
-
-        def faulty(self, x1, x2, x3):
-            rows = locate(self, x1, x2, x3)
-            hit = (x1 == y[0]) & (x2 == y[1]) & (x3 == y[2])
-            rows[hit] = (rows[hit] + 1) % len(self)
-            return rows
-
-        with monkeypatch.context() as patch:
-            patch.setattr(SolutionSet, "_locate", faulty)
-            with pytest.raises(CertificateError,
-                               match=re.escape(f"move 0 neighbour of {sol.triple(k)} is ")):
-                verify_certificate(assign, part)
-        ids = part.component_id.copy()
-        ids[k] = 1 - ids[k]
+        x = sol.triple(40)
+        cell_ids = part.cell_ids.copy()
+        cell_ids[x[0] * 13 + x[1]] = 1 - cell_ids[x[0] * 13 + x[1]]
         with pytest.raises(CertificateError, match="joins components"):
-            verify_certificate(assign, dataclasses.replace(part, component_id=ids))
+            verify_certificate(assign, dataclasses.replace(part, cell_ids=cell_ids))
         verify_certificate(assign, part)
 
-    def test_wrong_delta_at_fixed_edge_names_fixed_point(self):
-        # m_0 fixes (1, 7, 7); moving 1 from Delta_1 to Delta_0 keeps the
-        # total, so the first identity to fail is the fixed-point one
+    def test_wrong_delta_at_fixed_edge_names_fixed_point(self, monkeypatch):
+        # m_0 fixes (1, 7, 7); moving 1 from Delta_1 to Delta_0 there keeps
+        # the total, so the first identity to fail is the fixed-point one
         params = params_of(13, (2, 5, 5))
         sol = enumerate_solutions(params)
         part = compute_orbits(sol)
-        x = (1, 7, 7)
-        k = sol.index_of(x)
-        assert neighbor_indices(sol)[0, k] == k
-        assign = build_certificate(sol)
-        assign.values[k, 0] = (assign.values[k, 0] + 1) % 13
-        assign.values[k, 1] = (assign.values[k, 1] - 1) % 13
+        assert apply_move(params, (1, 7, 7), 0) == (1, 7, 7)
+        column = delta.delta_column
+
+        def shifted(params, x, i):
+            out = column(params, x, i)
+            at = (x[0] == 1) & (x[1] == 7) & (x[2] == 7)
+            out[at] = (out[at] + (1, -1, 0)[i]) % params.p
+            return out
+
+        monkeypatch.setattr(delta, "delta_column", shifted)
         with pytest.raises(CertificateError,
                            match=r"fixed-point identity fails at \(1, 7, 7\) for move 0"):
-            verify_certificate(assign, part)
+            verify_certificate(build_certificate(sol), part)
 
     def test_orbit_level_failures_name_the_representative(self, monkeypatch):
         params = params_of(13, (2, 5, 5))
@@ -387,37 +388,46 @@ class TestCertificate:
                            + re.escape(str(rep1))):
             verify_certificate(assign, part)
 
-    def test_duplicated_point_breaks_the_half_sum(self):
-        """A repeated row passes every edge check and the size count, not the half-sums.
+    @pytest.mark.parametrize("mutation", ("dropped-orbit", "duplicated-row", "origin-row",
+                                          "off-surface-row"))
+    def test_incomplete_set_fails(self, mutation):
+        """Only the whole surface is certified: each mutation names the counts or the row.
 
-        The repeated row lies outside every cell, but its images are
-        located by their coordinates, at the rows of the images of the
-        row it repeats.
+        A dropped orbit passes every per-orbit check and fails the count.
+        The other mutations keep M: a row repeated in place of its
+        successor, the origin in place of the first row, and the last
+        row of a cell moved off the surface within its cell.
         """
         params = params_of(13, (2, 5, 5))
         sol = enumerate_solutions(params)
         part = compute_orbits(sol)
-        assign = build_certificate(sol)
+        points = sol.points.copy(order="F")
         k = 40
-        dup = SolutionSet(params, np.asfortranarray(np.vstack([sol.points, sol.points[k]])),
-                          sol.offsets)
-        orbit = int(part.component_id[k])
-        size, rep = part.orbits[orbit]
-        orbits = list(part.orbits)
-        orbits[orbit] = (size + 1, rep)
-        bad = dataclasses.replace(
-            part, solutions=dup, orbits=orbits,
-            component_id=np.append(part.component_id, part.component_id[k]))
-        values = np.asfortranarray(np.vstack([assign.values, assign.values[k]]))
-        with pytest.raises(CertificateError,
-                           match=re.escape(f"half-sum identity for move 0 fails for the orbit "
-                                           f"of {rep} (size {size + 1})")):
-            verify_certificate(DeltaAssignment(dup, values), bad)
+        if mutation == "dropped-orbit":
+            ids = part.ids(sol.points.T)
+            mutated = sol.restrict(ids == int(np.argmin(part.orbit_sizes())))
+            part = compute_orbits(mutated)
+            message = "the set holds M = 65 points, but the surface has 156 nonzero points"
+        elif mutation == "duplicated-row":
+            points[k + 1] = points[k]
+            message = f"rows do not strictly increase from above the origin at {sol.triple(k)}"
+        elif mutation == "origin-row":
+            points[0] = 0
+            message = "rows do not strictly increase from above the origin at (0, 0, 0)"
+        else:
+            k = next(k for k in range(len(sol) - 1)
+                     if points[k, 2] < 12 and sol.triple(k)[:2] != sol.triple(k + 1)[:2])
+            points[k, 2] += 1
+            message = f"row {tuple(points[k].tolist())} is not on the surface"
+        if mutation != "dropped-orbit":
+            mutated = SolutionSet(params, points, sol.offsets)
+        with pytest.raises(CertificateError, match="^" + re.escape(message) + "$"):
+            verify_certificate(build_certificate(mutated), part)
 
     def test_verify_refuses_outside_the_certificate_domain(self):
         for p, a in ((3, (0, 0, 1)), (7, (0, 0, -3))):
             sol = enumerate_solutions(params_of(p, a))
-            assign = DeltaAssignment(sol, np.zeros((len(sol), 3), dtype=np.int32))
+            assign = DeltaAssignment(sol)
             with pytest.raises(ValueError, match="p >= 5 and s != 0"):
                 verify_certificate(assign, compute_orbits(sol))
 

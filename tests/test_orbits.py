@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from markoff.enumeration import INT32_MAX, ResourceGuardError, enumerate_solutions
-from markoff.orbits import (MAX_BFS, _require_search_bound, compute_orbits,
-                            neighbor_indices, no_bigons_holds, partition_report,
-                            size_table, verify_divisibility)
+from markoff.orbits import (MAX_BFS, CertificateError, _require_search_bound,
+                            compute_orbits, neighbor_indices, no_bigons_holds,
+                            partition_report, size_table, verify_divisibility)
 from markoff.surface import SurfaceParams, apply_move
 
 from conftest import naive_move, naive_orbits, strong_search_orbits
@@ -41,16 +41,16 @@ def test_orbits_match_naive_bfs():
         # component ids constant on each naive orbit
         sol = part.solutions
         for orbit in expected:
-            ids = {int(part.component_id[sol.index_of(x)]) for x in orbit}
-            assert len(ids) == 1
+            assert len(set(part.ids(np.array(orbit).T).tolist())) == 1
 
 
 def test_component_id_is_move_invariant():
     for p, a in [(7, (1, 1, 1)), (13, (2, 2, -2))]:
         part = part_for(p, a)
+        ids = part.ids(part.solutions.points.T)
         nbr = neighbor_indices(part.solutions)
         for i in range(3):
-            assert np.array_equal(part.component_id[nbr[i]], part.component_id)
+            assert np.array_equal(ids[nbr[i]], ids)
 
 
 def test_sizes_sum_to_total():
@@ -62,8 +62,9 @@ def test_sizes_sum_to_total():
 def test_representatives_are_lex_minima():
     part = part_for(7, (2, 2, -2))
     sol = part.solutions
+    ids = part.ids(sol.points.T)
     for k, (size, rep) in enumerate(part.orbits):
-        members = [sol.triple(j) for j in np.flatnonzero(part.component_id == k)]
+        members = [sol.triple(j) for j in np.flatnonzero(ids == k)]
         assert rep == min(members)
         assert len(members) == size
     # canonical ordering: representatives strictly increase
@@ -84,9 +85,9 @@ def test_neighbor_indices_match_naive_moves(p):
     for a in itertools.product(range(p), repeat=3):
         sol = enumerate_solutions(SurfaceParams.make(p, a))
         nbr = neighbor_indices(sol)
-        for k, x in enumerate(sol.iter_triples()):
-            for i in range(3):
-                assert nbr[i, k] == sol.index_of(naive_move(p, a, x, i)), (p, a, x, i)
+        x = sol.points.T.astype(np.int64)
+        for i in range(3):
+            assert np.array_equal(nbr[i], sol.lookup_array(naive_move(p, a, x, i))), (p, a, i)
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
@@ -109,12 +110,14 @@ def assert_matches_strong_search(p, a):
     """compute_orbits agrees with the point-graph strong search; returns the orbit count."""
     sol = enumerate_solutions(SurfaceParams.make(p, a))
     part = compute_orbits(sol)
-    assert part.component_id.dtype == np.int32 and part.component_id.shape == (len(sol),)
+    # one id per cell, and -1 exactly on the empty cells
+    assert part.cell_ids.shape == (p * p,)
+    assert np.array_equal(part.cell_ids < 0, sol.offsets[1:] == sol.offsets[:-1]), (p, a)
     if len(sol) == 0:
         assert part.orbits == [] and part.multiset == {}
         return 0
     ids, orbits, multiset = strong_search_orbits(sol)
-    assert np.array_equal(part.component_id, ids), (p, a)
+    assert np.array_equal(part.ids(sol.points.T), ids), (p, a)
     assert part.orbits == orbits and part.multiset == multiset, (p, a)
     return len(orbits)
 
@@ -182,6 +185,16 @@ def test_verify_divisibility_frozen_examples():
     assert report.passed is None and not report.asserted
     sizes = [size for size, _, _ in report.orbits]
     assert 1 in sizes and 2 in sizes
+
+
+def test_verify_divisibility_refuses_an_incomplete_set():
+    """One orbit of (2,5,5) at p = 13, 65 of the 156 points, is divisible but not the surface."""
+    sol = enumerate_solutions(SurfaceParams.make(13, (2, 5, 5)))
+    part = compute_orbits(sol)
+    orbit = sol.restrict(part.ids(sol.points.T) == int(np.argmin(part.orbit_sizes())))
+    with pytest.raises(CertificateError,
+                       match="^the set holds M = 65 points, but the surface has 156 nonzero points$"):
+        verify_divisibility(compute_orbits(orbit))
 
 
 def test_size_table_frozen_examples():

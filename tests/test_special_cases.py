@@ -102,7 +102,7 @@ class TestDihedralFamily:
         # reference: label the whole surface, then read the slices x3 in {0, +-1}
         for p in (7, 11, 13, 17, 19, 29, 31, 41):
             sol = enumerate_solutions(SurfaceParams.make(p, (0, 0, -3)))
-            ids = compute_orbits(sol).component_id
+            ids = compute_orbits(sol).ids(sol.points.T)
             x3 = sol.points[:, 2]
             sizes1 = np.bincount(ids[x3 == 1])
             sizes1 = sorted(sizes1[sizes1 > 0].tolist())
@@ -152,13 +152,13 @@ class TestDihedralFamily:
         p = 11
         params = SurfaceParams.make(p, (0, 0, -3))
         sol = enumerate_solutions(params)
-        part = compute_orbits(sol)
+        ids = compute_orbits(sol).ids(sol.points.T)
 
         def slice_sizes(t):
             sizes = {}
             for k, x in enumerate(sol.iter_triples()):
                 if x[2] == t:
-                    comp = int(part.component_id[k])
+                    comp = int(ids[k])
                     sizes[comp] = sizes.get(comp, 0) + 1
             return sorted(sizes.values())
 

@@ -6,7 +6,9 @@ Builds the field tables untimed, then runs the brute-force count oracle
 (oracle_s) and, after it, enumerate -> orbits -> certificate build ->
 certificate verify once, in this process, and prints one JSON object.
 Parameters the certificate refuses (s = 0, say) stop after orbits, with
-the refusal in the output.
+the refusal in the output.  Where the certificate is its formula, as
+here, cert_build is an O(1) call and all the certificate's work is in
+cert_verify; on older commits cert_build writes an (M, 3) Delta array.
 total_s covers the pipeline from enumeration on; the oracle is timed on
 its own and stays out of it.  Run one process per prime so that peak RSS
 belongs to that prime alone.
@@ -17,11 +19,11 @@ compute_orbits spends finding its edges (the cell targets of
 orbits._cell_targets, or on older commits the row lookups of
 orbits.neighbor_indices), and search_s the rest of compute_orbits;
 verify_lookup_s is the time verify_certificate spends locating move
-images, in SolutionSet._locate, or on older commits in
-orbits.neighbor_indices.  A wrapper replaces a function on every markoff
-module that holds it, and _locate on the SolutionSet class; a function a
-commit lacks is not wrapped, so the tool runs unchanged on older
-commits.
+images, on older commits in SolutionSet._locate or
+orbits.neighbor_indices; it reads 0 here, where the verifier makes no
+row lookup.  A wrapper replaces a function on every markoff module that
+holds it, and _locate on the SolutionSet class; a function a commit
+lacks is not wrapped, so the tool runs unchanged on older commits.
 
 peak_rss_mb_after is the process's RSS high-water mark after each stage.
 traced_peak_mb is the tracemalloc peak within each stage, which numpy's

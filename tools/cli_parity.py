@@ -14,7 +14,8 @@ stderr and the same exit codes on these runs.  The list holds every
 README example, two breakup runs with sigma = -1, the p = 997 and
 p = 2017 runs behind the benchmark families, a certificate on the
 all-nondegenerate a = (1,1,1) at p = 997, the sweep_mid workload's
-own sweep, the p = 2 and p = 3 edge inputs, the brute-force count at
+own sweep, a seeded sweep with certificates at p = 101, the p = 2 and
+p = 3 edge inputs, the brute-force count at
 p = 101, 997 and 2003, three refusals of the
 Delta certificate, and the usage (exit 2) and resource-guard (exit 3)
 inputs.  It calls only
@@ -69,6 +70,8 @@ COMMANDS = [
     "sweep --p-list 11,13 --exhaustive --with-delta",
     # the sweep_mid benchmark workload: 90 seeded runs at p = 97, 101, 103
     "sweep --p-list 97,101,103 --samples 30 --seed 1",
+    # certificates on seeded sets above p = 13
+    "sweep --p-list 101 --samples 20 --seed 3 --with-delta",
     # worked families: conic0 non-empty at p = 11, sqrt(5) outside F_p at
     # p = 13, and the p = 997 items
     "special 00m3 -p 11",
