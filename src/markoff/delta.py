@@ -9,18 +9,23 @@ subject to three identities:
 
 Summing them over an orbit of size V gives s*V = 3*s*V/2, hence
 s*V = 0, hence p | V when s != 0.  Delta_i has a closed form wherever
-x_{i-1} x_{i+1} != 0, _closed_form, and on a plane x_j = 0 the values
-Delta_{j +- 1} have a second one, _plane_form.  delta_column picks
-between them on coordinate columns, so the certificate is a formula in
-the coordinates of each point, and a DeltaAssignment stores no values.
-Where a_i^2 = 4 and 2a_{i-1} != a_{i+1}a_i no assignment exists;
-require_consistent reads that from the parameters alone.
+x_{i-1} x_{i+1} != 0, _closed_form, read from the inverses u of the
+coordinates as Delta_i = x_i q_i + half_i with q_i = u_{i-1} u_{i+1};
+on a plane x_j = 0 the values Delta_{j +- 1} have a second one,
+_plane_form.  _delta_ends picks between them on coordinate columns, so
+the certificate is a formula in the coordinates of each point, and a
+DeltaAssignment stores no values.  Where a_i^2 = 4 and
+2a_{i-1} != a_{i+1}a_i no assignment exists; require_consistent reads
+that from the parameters alone.
 
 verify_certificate proves the set complete (the closed-form count of
 rows, each on the surface, strictly increasing from above the origin),
 so every move image on the surface is a row and none is looked up.  It
 checks each edge's identities with Delta evaluated at both ends and its
-orbit ids read per cell, then rederives s*V = 0 per orbit.
+orbit ids read per cell, then rederives s*V = 0 per orbit.  The move
+m_i keeps x_{i-1} and x_{i+1}, and with them q_i, half_i and the
+planes x_{i +- 1} = 0, so _delta_ends evaluates both ends of a block's
+m_i edges from one gather of the block's inverses, in the block's dtype.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from .enumeration import SolutionSet
 from .field import mod_p
 from .orbits import CertificateError, OrbitPartition, require_complete
-from .surface import SurfaceParams, Triple, apply_move, residual_array
+from .surface import SurfaceParams, Triple, moved_coordinate, residual_array, x3_coefficients
 
 
 class NoConsistentExtension(Exception):
@@ -48,7 +53,7 @@ def delta_values(params: SurfaceParams, x: Triple) -> Triple:
 
 
 def delta_at(params: SurfaceParams, x: Triple, i: int) -> int:
-    """Delta_i(x) from _closed_form.
+    """Delta_i(x) from the closed form, as delta_column gives it at one point.
 
     Well-defined whenever the two other coordinates are nonzero; in
     particular on the plane x_i = 0, where the first term drops out.
@@ -58,52 +63,98 @@ def delta_at(params: SurfaceParams, x: Triple, i: int) -> int:
     x = tuple(int(v) % p for v in x)
     if x[(i - 1) % 3] == 0 or x[(i + 1) % 3] == 0:
         raise ValueError(f"Delta_{i} undefined when a neighbouring coordinate vanishes")
-    return int(_closed_form(params, x, i))
+    inv = params.field.inv_table
+    return int(_closed_form(params, x[i], [int(inv[v]) for v in x], i))
 
 
-def _closed_form(params: SurfaceParams, x, i: int):
-    """Delta_i = x_i/(x_{i-1}x_{i+1}) + (a_{i-1}/x_{i-1} + a_{i+1}/x_{i+1})/2.
+def _inverse(params: SurfaceParams, v: np.ndarray) -> np.ndarray:
+    """inv_table at the residues v, in v's dtype (inv_table[0] = 0)."""
+    return np.take(params.field.inv_table, v).astype(v.dtype, copy=False)
 
-    x[0..2] are ints or broadcastable int32 or int64 arrays in [0, p),
-    as SolutionSet.blocks yields them.  The value is Delta_i where
-    x_{i-1} and x_{i+1} are nonzero; elsewhere inv_table[0] = 0 makes it
-    a finite value in [0, p) that is not Delta_i.  Inverses are gathered
-    from the int64 inv_table with np.take, so every term that holds one
-    is int64 and below 2 p^2; the only int32 product, x_{i-1} x_{i+1},
-    stays below p^2.
+
+def _half(params: SurfaceParams, u, i: int):
+    """half_i = (a_{i-1} u_{i-1} + a_{i+1} u_{i+1})/2 up to a multiple of p, u being x's inverses.
+
+    The halves of a_{i-1} and a_{i+1} are taken mod p first, so each term
+    stays below p^2 and the value, left unreduced, in [0, 2 p^2).
+    """
+    p, a = params.p, params.a
+    im1, ip1 = (i - 1) % 3, (i + 1) % 3
+    inv2 = (p + 1) // 2
+    return a[im1] * inv2 % p * u[im1] + a[ip1] * inv2 % p * u[ip1]
+
+
+def _closed_form(params: SurfaceParams, xi, u, i: int):
+    """Delta_i = x_i q_i + half_i with q_i = u_{i-1} u_{i+1}, the u being the inverses of x.
+
+    That is x_i/(x_{i-1}x_{i+1}) + (a_{i-1}/x_{i-1} + a_{i+1}/x_{i+1})/2
+    where x_{i-1} and x_{i+1} are nonzero; elsewhere inv_table[0] = 0
+    makes it a finite value in [0, p) that is not Delta_i.  xi and the u
+    are ints, or int32 or int64 arrays in [0, p) of one dtype that
+    broadcast together.  x_i q_i + half_i stays below 3 p^2, so int32 is
+    exact while 3 p^2 + p < 2^31.
     """
     p = params.p
-    a = params.a
-    inv = params.field.inv_table
-    im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    xm, xp = x[im1], x[ip1]
-    half = mod_p(a[im1] * np.take(inv, xm) + a[ip1] * np.take(inv, xp), p) * ((p + 1) // 2)
-    return mod_p(x[i] * np.take(inv, mod_p(xm * xp, p)) + half, p)
+    out = xi * mod_p(u[(i - 1) % 3] * u[(i + 1) % 3], p)
+    out += _half(params, u, i)
+    return mod_p(out, p)
 
 
 def _plane_form(params: SurfaceParams, x, i: int):
     """Delta_{i-1} = s/2 + (2a_{i-1} - a_i a_{i+1}) x_{i-1} / (2(x_{i+1}^2 - x_{i-1}^2)).
 
-    The value of Delta_{i-1} on the plane x_i = 0 (see delta_column),
-    on columns x[0..2] like those of _closed_form.  The int32 products
-    stay below p^2, and the inverse is gathered from the int64 inv_table,
-    so every term that holds it is int64 and below 2 p^2.
+    The value of Delta_{i-1} on the plane x_i = 0 (see delta_column), on
+    int32 or int64 columns x[0..2] in [0, p).  The inverse is gathered
+    in the columns' dtype, and every product stays below p^2, so int32
+    is exact while 3 p^2 + p < 2^31, as for the closed form.
     """
     p, s, a = params.p, params.s, params.a
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
     xj, xk = x[im1], x[ip1]
     inv2 = (p + 1) // 2
     c = (2 * a[im1] - a[i] * a[ip1]) * inv2 % p
-    inv = np.take(params.field.inv_table, mod_p(xk * xk - xj * xj, p))
+    inv = _inverse(params, mod_p(xk * xk - xj * xj, p))
     return mod_p(s * inv2 % p + mod_p(c * xj, p) * inv, p)
+
+
+def _delta_ends(params: SurfaceParams, x, u, i: int, moved=None) -> np.ndarray:
+    """Delta_i at the points x in row 0 and, given moved, at their m_i images in row 1.
+
+    x holds the int32 or int64 coordinate columns of points in [0, p),
+    int32 only while 3 p^2 + p < 2^31 as SolutionSet.blocks yields them,
+    u = _inverse of each column, and moved the images' x_i, as
+    moved_coordinate gives them.  m_i keeps x_{i-1} and x_{i+1}, so
+    q_i and half_i of _closed_form are also the image's, and the planes
+    x_{i +- 1} = 0 hold both ends or neither; their rows, where x holds
+    any, get the plane values of delta_column at both ends.
+    """
+    p, s = params.p, params.s
+    im1, ip1 = (i - 1) % 3, (i + 1) % 3
+    ends = x[i][None] if moved is None else np.array((x[i], moved))
+    out = _closed_form(params, ends, u, i)
+    on = np.flatnonzero(x[ip1] == 0)
+    if len(on):
+        y = [v[on] for v in x]
+        y[i] = ends[:, on]
+        out[:, on] = _plane_form(params, y, ip1)
+    on = np.flatnonzero(x[im1] == 0)
+    if len(on):
+        y = [v[on] for v in x]
+        y[i] = ends[:, on]
+        # Delta_{i-1}'s closed form is half_{i-1}, from u_{i+1} and u_i, where x_{i-1} = 0
+        w = [None, None, None]
+        w[ip1], w[i] = u[ip1][on], _inverse(params, y[i])
+        out[:, on] = mod_p(s - _plane_form(params, y, im1) - _half(params, w, im1), p)
+    return out
 
 
 def delta_column(params: SurfaceParams, x, i: int) -> np.ndarray:
     """Delta_i on the coordinate columns x[0..2], the planes x_{i +- 1} = 0 included.
 
-    x holds int32 or int64 arrays in [0, p), a block of SolutionSet.blocks
-    or an image of apply_move; the values are int64 in [0, p).  Every
-    point gets _closed_form, which is Delta_i unless x_{i-1} or x_{i+1}
+    x holds int32 or int64 arrays in [0, p), int32 only while
+    3 p^2 + p < 2^31 as in a block of SolutionSet.blocks, or an image of
+    apply_move; the values are in [0, p), in x's dtype.  Every point
+    gets _closed_form, which is Delta_i unless x_{i-1} or x_{i+1}
     vanishes.  On a plane x_j = 0 the surface equation reads
     x_k^2 + a_j x_k x_l + x_l^2 = 0 for {k, l} = {j-1, j+1}, and
 
@@ -116,17 +167,9 @@ def delta_column(params: SurfaceParams, x, i: int) -> np.ndarray:
     denominator vanishes exactly when a_j^2 = 4, where every point of
     the plane is a double fixed point; inv_table[0] = 0 then gives the
     forced value s/2.  A surface point has at most one zero coordinate.
+    _delta_ends evaluates it, after one gather of each column's inverses.
     """
-    p, s = params.p, params.s
-    out = _closed_form(params, x, i)
-    j = (i + 1) % 3
-    on = np.flatnonzero(x[j] == 0)
-    out[on] = _plane_form(params, [v[on] for v in x], j)
-    j = (i - 1) % 3
-    on = np.flatnonzero(x[j] == 0)
-    y = [v[on] for v in x]
-    out[on] = mod_p(s - _closed_form(params, y, j) - _plane_form(params, y, j), p)
-    return out
+    return _delta_ends(params, x, [_inverse(params, v) for v in x], i)[0]
 
 
 @dataclass
@@ -141,8 +184,9 @@ class DeltaAssignment:
         sol = self.solutions
         out = np.empty((3, len(sol)), dtype=np.int32).T
         for rows, x in sol.blocks():
+            u = [_inverse(sol.params, v) for v in x]
             for i in range(3):
-                out[rows, i] = delta_column(sol.params, x, i)
+                out[rows, i] = _delta_ends(sol.params, x, u, i)[0]
         return out
 
     def at(self, x: Triple) -> Triple:
@@ -212,17 +256,19 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
     and one pass over the blocks of rows checks that each row is in
     [0, p)^3 and on the surface, and that the rows strictly increase in
     (x1, x2, x3) from above the origin: they are then exactly the
-    nonzero solutions.  The pass checks, in int64, the total identity at
-    each row and, for each move i: the image from apply_move is on the
-    surface, so it is a row; m_0 and m_1 keep the orbit id (m_2 keeps
-    the cell, and with it the id); the pair identity holds with
-    delta_column at both ends, which at a fixed edge (image[i] == x[i])
-    reads 2 Delta_i = s, the fix identity for odd p.  It also counts the
-    rows of each id, which must be the partition's orbit sizes, and sums
-    each Delta_i per id, which must be s*V/2.  By the total identity the
-    three sums are s*V, so s*V/2 = 0 and p | V.  Raises CertificateError
-    naming the point (or the orbit's representative, or M and the
-    count), the move and the identity; ValueError outside the domain.
+    nonzero solutions.  The pass checks, in the block's dtype, the total
+    identity at each row and, for each move i: the image, x with x_i
+    replaced by moved_coordinate, is on the surface (m_2's from the
+    row's x3_coefficients, as it keeps x1 and x2), so it is a row; m_0
+    and m_1 keep the orbit id (m_2 keeps the cell, and with it the id);
+    the pair identity holds with _delta_ends' values at both ends, which
+    at a fixed edge (image[i] == x[i]) reads 2 Delta_i = s, the fix
+    identity for odd p.  It also counts the rows of each id, which must
+    be the partition's orbit sizes, and sums each Delta_i per id, which
+    must be s*V/2.  By the total identity the three sums are s*V, so
+    s*V/2 = 0 and p | V.  Raises CertificateError naming the point (or
+    the orbit's representative, or M and the count), the move and the
+    identity; ValueError outside the domain.
     """
     sol = assign.solutions
     params = sol.params
@@ -245,31 +291,37 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
         _require(rows, np.diff(key, prepend=last) > 0,
                  lambda k: f"rows do not strictly increase from above the origin at {sol.triple(k)}")
         last = key[-1]
-        _require(rows, residual_array(params, x) == 0,
+        coefficients = x3_coefficients(params, x[0], x[1])
+        _require(rows, residual_array(params, x, coefficients) == 0,
                  lambda k: f"row {sol.triple(k)} is not on the surface")
         ids = part.ids(x)
         _require(rows, (ids >= 0) & (ids < n_orbits),
                  lambda k: f"{sol.triple(k)} has no orbit id below {n_orbits}")
         sizes += np.bincount(ids, minlength=n_orbits)
-        d = [delta_column(params, x, i) for i in range(3)]
-        _require(rows, mod_p(d[0] + d[1] + d[2] - s, p) == 0,
+        u = [_inverse(params, v) for v in x]
+        moved = [moved_coordinate(params, x, i) for i in range(3)]
+        d = [_delta_ends(params, x, u, i, moved[i]) for i in range(3)]
+        _require(rows, mod_p(d[0][0] + d[1][0] + d[2][0] - s, p) == 0,
                  lambda k: f"total identity fails at {sol.triple(k)}")
         for i in range(3):
-            image = apply_move(params, x, i)
-            _require(rows, residual_array(params, image) == 0,
+            image = list(x)
+            image[i] = moved[i]
+            residual = residual_array(params, image, coefficients if i == 2 else None)
+            _require(rows, residual == 0,
                      lambda k: f"move {i} image of {sol.triple(k)} is off the surface")
             if i < 2:
-                moved = part.ids(image)
-                _require(rows, moved == ids,
+                moved_ids = part.ids(image)
+                _require(rows, moved_ids == ids,
                          lambda k: f"move {i} edge from {sol.triple(k)} joins components "
-                                   f"{ids[k - rows.start]} and {moved[k - rows.start]}")
-            fixed = image[i] == x[i]
-            _require(rows, mod_p(d[i] + delta_column(params, image, i) - s, p) == 0,
+                                   f"{ids[k - rows.start]} and {moved_ids[k - rows.start]}")
+            fixed = moved[i] == x[i]
+            at_row, at_image = d[i]
+            _require(rows, mod_p(at_row + at_image - s, p) == 0,
                      lambda k: f"{'fixed-point' if fixed[k - rows.start] else 'pair'} "
                                f"identity fails at {sol.triple(k)} for move {i}")
             n_fixed += int(np.count_nonzero(fixed))
             # float64 sums are exact: a block adds at most BLOCK values below p, below 2^47
-            sums = np.bincount(ids, weights=d[i], minlength=n_orbits)
+            sums = np.bincount(ids, weights=at_row, minlength=n_orbits)
             half_sums[i] = (half_sums[i] + sums.astype(np.int64)) % p
 
     def require_per_orbit(ok: np.ndarray, identity: str) -> None:

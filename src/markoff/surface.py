@@ -114,12 +114,14 @@ def x3_coefficients(params: SurfaceParams, x1, x2):
     return b, c
 
 
-def residual_array(params: SurfaceParams, x) -> np.ndarray:
+def residual_array(params: SurfaceParams, x, coefficients=None) -> np.ndarray:
     """Vectorised residual; x[0..2] are ints or broadcastable integer arrays.
 
     Pass ``pts.T`` for an (M, 3) point array, or three grid axes.  The
     residual is a monic quadratic in x3, evaluated in Horner form
-    ((x3 + b) * x3 + c) % p with (b, c) from x3_coefficients.  On a grid
+    ((x3 + b) * x3 + c) % p with (b, c) from x3_coefficients, or from
+    coefficients when given: x3_coefficients(params, x[0], x[1]) already
+    computed for points with the same x1 and x2.  On a grid
     with x3 along the last axis, b and c have the shape of the (x1, x2)
     slab, so only the last four passes touch every cell.  For coordinates
     in [0, p) every intermediate stays below 3 p^2, so int32 arrays are
@@ -127,7 +129,7 @@ def residual_array(params: SurfaceParams, x) -> np.ndarray:
     table prime.
     """
     x3 = x[2]
-    b, c = x3_coefficients(params, x[0], x[1])
+    b, c = x3_coefficients(params, x[0], x[1]) if coefficients is None else coefficients
     r = x3 + b  # full broadcast shape; the three passes below reuse it in place
     r *= x3
     r += c

@@ -349,15 +349,18 @@ class TestCertificate:
         sol = enumerate_solutions(params)
         part = compute_orbits(sol)
         assert apply_move(params, (1, 7, 7), 0) == (1, 7, 7)
-        column = delta.delta_column
+        ends = delta._delta_ends
 
-        def shifted(params, x, i):
-            out = column(params, x, i)
-            at = (x[0] == 1) & (x[1] == 7) & (x[2] == 7)
-            out[at] = (out[at] + (1, -1, 0)[i]) % params.p
+        def shifted(params, x, u, i, moved=None):
+            out = ends(params, x, u, i, moved)
+            for end, xi in zip(out, (x[i], moved)):  # the rows, then the images
+                y = list(x)
+                y[i] = xi
+                at = (y[0] == 1) & (y[1] == 7) & (y[2] == 7)
+                end[at] = (end[at] + (1, -1, 0)[i]) % params.p
             return out
 
-        monkeypatch.setattr(delta, "delta_column", shifted)
+        monkeypatch.setattr(delta, "_delta_ends", shifted)
         with pytest.raises(CertificateError,
                            match=r"fixed-point identity fails at \(1, 7, 7\) for move 0"):
             verify_certificate(build_certificate(sol), part)

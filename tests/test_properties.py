@@ -1,15 +1,20 @@
 """Property tests: the vectorised residual, the root-table count oracle, the
 cell-indexed solution set, the orbit partition and the Delta closed form
 against naive oracles, on random small primes, parameters and points;
-and the int32 residual against the naive Python-int one up to the int32
-edge, with every formula SolutionSet.blocks feeds at the int32 bound."""
+the int32 residual against the naive Python-int one up to the int32
+edge, with every formula SolutionSet.blocks feeds at the int32 bound;
+and Delta at both ends of every edge against Python ints, exhaustively
+for p <= 13 and at the bounds of the blocks' int32 and int64 dtypes."""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from markoff.delta import _closed_form, _plane_form, build_certificate, delta_at
+from markoff.delta import (NoConsistentExtension, _delta_ends, _inverse, _plane_form,
+                           build_certificate, delta_at, delta_column, require_consistent)
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.field import is_prime
 from markoff.obstruction import _generic_characters, _sign_patterns, perfect_square_check
@@ -146,7 +151,9 @@ def test_block_formulas_int32_exact_at_the_bound():
             moved = moved_coordinate(params, x32, i)
             assert moved.dtype == np.int32
             assert np.array_equal(moved, moved_coordinate(params, x64, i)), i
-            assert np.array_equal(_closed_form(params, x32, i), _closed_form(params, x64, i))
+            column = delta_column(params, x32, i)
+            assert column.dtype == np.int32
+            assert np.array_equal(column, delta_column(params, x64, i))
             assert np.array_equal(_plane_form(params, x32, i), _plane_form(params, x64, i))
         form = special_form_detect(params)
         if params is generic:
@@ -168,6 +175,123 @@ def naive_delta(p, a, x, i):
     am, ap = a[(i - 1) % 3], a[(i + 1) % 3]
     return (x[i] * pow(xm * xp, -1, p)
             + (am * pow(xm, -1, p) + ap * pow(xp, -1, p)) * pow(2, -1, p)) % p
+
+
+def naive_surface_delta(p, a, x, i):
+    """Delta_i at a surface point by pow: naive_delta, or the plane form on x_j = 0.
+
+    On the plane x_j = 0, j != i, Delta_i = s/2 + (2a_i - a_j a_l) x_i /
+    (2(x_l^2 - x_i^2)) for the third index l, and s/2 where the
+    denominator vanishes (a_j^2 = 4).
+    """
+    for j in ((i + 1) % 3, (i - 1) % 3):
+        if x[j] % p == 0:
+            l = 3 - i - j
+            half_s = (3 + sum(a)) * pow(2, -1, p) % p
+            den = 2 * (x[l] * x[l] - x[i] * x[i]) % p
+            if den == 0:
+                return half_s
+            return (half_s + (2 * a[i] - a[j] * a[l]) * x[i] * pow(den, -1, p)) % p
+    return naive_delta(p, a, x, i)
+
+
+def _check_edge_ends(params, x, naive=naive_surface_delta):
+    """_delta_ends at both ends of every edge from the columns x equals naive, in x's dtype.
+
+    naive is evaluated once per point, an image being a row already met
+    on a whole surface.
+    """
+    p, a = params.p, params.a
+    rows = [tuple(r) for r in x.T.tolist()]
+    table = {}
+
+    def expected(points, i):
+        for y in points:
+            if y not in table:
+                table[y] = [naive(p, a, y, k) for k in range(3)]
+        return [table[y][i] for y in points]
+
+    u = [_inverse(params, v) for v in x]
+    for i in range(3):
+        moved = moved_coordinate(params, x, i)
+        ends = _delta_ends(params, x, u, i, moved)
+        assert all(end.dtype == x.dtype for end in ends)
+        assert ends[0].tolist() == expected(rows, i), i
+        images = [(*r[:i], m, *r[i + 1:]) for r, m in zip(rows, moved.tolist())]
+        assert ends[1].tolist() == expected(images, i), i
+        assert np.array_equal(ends[0], delta_column(params, x, i))
+
+
+def _certifiable(p, a):
+    params = SurfaceParams.make(p, a)
+    try:
+        require_consistent(params)
+    except (ValueError, NoConsistentExtension):  # s = 0, or a plane with no consistent Delta
+        return None
+    return params
+
+
+def test_delta_ends_exact_on_every_edge_small_p():
+    """Every consistent s != 0 triple for p <= 13, planes included."""
+    checked = 0
+    for p in (5, 7, 11, 13):
+        for a in itertools.product(range(p), repeat=3):
+            params = _certifiable(p, a)
+            if params is not None:
+                for _, x in enumerate_solutions(params).blocks():
+                    _check_edge_ends(params, x)
+                checked += 1
+    assert checked > 1295  # p = 13 alone has 1295 certifiable sets
+
+
+def test_delta_ends_exact_on_seeded_sets():
+    rng = np.random.default_rng(211)
+    for p in (17, 31, 61, 101, 151, 211):
+        params = None
+        while params is None:
+            params = _certifiable(p, tuple(int(v) for v in rng.integers(0, p, 3)))
+        for _, x in enumerate_solutions(params).blocks():
+            _check_edge_ends(params, x)
+
+
+def _plane_points(params, rng, n=50):
+    """(3, N) surface points on each plane x_j = 0, the other coordinates near p - 1.
+
+    Solved for the last coordinate as in _seeded_surface_points; a plane
+    holds points only where a_j^2 - 4 is a square.
+    """
+    p = params.p
+    zero, near = np.zeros(n, dtype=np.int64), rng.integers(p - 50, p, n)
+    cyclic = SurfaceParams.make(p, params.a[1:] + params.a[:1])
+    pts = np.concatenate([_solve_last(params, zero, near), _solve_last(params, near, zero),
+                          _solve_last(cyclic, near, zero)[[2, 0, 1]]], axis=1)
+    assert not residual_array(params, pts).any()
+    return pts
+
+
+@pytest.mark.parametrize("p, dtype", [(INT32_EDGE, np.int32), (26759, np.int64),
+                                      (46337, np.int64)])
+def test_delta_ends_exact_at_the_dtype_bounds(p, dtype):
+    """Both ends at the bounds of SolutionSet.blocks' dtypes, in the blocks' dtype.
+
+    Seeded surface points put p - 1 in every coordinate, and plane points
+    put values near p - 1 beside the zero, on planes with a_j^2 = 4 and
+    without; the all-(p - 1) column, off the surface, has the largest
+    inverses.  The three parameter sets are certifiable.
+    """
+    assert (3 * p * p + p < 2 ** 31) == (dtype == np.int32)
+    rng = np.random.default_rng(p)
+    on_planes = 0
+    for a in ((p - 1, p - 3, p - 4), (2, p - 5, p - 5), (p - 2, 7, p - 7)):
+        params = _certifiable(p, a)
+        assert params is not None, a
+        planes = _plane_points(params, rng)
+        on_planes += planes.shape[1]
+        pts = np.concatenate([_seeded_surface_points(params, rng, n=100), planes], axis=1)
+        _check_edge_ends(params, pts.astype(dtype))
+        worst = np.full((3, 1), p - 1, dtype=dtype)
+        _check_edge_ends(params, worst, naive=naive_delta)
+    assert on_planes > 0
 
 
 @settings(max_examples=30, deadline=None)
