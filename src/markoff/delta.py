@@ -11,12 +11,12 @@ Summing them over an orbit of size V gives s*V = 3*s*V/2, hence
 s*V = 0, hence p | V when s != 0.  Delta_i has a closed form wherever
 x_{i-1} x_{i+1} != 0, _closed_form, read from the inverses u of the
 coordinates as Delta_i = x_i q_i + half_i with q_i = u_{i-1} u_{i+1};
-on a plane x_j = 0 the values Delta_{j +- 1} have a second one,
-_plane_form.  _delta_ends picks between them on coordinate columns, so
-the certificate is a formula in the coordinates of each point, and a
-DeltaAssignment stores no values.  Where a_i^2 = 4 and
-2a_{i-1} != a_{i+1}a_i no assignment exists; require_consistent reads
-that from the parameters alone.
+on a plane x_j = 0 both neighbours Delta_{j +- 1} take one symmetric
+plane form (see delta_column).  _delta_ends picks between the two on
+coordinate columns, so the certificate is a formula in the coordinates
+of each point, and a DeltaAssignment stores no values.  Where
+a_i^2 = 4 and 2a_{i-1} != a_{i+1}a_i no assignment exists;
+require_consistent reads that from the parameters alone.
 
 verify_certificate proves the set complete (the closed-form count of
 rows, each on the surface, strictly increasing from above the origin),
@@ -72,18 +72,6 @@ def _inverse(params: SurfaceParams, v: np.ndarray) -> np.ndarray:
     return np.take(params.field.inv_table, v).astype(v.dtype, copy=False)
 
 
-def _half(params: SurfaceParams, u, i: int):
-    """half_i = (a_{i-1} u_{i-1} + a_{i+1} u_{i+1})/2 up to a multiple of p, u being x's inverses.
-
-    The halves of a_{i-1} and a_{i+1} are taken mod p first, so each term
-    stays below p^2 and the value, left unreduced, in [0, 2 p^2).
-    """
-    p, a = params.p, params.a
-    im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    inv2 = (p + 1) // 2
-    return a[im1] * inv2 % p * u[im1] + a[ip1] * inv2 % p * u[ip1]
-
-
 def _closed_form(params: SurfaceParams, xi, u, i: int):
     """Delta_i = x_i q_i + half_i with q_i = u_{i-1} u_{i+1}, the u being the inverses of x.
 
@@ -91,30 +79,16 @@ def _closed_form(params: SurfaceParams, xi, u, i: int):
     where x_{i-1} and x_{i+1} are nonzero; elsewhere inv_table[0] = 0
     makes it a finite value in [0, p) that is not Delta_i.  xi and the u
     are ints, or int32 or int64 arrays in [0, p) of one dtype that
-    broadcast together.  x_i q_i + half_i stays below 3 p^2, so int32 is
-    exact while 3 p^2 + p < 2^31.
+    broadcast together.  The halves of a_{i-1} and a_{i+1} are taken
+    mod p first, so each term of half_i stays below p^2 and
+    x_i q_i + half_i below 3 p^2: int32 is exact while 3 p^2 + p < 2^31.
     """
-    p = params.p
-    out = xi * mod_p(u[(i - 1) % 3] * u[(i + 1) % 3], p)
-    out += _half(params, u, i)
-    return mod_p(out, p)
-
-
-def _plane_form(params: SurfaceParams, x, i: int):
-    """Delta_{i-1} = s/2 + (2a_{i-1} - a_i a_{i+1}) x_{i-1} / (2(x_{i+1}^2 - x_{i-1}^2)).
-
-    The value of Delta_{i-1} on the plane x_i = 0 (see delta_column), on
-    int32 or int64 columns x[0..2] in [0, p).  The inverse is gathered
-    in the columns' dtype, and every product stays below p^2, so int32
-    is exact while 3 p^2 + p < 2^31, as for the closed form.
-    """
-    p, s, a = params.p, params.s, params.a
+    p, a = params.p, params.a
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    xj, xk = x[im1], x[ip1]
     inv2 = (p + 1) // 2
-    c = (2 * a[im1] - a[i] * a[ip1]) * inv2 % p
-    inv = _inverse(params, mod_p(xk * xk - xj * xj, p))
-    return mod_p(s * inv2 % p + mod_p(c * xj, p) * inv, p)
+    out = xi * mod_p(u[im1] * u[ip1], p)
+    out += a[im1] * inv2 % p * u[im1] + a[ip1] * inv2 % p * u[ip1]
+    return mod_p(out, p)
 
 
 def _delta_ends(params: SurfaceParams, x, u, i: int, moved=None) -> np.ndarray:
@@ -126,25 +100,22 @@ def _delta_ends(params: SurfaceParams, x, u, i: int, moved=None) -> np.ndarray:
     moved_coordinate gives them.  m_i keeps x_{i-1} and x_{i+1}, so
     q_i and half_i of _closed_form are also the image's, and the planes
     x_{i +- 1} = 0 hold both ends or neither; their rows, where x holds
-    any, get the plane values of delta_column at both ends.
+    any, get the plane form of delta_column at both ends.  A surface
+    point has at most one zero coordinate, so x_{i-1} + x_{i+1} is the
+    plane's x_l, below p; every product stays below p^2, exact in int32
+    as for the closed form.
     """
-    p, s = params.p, params.s
+    p, a = params.p, params.a
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
     ends = x[i][None] if moved is None else np.array((x[i], moved))
     out = _closed_form(params, ends, u, i)
-    on = np.flatnonzero(x[ip1] == 0)
+    on = np.flatnonzero((x[im1] == 0) | (x[ip1] == 0))
     if len(on):
-        y = [v[on] for v in x]
-        y[i] = ends[:, on]
-        out[:, on] = _plane_form(params, y, ip1)
-    on = np.flatnonzero(x[im1] == 0)
-    if len(on):
-        y = [v[on] for v in x]
-        y[i] = ends[:, on]
-        # Delta_{i-1}'s closed form is half_{i-1}, from u_{i+1} and u_i, where x_{i-1} = 0
-        w = [None, None, None]
-        w[ip1], w[i] = u[ip1][on], _inverse(params, y[i])
-        out[:, on] = mod_p(s - _plane_form(params, y, im1) - _half(params, w, im1), p)
+        inv2 = (p + 1) // 2
+        c = (2 * a[i] - a[im1] * a[ip1]) * inv2 % p
+        xi, xl = ends[:, on], x[im1][on] + x[ip1][on]
+        inv = _inverse(params, mod_p(xl * xl - xi * xi, p))
+        out[:, on] = mod_p(params.s * inv2 % p + mod_p(c * xi, p) * inv, p)
     return out
 
 
@@ -156,17 +127,19 @@ def delta_column(params: SurfaceParams, x, i: int) -> np.ndarray:
     apply_move; the values are in [0, p), in x's dtype.  Every point
     gets _closed_form, which is Delta_i unless x_{i-1} or x_{i+1}
     vanishes.  On a plane x_j = 0 the surface equation reads
-    x_k^2 + a_j x_k x_l + x_l^2 = 0 for {k, l} = {j-1, j+1}, and
+    x_k^2 + a_j x_k x_l + x_l^2 = 0 for {k, l} = {j-1, j+1}, and both
+    neighbours take one symmetric form,
 
       Delta_k = s/2 + (2a_k - a_j a_l) x_k / (2(x_l^2 - x_k^2)):
 
     m_k maps x_k to x_l^2/x_k, which flips the sign of the second term,
-    so the pair identity holds, and the equation gives the total one.
-    So Delta_i is _plane_form(x, i + 1) on x_{i+1} = 0, and
-    s - Delta_{i-1} - _plane_form(x, i - 1) on x_{i-1} = 0.  The
-    denominator vanishes exactly when a_j^2 = 4, where every point of
-    the plane is a double fixed point; inv_table[0] = 0 then gives the
-    forced value s/2.  A surface point has at most one zero coordinate.
+    so the pair identity holds.  Delta_j there is its closed form
+    (a_k/x_k + a_l/x_l)/2, and 2 x_k x_l (x_l^2 - x_k^2) times
+    Delta_j + Delta_k + Delta_l - s is
+    (a_k x_l - a_l x_k)(x_k^2 + a_j x_k x_l + x_l^2), zero by the plane
+    equation: the total identity holds.  The denominator vanishes
+    exactly when a_j^2 = 4, where every point of the plane is a double
+    fixed point; inv_table[0] = 0 then gives the forced value s/2.
     _delta_ends evaluates it, after one gather of each column's inverses.
     """
     return _delta_ends(params, x, [_inverse(params, v) for v in x], i)[0]
@@ -268,14 +241,15 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
     must be s*V/2.  By the total identity the three sums are s*V, so
     s*V/2 = 0 and p | V.  Raises CertificateError naming the point (or
     the orbit's representative, or M and the count), the move and the
-    identity; ValueError outside the domain.
+    identity; ValueError outside the domain or for a partition of
+    another parameter set.
     """
     sol = assign.solutions
     params = sol.params
     p, s = params.p, params.s
     if p < 5 or s == 0:
         raise ValueError("certificate verification needs p >= 5 and s != 0")
-    if part.cell_ids.shape != (p * p,):
+    if part.params != params or part.cell_ids.shape != (p * p,):
         raise ValueError("orbit partition does not match the solution set")
     require_complete(sol)
 

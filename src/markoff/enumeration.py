@@ -7,7 +7,7 @@ cell order with the smaller root first, which is lexicographic order,
 and an offsets array of length p^2 + 1 marks where each cell starts.  A
 point is then found in O(1) from its cell and whether its x3 is the
 cell's first root; no sort and no packed keys are needed.
-SolutionSet._find_rows states that rule once, for every index lookup.
+SolutionSet.lookup_array states that rule once, for every index lookup.
 
 The points and the offsets are int32, so p^2 + 1 cells and M points
 must fit in int32; _require_int32 refuses larger sizes before anything
@@ -116,8 +116,8 @@ class SolutionSet:
         x is the (3, len) array of the rows' coordinate columns x[0],
         x[1], x[2].  While 3 p^2 + p < 2^31 (p <= 26737) it is a
         read-only int32 view of points: moved_coordinate,
-        x3_coefficients, residual_array, delta._closed_form,
-        delta._plane_form and the obstruction identities keep every
+        x3_coefficients, residual_array, delta._delta_ends (its closed
+        and plane forms) and the obstruction identities keep every
         intermediate below that bound on coordinates in [0, p).  Above
         it x is an int64 copy, so no block consumer overflows at any
         admitted p.
@@ -147,7 +147,10 @@ class SolutionSet:
         """Row indices (int32) of points given as coordinate arrays x[0..2].
 
         Pass ``pts.T`` for an (N, 3) point array.  Coordinates must lie in
-        [0, p).  Raises KeyError naming the first point not in the set.
+        [0, p).  A point sits at its cell's first row, or at the next row
+        when its x3 is not the cell's first root; that row, clipped into
+        [0, M), is read and compared.  Raises KeyError naming the first
+        point not in the set.
         """
         p, m = self.params.p, len(self)
         x1, x2, x3 = x[0], x[1], x[2]
@@ -155,27 +158,16 @@ class SolutionSet:
             return np.empty(0, dtype=np.int32)
         if m == 0 or min(v.min() for v in (x1, x2, x3)) < 0 \
                 or max(v.max() for v in (x1, x2, x3)) >= p:
-            # the gathers of _find_rows need every coordinate in [0, p); an empty set holds no point
-            outside = (m == 0) | np.any([(v < 0) | (v >= p) for v in (x1, x2, x3)], axis=0)
-            k = int(np.argmax(outside))
-            raise KeyError(f"{(int(x1[k]), int(x2[k]), int(x3[k]))} is not in the solution set")
-        return self._find_rows(x1, x2, x3)
-
-    def _find_rows(self, x1, x2, x3) -> np.ndarray:
-        """lookup_array without its range check: KeyError names the first point not in the set.
-
-        A point sits at its cell's first row, or at the next row when its
-        x3 is not the cell's first root; that row, clipped into [0, M),
-        is read and compared.  The set must be non-empty and every
-        coordinate lie in [0, p).
-        """
-        start = np.take(self.offsets, x1 * self.params.p + x2)
-        # an empty cell may start at M, so the first gather clips too
-        rows = start + (x3 != np.take(self.points[:, 2], start, mode="clip"))
-        np.minimum(rows, len(self) - 1, out=rows)
-        found = np.take(self.points[:, 0], rows) == x1
-        found &= np.take(self.points[:, 1], rows) == x2
-        found &= np.take(self.points[:, 2], rows) == x3
+            # the gathers below need every coordinate in [0, p); an empty set holds no point
+            found = (m > 0) & np.all([(v >= 0) & (v < p) for v in (x1, x2, x3)], axis=0)
+        else:
+            start = np.take(self.offsets, x1 * p + x2)
+            # an empty cell may start at M, so the first gather clips too
+            rows = start + (x3 != np.take(self.points[:, 2], start, mode="clip"))
+            np.minimum(rows, m - 1, out=rows)
+            found = np.take(self.points[:, 0], rows) == x1
+            found &= np.take(self.points[:, 1], rows) == x2
+            found &= np.take(self.points[:, 2], rows) == x3
         if not bool(found.all()):
             k = int(np.flatnonzero(~found)[0])
             raise KeyError(f"{(int(x1[k]), int(x2[k]), int(x3[k]))} is not in the solution set")

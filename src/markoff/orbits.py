@@ -65,7 +65,7 @@ def neighbor_indices(sol: SolutionSet) -> np.ndarray:
     out = np.empty((3, len(sol)), dtype=np.int32)
     for rows, x in sol.blocks():
         for i in range(3):
-            out[i, rows] = sol._find_rows(*apply_move(sol.params, x, i))
+            out[i, rows] = sol.lookup_array(apply_move(sol.params, x, i))
     return out
 
 

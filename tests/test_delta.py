@@ -318,13 +318,15 @@ class TestCertificate:
         params = params_of(7, (1, 1, 1))
         sol = enumerate_solutions(params)
         part = compute_orbits(sol)
-        plane_form = delta._plane_form
+        ends = delta._delta_ends
 
-        def corrupted(params, x, i):
-            out = plane_form(params, x, i)
-            return (out + 1) % params.p if i == 0 else out
+        def corrupted(params, x, u, i, moved=None):
+            out = ends(params, x, u, i, moved)
+            on = x[0] == 0  # both ends of m_1 and m_2 edges, which keep x_0
+            out[:, on] = (out[:, on] + (0, -1, 1)[i]) % params.p
+            return out
 
-        monkeypatch.setattr(delta, "_plane_form", corrupted)
+        monkeypatch.setattr(delta, "_delta_ends", corrupted)
         with pytest.raises(CertificateError,
                            match=r"^pair identity fails at \(0, \d+, \d+\) for move 1$"):
             verify_certificate(build_certificate(sol), part)
@@ -341,6 +343,13 @@ class TestCertificate:
         with pytest.raises(CertificateError, match="joins components"):
             verify_certificate(assign, dataclasses.replace(part, cell_ids=cell_ids))
         verify_certificate(assign, part)
+
+    def test_partition_of_another_set_is_refused(self):
+        """The (2,5,5) partition is a usage error for the (1,1,1) set, not a failed certificate."""
+        sol = enumerate_solutions(params_of(13, (1, 1, 1)))
+        other = compute_orbits(enumerate_solutions(params_of(13, (2, 5, 5))))
+        with pytest.raises(ValueError, match="^orbit partition does not match the solution set$"):
+            verify_certificate(build_certificate(sol), other)
 
     def test_wrong_delta_at_fixed_edge_names_fixed_point(self, monkeypatch):
         # m_0 fixes (1, 7, 7); moving 1 from Delta_1 to Delta_0 there keeps

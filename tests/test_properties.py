@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from markoff.delta import (NoConsistentExtension, _delta_ends, _inverse, _plane_form,
+from markoff.delta import (NoConsistentExtension, _delta_ends, _inverse,
                            build_certificate, delta_at, delta_column, require_consistent)
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.field import is_prime
@@ -134,11 +134,12 @@ def test_block_formulas_int32_exact_at_the_bound():
     """At p = 26737 every formula on SolutionSet.blocks agrees on int32 and int64 columns."""
     p = INT32_EDGE
     assert 3 * p * p + p < 2 ** 31
-    rng = np.random.default_rng(26737)
+    rng, plane_rng = np.random.default_rng(26737), np.random.default_rng(26738)
     generic = SurfaceParams.make(p, (p - 1, p - 2, p - 1))
     for params in (generic, SurfaceParams.make(p, (2, p - 5, p - 5)),
                    SurfaceParams.make(p, (2, 2, 2))):
         x64 = _seeded_surface_points(params, rng)
+        planes = _plane_points(params, plane_rng)  # delta_column's plane form, near p - 1
         if params is generic:  # the formulas' worst case, on the surface or not
             x64 = np.concatenate([x64, np.full((3, 1), p - 1)], axis=1)
         x32 = x64.astype(np.int32)
@@ -154,7 +155,9 @@ def test_block_formulas_int32_exact_at_the_bound():
             column = delta_column(params, x32, i)
             assert column.dtype == np.int32
             assert np.array_equal(column, delta_column(params, x64, i))
-            assert np.array_equal(_plane_form(params, x32, i), _plane_form(params, x64, i))
+            column = delta_column(params, planes.astype(np.int32), i)
+            assert column.dtype == np.int32
+            assert np.array_equal(column, delta_column(params, planes, i)), i
         form = special_form_detect(params)
         if params is generic:
             assert form is None

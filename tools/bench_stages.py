@@ -4,7 +4,7 @@ Usage: python tools/bench_stages.py P [a1,a2,a3]
 
 Builds the field tables untimed, then runs the brute-force count oracle
 (oracle_s) and, after it, enumerate -> orbits -> certificate build ->
-certificate verify once, in this process, and prints one JSON object.
+certificate verify, in this process, and prints one JSON object.
 Parameters the certificate refuses (s = 0, say) stop after orbits, with
 the refusal in the output.  Where the certificate is its formula, as
 here, cert_build is an O(1) call and all the certificate's work is in
@@ -13,22 +13,23 @@ total_s covers the pipeline from enumeration on; the oracle is timed on
 its own and stays out of it.  Run one process per prime so that peak RSS
 belongs to that prime alone.
 
-The move lookups are timed inside the stage that makes them, from
-wrappers around the functions that do them: orbits_lookup_s is the time
-compute_orbits spends finding its edges (the cell targets of
-orbits._cell_targets, or on older commits the row lookups of
-orbits.neighbor_indices), and search_s the rest of compute_orbits;
-verify_lookup_s is the time verify_certificate spends locating move
-images, on older commits in SolutionSet._locate or
-orbits.neighbor_indices; it reads 0 here, where the verifier makes no
-row lookup.  A wrapper replaces a function on every markoff module that
-holds it, and _locate on the SolutionSet class; a function a commit
-lacks is not wrapped, so the tool runs unchanged on older commits.
+The pipeline runs twice.  The first run is timed with tracemalloc off,
+since tracing charges every allocation and skews the stages unevenly;
+peak_rss_mb_after is the process's RSS high-water mark after each of its
+stages.  The second run, its results dropped, gives traced_peak_mb: the
+tracemalloc peak within each stage, which numpy's arrays report and
+which, unlike RSS, does not depend on what the allocator kept from
+earlier stages.  The oracle's cached root table is cleared before the
+second run, so both runs build it.
 
-peak_rss_mb_after is the process's RSS high-water mark after each stage.
-traced_peak_mb is the tracemalloc peak within each stage, which numpy's
-arrays report: unlike RSS it does not depend on what the allocator kept
-from earlier stages.
+The move lookups of the timed run are timed inside the stage that makes
+them, from wrappers around the functions that do them: orbits_lookup_s
+is the time compute_orbits spends finding its edges (the cell targets of
+orbits._cell_targets, or on older commits the row lookups of
+orbits.neighbor_indices), and search_s the rest of compute_orbits.  A
+wrapper replaces a function on every markoff module that holds it; a
+function a commit lacks is not wrapped, so the tool runs unchanged on
+older commits.
 """
 
 from __future__ import annotations
@@ -45,14 +46,12 @@ from collections import defaultdict
 import numpy as np
 import scipy
 
-from markoff import delta, orbits
-from markoff.enumeration import SolutionSet, count_solutions_bruteforce, enumerate_solutions
+from markoff import delta, enumeration, orbits
+from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.surface import SurfaceParams
 
 # the functions that look up move images, where a commit has them
 LOOKUPS = ("_cell_targets", "neighbor_indices")
-# the method that locates move images, where a commit has it
-LOCATE = "_locate"
 
 
 def _rss_mb() -> float:
@@ -62,8 +61,7 @@ def _rss_mb() -> float:
 def _wrap_lookups(spent: dict, current: list) -> None:
     """Add each lookup's time to spent[(stage running, name)].
 
-    The functions are replaced on every markoff module that holds them,
-    and the method on SolutionSet.
+    The functions are replaced on every markoff module that holds them.
     """
     def timed(fn, name):
         def wrapper(*args, **kwargs):
@@ -83,8 +81,23 @@ def _wrap_lookups(spent: dict, current: list) -> None:
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     setattr(mod, attr, timed(fn, name))
-    if hasattr(SolutionSet, LOCATE):
-        setattr(SolutionSet, LOCATE, timed(getattr(SolutionSet, LOCATE), LOCATE))
+
+
+def _pipeline(params: SurfaceParams, run) -> dict:
+    """The oracle, then enumerate -> orbits -> certificate, each stage through run(stage, fn, *args)."""
+    out = {"oracle_count": run("oracle", count_solutions_bruteforce, params)}
+    sol = run("enumerate", enumerate_solutions, params)
+    part = run("orbits", orbits.compute_orbits, sol)
+    out.update(points=len(sol), orbits=len(part.orbits))
+    try:
+        delta.require_consistent(params)
+    except (ValueError, delta.NoConsistentExtension) as exc:
+        out["refused"] = str(exc)  # s = 0 or a bad plane: no certificate stages
+    else:
+        assign = run("cert_build", delta.build_certificate, sol)
+        report = run("cert_verify", delta.verify_certificate, assign, part)
+        out.update(fixed_edges=report.n_fixed_edges, all_divisible=report.all_divisible)
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -98,40 +111,36 @@ def main(argv: list[str]) -> int:
     spent: dict = defaultdict(float)
     current = [""]
     _wrap_lookups(spent, current)
-    tracemalloc.start()
 
-    def run(stage: str, fn, *args):
+    def timed(stage: str, fn, *args):
         current[0] = stage
-        tracemalloc.reset_peak()
         start = time.perf_counter()
         out = fn(*args)
         stages[stage + "_s"] = time.perf_counter() - start
-        traced[stage] = tracemalloc.get_traced_memory()[1] / 2 ** 20
         rss[stage] = _rss_mb()
         return out
 
-    oracle_count = run("oracle", count_solutions_bruteforce, params)
-    sol = run("enumerate", enumerate_solutions, params)
-    part = run("orbits", orbits.compute_orbits, sol)
-    try:
-        delta.require_consistent(params)
-    except (ValueError, delta.NoConsistentExtension) as exc:
-        certificate = {"refused": str(exc)}  # s = 0 or a bad plane: no certificate stages
-    else:
-        assign = run("cert_build", delta.build_certificate, sol)
-        report = run("cert_verify", delta.verify_certificate, assign, part)
-        certificate = {"fixed_edges": report.n_fixed_edges,
-                       "all_divisible": report.all_divisible}
+    def traced_peak(stage: str, fn, *args):
+        current[0] = "traced"
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        traced[stage] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        return out
+
+    result = _pipeline(params, timed)
+    root_table = getattr(enumeration, "_root_table", None)
+    if hasattr(root_table, "cache_clear"):  # where a commit caches it, the traced run rebuilds it
+        root_table.cache_clear()
+    tracemalloc.start()
+    _pipeline(params, traced_peak)
     tracemalloc.stop()
 
     stages["orbits_lookup_s"] = sum(spent["orbits", name] for name in LOOKUPS)
     stages["search_s"] = stages["orbits_s"] - stages["orbits_lookup_s"]
-    stages["verify_lookup_s"] = sum(spent["cert_verify", name] for name in (*LOOKUPS, LOCATE))
     stages["total_s"] = sum(stages.get(k + "_s", 0.0)
                             for k in ("enumerate", "orbits", "cert_build", "cert_verify"))
     print(json.dumps({
-        "p": p, "a": list(params.a), "points": len(sol), "oracle_count": oracle_count,
-        "orbits": len(part.orbits), **certificate,
+        "p": p, "a": list(params.a), **result,
         "stages_s": {k: round(v, 3) for k, v in sorted(stages.items())},
         "peak_rss_mb_after": {k: round(v, 1) for k, v in rss.items()},
         "traced_peak_mb": {k: round(v, 1) for k, v in traced.items()},
