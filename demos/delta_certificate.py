@@ -6,7 +6,9 @@
 # Delta_i(x) + Delta_i(m_i x) = s across every edge.  Summing over an
 # orbit of size V gives s*V = (3/2) s*V, so s*V = 0 and p | V.
 # On the plane x_i = 0 the two neighbouring values have a closed form of
-# their own, in the two nonzero coordinates.
+# their own, in the two nonzero coordinates.  delta_values evaluates the
+# certificate's formula, plane forms included, at any nonzero point of
+# the surface.
 
 from markoff import (SurfaceParams, build_certificate, compute_orbits,
                      delta_values, enumerate_solutions, verify_certificate)
@@ -21,12 +23,10 @@ print()
 # The plane x1 = 0 is a pair of lines x3 = r x2 with r^2 + a_1 r + 1 = 0.
 # There Delta_1 keeps its closed form and, for {j, k} = {2, 3},
 #   Delta_j = s/2 + (2a_j - a_1 a_k) x_j / (2(x_k^2 - x_j^2)).
-sol = enumerate_solutions(params)
-assign = build_certificate(sol)
-plane = [x for x in sol.iter_triples() if x[0] == 0]
+plane = [x for x in enumerate_solutions(params).iter_triples() if x[0] == 0]
 print(f"plane x1=0: {len(plane)} points")
 for x in plane:
-    print(f"  {x} -> {assign.at(x)}")
+    print(f"  {x} -> {delta_values(params, x)}")
 print()
 
 # Full certificate mod 13 for a special-form parameter set.

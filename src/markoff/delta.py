@@ -14,8 +14,9 @@ coordinates as Delta_i = x_i q_i + half_i with q_i = u_{i-1} u_{i+1};
 on a plane x_j = 0 both neighbours Delta_{j +- 1} take one symmetric
 plane form (see delta_column).  _delta_ends picks between the two on
 coordinate columns, so the certificate is a formula in the coordinates
-of each point, and a DeltaAssignment stores no values.  Where
-a_i^2 = 4 and 2a_{i-1} != a_{i+1}a_i no assignment exists;
+of each point: delta_values evaluates it at one point, and
+DeltaAssignment.values at every row of a set without storing it.
+Where a_i^2 = 4 and 2a_{i-1} != a_{i+1}a_i no assignment exists;
 require_consistent reads that from the parameters alone.
 
 verify_certificate proves the set complete (the closed-form count of
@@ -45,26 +46,18 @@ class NoConsistentExtension(Exception):
 
 
 def delta_values(params: SurfaceParams, x: Triple) -> Triple:
-    """The closed-form (Delta_1, Delta_2, Delta_3) at a point with x1*x2*x3 != 0."""
-    if any(v % params.p == 0 for v in x):
-        raise ValueError("closed form needs all coordinates nonzero; "
-                         "delta_column covers the zero-coordinate points")
-    return tuple(delta_at(params, x, i) for i in range(3))
+    """(Delta_1, Delta_2, Delta_3) at a nonzero point of the surface, plane points included.
 
-
-def delta_at(params: SurfaceParams, x: Triple, i: int) -> int:
-    """Delta_i(x) from the closed form, as delta_column gives it at one point.
-
-    Well-defined whenever the two other coordinates are nonzero; in
-    particular on the plane x_i = 0, where the first term drops out.
-    Coordinates may be any ints; they are reduced mod p first.
+    Coordinates may be any ints; they are reduced mod p first.  The
+    values are delta_column's on one-point int64 columns, the ones
+    verify_certificate checks.  Raises ValueError naming the point when
+    it is not a nonzero point of the surface.
     """
     p = params.p
-    x = tuple(int(v) % p for v in x)
-    if x[(i - 1) % 3] == 0 or x[(i + 1) % 3] == 0:
-        raise ValueError(f"Delta_{i} undefined when a neighbouring coordinate vanishes")
-    inv = params.field.inv_table
-    return int(_closed_form(params, x[i], [int(inv[v]) for v in x], i))
+    y = np.array([[int(v) % p] for v in x], dtype=np.int64)
+    if len(y) != 3 or not y.any() or residual_array(params, y)[0]:
+        raise ValueError(f"{tuple(x)} is not a nonzero point of the surface mod {p}")
+    return tuple(int(delta_column(params, y, i)[0]) for i in range(3))
 
 
 def _inverse(params: SurfaceParams, v: np.ndarray) -> np.ndarray:
@@ -78,10 +71,10 @@ def _closed_form(params: SurfaceParams, xi, u, i: int):
     That is x_i/(x_{i-1}x_{i+1}) + (a_{i-1}/x_{i-1} + a_{i+1}/x_{i+1})/2
     where x_{i-1} and x_{i+1} are nonzero; elsewhere inv_table[0] = 0
     makes it a finite value in [0, p) that is not Delta_i.  xi and the u
-    are ints, or int32 or int64 arrays in [0, p) of one dtype that
-    broadcast together.  The halves of a_{i-1} and a_{i+1} are taken
-    mod p first, so each term of half_i stays below p^2 and
-    x_i q_i + half_i below 3 p^2: int32 is exact while 3 p^2 + p < 2^31.
+    are int32 or int64 arrays in [0, p) of one dtype that broadcast
+    together.  The halves of a_{i-1} and a_{i+1} are taken mod p first,
+    so each term of half_i stays below p^2 and x_i q_i + half_i below
+    3 p^2: int32 is exact while 3 p^2 + p < 2^31.
     """
     p, a = params.p, params.a
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
@@ -161,12 +154,6 @@ class DeltaAssignment:
             for i in range(3):
                 out[rows, i] = _delta_ends(sol.params, x, u, i)[0]
         return out
-
-    def at(self, x: Triple) -> Triple:
-        """The three values at a point of the set; index_of raises for any other."""
-        sol = self.solutions
-        y = sol.points[sol.index_of(x)].astype(np.int64)[:, None]
-        return tuple(int(delta_column(sol.params, y, i)[0]) for i in range(3))
 
 
 def require_consistent(params: SurfaceParams) -> None:

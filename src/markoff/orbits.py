@@ -88,11 +88,15 @@ class OrbitPartition:
     solutions: SolutionSet
     cell_ids: np.ndarray                # (p*p,) int8 or int32: orbit id per cell, -1 if empty
     orbits: list[tuple[int, Triple]]    # (size, lexicographically smallest point)
-    multiset: dict[int, int]            # size -> number of orbits
 
     @property
     def params(self):
         return self.solutions.params
+
+    @property
+    def multiset(self) -> dict[int, int]:
+        """size -> number of orbits, ascending in size."""
+        return dict(sorted(Counter(self.orbit_sizes()).items()))
 
     def orbit_sizes(self) -> list[int]:
         return [size for size, _ in self.orbits]
@@ -156,7 +160,7 @@ def compute_orbits(sol: SolutionSet) -> OrbitPartition:
     del indices, indptr
     np.invert(table, out=table)  # ids, and -1 on the empty cells, where count holds 0
     orbits = [(size, sol.triple(first)) for size, first in zip(sizes, firsts)]
-    return OrbitPartition(sol, table, orbits, dict(sorted(Counter(sizes).items())))
+    return OrbitPartition(sol, table, orbits)
 
 
 def _depth_first(sol: SolutionSet, count: np.ndarray, indices: np.ndarray,

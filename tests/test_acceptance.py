@@ -16,7 +16,7 @@ import pytest
 from markoff.conics import (ConicParams, classify_and_count,
                             closed_form_total, count_conic_bruteforce)
 from markoff.delta import (NoConsistentExtension, build_certificate,
-                           delta_at, verify_certificate)
+                           delta_values, verify_certificate)
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.field import inverse, mult_order, prime_field
 from markoff.obstruction import labels, perfect_square_check, verify_breakup
@@ -294,6 +294,8 @@ def _check_nine_equivalences():
         rng = random.Random(SEED + p)
         param_sets = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(6)]
         param_sets += [(2, 2, p - 2), (1, 1, 1)]
+        if p <= 13:
+            param_sets += [(2, 3, 3), (0, 0, 0), (4, 1, 3)]
         for a in param_sets:
             params = SurfaceParams.make(p, a)
             sol = enumerate_solutions(params)
@@ -325,6 +327,7 @@ def _check_cycles():
         rng = random.Random(SEED * 3 + p)
         param_sets = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(6)]
         param_sets += [(0, 0, 0), (1, 1, 1)]
+        param_sets += {11: [(3, 1, 4)], 13: [(5, 2, 8)], 17: [(4, 9, 2)]}.get(p, [])
         for a in param_sets:
             params = SurfaceParams.make(p, a)
             sol = enumerate_solutions(params)
@@ -334,7 +337,7 @@ def _check_cycles():
                     if len(zs) >= 2:
                         assert len(set(pts)) == 2 * len(zs)
                     if (params.a[i] ** 2 - 4) % p != 0:
-                        total = sum(delta_at(params, q, i) for q in pts)
+                        total = sum(delta_values(params, q)[i] for q in pts)
                         assert total % p == 0
 
 

@@ -1,12 +1,13 @@
 import io
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from markoff.conics import closed_form_total
-from markoff.delta import build_certificate
+from markoff.delta import delta_values
 from markoff.enumeration import (BLOCK, DEFAULT_MAX_PRIME, INT32_MAX,
                                  ResourceGuardError, SolutionSet, _require_int32,
                                  _root_table, _row_coefficients, cell_slabs,
@@ -59,7 +60,7 @@ def test_lookup_reduces_mod_p_and_names_the_missing_point():
     sol = enumerate_solutions(params)
     assert on_surface(params, (-7, -4, -1)) and (-7, -4, -1) in sol
     assert sol.index_of((-7, -4, -1)) == sol.index_of((0, 3, 6)) == sol.index_of((7, 10, 13))
-    assert build_certificate(sol).at((-7, -4, -1)) == build_certificate(sol).at((0, 3, 6))
+    assert delta_values(params, (-7, -4, -1)) == delta_values(params, (0, 3, 6))
     with pytest.raises(KeyError, match=r"\(9, 1, 1\)"):
         sol.lookup_array(np.array([(1, 1, 1), (0, 3, 6), (9, 1, 1), (-1, 1, 1)]).T)
     with pytest.raises(KeyError, match=r"\(1, 1, 1\)"):
@@ -67,12 +68,13 @@ def test_lookup_reduces_mod_p_and_names_the_missing_point():
 
 
 def test_lookup_refuses_points_that_are_not_triples():
-    sol = enumerate_solutions(SurfaceParams.make(7, (1, 1, 1)))
-    assign = build_certificate(sol)
+    params = SurfaceParams.make(7, (1, 1, 1))
+    sol = enumerate_solutions(params)
     for x in ((1, 1, 1, 5), (1, 1), ()):
-        for lookup in (sol.index_of, assign.at):
-            with pytest.raises(ValueError, match="three coordinates"):
-                lookup(x)
+        with pytest.raises(ValueError, match="three coordinates"):
+            sol.index_of(x)
+        with pytest.raises(ValueError, match=re.escape(str(x))):
+            delta_values(params, x)
         assert x not in sol
 
 

@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markoff.delta import (NoConsistentExtension, _delta_ends, _inverse,
-                           build_certificate, delta_at, delta_column, require_consistent)
+                           build_certificate, delta_column, delta_values,
+                           require_consistent)
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.field import is_prime
 from markoff.obstruction import _generic_characters, _sign_patterns, perfect_square_check
@@ -309,19 +310,18 @@ def test_delta_closed_form_matches_naive_inverses(data):
     sol = enumerate_solutions(params)
     values = build_certificate(sol).values
 
-    # every point with x_{i-1} x_{i+1} != 0, the zero-locus points x_i = 0 included
+    # the closed form at every point with x_{i-1} x_{i+1} != 0, the zero-locus
+    # points x_i = 0 included; delta_values at every row, plane points included
     for k, x in enumerate(sol.iter_triples()):
         for i in range(3):
             if x[(i - 1) % 3] and x[(i + 1) % 3]:
-                expected = naive_delta(p, a, x, i)
-                assert values[k, i] == expected, (x, i)
-                assert delta_at(params, x, i) == expected, (x, i)
+                assert values[k, i] == naive_delta(p, a, x, i), (x, i)
+        expected = tuple(naive_surface_delta(p, a, x, i) for i in range(3))
+        assert delta_values(params, x) == expected, x
 
     x = sol.triple(data.draw(st.integers(0, len(sol) - 1), label="row"))
     shifts = data.draw(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 3), label="shifts")
     unreduced = tuple(v + k * p for v, k in zip(x, shifts))
     negative = tuple(v - 2 * p for v in x)
-    for i in range(3):
-        if x[(i - 1) % 3] and x[(i + 1) % 3]:
-            assert delta_at(params, unreduced, i) == delta_at(params, x, i)
-            assert delta_at(params, negative, i) == delta_at(params, x, i)
+    assert delta_values(params, unreduced) == delta_values(params, x)
+    assert delta_values(params, negative) == delta_values(params, x)

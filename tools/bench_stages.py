@@ -19,7 +19,10 @@ peak_rss_mb_after is the process's RSS high-water mark after each of its
 stages.  The second run, its results dropped, gives traced_peak_mb: the
 tracemalloc peak within each stage, which numpy's arrays report and
 which, unlike RSS, does not depend on what the allocator kept from
-earlier stages.  The oracle's cached root table is cleared before the
+earlier stages.  That peak includes the arrays still live from earlier
+stages, the solution set among them; traced_own_mb is the peak less
+what was traced just before the stage ran, the stage's own
+allocations.  The oracle's cached root table is cleared before the
 second run, so both runs build it.
 
 The move lookups of the timed run are timed inside the stage that makes
@@ -108,6 +111,7 @@ def main(argv: list[str]) -> int:
     stages: dict[str, float] = {}
     rss: dict[str, float] = {}
     traced: dict[str, float] = {}
+    own: dict[str, float] = {}
     spent: dict = defaultdict(float)
     current = [""]
     _wrap_lookups(spent, current)
@@ -123,8 +127,11 @@ def main(argv: list[str]) -> int:
     def traced_peak(stage: str, fn, *args):
         current[0] = "traced"
         tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         out = fn(*args)
-        traced[stage] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        peak = tracemalloc.get_traced_memory()[1]
+        traced[stage] = peak / 2 ** 20
+        own[stage] = (peak - before) / 2 ** 20
         return out
 
     result = _pipeline(params, timed)
@@ -144,6 +151,7 @@ def main(argv: list[str]) -> int:
         "stages_s": {k: round(v, 3) for k, v in sorted(stages.items())},
         "peak_rss_mb_after": {k: round(v, 1) for k, v in rss.items()},
         "traced_peak_mb": {k: round(v, 1) for k, v in traced.items()},
+        "traced_own_mb": {k: round(v, 1) for k, v in own.items()},
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": np.__version__,
                  "scipy": scipy.__version__},
