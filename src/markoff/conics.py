@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .enumeration import DEFAULT_MAX_PRIME, ResourceGuardError, cell_slabs
 from .field import chi, validate_odd_prime
 from .surface import SurfaceParams, special_form_detect
 
@@ -87,12 +88,22 @@ def classify_and_count(c: ConicParams) -> tuple[str, int]:
 
 
 def count_conic_bruteforce(c: ConicParams) -> int:
-    """Independent pair count over the full (x, y) grid."""
+    """Independent pair count over the full (x, y) grid, one slab of cell_slabs(p) at a time.
+
+    Like count_solutions_bruteforce it refuses p above DEFAULT_MAX_PRIME
+    with ResourceGuardError before allocating anything.
+    """
     p = c.p
-    x = np.arange(p, dtype=np.int64)[:, None]
-    y = np.arange(p, dtype=np.int64)[None, :]
-    r = (x * x + c.B * x * y + y * y + c.D * x + c.E * y + c.F) % p
-    return int(np.count_nonzero(r == 0))
+    if p > DEFAULT_MAX_PRIME:
+        raise ResourceGuardError(
+            f"p = {p} exceeds the brute-force guard {DEFAULT_MAX_PRIME} ({p}^2-point grid)")
+    y = np.arange(p, dtype=np.int64)
+    total = 0
+    for start, stop in cell_slabs(p):
+        x = np.arange(start, stop, dtype=np.int64)[:, None]
+        r = (x * x + c.B * x * y + y * y + c.D * x + c.E * y + c.F) % p
+        total += int(np.count_nonzero(r == 0))
+    return total
 
 
 def cayley_membership(a: tuple[int, int, int], p: int) -> bool:

@@ -4,10 +4,9 @@ Enumeration solves the surface equation as a quadratic in x3 for each
 cell (x1, x2), which is O(p^2) with table lookups.  A cell holds 0, 1 or
 2 solutions, so the set is stored cell by cell: points are written in
 cell order with the smaller root first, which is lexicographic order,
-and an offsets array of length p^2 + 1 marks where each cell starts.  A
-point is then found in O(1) from its cell and whether its x3 is the
-cell's first root; no sort and no packed keys are needed.
-SolutionSet.lookup_array states that rule once, for every index lookup.
+and an offsets array of length p^2 + 1 marks where each cell starts; no
+sort and no packed keys are needed.  A point is at its cell's first row
+or the next one; only orbits.neighbor_indices looks a row up that way.
 
 The points and the offsets are int32, so p^2 + 1 cells and M points
 must fit in int32; _require_int32 refuses larger sizes before anything
@@ -132,54 +131,6 @@ class SolutionSet:
                 x.flags.writeable = False
             yield rows, x
 
-    def index_of(self, x: Triple) -> int:
-        """Row index of the point x, whose coordinates are reduced mod p first.
-
-        Raises ValueError unless x has three coordinates, and KeyError
-        if it is not in the set.
-        """
-        if len(x) != 3:
-            raise ValueError(f"a point has three coordinates, not {len(x)}")
-        p = self.params.p
-        return int(self.lookup_array([np.array([v % p], dtype=np.int64) for v in x])[0])
-
-    def lookup_array(self, x) -> np.ndarray:
-        """Row indices (int32) of points given as coordinate arrays x[0..2].
-
-        Pass ``pts.T`` for an (N, 3) point array.  Coordinates must lie in
-        [0, p).  A point sits at its cell's first row, or at the next row
-        when its x3 is not the cell's first root; that row, clipped into
-        [0, M), is read and compared.  Raises KeyError naming the first
-        point not in the set.
-        """
-        p, m = self.params.p, len(self)
-        x1, x2, x3 = x[0], x[1], x[2]
-        if len(x3) == 0:
-            return np.empty(0, dtype=np.int32)
-        if m == 0 or min(v.min() for v in (x1, x2, x3)) < 0 \
-                or max(v.max() for v in (x1, x2, x3)) >= p:
-            # the gathers below need every coordinate in [0, p); an empty set holds no point
-            found = (m > 0) & np.all([(v >= 0) & (v < p) for v in (x1, x2, x3)], axis=0)
-        else:
-            start = np.take(self.offsets, x1 * p + x2)
-            # an empty cell may start at M, so the first gather clips too
-            rows = start + (x3 != np.take(self.points[:, 2], start, mode="clip"))
-            np.minimum(rows, m - 1, out=rows)
-            found = np.take(self.points[:, 0], rows) == x1
-            found &= np.take(self.points[:, 1], rows) == x2
-            found &= np.take(self.points[:, 2], rows) == x3
-        if not bool(found.all()):
-            k = int(np.flatnonzero(~found)[0])
-            raise KeyError(f"{(int(x1[k]), int(x2[k]), int(x3[k]))} is not in the solution set")
-        return rows
-
-    def __contains__(self, x) -> bool:
-        try:
-            self.index_of(tuple(x))
-            return True
-        except (KeyError, ValueError):
-            return False
-
     def triple(self, idx: int) -> Triple:
         return tuple(int(v) for v in self.points[idx])
 
@@ -203,9 +154,9 @@ class SolutionSet:
         Every kept cell must be whole: ValueError is raised if a cell
         keeps one row and drops the other, so the m_2 image of a kept
         point (the other row of its cell) is always kept.  Cells with no
-        kept row become empty, so lookup_array raises KeyError for any
-        point outside the kept rows; compute_orbits on the result thus
-        checks that the kept rows are closed under m_0 and m_1.
+        kept row become empty, and compute_orbits raises KeyError for a
+        move image in an empty cell, so on the result it checks that the
+        kept rows are closed under m_0 and m_1.
         """
         p = self.params.p
         points = np.stack([self.points[:, j][keep] for j in range(3)]).T  # column-major

@@ -21,7 +21,7 @@ import numpy as np
 
 from .enumeration import SolutionSet, enumerate_solutions, row_blocks
 from .field import chi, mod_p
-from .orbits import compute_orbits
+from .orbits import compute_orbits, require_complete
 from .surface import SurfaceParams, Triple, moved_coordinate, rescale, special_form_detect
 
 NON_NEG = "non-negative"
@@ -180,7 +180,8 @@ def verify_breakup(params: SurfaceParams) -> BreakupReport:
 
     The >= 2 (resp. >= 4) orbit bound is a theorem and is asserted by
     the caller's tests; the exact size partitions are conjectural and
-    only reported.
+    only reported.  require_complete first refuses a set that misses
+    points, naming M and the count.
     """
     i, sigma, alpha = _require_special_form(params)
     p = params.p
@@ -188,6 +189,7 @@ def verify_breakup(params: SurfaceParams) -> BreakupReport:
         raise ValueError("breakup verdict needs p >= 5")
     degenerate = (alpha * alpha - 4) % p == 0
     sol = enumerate_solutions(params)
+    require_complete(sol)
     sizes = sorted(compute_orbits(sol).orbit_sizes())
     names, index = labels(sol)
     tally = np.zeros(len(names), dtype=np.int64)

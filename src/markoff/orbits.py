@@ -31,8 +31,8 @@ unlabelled cell for (0,0,-3), whose 10,008 orbits are the most seen, and
 
 A cell's rows share an orbit, since m_2 joins them, so the partition
 keeps one id per cell (-1 where empty) and no per-row array;
-OrbitPartition.ids reads any point's id from its cell.  neighbor_indices
-looks up the row of every move image: only the tests' oracle reads it.
+OrbitPartition.ids reads any point's id from its cell.  neighbor_indices,
+the library's one row lookup, stays in src only for perfbench's tracer.
 """
 
 from __future__ import annotations
@@ -58,14 +58,26 @@ MAX_BFS = 4
 def neighbor_indices(sol: SolutionSet) -> np.ndarray:
     """(3, M) int32 array: entry [i, k] is the row of m_i applied to the k-th row.
 
-    Each image, from apply_move on a block of rows, is looked up by its
-    coordinates like any point; m_2's image is the other root of the
-    same cell.  KeyError names a moved point that is not in the set.
+    The library's one row lookup, kept in src only because perfbench's
+    tracer wraps it by name; no pipeline stage calls it.  An image y of
+    apply_move lies in [0, p)^3, at its cell's first row, or the next one
+    when y_3 is not that cell's first root: that row, clipped into
+    [0, M), is compared with y.  KeyError names the first image not in
+    the set.
     """
-    out = np.empty((3, len(sol)), dtype=np.int32)
+    p, m = sol.params.p, len(sol)
+    out = np.empty((3, m), dtype=np.int32)
     for rows, x in sol.blocks():
         for i in range(3):
-            out[i, rows] = sol.lookup_array(apply_move(sol.params, x, i))
+            y = apply_move(sol.params, x, i)
+            start = np.take(sol.offsets, y[0] * p + y[1])
+            # an empty cell may start at M, so the first gather clips too
+            row = np.minimum(start + (y[2] != np.take(sol.points[:, 2], start, mode="clip")), m - 1)
+            found = np.all([np.take(sol.points[:, j], row) == y[j] for j in range(3)], axis=0)
+            if not found.all():
+                k = int(np.argmin(found))
+                raise KeyError(f"{tuple(int(v[k]) for v in y)} is not in the solution set")
+            out[i, rows] = row
     return out
 
 

@@ -16,7 +16,7 @@ import pytest
 from markoff.conics import (ConicParams, classify_and_count,
                             closed_form_total, count_conic_bruteforce)
 from markoff.delta import (NoConsistentExtension, build_certificate,
-                           delta_values, verify_certificate)
+                           delta_column, verify_certificate)
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.field import inverse, mult_order, prime_field
 from markoff.obstruction import labels, perfect_square_check, verify_breakup
@@ -337,8 +337,8 @@ def _check_cycles():
                     if len(zs) >= 2:
                         assert len(set(pts)) == 2 * len(zs)
                     if (params.a[i] ** 2 - 4) % p != 0:
-                        total = sum(delta_values(params, q)[i] for q in pts)
-                        assert total % p == 0
+                        cols = np.array(pts, dtype=np.int64).T
+                        assert int(delta_column(params, cols, i).sum()) % p == 0
 
 
 def _check_perfect_square_and_labels():
@@ -346,8 +346,8 @@ def _check_perfect_square_and_labels():
 
     Each parameter set is labelled once through labels.  Every move
     image, recomputed with moved_points, must lie on the surface and be
-    a row of the solution set (lookup_array raises KeyError otherwise)
-    that carries the same label.
+    the row that neighbor_indices finds for it, which carries the same
+    label.
     """
     count = 0
     for p in primes_up_to(31):
@@ -370,10 +370,12 @@ def _check_perfect_square_and_labels():
             ok = perfect_square_check(params, pts.T)
             assert ok.all(), (p, a, tuple(pts[np.argmin(ok)]))
             _names, index = labels(sol)
+            nbr = neighbor_indices(sol)
             for i in range(3):
                 moved = moved_points(params, pts, i)
                 assert not residual_array(params, moved.T).any(), (p, a, i)
-                image = sol.lookup_array(moved.T)
+                image = nbr[i]
+                assert np.array_equal(sol.points[image], moved), (p, a, i)
                 broken = index[image] != index
                 assert not broken.any(), (p, a, tuple(pts[np.argmax(broken)]), i)
             count += len(pts)

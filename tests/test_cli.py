@@ -1,6 +1,6 @@
 import json
 
-from markoff import cli, delta
+from markoff import cli, delta, obstruction
 from markoff.cli import (EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main)
 from markoff.enumeration import DEFAULT_MAX_PRIME
 from markoff.field import is_prime
@@ -80,7 +80,7 @@ def test_verify_divisibility(capsys):
 
 
 def test_incomplete_enumeration_fails_the_verdicts(capsys, monkeypatch):
-    """A set missing an orbit exits 1 in verify divisibility and verify delta, naming the counts."""
+    """A set missing an orbit exits 1 in verify divisibility, delta and breakup, naming the counts."""
     enumerate_solutions = cli.enumerate_solutions
 
     def one_orbit(params):
@@ -88,11 +88,14 @@ def test_incomplete_enumeration_fails_the_verdicts(capsys, monkeypatch):
         return sol.restrict(cli.orbits.compute_orbits(sol).ids(sol.points.T) == 1)
 
     monkeypatch.setattr(cli, "enumerate_solutions", one_orbit)
+    monkeypatch.setattr(obstruction, "enumerate_solutions", one_orbit)
     counts = "the set holds M = 65 points, but the surface has 156 nonzero points"
     code, _, err = run(capsys, "verify", "divisibility", "-p", "13", "-a", "2,5,5")
     assert code == EXIT_FAIL and err == f"error: CertificateError: {counts}\n"
     code, out, _ = run(capsys, "verify", "delta", "-p", "13", "-a", "2,5,5")
     assert code == EXIT_FAIL and out == f"certificate FAILED: {counts}\n"
+    code, out, err = run(capsys, "verify", "breakup", "-p", "13", "-a", "2,5,5")
+    assert code == EXIT_FAIL and out == "" and err == f"error: CertificateError: {counts}\n"
 
 
 def test_verify_delta(capsys):
@@ -230,6 +233,11 @@ def test_resource_guard_exit_code(capsys):
         assert code == EXIT_RESOURCE and out == ""
         assert err == (f"resource guard: p = {p} exceeds the brute-force guard "
                        f"{DEFAULT_MAX_PRIME} ({p}^2-byte root table)\n")
+    # the conic grid count is refused before its p x p grid is built
+    code, out, err = run(capsys, "verify", "conics", "-p", str(p), "--samples", "1")
+    assert code == EXIT_RESOURCE and out == ""
+    assert err == (f"resource guard: p = {p} exceeds the brute-force guard "
+                   f"{DEFAULT_MAX_PRIME} ({p}^2-point grid)\n")
     # --allow-large lifts the enumeration guard, not the int32 bound p^2 + 1 < 2^31
     code, out, err = run(capsys, "enumerate", "-p", "46349", "-a", "1,1,1", "--allow-large")
     assert code == EXIT_RESOURCE and out == ""

@@ -13,6 +13,7 @@ from markoff.enumeration import (BLOCK, DEFAULT_MAX_PRIME, INT32_MAX,
                                  _root_table, _row_coefficients, cell_slabs,
                                  count_solutions_bruteforce, enumerate_solutions, row_blocks)
 from markoff.field import chi, is_prime
+from markoff.orbits import neighbor_indices
 from markoff.surface import (SurfaceParams, apply_move, on_surface, residual_array,
                              x3_coefficients)
 
@@ -44,47 +45,35 @@ def test_enumerate_is_sorted_unique_and_origin_free():
 
 
 def test_solution_set_lookup():
-    params = SurfaceParams.make(7, (1, 1, 1))
-    sol = enumerate_solutions(params)
-    assert sol.index_of((1, 1, 1)) == sol.index_of((1, 1, 1))
-    assert (1, 1, 1) in sol
-    assert (0, 0, 0) not in sol
-    with pytest.raises(KeyError):
-        sol.index_of((0, 0, 0))
-    idx = sol.lookup_array(sol.points[::-1].T)
-    assert np.array_equal(idx, np.arange(len(sol))[::-1])
+    """Membership reads a set of the triples; rows read back as the triples in order."""
+    sol = enumerate_solutions(SurfaceParams.make(7, (1, 1, 1)))
+    triples = set(sol.iter_triples())
+    assert (1, 1, 1) in triples and (0, 0, 0) not in triples
+    assert [sol.triple(k) for k in range(len(sol))] == list(sol.iter_triples())
 
 
-def test_lookup_reduces_mod_p_and_names_the_missing_point():
+def test_delta_values_reduce_mod_p():
     params = SurfaceParams.make(7, (1, 1, 1))
     sol = enumerate_solutions(params)
-    assert on_surface(params, (-7, -4, -1)) and (-7, -4, -1) in sol
-    assert sol.index_of((-7, -4, -1)) == sol.index_of((0, 3, 6)) == sol.index_of((7, 10, 13))
+    assert on_surface(params, (-7, -4, -1)) and (0, 3, 6) in set(sol.iter_triples())
     assert delta_values(params, (-7, -4, -1)) == delta_values(params, (0, 3, 6))
-    with pytest.raises(KeyError, match=r"\(9, 1, 1\)"):
-        sol.lookup_array(np.array([(1, 1, 1), (0, 3, 6), (9, 1, 1), (-1, 1, 1)]).T)
-    with pytest.raises(KeyError, match=r"\(1, 1, 1\)"):
-        sol.restrict(np.zeros(len(sol), dtype=bool)).index_of((1, 1, 1))
+    assert delta_values(params, (7, 10, 13)) == delta_values(params, (0, 3, 6))
 
 
-def test_lookup_refuses_points_that_are_not_triples():
+def test_delta_values_refuse_points_that_are_not_triples():
     params = SurfaceParams.make(7, (1, 1, 1))
-    sol = enumerate_solutions(params)
     for x in ((1, 1, 1, 5), (1, 1), ()):
-        with pytest.raises(ValueError, match="three coordinates"):
-            sol.index_of(x)
         with pytest.raises(ValueError, match=re.escape(str(x))):
             delta_values(params, x)
-        assert x not in sol
 
 
 def test_solution_set_closed_under_moves():
     for p, a in [(7, (1, 1, 1)), (11, (2, 5, 5)), (13, (0, 4, 4))]:
         params = SurfaceParams.make(p, a)
-        sol = enumerate_solutions(params)
-        for x in sol.iter_triples():
+        triples = set(enumerate_solutions(params).iter_triples())
+        for x in triples:
             for i in range(3):
-                assert apply_move(params, x, i) in sol
+                assert apply_move(params, x, i) in triples
 
 
 def test_size_equals_closed_form():
@@ -202,10 +191,13 @@ def test_restrict_keeps_whole_cells():
     assert list(pm1.iter_triples()) == [x for x in sol.iter_triples() if x[2] in (1, 12)]
     cell = pm1.points[:, 0] * 13 + pm1.points[:, 1]
     assert pm1.offsets.tolist() == [0] + np.cumsum(np.bincount(cell, minlength=169)).tolist()
-    for k, x in enumerate(pm1.iter_triples()):
-        assert pm1.index_of(x) == k
+    # x3 = +-1 is closed under the moves, and the kept offsets find every image's row
+    nbr = neighbor_indices(pm1)
+    for i in range(3):
+        assert list(map(tuple, pm1.points[nbr[i]].tolist())) == [
+            apply_move(pm1.params, x, i) for x in pm1.iter_triples()]
     outside = [x for x in sol.iter_triples() if x[2] not in (1, 12)]
-    assert outside and not any(x in pm1 for x in outside)
+    assert outside and set(pm1.iter_triples()).isdisjoint(outside)
     assert len(sol.restrict(np.zeros(len(sol), dtype=bool))) == 0
     # x3 = 1 alone keeps one root of cells whose other root is x3 = -1
     with pytest.raises(ValueError, match="split"):

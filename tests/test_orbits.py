@@ -81,13 +81,15 @@ def test_neighbor_indices_are_involutive():
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_neighbor_indices_match_naive_moves(p):
-    """Every a at p: each image row, m_2's included, is the row of the naive image."""
+    """Every a at p: each image row, m_2's included, holds the naive image's coordinates."""
     for a in itertools.product(range(p), repeat=3):
         sol = enumerate_solutions(SurfaceParams.make(p, a))
         nbr = neighbor_indices(sol)
         x = sol.points.T.astype(np.int64)
         for i in range(3):
-            assert np.array_equal(nbr[i], sol.lookup_array(naive_move(p, a, x, i))), (p, a, i)
+            image = sol.points[nbr[i]].T
+            naive = naive_move(p, a, x, i)
+            assert all(np.array_equal(image[j], naive[j]) for j in range(3)), (p, a, i)
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
@@ -160,17 +162,22 @@ def test_search_bound_is_arithmetic_only():
 
 
 def test_move_out_of_a_restricted_set_is_named():
-    """A kept row whose move image was dropped: KeyError names that image."""
+    """A kept row whose move image was dropped: KeyError names that image.
+
+    compute_orbits and neighbor_indices each name an m_0 image of a kept row.
+    """
     p = 13
     params = SurfaceParams.make(p, (1, 1, 1))
     sol = enumerate_solutions(params)
-    keep = sol.points[:, 0] < 6
-    with pytest.raises(KeyError) as raised:
-        compute_orbits(sol.restrict(keep))
-    image = ast.literal_eval(raised.value.args[0].split(" is not")[0])
-    assert image in sol and image[0] >= 6
-    kept = [x for x in sol.iter_triples() if x[0] < 6]
-    assert any(apply_move(params, x, 0) == image for x in kept)
+    triples = set(sol.iter_triples())
+    kept = [x for x in triples if x[0] < 6]
+    restricted = sol.restrict(sol.points[:, 0] < 6)
+    for search in (compute_orbits, neighbor_indices):
+        with pytest.raises(KeyError) as raised:
+            search(restricted)
+        image = ast.literal_eval(raised.value.args[0].split(" is not")[0])
+        assert image in triples and image[0] >= 6
+        assert any(apply_move(params, x, 0) == image for x in kept)
 
 
 def test_verify_divisibility_frozen_examples():

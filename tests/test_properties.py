@@ -72,18 +72,6 @@ def test_cell_layout_matches_naive_oracles(data):
     assert nbr.tolist() == [
         [row[naive_move(p, a, x, i)] for x in expected] for i in range(3)]
 
-    with pytest.raises(KeyError):
-        sol.index_of((0, 0, 0))
-    coord = st.integers(0, p - 1)
-    x = data.draw(st.tuples(coord, coord, coord), label="x")
-    if x in row:
-        assert sol.index_of(x) == row[x]
-    else:  # off the surface, or the origin
-        with pytest.raises(KeyError):
-            sol.index_of(x)
-        with pytest.raises(KeyError):
-            sol.lookup_array(np.array(expected + [x], dtype=np.int64).reshape(-1, 3).T)
-
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())

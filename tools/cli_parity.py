@@ -11,14 +11,16 @@ line for each:
 
 Two checkouts whose lines are equal give byte-identical stdout and
 stderr and the same exit codes on these runs.  The list holds every
-README example, two breakup runs with sigma = -1, the p = 997 and
+README example, the two README paths no example runs (the fiber-sum
+branch of verify conics -a and table-22m2 --format text), two breakup
+runs with sigma = -1, the p = 997 and
 p = 2017 runs behind the benchmark families, a certificate on the
 all-nondegenerate a = (1,1,1) at p = 997, the sweep_mid workload's
 own sweep, a seeded sweep with certificates at p = 101, the p = 2 and
 p = 3 edge inputs, the brute-force count at
 p = 101, 997 and 2003, three refusals of the
 Delta certificate, and the usage (exit 2) and resource-guard (exit 3)
-inputs.  It calls only
+inputs, the conic grid's guard among them.  It calls only
 markoff.cli.main and the demo scripts of the checkout it sits in, so it
 runs unchanged on older commits.
 """
@@ -51,6 +53,9 @@ COMMANDS = [
     "verify conics -p 11 --samples 1000 --seed 0",
     "verify nobigons -p 11 --samples 1000",
     "table-22m2 --max-p 43",
+    # README paths no example runs: the fiber sum, and the text table
+    "verify conics -p 11 --samples 200 --seed 0 -a 1,1,1",
+    "table-22m2 --max-p 43 --format text",
     "special p3",
     "special 00m3 -p 89",
     "special 22m2 -p 13",
@@ -120,6 +125,8 @@ COMMANDS = [
     "enumerate -p 20011 -a 0,0,0",
     "count -p 20011 -a 1,1,1",
     "verify numel -p 20011 -a 1,1,1",
+    # the conic grid count, refused before its p x p grid is built
+    "verify conics -p 20000003 --samples 1",
 ]
 
 
