@@ -14,20 +14,17 @@ exactly when its target cell holds a row, so the search checks that
 every cell it reaches is non-empty and raises KeyError naming the moved
 point otherwise: the closure check of a restricted set.
 
-Orbits are numbered by their first, that is lexicographically smallest,
-row.  scipy's breadth_first_order labels up to MAX_BFS of them, each
-from the first cell not yet labelled.  Each call allocates and fills
-arrays over all p^2 cells, so an s = 0 surface with about p/2 orbits
-would go quadratic; the orbits left after MAX_BFS are found by one
-depth_first_order from a virtual root, node p^2, whose row lists the
-unlabelled cells in row order.  That search enters each orbit at its
-first cell, in row order, and visits the orbit's cells before it returns
-to the root, so each orbit is one run of the depth-first order and the
-runs come in first-row order.  scipy rescans the root's row from its
-start after each run, which costs the sum over the orbits of their
-first cell's place in that row: at p = 4001 about 23 entries per
-unlabelled cell for (0,0,-3), whose 10,008 orbits are the most seen, and
-5 for (2,2,-2).
+Each searched orbit is one breadth_first_order of scipy on that graph,
+from the first cell not yet labelled, so the searched orbits come in the
+order of their first, that is lexicographically smallest, row.
+On s = 0 the surface is a cone and the moves act linearly, so for every
+t != 0 the multiple t*O of an orbit O is an orbit of the same size: the
+multiples of each searched orbit are labelled without a search, whenever
+all of their cells hold rows and none is labelled yet.  A multiple only
+partly in the set means the set is not move-closed, and the search that
+reaches its missing cells raises the KeyError.  (0,0,-3) at p = 4001 has
+10,008 orbits and takes 6 searches.  The orbits are then numbered by
+first row.
 
 A cell's rows share an orbit, since m_2 joins them, so the partition
 keeps one id per cell (-1 where empty) and no per-row array;
@@ -42,17 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, depth_first_order
+from scipy.sparse.csgraph import breadth_first_order
 
 from .conics import closed_form_total
-from .enumeration import INT32_MAX, ResourceGuardError, SolutionSet, cell_slabs
+from .enumeration import INT32_MAX, ResourceGuardError, SolutionSet
 from .surface import (ALL_NONDEGENERATE, SPECIAL_FORM, ParamClass, Triple,
                       apply_move, classify_parameters, moved_coordinate)
-
-# orbits labelled by breadth-first searches before one depth-first search
-# takes the rest: one orbit is generic, and the special forms have at
-# least two or four
-MAX_BFS = 4
 
 
 def neighbor_indices(sol: SolutionSet) -> np.ndarray:
@@ -122,14 +114,13 @@ def _require_search_bound(p: int, m: int) -> None:
     """Refuse a search whose graph overflows scipy's int32 indices.
 
     Arithmetic only: compute_orbits calls it before allocating anything.
-    The graph has p^2 cells and the virtual root, p^2 + 2 row pointers;
-    its index array holds two entries per row and the root's row, one
-    entry per unlabelled non-empty cell, at most min(M, p^2) of them.
+    The graph has p^2 cells, p^2 + 1 row pointers and two target cells
+    per row, 2M indices.
     """
-    if p * p + 2 > INT32_MAX:
+    if p * p + 1 > INT32_MAX:
         raise ResourceGuardError(
-            f"p = {p}: the {p * p + 1} cell nodes exceed the int32 bound {INT32_MAX}")
-    if 2 * m + min(m, p * p) > INT32_MAX:
+            f"p = {p}: the {p * p} cell nodes exceed the int32 bound {INT32_MAX}")
+    if 2 * m > INT32_MAX:
         raise ResourceGuardError(
             f"p = {p}: the search over {m} points exceeds the int32 edge bound {INT32_MAX}")
 
@@ -140,76 +131,57 @@ def compute_orbits(sol: SolutionSet) -> OrbitPartition:
     Raises KeyError naming a move image outside the set, and
     ResourceGuardError when the search graph exceeds int32 indices.
     """
-    p, m = sol.params.p, len(sol)
+    params = sol.params
+    p, m = params.p, len(sol)
     _require_search_bound(p, m)
-    # rows per unlabelled cell; a cell labelled by breadth-first search k holds ~k < 0
+    # rows per unlabelled cell; a cell of orbit k holds ~k < 0
     count = np.empty(p * p, dtype=np.int8)
     np.subtract(sol.offsets[1:], sol.offsets[:-1], out=count, casting="unsafe")
-    # two target cells per row, then room for the root's row
-    indices = np.empty(2 * m + np.count_nonzero(count), dtype=np.int32)
+    indices = np.empty(2 * m, dtype=np.int32)  # two target cells per row
     _cell_targets(sol, indices)
-    indptr = np.empty(p * p + 2, dtype=np.int32)
-    np.multiply(sol.offsets, 2, out=indptr[:-1])
-    indptr[-1] = 2 * m
+    # the searches read no edge weights, so a zero-stride array of ones
+    # stands in for them and scipy's float64 cast copies nothing
+    weights = np.broadcast_to(np.float64(1.0), indices.shape)
+    graph = csr_matrix((weights, indices, 2 * sol.offsets), shape=(p * p, p * p))
     sizes: list[int] = []
     firsts: list[int] = []
     left, start = m, 0
-    while left and len(sizes) < MAX_BFS:
+    while left:
         start += int(np.argmax(count[start:] > 0))
-        cells = breadth_first_order(_graph(indices, indptr), start, directed=True,
-                                    return_predecessors=False)
-        n = _row_counts(sol, count, cells, indices)
-        count[cells] = ~len(sizes)
-        del cells  # it spans all p^2 cells; the next search allocates its own
-        sizes.append(int(n.sum(dtype=np.int64)))
-        firsts.append(int(sol.offsets[start]))
-        left -= sizes[-1]
-    table = count  # ~id per labelled cell
-    if left:
-        table, more_sizes, more_firsts = _depth_first(sol, count, indices, indptr, len(sizes))
-        sizes += more_sizes
-        firsts += more_firsts
-    del indices, indptr
-    np.invert(table, out=table)  # ids, and -1 on the empty cells, where count holds 0
-    orbits = [(size, sol.triple(first)) for size, first in zip(sizes, firsts)]
-    return OrbitPartition(sol, table, orbits)
+        cells = breadth_first_order(graph, start, directed=True, return_predecessors=False)
+        size = int(_row_counts(sol, count, cells, indices).sum(dtype=np.int64))
+        # on s = 0 the multiple t*O of the orbit O on cells is an orbit for each t != 0
+        for t in range(1, p if params.s == 0 else 2):
+            orbit = cells
+            if t > 1:
+                if count[_scaled(p, start, t)] <= 0:  # t*O's head cell is empty or labelled
+                    continue
+                orbit = _scaled(p, cells, t)
+                if not (np.take(count, orbit) > 0).all():
+                    continue  # t*O is partly outside the set, which a later search names
+            if len(sizes) == 128:  # ~128 is below int8
+                count = count.astype(np.int32)
+            count[orbit] = ~len(sizes)
+            sizes.append(size)
+            firsts.append(int(sol.offsets[orbit.min()]))
+            left -= size
+        del cells, orbit  # they may span all p^2 cells; the next search allocates its own
+    del graph, indices
+    np.invert(count, out=count)  # ids in labelling order, and -1 on the empty cells
+    order = np.argsort(firsts, kind="stable")
+    if np.any(order != np.arange(len(order))):  # scaled orbits came out of first-row order
+        rank = np.empty(len(order) + 1, dtype=count.dtype)
+        rank[order] = np.arange(len(order))
+        rank[-1] = -1  # the empty cells' id -1 reads it
+        count = np.take(rank, count)
+    orbits = [(sizes[k], sol.triple(firsts[k])) for k in order]
+    return OrbitPartition(sol, count, orbits)
 
 
-def _depth_first(sol: SolutionSet, count: np.ndarray, indices: np.ndarray,
-                 indptr: np.ndarray, first_id: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Label every unlabelled cell by one depth-first search from the virtual root.
-
-    The root's row, written after the cells' rows in indices, lists the
-    cells that count still holds positive, in row order; their orbits
-    get ids from first_id on.  Returns the table of ~id per cell (the
-    search's predecessor array once read, cut to the p^2 cells, with the
-    breadth-first labels and the empty cells' 0 of count copied in) and
-    the new orbits' sizes and first rows.
-    """
-    p = sol.params.p
-    root, end = p * p, 2 * len(sol)
-    for lo, hi in cell_slabs(p):
-        rest = np.flatnonzero(count[lo * p:hi * p] > 0) + lo * p
-        indices[end:end + len(rest)] = rest
-        end += len(rest)
-    indptr[-1] = end
-    cells, table = depth_first_order(_graph(indices, indptr), root, directed=True,
-                                     return_predecessors=True)
-    cells = cells[1:]
-    n = _row_counts(sol, count, cells, indices)
-    new = np.take(table, cells) == root
-    runs = np.flatnonzero(new)
-    sizes = np.add.reduceat(n, runs, dtype=np.int64).tolist()
-    firsts = np.take(sol.offsets, cells[runs]).tolist()
-    ids = np.cumsum(new, dtype=np.int32)
-    del new
-    ids += first_id - 1
-    table[cells] = np.invert(ids, out=ids)
-    table = table[:root]
-    # count is 0 exactly on the empty cells, which the search never
-    # reaches: they hold scipy's -9999 there, that is ~9998, a valid id
-    np.copyto(table, count, where=count <= 0)
-    return table, sizes, firsts
+def _scaled(p: int, cells, t: int):
+    """The cells (t*x1 mod p, t*x2 mod p) of the cells (x1, x2), an int or an int32 array."""
+    x1, x2 = divmod(cells, p)
+    return t * x1 % p * p + t * x2 % p
 
 
 def _cell_targets(sol: SolutionSet, out: np.ndarray) -> None:
@@ -220,18 +192,6 @@ def _cell_targets(sol: SolutionSet, out: np.ndarray) -> None:
         pair = out[2 * rows.start:2 * rows.stop].reshape(-1, 2)
         pair[:, 0] = moved_coordinate(params, x, 0) * p + x[1]
         pair[:, 1] = x[0] * p + moved_coordinate(params, x, 1)
-
-
-def _graph(indices: np.ndarray, indptr: np.ndarray) -> csr_matrix:
-    """The cell graph as a CSR matrix over indices[:indptr[-1]], nothing copied.
-
-    The searches read no edge weights, so a zero-stride array of ones
-    stands in for them and scipy's float64 cast copies nothing.
-    """
-    nnz = int(indptr[-1])
-    weights = np.broadcast_to(np.float64(1.0), (nnz,))
-    n = len(indptr) - 1
-    return csr_matrix((weights, indices[:nnz], indptr), shape=(n, n))
 
 
 def _row_counts(sol: SolutionSet, count: np.ndarray, cells: np.ndarray,
@@ -246,7 +206,7 @@ def _row_counts(sol: SolutionSet, count: np.ndarray, cells: np.ndarray,
     held = n > 0
     if not held.all():
         cell = int(cells[np.argmin(held)])
-        row, i = divmod(int(np.argmax(targets[:2 * len(sol)] == cell)), 2)
+        row, i = divmod(int(np.argmax(targets == cell)), 2)
         y = list(sol.triple(row))
         y[i] = divmod(cell, sol.params.p)[i]  # m_0 sets x1, m_1 sets x2
         raise KeyError(f"{tuple(y)} is not in the solution set")

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from markoff.enumeration import INT32_MAX, ResourceGuardError, enumerate_solutions
-from markoff.orbits import (MAX_BFS, CertificateError, _require_search_bound,
-                            compute_orbits, neighbor_indices, no_bigons_holds,
-                            partition_report, size_table, verify_divisibility)
+from markoff import orbits as orbits_module
+from markoff.orbits import (CertificateError, _require_search_bound, compute_orbits,
+                            neighbor_indices, no_bigons_holds, partition_report,
+                            size_table, verify_divisibility)
 from markoff.surface import SurfaceParams, apply_move
 
 from conftest import naive_move, naive_orbits, strong_search_orbits
@@ -127,36 +128,61 @@ def assert_matches_strong_search(p, a):
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_cell_search_matches_strong_search_on_every_triple(p):
     counts = {assert_matches_strong_search(p, a) for a in itertools.product(range(p), repeat=3)}
-    if p >= 7:  # both the breadth-first and the depth-first path ran
-        assert {1, MAX_BFS} <= counts and max(counts) > MAX_BFS
+    if p >= 7:  # one orbit, the four of (2,2,2), and the more of s = 0 and (2,2,-2)
+        assert {1, 4} <= counts and max(counts) > 4
 
 
 def test_cell_search_matches_strong_search_on_seeded_sets():
     rng = np.random.default_rng(19)
     counts = {}
     for p in (17, 31, 61, 101, 151, 211):
-        special = [(0, 0, -3), (2, 2, -2), (0, 0, 0), (2, 2, 2), (2, 5, 5)]
+        # (-1,-1,-1) has s = 0 and lies on Cayley's cubic; at p = 13 it is
+        # (12,12,12) of the every-triple test
+        special = [(0, 0, -3), (2, 2, -2), (0, 0, 0), (2, 2, 2), (2, 5, 5), (-1, -1, -1)]
         seeded = [tuple(int(v) for v in rng.integers(0, p, 3)) for _ in range(4)]
         for a in special + seeded:
             counts[p, a] = assert_matches_strong_search(p, a)
-    # exactly MAX_BFS orbits, all found breadth-first, and sets that
-    # reach the depth-first search with hundreds of orbits
-    assert counts[211, (2, 2, 2)] == MAX_BFS
-    assert counts[211, (2, 2, -2)] > MAX_BFS and counts[211, (0, 0, -3)] > 100
+    # four orbits, one per search; 41 searched orbits; and, on s = 0,
+    # more orbits than int8 ids hold
+    assert counts[211, (2, 2, 2)] == 4
+    assert counts[211, (2, 2, -2)] == 41 and counts[211, (0, 0, -3)] == 640
+    assert counts[211, (-1, -1, -1)] == 280
+
+
+def test_one_search_per_orbit_and_per_scaling_class(monkeypatch):
+    """s != 0 searches each orbit; s = 0 labels the multiples t*O of a searched orbit O unsearched.
+
+    The ids are int8 up to 128 orbits and int32 past them.
+    """
+    searches = []
+    search = orbits_module.breadth_first_order
+
+    def counted(*args, **kwargs):
+        searches.append(args[1])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(orbits_module, "breadth_first_order", counted)
+    for a, orbit_count, dtype in (((1, 1, 1), 1, np.int8), ((2, 2, -2), 41, np.int8),
+                                  ((0, 0, -3), 640, np.int32),
+                                  ((210, 210, 210), 280, np.int32)):
+        searches.clear()
+        part = part_for(211, a)
+        assert len(part.orbits) == orbit_count and part.cell_ids.dtype == dtype, a
+        # each search starts at the first unlabelled cell
+        assert searches == sorted(searches), a
+        if part.params.s:
+            assert len(searches) == orbit_count
+        else:
+            assert len(searches) <= 8, a
 
 
 def test_search_bound_is_arithmetic_only():
-    """2M targets plus a root row of min(M, p^2) cells, and p^2 + 2 row pointers, fit in int32."""
-    p = 26003
-    limit = (INT32_MAX - p * p) // 2  # M above p^2: the root row holds at most p^2 cells
-    _require_search_bound(p, limit)
+    """2M targets and p^2 + 1 row pointers fit in int32."""
+    limit = INT32_MAX // 2
+    _require_search_bound(26003, limit)
     with pytest.raises(ResourceGuardError, match="int32 edge bound"):
-        _require_search_bound(p, limit + 1)
-    m = INT32_MAX // 3  # M below p^2: the root row holds at most M cells
-    assert m < 46337 ** 2
-    _require_search_bound(46337, m)
-    with pytest.raises(ResourceGuardError, match="int32 edge bound"):
-        _require_search_bound(46337, m + 1)
+        _require_search_bound(26003, limit + 1)
+    _require_search_bound(46337, limit)  # the largest prime with p^2 + 1 <= INT32_MAX
     with pytest.raises(ResourceGuardError, match="cell nodes"):
         _require_search_bound(46349, 0)
 
@@ -164,20 +190,34 @@ def test_search_bound_is_arithmetic_only():
 def test_move_out_of_a_restricted_set_is_named():
     """A kept row whose move image was dropped: KeyError names that image.
 
-    compute_orbits and neighbor_indices each name an m_0 image of a kept row.
+    compute_orbits and neighbor_indices each name an m_0 image of a kept
+    row, on (1,1,1) and the s = 0 set (0,0,-3) restricted to x1 < 6, and
+    on a set that keeps the first orbit O of (0,0,-3) whole but, of its
+    multiple 3*O, only the cells with x1 < 6: the search must not label
+    that multiple from the cells it has.
     """
     p = 13
-    params = SurfaceParams.make(p, (1, 1, 1))
-    sol = enumerate_solutions(params)
-    triples = set(sol.iter_triples())
-    kept = [x for x in triples if x[0] < 6]
-    restricted = sol.restrict(sol.points[:, 0] < 6)
-    for search in (compute_orbits, neighbor_indices):
-        with pytest.raises(KeyError) as raised:
-            search(restricted)
-        image = ast.literal_eval(raised.value.args[0].split(" is not")[0])
-        assert image in triples and image[0] >= 6
-        assert any(apply_move(params, x, 0) == image for x in kept)
+    cases = []
+    for a in ((1, 1, 1), (0, 0, -3)):
+        sol = enumerate_solutions(SurfaceParams.make(p, a))
+        x1 = sol.points[:, 0]
+        cases.append((sol, x1 < 6))
+    part = compute_orbits(sol)
+    ids = part.ids(sol.points.T)
+    first = part.orbits[0][1]
+    multiple = part.cell_ids[3 * first[0] % p * p + 3 * first[1] % p]
+    assert multiple > 0 and (x1[ids == multiple] >= 6).any()
+    cases.append((sol, (ids == 0) | ((ids == multiple) & (x1 < 6))))
+    for sol, keep in cases:
+        triples = set(sol.iter_triples())
+        restricted = sol.restrict(keep)
+        kept = set(restricted.iter_triples())
+        for search in (compute_orbits, neighbor_indices):
+            with pytest.raises(KeyError) as raised:
+                search(restricted)
+            image = ast.literal_eval(raised.value.args[0].split(" is not")[0])
+            assert image in triples and image not in kept and image[0] >= 6
+            assert any(apply_move(sol.params, x, 0) == image for x in kept)
 
 
 def test_verify_divisibility_frozen_examples():

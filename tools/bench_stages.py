@@ -3,15 +3,14 @@
 Usage: python tools/bench_stages.py P [a1,a2,a3]
 
 Builds the field tables untimed, then runs the brute-force count oracle
-(oracle_s) and, after it, enumerate -> orbits -> certificate build ->
-certificate verify, in this process, and prints one JSON object.
-Parameters the certificate refuses (s = 0, say) stop after orbits, with
-the refusal in the output.  Where the certificate is its formula, as
-here, cert_build is an O(1) call and all the certificate's work is in
-cert_verify; on older commits cert_build writes an (M, 3) Delta array.
-total_s covers the pipeline from enumeration on; the oracle is timed on
-its own and stays out of it.  Run one process per prime so that peak RSS
-belongs to that prime alone.
+(oracle_s) and, after it, enumerate -> orbits -> certificate verify, in
+this process, and prints one JSON object.  The certificate is built
+untimed between orbits and verify: it is its formula, an O(1) call, and
+all the certificate's work is in cert_verify.  Parameters the
+certificate refuses (s = 0, say) stop after orbits, with the refusal in
+the output.  total_s covers the pipeline from enumeration on; the
+oracle is timed on its own and stays out of it.  Run one process per
+prime so that peak RSS belongs to that prime alone.
 
 The pipeline runs twice.  The first run is timed with tracemalloc off,
 since tracing charges every allocation and skews the stages unevenly;
@@ -29,8 +28,10 @@ The move lookups of the timed run are timed inside the stage that makes
 them, from wrappers around the functions that do them: orbits_lookup_s
 is the time compute_orbits spends finding its edges (the cell targets of
 orbits._cell_targets, or on older commits the row lookups of
-orbits.neighbor_indices), and search_s the rest of compute_orbits.  A
-wrapper replaces a function on every markoff module that holds it; a
+orbits.neighbor_indices), and search_s the rest of compute_orbits.
+searches counts the graph searches of the timed orbits stage: the calls
+of scipy's breadth_first_order and, on older commits, depth_first_order.
+A wrapper replaces a function on every markoff module that holds it; a
 function a commit lacks is not wrapped, so the tool runs unchanged on
 older commits.
 """
@@ -53,16 +54,17 @@ from markoff import delta, enumeration, orbits
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.surface import SurfaceParams
 
-# the functions that look up move images, where a commit has them
+# the functions that look up move images, and the graph searches, where a commit has them
 LOOKUPS = ("_cell_targets", "neighbor_indices")
+SEARCHES = ("breadth_first_order", "depth_first_order")
 
 
 def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _wrap_lookups(spent: dict, current: list) -> None:
-    """Add each lookup's time to spent[(stage running, name)].
+def _wrap_lookups(spent: dict, calls: dict, current: list) -> None:
+    """Add each lookup's and search's time to spent[(stage running, name)], its calls to calls.
 
     The functions are replaced on every markoff module that holds them.
     """
@@ -71,12 +73,13 @@ def _wrap_lookups(spent: dict, current: list) -> None:
             start = time.perf_counter()
             out = fn(*args, **kwargs)
             spent[current[0], name] += time.perf_counter() - start
+            calls[current[0], name] += 1
             return out
         return wrapper
 
     modules = [m for n, m in list(sys.modules.items())
                if m is not None and n.startswith("markoff")]
-    for name in LOOKUPS:
+    for name in LOOKUPS + SEARCHES:
         fn = getattr(orbits, name, None)
         if fn is None:
             continue
@@ -97,7 +100,7 @@ def _pipeline(params: SurfaceParams, run) -> dict:
     except (ValueError, delta.NoConsistentExtension) as exc:
         out["refused"] = str(exc)  # s = 0 or a bad plane: no certificate stages
     else:
-        assign = run("cert_build", delta.build_certificate, sol)
+        assign = delta.build_certificate(sol)
         report = run("cert_verify", delta.verify_certificate, assign, part)
         out.update(fixed_edges=report.n_fixed_edges, all_divisible=report.all_divisible)
     return out
@@ -113,8 +116,9 @@ def main(argv: list[str]) -> int:
     traced: dict[str, float] = {}
     own: dict[str, float] = {}
     spent: dict = defaultdict(float)
+    calls: dict = defaultdict(int)
     current = [""]
-    _wrap_lookups(spent, current)
+    _wrap_lookups(spent, calls, current)
 
     def timed(stage: str, fn, *args):
         current[0] = stage
@@ -145,9 +149,10 @@ def main(argv: list[str]) -> int:
     stages["orbits_lookup_s"] = sum(spent["orbits", name] for name in LOOKUPS)
     stages["search_s"] = stages["orbits_s"] - stages["orbits_lookup_s"]
     stages["total_s"] = sum(stages.get(k + "_s", 0.0)
-                            for k in ("enumerate", "orbits", "cert_build", "cert_verify"))
+                            for k in ("enumerate", "orbits", "cert_verify"))
     print(json.dumps({
         "p": p, "a": list(params.a), **result,
+        "searches": sum(calls["orbits", name] for name in SEARCHES),
         "stages_s": {k: round(v, 3) for k, v in sorted(stages.items())},
         "peak_rss_mb_after": {k: round(v, 1) for k, v in rss.items()},
         "traced_peak_mb": {k: round(v, 1) for k, v in traced.items()},

@@ -15,9 +15,12 @@ README example, the two README paths no example runs (the fiber-sum
 branch of verify conics -a and table-22m2 --format text), two breakup
 runs with sigma = -1, the p = 997 and
 p = 2017 runs behind the benchmark families, a certificate on the
-all-nondegenerate a = (1,1,1) at p = 997, the sweep_mid workload's
-own sweep, a seeded sweep with certificates at p = 101, the p = 2 and
-p = 3 edge inputs, the brute-force count at
+all-nondegenerate a = (1,1,1) at p = 997, the orbits of the s = 0
+sets (0,0,-3) at p = 997 and (-1,-1,-1) at p = 211, whose orbits are
+mostly scalar multiples of others, and of (2,2,-2) at p = 997, with 31
+orbits, the sweep_mid workload's own sweep, a seeded sweep with
+certificates at p = 101, the p = 2 and p = 3 edge inputs, the
+brute-force count at
 p = 101, 997 and 2003, three refusals of the
 Delta certificate, and the usage (exit 2) and resource-guard (exit 3)
 inputs, the conic grid's guard among them.  It calls only
@@ -63,6 +66,10 @@ COMMANDS = [
     "sweep --p-list 17,19 --samples 50 --seed 1",
     # larger primes; (2,5,5) is special form with alpha = 5, (2,-2,-2) with alpha = -2
     "orbits -p 997 -a 1,1,1 --format json",
+    # many orbits: s = 0, where most are scalar multiples of searched ones, and (2,2,-2)
+    "orbits -p 997 -a 0,0,-3 --format json",
+    "orbits -p 211 -a 210,210,210 --format json",
+    "orbits -p 997 -a 2,2,-2 --format json",
     # a certificate on an all-nondegenerate set at scale
     "verify delta -p 997 -a 1,1,1",
     "verify delta -p 997 -a 2,5,5",
