@@ -164,21 +164,29 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _orbit_partition(params: SurfaceParams):
+    """The orbits: cone_orbits for s = 0 at odd p, else compute_orbits on the enumeration."""
+    if params.s == 0 and params.p != 2:
+        return orbits.cone_orbits(params)
+    return orbits.compute_orbits(enumerate_solutions(params))
+
+
 def _cmd_orbits(args) -> int:
     params = args.params
-    part = orbits.compute_orbits(enumerate_solutions(params))
+    part = _orbit_partition(params)
     if args.format == "json":
         print(json.dumps(orbits.partition_report(part), sort_keys=True))
     else:
+        # one print, so that a guard tripped by the orbit list leaves no partial report
         cls = classify_parameters(params)
-        print(f"p={params.p} a={params.a} s={params.s} class={cls.kind}")
-        print(f"total={len(part.solutions)} orbits={len(part.orbits)}")
-        print(f"table: {orbits.size_table(part)}")
+        print(f"p={params.p} a={params.a} s={params.s} class={cls.kind}\n"
+              f"total={part.total} orbits={len(part.orbits)}\n"
+              f"table: {orbits.size_table(part)}")
     return EXIT_OK
 
 
 def _verify_divisibility(args) -> int:
-    part = orbits.compute_orbits(enumerate_solutions(args.params))
+    part = _orbit_partition(args.params)
     report = orbits.verify_divisibility(part)
     table = orbits.size_table(part)
     if report.passed is None:
@@ -316,15 +324,14 @@ def _sweep_one(p: int, a: tuple[int, int, int], with_delta: bool) -> list[str]:
     if params.s != 0 and p >= 5:
         if count_solutions_bruteforce(params) != closed_form_total(params):
             messages.append(f"COUNT FAIL p={p} a={a}")
-    sol = enumerate_solutions(params)
-    part = orbits.compute_orbits(sol)
+    part = _orbit_partition(params)
     if p >= 5:
         report = orbits.verify_divisibility(part)
         if report.passed is False:
             messages.append(f"DIVISIBILITY FAIL p={p} a={a}: {orbits.size_table(part)}")
-        if with_delta and report.asserted:
+        if with_delta and report.asserted:  # s != 0: part searched the enumerated set
             try:
-                assign = delta.build_certificate(sol)
+                assign = delta.build_certificate(part.solutions)
                 delta.verify_certificate(assign, part)
             except (delta.NoConsistentExtension, delta.CertificateError) as exc:
                 messages.append(f"DELTA FAIL p={p} a={a}: {exc}")

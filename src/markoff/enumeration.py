@@ -148,31 +148,6 @@ class SolutionSet:
             block = self.points[rows]
             out.write(("%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist()))
 
-    def restrict(self, keep: np.ndarray) -> SolutionSet:
-        """The rows where the bool mask keep is True, as a SolutionSet.
-
-        Every kept cell must be whole: ValueError is raised if a cell
-        keeps one row and drops the other, so the m_2 image of a kept
-        point (the other row of its cell) is always kept.  Cells with no
-        kept row become empty, and compute_orbits raises KeyError for a
-        move image in an empty cell, so on the result it checks that the
-        kept rows are closed under m_0 and m_1.
-        """
-        p = self.params.p
-        points = np.stack([self.points[:, j][keep] for j in range(3)]).T  # column-major
-        cell = points[:, 0].astype(np.int64) * p + points[:, 1]
-        cells, first = np.unique(cell, return_index=True)
-        counts = np.diff(first, append=len(cell))
-        whole = counts == np.take(self.offsets, cells + 1) - np.take(self.offsets, cells)
-        if not bool(whole.all()):
-            k = int(first[np.flatnonzero(~whole)[0]])
-            raise ValueError(f"the kept rows split the cell of {tuple(points[k].tolist())}")
-        # offsets[c] is first[k] for cells[k-1] < c <= cells[k], and M past
-        # the last kept cell; no array of p^2 counts is built
-        offsets = np.repeat(np.append(first, len(cell)).astype(np.int32),
-                            np.diff(cells, prepend=-1, append=p * p))
-        return SolutionSet(self.params, points, offsets)
-
 
 def _row_coefficients(params: SurfaceParams, x1: np.ndarray):
     """(b0, b1, c0, c1) with b = b0 + b1*x2 and c = x2^2 + c1*x2 + c0 (mod p).

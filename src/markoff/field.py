@@ -2,8 +2,9 @@
 
 Residues are plain Python ints (or numpy integer arrays for bulk work),
 always reduced into [0, p).  A PrimeField caches lookup tables for the
-quadratic character, square roots and inverses, so that p^2-sized sweeps
-pay O(1) per query.  Square roots come only from PrimeField.sqrt_table.
+quadratic character, square roots, inverses and discrete logarithms, so
+that p^2-sized sweeps pay O(1) per query.  Square roots come only from
+PrimeField.sqrt_table.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def mult_order(x: int, p: int) -> int:
 
 
 class PrimeField:
-    """Cached lookup tables for one odd prime (chi, sqrt, inverse).
+    """Cached lookup tables for one odd prime (chi, sqrt, inverse, log).
 
     Tables are built lazily on first access and shared read-only.
     """
@@ -172,6 +173,28 @@ class PrimeField:
             e >>= 1
         t[0] = 0
         return t.astype(np.int32)
+
+    @functools.cached_property
+    def log_table(self) -> np.ndarray:
+        """int32 array: log_table[x] = k in [0, p - 1) with g^k = x (entry 0 is unused, set to 0).
+
+        g is the least primitive root.  The powers g^k are built by
+        doubling, g^(n + j) = g^j * g^n filling the next n entries from
+        the first n, so about log2(p) vector passes, each product below
+        p^2 < 2^63.  Built once per prime, like inv_table.
+        """
+        p = self.p
+        factors = factorize(p - 1)
+        g = next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+        powers = np.ones(p - 1, dtype=np.int64)
+        n = 1
+        while n < p - 1:
+            k = min(n, p - 1 - n)
+            powers[n:n + k] = powers[:k] * pow(g, n, p) % p
+            n += k
+        t = np.zeros(p, dtype=np.int32)
+        t[powers] = np.arange(p - 1, dtype=np.int32)
+        return t
 
     def __repr__(self):
         return f"PrimeField({self.p})"

@@ -3,7 +3,10 @@
 Two families are analysed in full: a = (2, 2, -2), which has singleton,
 barbell and tripod orbits for every prime, and a = (0, 0, -3), where
 s = 0 and the moves act linearly, so orbit counts follow from the
-Burnside average over a dihedral matrix group.
+Burnside average over a dihedral matrix group.  That family's orbit
+counts are also read from the s = 0 orbit engine, orbits.cone_orbits,
+on the slices it lists in O(p), which are checked on their own: no
+stage enumerates its surface.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 from .enumeration import enumerate_solutions
 from .field import (_order_from_group, chi, inverse, is_prime,
                     validate_odd_prime, validate_prime)
-from .orbits import compute_orbits, size_table
-from .surface import SurfaceParams, Triple, apply_move, on_surface
+from .orbits import compute_orbits, cone_orbits, size_table
+from .surface import SurfaceParams, Triple, apply_move, on_surface, residual_array
 
 # Previously reported orbit-size tables for a = (2, 2, -2).  The rows
 # listed in UNDERCOUNTED_SIZE4 record three orbits of size 4 where the
@@ -121,31 +124,38 @@ def orbits_00_minus3(p: int) -> DihedralReport:
     origin (empty when chi(5) = -1).  m3 is the sign change in x3,
     m1 and m2 act linearly on (x1, x2).
 
-    The bfs_* counts come from the orbit engine, compute_orbits, run on
-    the slices x3 in {0, 1, -1} of the enumerated surface.  m1 and m2
-    do not read x3 and m3 only negates it, so these slices are closed
-    under the moves and their orbits are orbits of the whole surface;
-    SolutionSet.restrict refuses a split cell and compute_orbits a move
-    that leaves the slices, so the closure is checked, not assumed.
-    Each orbit meets the slice x3 = 1 in exactly one <m1, m2>-orbit of
-    conic1, and a point of conic0 only in its <m1, m2>-orbit.  The
-    Burnside counts take the same slices as arrays.
+    The bfs_* counts come from the s = 0 orbit engine, cone_orbits,
+    which labels the projective classes of the cone without enumerating
+    the surface: they count its orbit labels on the slices x3 in
+    {0, 1, -1}, so no least point is sought.  m1 and m2 do not read x3
+    and m3 only negates it, so each orbit meets the slice x3 = 1 in
+    exactly one <m1, m2>-orbit of conic1, and a point of conic0 only in
+    its <m1, m2>-orbit.  The
+    slices are read off the engine's classes, (x1, x2, 1) and every
+    multiple of (x1, 1, 0), and then checked on their own by
+    _check_slice: distinct points of the surface with the right x3, as
+    many as the slice holds.  So the closed form and the Burnside
+    counts, which take the same slices as arrays, do not rest on the
+    engine's list of classes.
     """
     if p <= 5:
         raise ValueError("this family needs p > 5")
     sqrt5, order = lambda_order(p)
     ch5 = chi(5, p)
 
-    sol = enumerate_solutions(SurfaceParams.make(p, (0, 0, -3)))
-    x3 = sol.points[:, 2]
-    sol = sol.restrict((x3 <= 1) | (x3 == p - 1))
-    x3 = sol.points[:, 2]  # the last reference to the whole surface goes here
-    component_id = compute_orbits(sol).ids(sol.points.T)
-    on1, on0 = x3 == 1, x3 == 0
-    sizes1 = np.bincount(component_id[on1])
-    sizes1 = sizes1[sizes1 > 0]
-    ids0 = np.unique(component_id[on0])
-    ids_pm1 = np.unique(component_id[~on0])
+    params = SurfaceParams.make(p, (0, 0, -3))
+    part = cone_orbits(params)
+    reps = part.reps
+    conic1 = reps[:, reps[2] == 1]
+    conic0 = (reps[:, reps[2] == 0][:, :, None] * np.arange(1, p) % p).reshape(3, -1)
+    _check_slice(params, conic1, 1, p - ch5)
+    _check_slice(params, conic0, 0, (1 + ch5) * (p - 1))
+    minus1 = conic1.copy()
+    minus1[2] = p - 1  # m3 maps the slice x3 = 1 onto x3 = -1
+    labels1 = part.labels(conic1)
+    sizes1 = np.unique(labels1, return_counts=True)[1]
+    labels0 = np.unique(part.labels(conic0))
+    labels_pm1 = np.unique(np.append(labels1, part.labels(minus1)))
 
     m1, rho = _m1_and_rho(p)
     (m00, m01), (m10, m11) = m1
@@ -157,7 +167,7 @@ def orbits_00_minus3(p: int) -> DihedralReport:
         One walk w = rho^k v counts both: rho^k fixes v where w = v, and
         m1 rho^k, m1 being an involution, where w = m1 v.
         """
-        x, y = points[:, 0].astype(np.int64), points[:, 1].astype(np.int64)
+        x, y = points[0], points[1]
         m1x, m1y = (m00 * x + m01 * y) % p, (m10 * x + m11 * y) % p
         wx, wy, total = x, y, 0
         for _ in range(order):
@@ -176,10 +186,27 @@ def orbits_00_minus3(p: int) -> DihedralReport:
     return DihedralReport(
         p=p, sqrt5_in_fp=sqrt5, lambda_order=order,
         conic1_orbits=formula1, conic0_orbits=formula0,
-        bfs_conic1=len(sizes1), bfs_conic0=len(ids0),
-        burnside_conic1=burnside(sol.points[on1]), burnside_conic0=burnside(sol.points[on0]),
-        conic1_sizes=sorted(sizes1.tolist()), full_orbits_pm1=len(ids_pm1),
+        bfs_conic1=len(sizes1), bfs_conic0=len(labels0),
+        burnside_conic1=burnside(conic1), burnside_conic0=burnside(conic0),
+        conic1_sizes=sorted(sizes1.tolist()), full_orbits_pm1=len(labels_pm1),
     )
+
+
+def _check_slice(params: SurfaceParams, x: np.ndarray, x3: int, expected: int) -> None:
+    """Raise ArithmeticError unless the int64 columns x list the slice at x3.
+
+    The slice holds exactly `expected` points, so `expected` distinct
+    points of the surface with that x3 are the whole slice, wherever
+    they came from.
+    """
+    p = params.p
+    name = f"the slice x3 = {x3}"
+    if x.shape[1] != expected:
+        raise ArithmeticError(f"{name} has {x.shape[1]} points listed, not {expected}")
+    if (x[2] != x3).any() or residual_array(params, x).any():
+        raise ArithmeticError(f"{name} lists a point off the slice or off the surface")
+    if len(np.unique((x[0] * p + x[1]) * p + x[2])) != expected:
+        raise ArithmeticError(f"{name} lists a point twice")
 
 
 # --- a = (2, 2, -2) ---------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from markoff.enumeration import SolutionSet
 from markoff.orbits import neighbor_indices
 from markoff.surface import moved_coordinate, residual_array
 
@@ -125,6 +126,32 @@ def strong_search_orbits(sol):
     for size, _ in orbits:
         multiset[size] = multiset.get(size, 0) + 1
     return ids, orbits, dict(sorted(multiset.items()))
+
+
+def restrict(sol, keep):
+    """The rows of a SolutionSet where the bool mask keep is True, as a SolutionSet.
+
+    Every kept cell must be whole: ValueError is raised if a cell keeps
+    one row and drops the other, so the m_2 image of a kept point (the
+    other row of its cell) is always kept.  Cells with no kept row
+    become empty, and compute_orbits raises KeyError for a move image in
+    an empty cell, so on the result it checks that the kept rows are
+    closed under m_0 and m_1.
+    """
+    p = sol.params.p
+    points = np.stack([sol.points[:, j][keep] for j in range(3)]).T  # column-major
+    cell = points[:, 0].astype(np.int64) * p + points[:, 1]
+    cells, first = np.unique(cell, return_index=True)
+    counts = np.diff(first, append=len(cell))
+    whole = counts == np.take(sol.offsets, cells + 1) - np.take(sol.offsets, cells)
+    if not bool(whole.all()):
+        k = int(first[np.flatnonzero(~whole)[0]])
+        raise ValueError(f"the kept rows split the cell of {tuple(points[k].tolist())}")
+    # offsets[c] is first[k] for cells[k-1] < c <= cells[k], and M past
+    # the last kept cell; no array of p^2 counts is built
+    offsets = np.repeat(np.append(first, len(cell)).astype(np.int32),
+                        np.diff(cells, prepend=-1, append=p * p))
+    return SolutionSet(sol.params, points, offsets)
 
 
 def naive_conic_count(p, B, D, E, F):

@@ -2,8 +2,11 @@ import json
 
 from markoff import cli, delta, obstruction
 from markoff.cli import (EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main)
-from markoff.enumeration import DEFAULT_MAX_PRIME
+from markoff.enumeration import DEFAULT_MAX_PRIME, enumerate_solutions
 from markoff.field import is_prime
+from markoff.surface import SurfaceParams
+
+from conftest import restrict
 
 
 def run(capsys, *argv):
@@ -85,7 +88,7 @@ def test_incomplete_enumeration_fails_the_verdicts(capsys, monkeypatch):
 
     def one_orbit(params):
         sol = enumerate_solutions(params)
-        return sol.restrict(cli.orbits.compute_orbits(sol).ids(sol.points.T) == 1)
+        return restrict(sol, cli.orbits.compute_orbits(sol).ids(sol.points.T) == 1)
 
     monkeypatch.setattr(cli, "enumerate_solutions", one_orbit)
     monkeypatch.setattr(obstruction, "enumerate_solutions", one_orbit)
@@ -218,6 +221,36 @@ def test_verify_delta_refuses_without_enumerating(capsys, monkeypatch):
     assert code == EXIT_OK
     assert out == ("no consistent extension: double fixed point (0, 1, 12) forces "
                    "Delta_0 = 0 but 2a_2 != a_1a_0 (mod 13)\n")
+
+
+def test_s0_orbits_come_from_the_cone_engine(capsys, monkeypatch):
+    """orbits, verify divisibility and sweep send s = 0 at odd p to cone_orbits.
+
+    They must give the search's report without enumerating the surface.
+    """
+    part = cli.orbits.compute_orbits(enumerate_solutions(SurfaceParams.make(97, (0, 0, -3))))
+    report = json.dumps(cli.orbits.partition_report(part), sort_keys=True) + "\n"
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the surface was enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_solutions", refused)
+    assert run(capsys, "orbits", "-p", "97", "-a", "0,0,-3", "--format", "json") == (
+        EXIT_OK, report, "")
+    assert run(capsys, "verify", "divisibility", "-p", "97", "-a", "0,0,-3") == (
+        EXIT_OK, "class=s-zero: not asserted; sizes 196^48\n", "")
+    # past the enumeration guard, the engine runs
+    code, out, _ = run(capsys, "orbits", "-p", "20011", "-a", "0,0,-3")
+    assert code == EXIT_OK and out.splitlines()[1].startswith("total=400440120 ")
+    # ord(lambda) = 23 at p = 28657: the orbit list trips its guard before any line is
+    # printed, and special 00m3, which reads orbit labels, runs
+    assert run(capsys, "orbits", "-p", "28657", "-a", "0,0,-3") == (
+        EXIT_RESOURCE, "", "resource guard: p = 28657: 8926344 orbits exceed the s = 0 "
+                           "orbit engine's bound 1000000\n")
+    code, out, _ = run(capsys, "special", "00m3", "-p", "28657")
+    assert code == EXIT_OK and out.startswith("ord(lambda)=23; conic1 orbits=623 (46,46,")
+    # and so do a sweep's s = 0 items
+    assert cli._sweep_one(97, (0, 0, -3), True) == []
 
 
 def test_resource_guard_exit_code(capsys):

@@ -15,7 +15,7 @@ from markoff.orbits import compute_orbits
 from markoff.surface import (SurfaceParams, apply_move, classify_parameters,
                              ALL_NONDEGENERATE, HYPOTHESIS_VIOLATED, SPECIAL_FORM)
 
-from conftest import dihedral_cycles, naive_solutions, zero_plane
+from conftest import dihedral_cycles, naive_solutions, restrict, zero_plane
 
 
 def params_of(p, a):
@@ -361,7 +361,7 @@ class TestCertificate:
         k = 40
         if mutation == "dropped-orbit":
             ids = part.ids(sol.points.T)
-            mutated = sol.restrict(ids == int(np.argmin(part.orbit_sizes())))
+            mutated = restrict(sol, ids == int(np.argmin(part.orbit_sizes())))
             part = compute_orbits(mutated)
             message = "the set holds M = 65 points, but the surface has 156 nonzero points"
         elif mutation == "duplicated-row":

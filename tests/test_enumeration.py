@@ -17,7 +17,7 @@ from markoff.orbits import neighbor_indices
 from markoff.surface import (SurfaceParams, apply_move, on_surface, residual_array,
                              x3_coefficients)
 
-from conftest import naive_solutions, zero_plane
+from conftest import naive_solutions, restrict, zero_plane
 
 
 def test_enumerate_frozen_examples():
@@ -182,12 +182,12 @@ def test_csv_export_across_blocks():
 
 def test_restrict_keeps_whole_cells():
     sol = enumerate_solutions(SurfaceParams.make(13, (0, 0, -3)))
-    everything = sol.restrict(np.ones(len(sol), dtype=bool))
+    everything = restrict(sol, np.ones(len(sol), dtype=bool))
     assert np.array_equal(everything.points, sol.points)
     assert np.array_equal(everything.offsets, sol.offsets)
     assert everything.points.flags.f_contiguous and everything.offsets.dtype == np.int32
     x3 = sol.points[:, 2]
-    pm1 = sol.restrict((x3 == 1) | (x3 == 12))
+    pm1 = restrict(sol, (x3 == 1) | (x3 == 12))
     assert list(pm1.iter_triples()) == [x for x in sol.iter_triples() if x[2] in (1, 12)]
     cell = pm1.points[:, 0] * 13 + pm1.points[:, 1]
     assert pm1.offsets.tolist() == [0] + np.cumsum(np.bincount(cell, minlength=169)).tolist()
@@ -198,10 +198,10 @@ def test_restrict_keeps_whole_cells():
             apply_move(pm1.params, x, i) for x in pm1.iter_triples()]
     outside = [x for x in sol.iter_triples() if x[2] not in (1, 12)]
     assert outside and set(pm1.iter_triples()).isdisjoint(outside)
-    assert len(sol.restrict(np.zeros(len(sol), dtype=bool))) == 0
+    assert len(restrict(sol, np.zeros(len(sol), dtype=bool))) == 0
     # x3 = 1 alone keeps one root of cells whose other root is x3 = -1
     with pytest.raises(ValueError, match="split"):
-        sol.restrict(x3 == 1)
+        restrict(sol, x3 == 1)
 
 
 def test_memory_guard():

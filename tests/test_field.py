@@ -146,6 +146,16 @@ class TestPrimeField:
         assert (x * inv[1:] % p == 1).all()
         assert int(inv[12345]) == inverse(12345, p)
 
+    def test_log_table_inverts_the_powers_of_a_primitive_root(self):
+        for p in (2, 3, 5, 13, 97, 20011):
+            log = PrimeField(p).log_table
+            x = np.arange(1, p)
+            assert log.dtype == np.int32 and log[0] == 0
+            assert sorted(log[1:].tolist()) == list(range(p - 1))  # a bijection onto [0, p - 1)
+            g = next(y for y in range(1, p) if log[y] == 1) if p > 2 else 1
+            assert mult_order(g, p) == p - 1
+            assert all(pow(g, int(log[v]), p) == v for v in x[:: max(1, p // 500)])
+
     def test_shared_instance(self):
         assert prime_field(13) is prime_field(13)
 

@@ -1,17 +1,20 @@
 import ast
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from markoff.enumeration import INT32_MAX, ResourceGuardError, enumerate_solutions
+from markoff.enumeration import (INT32_MAX, ResourceGuardError, count_solutions_bruteforce,
+                                 enumerate_solutions)
 from markoff import orbits as orbits_module
-from markoff.orbits import (CertificateError, _require_search_bound, compute_orbits,
-                            neighbor_indices, no_bigons_holds, partition_report,
-                            size_table, verify_divisibility)
-from markoff.surface import SurfaceParams, apply_move
+from markoff.orbits import (CONE_MAX_PRIME, CertificateError, _require_search_bound,
+                            compute_orbits, cone_orbits, neighbor_indices, no_bigons_holds,
+                            partition_report, size_table, verify_divisibility)
+from markoff.field import is_prime
+from markoff.surface import SurfaceParams, apply_move, residual_array
 
-from conftest import naive_move, naive_orbits, strong_search_orbits
+from conftest import naive_move, naive_orbits, restrict, strong_search_orbits
 
 
 def part_for(p, a):
@@ -210,7 +213,7 @@ def test_move_out_of_a_restricted_set_is_named():
     cases.append((sol, (ids == 0) | ((ids == multiple) & (x1 < 6))))
     for sol, keep in cases:
         triples = set(sol.iter_triples())
-        restricted = sol.restrict(keep)
+        restricted = restrict(sol, keep)
         kept = set(restricted.iter_triples())
         for search in (compute_orbits, neighbor_indices):
             with pytest.raises(KeyError) as raised:
@@ -238,7 +241,7 @@ def test_verify_divisibility_refuses_an_incomplete_set():
     """One orbit of (2,5,5) at p = 13, 65 of the 156 points, is divisible but not the surface."""
     sol = enumerate_solutions(SurfaceParams.make(13, (2, 5, 5)))
     part = compute_orbits(sol)
-    orbit = sol.restrict(part.ids(sol.points.T) == int(np.argmin(part.orbit_sizes())))
+    orbit = restrict(sol, part.ids(sol.points.T) == int(np.argmin(part.orbit_sizes())))
     with pytest.raises(CertificateError,
                        match="^the set holds M = 65 points, but the surface has 156 nonzero points$"):
         verify_divisibility(compute_orbits(orbit))
@@ -284,3 +287,90 @@ def test_double_fixed_points_where_moves_collide():
                     assert images[i] == x
                     found += 1
     assert found > 0
+
+
+def cone_matches_search(p, a):
+    """cone_orbits equals compute_orbits on the enumerated surface: orbits, ids and total."""
+    params = SurfaceParams.make(p, a)
+    sol = enumerate_solutions(params)
+    part, cone = compute_orbits(sol), cone_orbits(params)
+    assert cone.multiset == part.multiset, (p, a)
+    assert cone.orbits == part.orbits, (p, a)  # sizes and least points, in order
+    assert np.array_equal(cone.ids(sol.points.T), part.ids(sol.points.T)), (p, a)
+    assert cone.total == len(sol) == count_solutions_bruteforce(params), (p, a)
+    return cone
+
+
+def test_cone_orbits_match_the_search_on_every_small_s0_triple():
+    triples = [(p, a) for p in (3, 5, 7, 11, 13) for a in itertools.product(range(p), repeat=3)
+               if (3 + sum(a)) % p == 0]
+    assert len(triples) == 373
+    for p, a in triples:
+        cone_matches_search(p, a)
+
+
+def test_cone_orbits_match_the_search_on_seeded_s0_sets():
+    """Seeded s = 0 sets, with (-1,-1,-1) on Cayley's cubic and the dihedral (0,0,-3)."""
+    rng = random.Random(20261020)
+    for p in (101, 211, 401):
+        triples = [(-1, -1, -1), (0, 0, -3)]
+        while len(triples) < 7:
+            a1, a2 = rng.randrange(p), rng.randrange(p)
+            triples.append((a1, a2, -3 - a1 - a2))
+        for a in triples:
+            cone = cone_matches_search(p, a)
+            if (p, a) == (211, (-1, -1, -1)):
+                assert cone.multiset == {1: 210, 1266: 70}
+
+
+def test_cone_orbits_reports_as_a_partition():
+    """size_table, verify_divisibility and partition_report read both partitions alike."""
+    for p, a in ((13, (0, 0, -3)), (13, (0, 1, 9)), (7, (1, 1, -5))):
+        params = SurfaceParams.make(p, a)
+        part, cone = compute_orbits(enumerate_solutions(params)), cone_orbits(params)
+        assert size_table(cone) == size_table(part)
+        assert partition_report(cone) == partition_report(part)
+        assert verify_divisibility(cone) == verify_divisibility(part)
+
+
+def test_cone_ids_off_the_cone():
+    """Points off the cone, the origin among them, have id -1; a move keeps every id."""
+    params = SurfaceParams.make(13, (0, 0, -3))
+    cone = cone_orbits(params)
+    x = np.array(list(itertools.product(range(13), repeat=3))).T
+    ids = cone.ids(x)
+    on = residual_array(params, x) == 0
+    on[0] = False  # the origin
+    assert (ids[~on] == -1).all() and (ids[on] >= 0).all()
+    for i in range(3):
+        assert np.array_equal(cone.ids(np.stack(apply_move(params, x[:, on], i))), ids[on])
+
+
+def test_cone_engine_refusals(monkeypatch):
+    """s != 0 and p = 2 are out of domain; the guards trip before the work they bound.
+
+    p above CONE_MAX_PRIME is refused before the classes are listed, and
+    more than CONE_MAX_ORBITS orbits before any least point is sought,
+    when the orbit list or ids are first read.
+    """
+    for p, a in ((13, (1, 1, 1)), (2, (1, 0, 0))):
+        with pytest.raises(ValueError, match="s = 0 and an odd prime"):
+            cone_orbits(SurfaceParams.make(p, a))
+
+    def listed(*args):
+        raise AssertionError("the guarded work ran")
+
+    # (0,0,-3) at p = 4001 has 10,008 orbits: labels need no per-orbit array, ids do
+    params = SurfaceParams.make(4001, (0, 0, -3))
+    monkeypatch.setattr(orbits_module, "CONE_MAX_ORBITS", 10_007)
+    monkeypatch.setattr(orbits_module, "_least_points", listed)
+    cone = cone_orbits(params)
+    assert cone.total == 4000 * 4002
+    assert cone.labels(np.array([[1], [1], [0]]))[0] == -1  # (1, 1, 0) is off the cone
+    for read in (lambda: cone.orbits, lambda: cone.ids(np.array([[1], [1], [0]]))):
+        with pytest.raises(ResourceGuardError, match="10008 orbits exceed the s = 0 orbit engine's"):
+            read()
+    monkeypatch.setattr(orbits_module, "_cone_classes", listed)
+    p = next(q for q in range(CONE_MAX_PRIME + 1, CONE_MAX_PRIME + 200) if is_prime(q))
+    with pytest.raises(ResourceGuardError, match=f"p = {p} exceeds the s = 0 orbit engine's"):
+        cone_orbits(SurfaceParams.make(p, (0, 0, -3)))

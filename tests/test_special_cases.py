@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from markoff import special_cases
+from markoff import enumeration, special_cases
 from markoff.enumeration import enumerate_solutions
 from markoff.field import chi, inverse, is_prime
 from markoff.orbits import compute_orbits
@@ -13,7 +13,9 @@ from markoff.special_cases import (REFERENCE_TABLE_22M2, UNDERCOUNTED_SIZE4,
                                    markoff_p3, orbit_table_22m2,
                                    orbits_00_minus3, primes_up_to, table_csv,
                                    tiny_orbits_22m2)
-from markoff.surface import SurfaceParams, apply_move, on_surface
+from markoff.surface import SurfaceParams, apply_move, on_surface, residual
+
+from conftest import restrict
 
 
 class TestLambdaOrder:
@@ -124,7 +126,7 @@ class TestDihedralFamily:
         cell = sol.points[:, 0].astype(np.int64) * p + sol.points[:, 1]
         hit = cell[np.isin(sol.points[:, 2], (0, 1, p - 1))]
         with pytest.raises(KeyError):
-            compute_orbits(sol.restrict(np.isin(cell, hit)))
+            compute_orbits(restrict(sol, np.isin(cell, hit)))
 
     def test_matrix_product_trace_and_det(self):
         for p in (7, 11, 13):
@@ -178,6 +180,59 @@ class TestDihedralFamily:
                 assert apply_move(params, x, 0) != x
                 assert apply_move(params, x, 1) != x
                 assert apply_move(params, x, 2) == x  # m3 fixes the slice
+
+    def test_no_enumeration(self, monkeypatch):
+        """The family reads its slices and orbit labels off the cone engine, not the surface."""
+        expected = orbits_00_minus3(89)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the surface was enumerated")
+
+        monkeypatch.setattr(enumeration, "enumerate_solutions", refused)
+        monkeypatch.setattr(special_cases, "enumerate_solutions", refused)
+        assert orbits_00_minus3(89) == expected
+
+    def test_slices_are_checked_on_their_own(self, monkeypatch):
+        """A class list that misses, repeats or moves a slice point stops the family.
+
+        Each corruption of the engine's classes reaches _check_slice
+        before the closed form or Burnside reads the slices.
+        """
+        cone_orbits = special_cases.cone_orbits
+        p = 11  # chi(5) = 1: both slices are non-empty
+
+        def corrupted(change):
+            def engine(params):
+                part = cone_orbits(params)
+                part.reps = change(part.reps.copy())
+                return part
+            return engine
+
+        def dropped(reps):
+            return np.delete(reps, 0, axis=1)
+
+        def repeated(reps):
+            reps[:, 1] = reps[:, 0]
+            return reps
+
+        def off_surface(reps):
+            params = SurfaceParams.make(p, (0, 0, -3))
+            x1 = int(reps[0, 0])
+            reps[1, 0] = next(v for v in range(p) if residual(params, (x1, v, 1)))
+            return reps
+
+        def repeated_line(reps):
+            lines = np.flatnonzero(reps[2] == 0)
+            reps[:, lines[1]] = reps[:, lines[0]]
+            return reps
+
+        for change, message in ((dropped, "x3 = 1 has 9 points listed, not 10"),
+                                (repeated, "lists a point twice"),
+                                (off_surface, "off the slice or off the surface"),
+                                (repeated_line, "lists a point twice")):
+            monkeypatch.setattr(special_cases, "cone_orbits", corrupted(change))
+            with pytest.raises(ArithmeticError, match=message):
+                orbits_00_minus3(p)
 
 
 class TestTinyOrbits:

@@ -31,6 +31,10 @@ orbits._cell_targets, or on older commits the row lookups of
 orbits.neighbor_indices), and search_s the rest of compute_orbits.
 searches counts the graph searches of the timed orbits stage: the calls
 of scipy's breadth_first_order and, on older commits, depth_first_order.
+On s = 0 the orbits stage is the CLI's dispatch to cone_orbits, on
+commits that have it, with the orbit list read inside the stage: no
+enumerate stage, no cell targets, and one search, on the graph of the
+at most 2p + 1 projective classes.
 A wrapper replaces a function on every markoff module that holds it; a
 function a commit lacks is not wrapped, so the tool runs unchanged on
 older commits.
@@ -50,7 +54,7 @@ from collections import defaultdict
 import numpy as np
 import scipy
 
-from markoff import delta, enumeration, orbits
+from markoff import cli, delta, enumeration, orbits
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.surface import SurfaceParams
 
@@ -89,12 +93,27 @@ def _wrap_lookups(spent: dict, calls: dict, current: list) -> None:
                     setattr(mod, attr, timed(fn, name))
 
 
+def _listed_partition(params: SurfaceParams):
+    """The CLI's partition with its orbit list read, which the cone engine builds on first use."""
+    part = cli._orbit_partition(params)
+    part.orbits
+    return part
+
+
 def _pipeline(params: SurfaceParams, run) -> dict:
-    """The oracle, then enumerate -> orbits -> certificate, each stage through run(stage, fn, *args)."""
+    """The oracle, then enumerate -> orbits -> certificate, each stage through run(stage, fn, *args).
+
+    Where the CLI sends s = 0 to the cone engine, the orbits stage is that
+    dispatch and no enumerate stage runs.
+    """
     out = {"oracle_count": run("oracle", count_solutions_bruteforce, params)}
-    sol = run("enumerate", enumerate_solutions, params)
-    part = run("orbits", orbits.compute_orbits, sol)
-    out.update(points=len(sol), orbits=len(part.orbits))
+    if params.s == 0 and params.p != 2 and hasattr(orbits, "cone_orbits"):
+        part = run("orbits", _listed_partition, params)
+        out.update(points=part.total, orbits=len(part.orbits))
+    else:
+        sol = run("enumerate", enumerate_solutions, params)
+        part = run("orbits", orbits.compute_orbits, sol)
+        out.update(points=len(sol), orbits=len(part.orbits))
     try:
         delta.require_consistent(params)
     except (ValueError, delta.NoConsistentExtension) as exc:

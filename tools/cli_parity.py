@@ -17,7 +17,9 @@ runs with sigma = -1, the p = 997 and
 p = 2017 runs behind the benchmark families, a certificate on the
 all-nondegenerate a = (1,1,1) at p = 997, the orbits of the s = 0
 sets (0,0,-3) at p = 997 and (-1,-1,-1) at p = 211, whose orbits are
-mostly scalar multiples of others, and of (2,2,-2) at p = 997, with 31
+mostly scalar multiples of others, and (0,1,9) at p = 13, whose cone is
+two planes, the divisibility report of (0,0,-3) at p = 997 and its
+family at p = 4001, the orbits of (2,2,-2) at p = 997, with 31
 orbits, the sweep_mid workload's own sweep, a seeded sweep with
 certificates at p = 101, the p = 2 and p = 3 edge inputs, the
 brute-force count at
@@ -70,6 +72,8 @@ COMMANDS = [
     "orbits -p 997 -a 0,0,-3 --format json",
     "orbits -p 211 -a 210,210,210 --format json",
     "orbits -p 997 -a 2,2,-2 --format json",
+    # s = 0 on Cayley's cubic, where the cone is two planes
+    "orbits -p 13 -a 0,1,9 --format json",
     # a certificate on an all-nondegenerate set at scale
     "verify delta -p 997 -a 1,1,1",
     "verify delta -p 997 -a 2,5,5",
@@ -78,6 +82,7 @@ COMMANDS = [
     "verify delta -p 997 -a 2,-2,-2",
     "verify breakup -p 997 -a 2,-2,-2",
     "verify divisibility -p 997 -a 2,-2,-2",
+    "verify divisibility -p 997 -a 0,0,-3",
     "verify delta -p 2017 -a 0,0,0",
     "sweep --p-list 11,13 --exhaustive --with-delta",
     # the sweep_mid benchmark workload: 90 seeded runs at p = 97, 101, 103
@@ -89,6 +94,7 @@ COMMANDS = [
     "special 00m3 -p 11",
     "special 00m3 -p 13",
     "special 00m3 -p 997",
+    "special 00m3 -p 4001",
     "special 22m2 -p 997",
     # p = 2 and p = 3 edge inputs
     "enumerate -p 3 -a 0,0,0",
