@@ -21,7 +21,11 @@ require_consistent reads that from the parameters alone.
 
 verify_certificate proves the set complete (the closed-form count of
 rows, each on the surface, strictly increasing from above the origin),
-so every move image on the surface is a row and none is looked up.  It
+so every move image on the surface is a row and none is looked up.  The
+image of m_i is the other root of the residual as a monic quadratic in
+x_i, whose coefficients are x3_coefficients of surface.rotated, and it
+is checked on the surface on those same coefficients: the verifier does
+not share the move formula with compute_orbits, the code it checks.  It
 checks each edge's identities with Delta evaluated at both ends and its
 orbit ids read per cell, then rederives s*V = 0 per orbit.  The move
 m_i keeps x_{i-1} and x_{i+1}, and with them q_i, half_i and the
@@ -38,7 +42,7 @@ import numpy as np
 from .enumeration import SolutionSet
 from .field import mod_p
 from .orbits import CertificateError, OrbitPartition, require_complete
-from .surface import SurfaceParams, Triple, moved_coordinate, residual_array, x3_coefficients
+from .surface import SurfaceParams, Triple, residual_array, rotated, x3_coefficients
 
 
 class NoConsistentExtension(Exception):
@@ -65,23 +69,22 @@ def _inverse(params: SurfaceParams, v: np.ndarray) -> np.ndarray:
     return np.take(params.field.inv_table, v).astype(v.dtype, copy=False)
 
 
-def _closed_form(params: SurfaceParams, xi, u, i: int):
-    """Delta_i = x_i q_i + half_i with q_i = u_{i-1} u_{i+1}, the u being the inverses of x.
+def _closed_form(params: SurfaceParams, u, i: int):
+    """q_i = u_{i-1} u_{i+1} and half_i of Delta_i = x_i q_i + half_i mod p, from the inverses u.
 
     That is x_i/(x_{i-1}x_{i+1}) + (a_{i-1}/x_{i-1} + a_{i+1}/x_{i+1})/2
     where x_{i-1} and x_{i+1} are nonzero; elsewhere inv_table[0] = 0
-    makes it a finite value in [0, p) that is not Delta_i.  xi and the u
-    are int32 or int64 arrays in [0, p) of one dtype that broadcast
-    together.  The halves of a_{i-1} and a_{i+1} are taken mod p first,
-    so each term of half_i stays below p^2 and x_i q_i + half_i below
+    makes it a finite value in [0, p) that is not Delta_i.  The u are
+    int32 or int64 arrays in [0, p) of one dtype, which q_i and half_i
+    keep.  The halves of a_{i-1} and a_{i+1} are taken mod p first, so
+    each term of half_i stays below p^2 and x_i q_i + half_i below
     3 p^2: int32 is exact while 3 p^2 + p < 2^31.
     """
     p, a = params.p, params.a
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
     inv2 = (p + 1) // 2
-    out = xi * mod_p(u[im1] * u[ip1], p)
-    out += a[im1] * inv2 % p * u[im1] + a[ip1] * inv2 % p * u[ip1]
-    return mod_p(out, p)
+    return (mod_p(u[im1] * u[ip1], p),
+            a[im1] * inv2 % p * u[im1] + a[ip1] * inv2 % p * u[ip1])
 
 
 def _delta_ends(params: SurfaceParams, x, u, i: int, moved=None) -> np.ndarray:
@@ -89,9 +92,9 @@ def _delta_ends(params: SurfaceParams, x, u, i: int, moved=None) -> np.ndarray:
 
     x holds the int32 or int64 coordinate columns of points in [0, p),
     int32 only while 3 p^2 + p < 2^31 as SolutionSet.blocks yields them,
-    u = _inverse of each column, and moved the images' x_i, as
-    moved_coordinate gives them.  m_i keeps x_{i-1} and x_{i+1}, so
-    q_i and half_i of _closed_form are also the image's, and the planes
+    u = _inverse of each column, and moved the images' x_i in [0, p).
+    m_i keeps x_{i-1} and x_{i+1}, so q_i and half_i of _closed_form
+    are also the image's, computed once for both ends, and the planes
     x_{i +- 1} = 0 hold both ends or neither; their rows, where x holds
     any, get the plane form of delta_column at both ends.  A surface
     point has at most one zero coordinate, so x_{i-1} + x_{i+1} is the
@@ -100,15 +103,23 @@ def _delta_ends(params: SurfaceParams, x, u, i: int, moved=None) -> np.ndarray:
     """
     p, a = params.p, params.a
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    ends = x[i][None] if moved is None else np.array((x[i], moved))
-    out = _closed_form(params, ends, u, i)
+    ends = (x[i],) if moved is None else (x[i], moved)
+    q, half = _closed_form(params, u, i)
+    out = np.empty((len(ends), *np.shape(x[i])), dtype=q.dtype)
+    for end, xi in zip(out, ends):
+        np.multiply(xi, q, out=end)
+        end += half
+        end -= end // p * p  # mod_p, in place
     on = np.flatnonzero((x[im1] == 0) | (x[ip1] == 0))
     if len(on):
         inv2 = (p + 1) // 2
-        c = (2 * a[i] - a[im1] * a[ip1]) * inv2 % p
-        xi, xl = ends[:, on], x[im1][on] + x[ip1][on]
-        inv = _inverse(params, mod_p(xl * xl - xi * xi, p))
-        out[:, on] = mod_p(params.s * inv2 % p + mod_p(c * xi, p) * inv, p)
+        half_s, c = params.s * inv2 % p, (2 * a[i] - a[im1] * a[ip1]) * inv2 % p
+        xl = x[im1][on] + x[ip1][on]
+        xl *= xl
+        for end, xi in zip(out, ends):
+            xi = xi[on]
+            inv = _inverse(params, mod_p(xl - xi * xi, p))
+            end[on] = mod_p(half_s + mod_p(c * xi, p) * inv, p)
     return out
 
 
@@ -209,6 +220,42 @@ def _require(rows: slice, ok: np.ndarray, message) -> None:
         raise CertificateError(message(rows.start + int(np.flatnonzero(~ok)[0])))
 
 
+def _below(v: np.ndarray, bound: int) -> np.ndarray:
+    """0 <= v < bound on an integer array: one comparison of its unsigned view."""
+    return v.view(np.dtype(f"u{v.itemsize}")) < bound
+
+
+def _sums_to(s: int, p: int, *values: np.ndarray) -> np.ndarray:
+    """Whether the values, each in [0, p), sum to s in [0, p) mod p.
+
+    Their sum less s lies in (-p, len(values) p), so it is 0 mod p
+    exactly when it is 0, p, ..., (len(values) - 1) p: no reduction.
+    """
+    total = values[0] + values[1]
+    for v in values[2:]:
+        total += v
+    total -= s
+    ok = total == 0
+    for k in range(1, len(values)):
+        ok |= total == k * p
+    return ok
+
+
+def _root_sum_image(axis: SurfaceParams, x, i: int, coefficients=None):
+    """The m_i images' x_i, and whether each lies on the surface, from one pair (b_i, c_i).
+
+    axis is rotated(params, i), so the residual as a monic quadratic in
+    x_i is x_i^2 + b_i x_i + c_i with (b_i, c_i) its x3_coefficients
+    at the kept x_{i+1}, x_{i+2}, or coefficients when given.  The
+    image's x_i is the other root, -b_i - x_i by Vieta, and the check is
+    residual_array of axis at the image on those same coefficients.
+    """
+    kept = (x[(i + 1) % 3], x[(i + 2) % 3])
+    b, c = x3_coefficients(axis, *kept) if coefficients is None else coefficients
+    moved = mod_p(-b - x[i], axis.p)
+    return moved, residual_array(axis, (*kept, moved), (b, c)) == 0
+
+
 def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> CertificateReport:
     """Prove the set complete, check every move edge and identity, and rederive p | V per orbit.
 
@@ -218,18 +265,27 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
     (x1, x2, x3) from above the origin: they are then exactly the
     nonzero solutions.  The pass checks, in the block's dtype, the total
     identity at each row and, for each move i: the image, x with x_i
-    replaced by moved_coordinate, is on the surface (m_2's from the
-    row's x3_coefficients, as it keeps x1 and x2), so it is a row; m_0
-    and m_1 keep the orbit id (m_2 keeps the cell, and with it the id);
-    the pair identity holds with _delta_ends' values at both ends, which
-    at a fixed edge (image[i] == x[i]) reads 2 Delta_i = s, the fix
-    identity for odd p.  It also counts the rows of each id, which must
-    be the partition's orbit sizes, and sums each Delta_i per id, which
-    must be s*V/2.  By the total identity the three sums are s*V, so
-    s*V/2 = 0 and p | V.  Raises CertificateError naming the point (or
-    the orbit's representative, or M and the count), the move and the
-    identity; ValueError outside the domain or for a partition of
-    another parameter set.
+    replaced by the other root -b_i - x_i of the residual written as
+    x_i^2 + b_i x_i + c_i (surface.rotated gives b_i and c_i), is on the
+    surface by residual_array on those same coefficients, so it is a
+    row; m_0 and m_1 keep the orbit id (m_2 keeps the cell, and with it
+    the id); the pair identity holds with _delta_ends' values at both
+    ends, which at a fixed edge (image[i] == x[i]) reads 2 Delta_i = s,
+    the fix identity for odd p.  The image's residual along axis i is
+    the row's, so its check fails only where (b_i, c_i) are not the
+    row's coefficients; m_2's are those of the row check, so its image
+    check can fail only where the row check already has, and it is kept
+    as one check per move.  The images do not come from moved_coordinate
+    or apply_move, the move formula compute_orbits reads its edges from.
+    Every Delta value is in [0, p), so an identity holds when its sum
+    less s is 0, p or 2p, without a reduction.  The pass also counts the
+    rows of each id, which must be the partition's orbit sizes, and sums
+    Delta_0 and Delta_1 per id, which must be s*V/2.  The total identity
+    holds at every row, so the sum of Delta_2 is s*V less those two, and
+    it must be s*V/2 too: then s*V/2 = 0 and p | V.  Raises
+    CertificateError naming the point (or the orbit's representative,
+    or M and the count), the move and the identity; ValueError outside
+    the domain or for a partition of another parameter set.
     """
     sol = assign.solutions
     params = sol.params
@@ -245,45 +301,54 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
     last = 0  # the origin's key; the first row must lie above it
     sizes = np.zeros(n_orbits, dtype=np.int64)
     half_sums = np.zeros((3, n_orbits), dtype=np.int64)  # per orbit: sum of Delta_i mod p
+    axes = [rotated(params, i) for i in range(3)]  # axes[2] has params' own a
     for rows, x in sol.blocks():
-        _require(rows, ((x >= 0) & (x < p)).all(axis=0),
+        _require(rows, _below(x, p).all(axis=0),
                  lambda k: f"row {sol.triple(k)} is not reduced mod {p}")
-        key = (x[0].astype(np.int64) * p + x[1]) * p + x[2]
+        x1p = x[0] * p
+        cell = x1p + x[1]
+        key = cell.astype(np.int64)
+        key *= p
+        key += x[2]
         _require(rows, np.diff(key, prepend=last) > 0,
                  lambda k: f"rows do not strictly increase from above the origin at {sol.triple(k)}")
         last = key[-1]
         coefficients = x3_coefficients(params, x[0], x[1])
         _require(rows, residual_array(params, x, coefficients) == 0,
                  lambda k: f"row {sol.triple(k)} is not on the surface")
-        ids = part.ids(x)
-        _require(rows, (ids >= 0) & (ids < n_orbits),
+        ids = np.take(part.cell_ids, cell)
+        _require(rows, _below(ids, n_orbits),
                  lambda k: f"{sol.triple(k)} has no orbit id below {n_orbits}")
         sizes += np.bincount(ids, minlength=n_orbits)
+        # each image check is computed with its image, while (b_i, c_i)
+        # are live, and raised in its move's turn below
+        moved, on_surface = zip(*(_root_sum_image(axes[i], x, i, coefficients if i == 2 else None)
+                                  for i in range(3)))
         u = [_inverse(params, v) for v in x]
-        moved = [moved_coordinate(params, x, i) for i in range(3)]
         d = [_delta_ends(params, x, u, i, moved[i]) for i in range(3)]
-        _require(rows, mod_p(d[0][0] + d[1][0] + d[2][0] - s, p) == 0,
+        _require(rows, _sums_to(s, p, d[0][0], d[1][0], d[2][0]),
                  lambda k: f"total identity fails at {sol.triple(k)}")
         for i in range(3):
-            image = list(x)
-            image[i] = moved[i]
-            residual = residual_array(params, image, coefficients if i == 2 else None)
-            _require(rows, residual == 0,
+            _require(rows, on_surface[i],
                      lambda k: f"move {i} image of {sol.triple(k)} is off the surface")
             if i < 2:
-                moved_ids = part.ids(image)
+                moved_ids = np.take(part.cell_ids,
+                                    moved[0] * p + x[1] if i == 0 else x1p + moved[1])
                 _require(rows, moved_ids == ids,
                          lambda k: f"move {i} edge from {sol.triple(k)} joins components "
                                    f"{ids[k - rows.start]} and {moved_ids[k - rows.start]}")
             fixed = moved[i] == x[i]
             at_row, at_image = d[i]
-            _require(rows, mod_p(at_row + at_image - s, p) == 0,
+            _require(rows, _sums_to(s, p, at_row, at_image),
                      lambda k: f"{'fixed-point' if fixed[k - rows.start] else 'pair'} "
                                f"identity fails at {sol.triple(k)} for move {i}")
             n_fixed += int(np.count_nonzero(fixed))
-            # float64 sums are exact: a block adds at most BLOCK values below p, below 2^47
-            sums = np.bincount(ids, weights=at_row, minlength=n_orbits)
-            half_sums[i] = (half_sums[i] + sums.astype(np.int64)) % p
+            if i < 2:
+                # float64 sums are exact: a block adds at most BLOCK values below p, below 2^47
+                sums = np.bincount(ids, weights=at_row, minlength=n_orbits)
+                half_sums[i] = (half_sums[i] + sums.astype(np.int64)) % p
+    # s * sizes < p * M stays far below 2^63
+    half_sums[2] = (s * sizes - half_sums[0] - half_sums[1]) % p
 
     def require_per_orbit(ok: np.ndarray, identity: str) -> None:
         if not bool(ok.all()):

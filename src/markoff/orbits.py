@@ -57,7 +57,7 @@ from .conics import closed_form_total
 from .enumeration import BLOCK, INT32_MAX, ResourceGuardError, SolutionSet
 from .surface import (ALL_NONDEGENERATE, SPECIAL_FORM, ParamClass, SurfaceParams,
                       Triple, apply_move, classify_parameters, moved_coordinate,
-                      x3_coefficients)
+                      rotated, x3_coefficients)
 
 
 def neighbor_indices(sol: SolutionSet) -> np.ndarray:
@@ -370,16 +370,14 @@ def _cone_classes(params: SurfaceParams) -> np.ndarray:
     The chart x3 = 1 gives (x1, x2, 1) with x2 a root of the quadratic
     Q_a(x1, x2, 1) in x2, and the chart (x3, x2) = (0, 1) gives
     (x1, 1, 0) with x1 a root of Q_a(x1, 1, 0).  Q_a is cyclically
-    symmetric, Q_a(x1, x2, x3) = Q_b(x3, x1, x2) with b = (a3, a1, a2),
-    so the coefficients of each quadratic are x3_coefficients of a
-    rotation of the parameters: no second residual formula.  At most
-    two roots per chart row: O(p) time and at most 2p + 1 classes.
+    symmetric, so the coefficients of the quadratic in x2 (in x1) are
+    x3_coefficients of the rotated parameters at (x3, x1) (at (x2, x3)),
+    surface.rotated: no second residual formula.  At most two roots per
+    chart row: O(p) time and at most 2p + 1 classes.
     """
-    a1, a2, a3 = params.a
-    fld, s = params.field, params.s
     x1 = np.arange(params.p, dtype=np.int64)
-    rows, x2 = _monic_roots(params, *x3_coefficients(SurfaceParams(fld, (a3, a1, a2), s), 1, x1))
-    b, c = x3_coefficients(SurfaceParams(fld, (a2, a3, a1), s), 1, 0)
+    rows, x2 = _monic_roots(params, *x3_coefficients(rotated(params, 1), 1, x1))
+    b, c = x3_coefficients(rotated(params, 0), 1, 0)
     _, y1 = _monic_roots(params, np.array([b]), np.array([c]))
     n1, n2 = len(rows), len(y1)
     reps = np.zeros((3, n1 + n2), dtype=np.int64)

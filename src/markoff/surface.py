@@ -6,9 +6,10 @@ once, on ints or broadcastable arrays alike: the residual is the monic
 quadratic in x3 whose coefficients x3_coefficients gives and
 residual_array evaluates, and the move is moved_coordinate; residual
 and on_surface evaluate them on one point, apply_move on one point or
-on coordinate columns.  Coordinate
-indices are 0-based (i in {0, 1, 2}) and cyclic: i - 1 and i + 1 are
-taken mod 3.
+on coordinate columns.  The residual is cyclically symmetric, so the
+quadratic in any x_i is the one in x3 of the rotated parameters
+(rotated).  Coordinate indices are 0-based (i in {0, 1, 2}) and cyclic:
+i - 1 and i + 1 are taken mod 3.
 """
 
 from __future__ import annotations
@@ -114,26 +115,42 @@ def x3_coefficients(params: SurfaceParams, x1, x2):
     return b, c
 
 
+def rotated(params: SurfaceParams, i: int) -> SurfaceParams:
+    """The parameters b = (a_{i+1}, a_{i+2}, a_i), under which x_i is the last coordinate.
+
+    The residual is unchanged when the coordinates and a are rotated
+    together: res_a(x1, x2, x3) = res_b(x_{i+1}, x_{i+2}, x_i).  So the
+    residual as a monic quadratic in x_i has the coefficients
+    x3_coefficients(rotated(params, i), x_{i+1}, x_{i+2}), and
+    residual_array of the rotated parameters on (x_{i+1}, x_{i+2}, x_i)
+    is the residual along that axis.  rotated(params, 2) has params' a.
+    """
+    a = params.a
+    return SurfaceParams(params.field, (a[(i + 1) % 3], a[(i + 2) % 3], a[i]), params.s)
+
+
 def residual_array(params: SurfaceParams, x, coefficients=None) -> np.ndarray:
     """Vectorised residual; x[0..2] are ints or broadcastable integer arrays.
 
     Pass ``pts.T`` for an (M, 3) point array, or three grid axes.  The
     residual is a monic quadratic in x3, evaluated in Horner form
-    ((x3 + b) * x3 + c) % p with (b, c) from x3_coefficients, or from
+    ((x3 + b) * x3 + c) mod p with (b, c) from x3_coefficients, or from
     coefficients when given: x3_coefficients(params, x[0], x[1]) already
-    computed for points with the same x1 and x2.  On a grid
-    with x3 along the last axis, b and c have the shape of the (x1, x2)
-    slab, so only the last four passes touch every cell.  For coordinates
-    in [0, p) every intermediate stays below 3 p^2, so int32 arrays are
-    exact while 3 p^2 < 2^31 (p <= 26737); int64 arrays are exact for any
-    table prime.
+    computed for points with the same x1 and x2, which are then not
+    read.  On a grid with x3 along the last axis, b and c have the shape
+    of the (x1, x2) slab, so only the last passes touch every cell.  The
+    reduction is mod_p's floor division, exact on Python ints as well.
+    For coordinates in [0, p) every intermediate stays below 3 p^2, so
+    int32 arrays are exact while 3 p^2 < 2^31 (p <= 26737); int64 arrays
+    are exact for any table prime.
     """
     x3 = x[2]
     b, c = x3_coefficients(params, x[0], x[1]) if coefficients is None else coefficients
-    r = x3 + b  # full broadcast shape; the three passes below reuse it in place
+    p = params.field.p
+    r = x3 + b  # full broadcast shape; the passes below reuse it in place
     r *= x3
     r += c
-    r %= params.field.p
+    r -= r // p * p  # mod_p, in place
     return r
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -343,6 +344,108 @@ class TestCertificate:
                            match="half-sum identity for move 0 fails for the orbit of "
                            + re.escape(str(rep1))):
             verify_certificate(assign, part)
+
+    @pytest.mark.parametrize("value", (13, 14, -1))
+    def test_unreduced_row_fails(self, value):
+        """A coordinate outside [0, 13), above it or negative, names its row."""
+        params = params_of(13, (2, 5, 5))
+        sol = enumerate_solutions(params)
+        part = compute_orbits(sol)
+        points = sol.points.copy(order="F")
+        points[40, 1] = value
+        mutated = SolutionSet(params, points, sol.offsets)
+        message = f"row {tuple(points[40].tolist())} is not reduced mod 13"
+        with pytest.raises(CertificateError, match="^" + re.escape(message) + "$"):
+            verify_certificate(build_certificate(mutated), part)
+
+    @pytest.mark.parametrize("bad", ("count", -1))
+    def test_orbit_id_out_of_range_fails(self, bad):
+        """A cell whose id is not below the orbit count names the cell's first row."""
+        params = params_of(13, (2, 5, 5))
+        sol = enumerate_solutions(params)
+        part = compute_orbits(sol)
+        n = len(part.orbits)
+        x = sol.triple(40)
+        cell = x[0] * 13 + x[1]
+        cell_ids = part.cell_ids.copy()
+        cell_ids[cell] = n if bad == "count" else bad
+        first = sol.triple(int(sol.offsets[cell]))
+        with pytest.raises(CertificateError,
+                           match="^" + re.escape(f"{first} has no orbit id below {n}") + "$"):
+            verify_certificate(build_certificate(sol), dataclasses.replace(part, cell_ids=cell_ids))
+
+    def test_total_identity_failure_names_the_point(self, monkeypatch):
+        """Delta_0 shifted at one row, and not at any image, breaks the total there first."""
+        params = params_of(13, (2, 5, 5))
+        sol = enumerate_solutions(params)
+        part = compute_orbits(sol)
+        point = sol.triple(40)
+        ends = delta._delta_ends
+
+        def shifted(params, x, u, i, moved=None):
+            out = ends(params, x, u, i, moved)
+            if i == 0:
+                at = (x[0] == point[0]) & (x[1] == point[1]) & (x[2] == point[2])
+                out[0, at] = (out[0, at] + 1) % params.p
+            return out
+
+        monkeypatch.setattr(delta, "_delta_ends", shifted)
+        with pytest.raises(CertificateError,
+                           match="^" + re.escape(f"total identity fails at {point}") + "$"):
+            verify_certificate(build_certificate(sol), part)
+
+    @pytest.mark.parametrize("i", (0, 1))
+    def test_image_off_the_surface_names_the_point(self, monkeypatch, i):
+        """A wrong b_i on one row puts that row's m_i image off the surface.
+
+        The verifier reads the image of m_i from x3_coefficients of the
+        parameters rotated to axis i, (a_{i+1}, a_{i+2}, a_i), distinct
+        from a and from each other for (3, 7, 9).  The image's residual
+        along axis i is then the row's plus (b' - b) x_i, so the row has
+        x_i != 0.  m_2's coefficients are the row check's own, so its
+        image check cannot fail after that check passed.
+        """
+        params = params_of(13, (3, 7, 9))
+        sol = enumerate_solutions(params)
+        part = compute_orbits(sol)
+        k = 40
+        point = sol.triple(k)
+        assert point[i] != 0 and len(sol) <= 2 ** 16  # one block: row k is its k-th column
+        a = params.a
+        axis = (a[(i + 1) % 3], a[(i + 2) % 3], a[i])
+        coefficients = delta.x3_coefficients
+
+        def corrupted(params, x1, x2):
+            b, c = coefficients(params, x1, x2)
+            if params.a == axis:
+                b = b.copy()
+                b[k] = (b[k] + 1) % params.p
+            return b, c
+
+        monkeypatch.setattr(delta, "x3_coefficients", corrupted)
+        message = f"move {i} image of {point} is off the surface"
+        with pytest.raises(CertificateError, match="^" + re.escape(message) + "$"):
+            verify_certificate(build_certificate(sol), part)
+
+    def test_verify_reads_no_move_formula(self, monkeypatch):
+        """Images come from the root sum: moved_coordinate and apply_move are never called."""
+        import markoff
+
+        params = params_of(13, (3, 7, 9))
+        sol = enumerate_solutions(params)
+        part = compute_orbits(sol)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the verifier called the move formula")
+
+        for module in [m for name, m in sys.modules.items()
+                       if name == "markoff" or name.startswith("markoff.")]:
+            for name in ("moved_coordinate", "apply_move"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        assert markoff.apply_move is refused
+        report = verify_certificate(build_certificate(sol), part)
+        assert report.all_divisible and report.n_points == len(sol)
 
     @pytest.mark.parametrize("mutation", ("dropped-orbit", "duplicated-row", "origin-row",
                                           "off-surface-row"))

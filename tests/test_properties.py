@@ -17,10 +17,10 @@ from markoff.delta import (NoConsistentExtension, _delta_ends, _inverse,
                            build_certificate, delta_column, delta_values,
                            require_consistent)
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
-from markoff.field import is_prime
+from markoff.field import is_prime, mod_p
 from markoff.obstruction import _generic_characters, _sign_patterns, perfect_square_check
 from markoff.orbits import compute_orbits, neighbor_indices
-from markoff.surface import (SurfaceParams, moved_coordinate, residual_array,
+from markoff.surface import (SurfaceParams, moved_coordinate, residual_array, rotated,
                              special_form_detect, x3_coefficients)
 
 from conftest import naive_move, naive_orbits, naive_residual, naive_solutions
@@ -120,7 +120,14 @@ def _seeded_surface_points(params, rng, n=400):
 
 
 def test_block_formulas_int32_exact_at_the_bound():
-    """At p = 26737 every formula on SolutionSet.blocks agrees on int32 and int64 columns."""
+    """At p = 26737 every formula on SolutionSet.blocks agrees on int32 and int64 columns.
+
+    Along each axis i, the verifier's forms agree too: x3_coefficients of
+    rotated(params, i), the root-sum image -b_i - x_i, which is
+    moved_coordinate's, and the residual along the axis, which is
+    residual_array's, on the all-(p - 1) column off the surface as well:
+    the residual's cyclic symmetry as a tested identity.
+    """
     p = INT32_EDGE
     assert 3 * p * p + p < 2 ** 31
     rng, plane_rng = np.random.default_rng(26737), np.random.default_rng(26738)
@@ -141,6 +148,22 @@ def test_block_formulas_int32_exact_at_the_bound():
             moved = moved_coordinate(params, x32, i)
             assert moved.dtype == np.int32
             assert np.array_equal(moved, moved_coordinate(params, x64, i)), i
+            # along axis i: the rotated coefficients, the root-sum image and
+            # the residual, equal in both dtypes and to the unrotated forms
+            axis, j, k = rotated(params, i), (i + 1) % 3, (i + 2) % 3
+            for x in (x32, x64):
+                b, c = x3_coefficients(axis, x[j], x[k])
+                assert b.dtype == c.dtype == x.dtype
+                if x is x32:
+                    b32, c32 = b, c
+                else:
+                    assert np.array_equal(b, b32) and np.array_equal(c, c32), i
+                image = mod_p(-b - x[i], p)
+                assert image.dtype == x.dtype and np.array_equal(image, moved), i
+                along = residual_array(axis, (x[j], x[k], x[i]))
+                assert along.dtype == x.dtype
+                assert np.array_equal(along, residual_array(params, x32)), i
+                assert np.array_equal(residual_array(axis, (x[j], x[k], image), (b, c)), along), i
             column = delta_column(params, x32, i)
             assert column.dtype == np.int32
             assert np.array_equal(column, delta_column(params, x64, i))

@@ -15,7 +15,8 @@ README example, the two README paths no example runs (the fiber-sum
 branch of verify conics -a and table-22m2 --format text), two breakup
 runs with sigma = -1, the p = 997 and
 p = 2017 runs behind the benchmark families, a certificate on the
-all-nondegenerate a = (1,1,1) at p = 997, the orbits of the s = 0
+all-nondegenerate a = (1,1,1) at p = 997, certificates on two sigma = -1
+forms of the families pools at p = 997, the orbits of the s = 0
 sets (0,0,-3) at p = 997 and (-1,-1,-1) at p = 211, whose orbits are
 mostly scalar multiples of others, and (0,1,9) at p = 13, whose cone is
 two planes, the divisibility report of (0,0,-3) at p = 997 and its
@@ -82,6 +83,11 @@ COMMANDS = [
     "verify delta -p 997 -a 2,-2,-2",
     "verify breakup -p 997 -a 2,-2,-2",
     "verify divisibility -p 997 -a 2,-2,-2",
+    # sigma = -1 forms of the families pools, a generic and a degenerate
+    # one, whose plane rows lie on other axes than the lines above; "-a="
+    # passes a leading minus sign to argparse as a value
+    "verify delta -p 997 -a=-2,718,279",
+    "verify delta -p 997 -a=-2,2,-2",
     "verify divisibility -p 997 -a 0,0,-3",
     "verify delta -p 2017 -a 0,0,0",
     "sweep --p-list 11,13 --exhaustive --with-delta",
