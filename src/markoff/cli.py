@@ -124,6 +124,15 @@ def main(argv: list[str] | None = None) -> int:
                          help="also build and verify the certificate per run")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
+    # argparse takes "-2,5,5" for an option, as it is no plain negative
+    # number, so a value of -a (or of --params, --par, ...) that starts
+    # with "-<digit>" is joined to it
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 1, 0, -1):
+        flag, value = argv[k - 1], argv[k]
+        if ((flag == "-a" or len(flag) > 3 and "--params".startswith(flag))
+                and value[:1] == "-" and value[1:2].isdigit()):
+            argv[k - 1:k + 1] = [f"{flag}={value}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -14,17 +14,12 @@ the search checks that every cell it reaches is non-empty and raises
 KeyError naming the moved point otherwise: the closure check of a
 subset of the surface.
 
-Each searched orbit is one breadth_first_order of scipy on that graph,
-from the first cell not yet labelled, so the searched orbits come in the
-order of their first, that is lexicographically smallest, row.
-On s = 0 the surface is a cone and the moves act linearly, so for every
-t != 0 the multiple t*O of an orbit O is an orbit of the same size: the
-multiples of each searched orbit are labelled without a search, whenever
-all of their cells hold rows and none is labelled yet.  A multiple only
-partly in the set means the set is not move-closed, and the search that
-reaches its missing cells raises the KeyError.  (0,0,-3) at p = 4001 has
-10,008 orbits and takes 6 searches.  The orbits are then numbered by
-first row.
+Each orbit is one breadth_first_order of scipy on that graph, from the
+first cell not yet labelled, so the orbits come in the order of their
+first, that is lexicographically smallest, row, and are numbered in it.
+Each search allocates and fills arrays over all p^2 cells, s = 0
+included: there the moves are linear and many orbits are scalar
+multiples of others, but compute_orbits searches every one of them.
 
 A cell's rows share an orbit, since m_2 joins them, so the partition
 keeps one id per cell (-1 where empty) and no per-row array;
@@ -39,8 +34,9 @@ representative by a scalar.  The orbits are read off the class graph
 and those scalars in O(p) arrays (see cone_orbits); M = (p - 1) times
 the number of classes.  Its ConeOrbits has the orbit list, total and
 ids of an OrbitPartition, so size_table, verify_divisibility and
-partition_report take either.  compute_orbits stays the s = 0 oracle
-that the tests compare it with.
+partition_report take either.  At s = 0 compute_orbits, which assumes
+nothing of the cone, is the plain-search oracle that cone_orbits is
+tested against.
 """
 
 from __future__ import annotations
@@ -152,11 +148,12 @@ def _require_search_bound(p: int, m: int) -> None:
 def compute_orbits(sol: SolutionSet) -> OrbitPartition:
     """The orbits of a SolutionSet of whole cells, numbered by first row.
 
-    Raises KeyError naming a move image outside the set, and
-    ResourceGuardError when the search graph exceeds int32 indices.
+    One search per orbit, for s = 0 as for s != 0: at s = 0 it is the
+    plain-search oracle that cone_orbits is tested against.  Raises
+    KeyError naming a move image outside the set, and ResourceGuardError
+    when the search graph exceeds int32 indices.
     """
-    params = sol.params
-    p, m = params.p, len(sol)
+    p, m = sol.params.p, len(sol)
     _require_search_bound(p, m)
     # rows per unlabelled cell; a cell of orbit k holds ~k < 0
     count = np.empty(p * p, dtype=np.int8)
@@ -167,45 +164,21 @@ def compute_orbits(sol: SolutionSet) -> OrbitPartition:
     # stands in for them and scipy's float64 cast copies nothing
     weights = np.broadcast_to(np.float64(1.0), indices.shape)
     graph = csr_matrix((weights, indices, 2 * sol.offsets), shape=(p * p, p * p))
-    sizes: list[int] = []
-    firsts: list[int] = []
+    orbits: list[tuple[int, Triple]] = []
     left, start = m, 0
     while left:
         start += int(np.argmax(count[start:] > 0))
         cells = breadth_first_order(graph, start, directed=True, return_predecessors=False)
         size = int(_row_counts(sol, count, cells, indices).sum(dtype=np.int64))
-        # on s = 0 the multiple t*O of the orbit O on cells is an orbit for each t != 0
-        for t in range(1, p if params.s == 0 else 2):
-            orbit = cells
-            if t > 1:
-                if count[_scaled(p, start, t)] <= 0:  # t*O's head cell is empty or labelled
-                    continue
-                orbit = _scaled(p, cells, t)
-                if not (np.take(count, orbit) > 0).all():
-                    continue  # t*O is partly outside the set, which a later search names
-            if len(sizes) == 128:  # ~128 is below int8
-                count = count.astype(np.int32)
-            count[orbit] = ~len(sizes)
-            sizes.append(size)
-            firsts.append(int(sol.offsets[orbit.min()]))
-            left -= size
-        del cells, orbit  # they may span all p^2 cells; the next search allocates its own
+        if len(orbits) == 128:  # ~128 is below int8
+            count = count.astype(np.int32)
+        count[cells] = ~len(orbits)
+        orbits.append((size, sol.triple(sol.offsets[start])))
+        left -= size
+        del cells  # it may span all p^2 cells; the next search allocates its own
     del graph, indices
-    np.invert(count, out=count)  # ids in labelling order, and -1 on the empty cells
-    order = np.argsort(firsts, kind="stable")
-    if np.any(order != np.arange(len(order))):  # scaled orbits came out of first-row order
-        rank = np.empty(len(order) + 1, dtype=count.dtype)
-        rank[order] = np.arange(len(order))
-        rank[-1] = -1  # the empty cells' id -1 reads it
-        count = np.take(rank, count)
-    orbits = [(sizes[k], sol.triple(firsts[k])) for k in order]
+    np.invert(count, out=count)  # ids in search order, and -1 on the empty cells
     return OrbitPartition(sol, count, orbits)
-
-
-def _scaled(p: int, cells, t: int):
-    """The cells (t*x1 mod p, t*x2 mod p) of the cells (x1, x2), an int or an int32 array."""
-    x1, x2 = divmod(cells, p)
-    return t * x1 % p * p + t * x2 % p
 
 
 def _cell_targets(sol: SolutionSet, out: np.ndarray) -> None:

@@ -193,6 +193,20 @@ def test_usage_error_exit_code(capsys):
     assert main(["verify", "delta", "-p", "13", "-a", "2,5,5", "--format", "json"]) == EXIT_USAGE
 
 
+def test_params_may_start_with_a_negative_number(capsys):
+    """-a -2,5,5 runs as -a=-2,5,5 does; -a followed by an option is still a usage error."""
+    for command, value, rest in ((["verify", "delta"], "-2,5,5", []),
+                                 (["orbits"], "-1,-1,-1", ["--format", "json"]),
+                                 (["count"], "-1,2", [])):
+        for flag in ("-a", "--params", "--par"):
+            spaced = run(capsys, *command, "-p", "13", flag, value, *rest)
+            assert spaced == run(capsys, *command, "-p", "13", f"{flag}={value}", *rest)
+        assert spaced[0] == (EXIT_USAGE if value == "-1,2" else EXIT_OK), command
+    code, out, err = run(capsys, "orbits", "-p", "13", "-a", "--format", "json")
+    assert code == EXIT_USAGE and out == ""
+    assert "argument -a/--params: expected one argument" in err
+
+
 def test_each_command_takes_only_its_own_options(capsys):
     pa_commands = (["count"], ["enumerate"], ["orbits"], ["verify", "divisibility"],
                    ["verify", "delta"], ["verify", "breakup"], ["verify", "numel"])

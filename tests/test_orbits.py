@@ -152,8 +152,8 @@ def test_cell_search_matches_strong_search_on_seeded_sets():
     assert counts[211, (-1, -1, -1)] == 280
 
 
-def test_one_search_per_orbit_and_per_scaling_class(monkeypatch):
-    """s != 0 searches each orbit; s = 0 labels the multiples t*O of a searched orbit O unsearched.
+def test_one_search_per_orbit(monkeypatch):
+    """One search per orbit, s = 0 included, each from the first unlabelled cell.
 
     The ids are int8 up to 128 orbits and int32 past them.
     """
@@ -171,12 +171,9 @@ def test_one_search_per_orbit_and_per_scaling_class(monkeypatch):
         searches.clear()
         part = part_for(211, a)
         assert len(part.orbits) == orbit_count and part.cell_ids.dtype == dtype, a
+        assert len(searches) == orbit_count, a
         # each search starts at the first unlabelled cell
         assert searches == sorted(searches), a
-        if part.params.s:
-            assert len(searches) == orbit_count
-        else:
-            assert len(searches) <= 8, a
 
 
 def test_search_bound_is_arithmetic_only():
@@ -196,8 +193,8 @@ def test_move_out_of_a_restricted_set_is_named():
     compute_orbits and neighbor_indices each name an m_0 image of a kept
     row, on (1,1,1) and the s = 0 set (0,0,-3) restricted to x1 < 6, and
     on a set that keeps the first orbit O of (0,0,-3) whole but, of its
-    multiple 3*O, only the cells with x1 < 6: the search must not label
-    that multiple from the cells it has.
+    multiple 3*O, only the cells with x1 < 6: the search from 3*O's
+    first kept cell must name an image that was dropped.
     """
     p = 13
     cases = []

@@ -11,24 +11,24 @@ line for each:
 
 Two checkouts whose lines are equal give byte-identical stdout and
 stderr and the same exit codes on these runs.  The list holds every
-README example, the two README paths no example runs (the fiber-sum
+README example, among them a parameter list after -a that starts with
+a minus sign (a usage error, exit 2, before markoff's CLI joined such a
+value to its -a), the two README paths no example runs (the fiber-sum
 branch of verify conics -a and table-22m2 --format text), two breakup
-runs with sigma = -1, the p = 997 and
-p = 2017 runs behind the benchmark families, a certificate on the
-all-nondegenerate a = (1,1,1) at p = 997, certificates on two sigma = -1
-forms of the families pools at p = 997, the orbits of the s = 0
-sets (0,0,-3) at p = 997 and (-1,-1,-1) at p = 211, whose orbits are
-mostly scalar multiples of others, and (0,1,9) at p = 13, whose cone is
-two planes, the divisibility report of (0,0,-3) at p = 997 and its
-family at p = 4001, the orbits of (2,2,-2) at p = 997, with 31
-orbits, the sweep_mid workload's own sweep, a seeded sweep with
-certificates at p = 101, the p = 2 and p = 3 edge inputs, the
-brute-force count at
-p = 101, 997 and 2003, three refusals of the
-Delta certificate, and the usage (exit 2) and resource-guard (exit 3)
-inputs, the conic grid's guard among them.  It calls only
-markoff.cli.main and the demo scripts of the checkout it sits in, so it
-runs unchanged on older commits.
+runs with sigma = -1, the p = 997 and p = 2017 runs behind the
+benchmark families, a certificate on the all-nondegenerate
+a = (1,1,1) at p = 997, certificates on two sigma = -1 forms of the
+families pools at p = 997, the orbits of the s = 0 sets (0,0,-3) at
+p = 997 and (-1,-1,-1) at p = 211, many orbits that are mostly scalar
+multiples of one another, and (0,1,9) at p = 13, whose cone is two
+planes, the divisibility report of (0,0,-3) at p = 997 and its family
+at p = 4001, the orbits of (2,2,-2) at p = 997, with 31 orbits, the
+sweep_mid workload's own sweep, a seeded sweep with certificates at
+p = 101, the p = 2 and p = 3 edge inputs, the brute-force count at
+p = 101, 997 and 2003, three refusals of the Delta certificate, and the
+usage (exit 2) and resource-guard (exit 3) inputs, the conic grid's
+guard among them.  It calls only markoff.cli.main and the demo scripts
+of the checkout it sits in, so it runs unchanged on older commits.
 """
 
 from __future__ import annotations
@@ -51,8 +51,10 @@ COMMANDS = [
     "verify divisibility -p 7 -a 1,1,1",
     "verify delta -p 13 -a 2,5,5",
     "verify breakup -p 7 -a 2,3,3",
+    # a leading minus sign after -a: the same run as "-a=-2,718,279" below
+    "verify delta -p 997 -a -2,718,279",
     # breakup with sigma = -1: a generic form at i = 1, and alpha = 2 as
-    # (-2, 2, -2) mod 11, since argparse reads "-a -2,..." as an option
+    # (-2, 2, -2) mod 11
     "verify breakup -p 11 -a 8,9,3",
     "verify breakup -p 11 -a 9,2,9",
     "verify numel -p 5 -a 0,0,0",
@@ -69,7 +71,7 @@ COMMANDS = [
     "sweep --p-list 17,19 --samples 50 --seed 1",
     # larger primes; (2,5,5) is special form with alpha = 5, (2,-2,-2) with alpha = -2
     "orbits -p 997 -a 1,1,1 --format json",
-    # many orbits: s = 0, where most are scalar multiples of searched ones, and (2,2,-2)
+    # many orbits: s = 0, where most are scalar multiples of others, and (2,2,-2)
     "orbits -p 997 -a 0,0,-3 --format json",
     "orbits -p 211 -a 210,210,210 --format json",
     "orbits -p 997 -a 2,2,-2 --format json",
