@@ -9,17 +9,22 @@ alpha = +-2.  All identities live on the surface rescaled to s = 1, and
 each is written once, on ints or coordinate columns x[0..2] alike.
 
 labels gives every row of a SolutionSet its class index, from the two
-characters of _generic_characters or the sign pattern of _sign_patterns,
+characters of _generic_characters or the sign pattern of _pattern_index,
 one block of SolutionSet.blocks at a time; verify_breakup tallies them.
+The characters are those of y = s*x on the s = 1 surface, but they are
+read at x: chi(s*v) = chi(s)*chi(v), and the moves commute with the
+rescaling, so each is chi(s) times a table value at x (_scaled_characters)
+and no rescaled coordinate array is built.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import SolutionSet, enumerate_solutions, row_blocks
+from .enumeration import SolutionSet, enumerate_solutions
 from .field import chi, mod_p
 from .orbits import compute_orbits, require_complete
 from .surface import SurfaceParams, Triple, moved_coordinate, rescale, special_form_detect
@@ -61,9 +66,7 @@ def labels(sol: SolutionSet) -> tuple[tuple[str, ...], np.ndarray]:
         names = tuple("".join("+" if e > 0 else "-" for e in pattern)
                       for pattern in SIGN_PATTERNS)
         for rows, x in sol.blocks():
-            eps = _sign_patterns(params, x)
-            # e3 = e1*e2, and SIGN_PATTERNS lists (e1, e2) in binary order of e < 0
-            index[rows] = 2 * (eps[0] < 0) + (eps[1] < 0)
+            index[rows] = _pattern_index(params, x)
     else:
         names = (NON_NEG, NON_POS, AMBIGUOUS)
         for rows, x in sol.blocks():
@@ -77,30 +80,92 @@ def _first_point(x, bad: np.ndarray) -> Triple:
     return tuple(int(col[k]) for col in x)
 
 
+def _scaled_characters(params: SurfaceParams) -> np.ndarray:
+    """int8 table of chi(s*v) for v in [0, p).
+
+    chi is multiplicative, so this is chi(s) times chi_table, and the
+    characters of y = s*x are read at x without rescaling it.
+    """
+    table = params.field.chi_table
+    return table if table[params.s] == 1 else -table
+
+
 def _generic_characters(params: SurfaceParams, x, i: int,
                         sigma: int) -> tuple[np.ndarray, np.ndarray]:
     """(chi(y_i), chi(y_i + y_i' + 2 y_{i+1} + 2 sigma y_{i-1})) per point, y = s*x.
 
     x[0..2] are the int32 or int64 coordinate columns of solutions in
     [0, p), as SolutionSet.blocks yields them, and y_i' is m_i of y on
-    the s = 1 surface; the companion's sum stays within +-6p.  The two
-    characters can both vanish and can share a sign, but are never
+    the s = 1 surface.  Rescaling commutes with the moves, so y_i' is
+    s times m_i of x on the given surface and the companion is s times
+    x_i + x_i' + 2 x_{i+1} + 2 sigma x_{i-1}, whose sum stays within
+    +-6p; both characters are read at x from _scaled_characters.  The
+    two characters can both vanish and can share a sign, but are never
     strictly opposite; that is the content of the obstruction, and an
     opposite pair raises CertificateViolation.
     """
     p = params.p
-    chi_table = params.field.chi_table
+    table = _scaled_characters(params)
     im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    unit_params, y = rescale(params, x, params.s)
-    y_moved = moved_coordinate(unit_params, y, i)
-    companion = mod_p(y[i] + y_moved + 2 * y[ip1] + 2 * sigma * y[im1], p)
-    c1 = np.take(chi_table, y[i])
-    c2 = np.take(chi_table, companion)
+    x_moved = moved_coordinate(params, x, i)
+    companion = mod_p(x[i] + x_moved + 2 * x[ip1] + 2 * sigma * x[im1], p)
+    c1 = np.take(table, x[i])
+    c2 = np.take(table, companion)
     opposite = c1 * c2 == -1
     if bool(opposite.any()):
         raise CertificateViolation(
             f"strictly opposite obstruction characters at {_first_point(x, opposite)}")
     return c1, c2
+
+
+_TWO_ZEROS, _PRODUCT = -1, -2  # the violations _pattern_class reports
+
+
+def _pattern_class(c0: int, c1: int, c2: int) -> int:
+    """The SIGN_PATTERNS index of the characters (c0, c1, c2), or the identity they break.
+
+    Two vanishing characters give _TWO_ZEROS and a product of -1 gives
+    _PRODUCT.  Otherwise e_k is c_k, or the product of the other two
+    where c_k = 0, and the index is 2 (e_0 < 0) + (e_1 < 0):
+    SIGN_PATTERNS lists (e_0, e_1) in binary order of e < 0.
+    """
+    if c0 * c0 + c1 * c1 + c2 * c2 < 2:
+        return _TWO_ZEROS
+    if c0 * c1 * c2 == -1:
+        return _PRODUCT
+    e0, e1 = c0 or c1 * c2, c1 or c0 * c2
+    return 2 * (e0 < 0) + (e1 < 0)
+
+
+# _pattern_class of every character triple, at the balanced-ternary code
+# 9 c0 + 3 c1 + c2 in [-13, 13], a negative code read from the end
+_PATTERN_CLASS = np.zeros(27, dtype=np.int8)
+for _c in itertools.product((-1, 0, 1), repeat=3):
+    _PATTERN_CLASS[9 * _c[0] + 3 * _c[1] + _c[2]] = _pattern_class(*_c)
+
+
+def _pattern_index(params: SurfaceParams, x) -> np.ndarray:
+    """int8 SIGN_PATTERNS index per point of the columns x, alpha = +-2.
+
+    The characters of y = s*x are read at x from _scaled_characters and
+    classed by _PATTERN_CLASS.  A point where two characters vanish or
+    their product is -1 raises CertificateViolation naming the first
+    such point, two vanishing characters first.
+    """
+    table = _scaled_characters(params)
+    code = np.take(table, x[0])
+    code *= 3
+    code += np.take(table, x[1])
+    code *= 3
+    code += np.take(table, x[2])
+    index = np.take(_PATTERN_CLASS, code)
+    if bool((index < 0).any()):
+        for violation, message in ((_TWO_ZEROS, "two vanishing coordinates off the origin"),
+                                   (_PRODUCT, "character product -1")):
+            bad = index == violation
+            if bool(bad.any()):
+                raise CertificateViolation(f"{message} at {_first_point(x, bad)}")
+    return index
 
 
 def _sign_patterns(params: SurfaceParams, x) -> np.ndarray:
@@ -114,17 +179,7 @@ def _sign_patterns(params: SurfaceParams, x) -> np.ndarray:
     that the product is +1.  Each solution satisfies exactly one of the
     four patterns and every move preserves it.
     """
-    chars = np.take(params.field.chi_table, np.stack(rescale(params, x, params.s)[1]))
-    zero = chars == 0
-    zero_counts = zero.sum(axis=0)
-    if bool((zero_counts > 1).any()):
-        raise CertificateViolation("two vanishing coordinates off the origin at "
-                                   f"{_first_point(x, zero_counts > 1)}")
-    prod = np.where(zero, 1, chars).prod(axis=0)
-    negative = (zero_counts == 0) & (prod == -1)
-    if bool(negative.any()):
-        raise CertificateViolation(f"character product -1 at {_first_point(x, negative)}")
-    return np.where(zero, prod, chars)  # the unique completion with product +1
+    return np.array(SIGN_PATTERNS, dtype=np.int8).T[:, _pattern_index(params, x)]
 
 
 def perfect_square_check(params: SurfaceParams, x):
@@ -192,10 +247,7 @@ def verify_breakup(params: SurfaceParams) -> BreakupReport:
     require_complete(sol)
     sizes = sorted(compute_orbits(sol).orbit_sizes())
     names, index = labels(sol)
-    tally = np.zeros(len(names), dtype=np.int64)
-    for rows in row_blocks(len(sol)):  # bincount casts to intp, so count block by block
-        tally += np.bincount(index[rows], minlength=len(names))
-    class_sizes = dict(zip(names, tally.tolist()))
+    class_sizes = {name: int(np.count_nonzero(index == k)) for k, name in enumerate(names)}
     if degenerate:
         chm1 = chi(-1, p)
         conj = sorted([p * (p + 3 * chm1) // 4] + [p * (p - chm1) // 4] * 3)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import enumerate_solutions
-from .field import (_order_from_group, chi, inverse, is_prime,
+from .field import (_order_from_group, chi, inverse, is_prime, mod_p,
                     validate_odd_prime, validate_prime)
 from .orbits import compute_orbits, cone_orbits, size_table
 from .surface import SurfaceParams, Triple, apply_move, on_surface, residual_array
@@ -157,29 +157,7 @@ def orbits_00_minus3(p: int) -> DihedralReport:
     labels0 = np.unique(part.labels(conic0))
     labels_pm1 = np.unique(np.append(labels1, part.labels(minus1)))
 
-    m1, rho = _m1_and_rho(p)
-    (m00, m01), (m10, m11) = m1
-    (r00, r01), (r10, r11) = rho
-
-    def burnside(points: np.ndarray) -> int:
-        """Fixed points averaged over the 2*order elements rho^k and m1 rho^k.
-
-        One walk w = rho^k v counts both: rho^k fixes v where w = v, and
-        m1 rho^k, m1 being an involution, where w = m1 v.
-        """
-        x, y = points[0], points[1]
-        m1x, m1y = (m00 * x + m01 * y) % p, (m10 * x + m11 * y) % p
-        wx, wy, total = x, y, 0
-        for _ in range(order):
-            total += (int(np.count_nonzero((wx == x) & (wy == y)))
-                      + int(np.count_nonzero((wx == m1x) & (wy == m1y))))
-            wx, wy = (r00 * wx + r01 * wy) % p, (r10 * wx + r11 * wy) % p
-        if not (np.array_equal(wx, x) and np.array_equal(wy, y)):
-            raise ArithmeticError("rho does not have the claimed order")
-        if total % (2 * order):
-            raise ArithmeticError("Burnside average is not an integer")
-        return total // (2 * order)
-
+    burnside_conic1, burnside_conic0 = _burnside(p, order, conic1, conic0)
     formula1 = (p - ch5) // (2 * order) + (1 if sqrt5 else 0)
     formula0 = (p - 1) // order if sqrt5 else 0
 
@@ -187,9 +165,41 @@ def orbits_00_minus3(p: int) -> DihedralReport:
         p=p, sqrt5_in_fp=sqrt5, lambda_order=order,
         conic1_orbits=formula1, conic0_orbits=formula0,
         bfs_conic1=len(sizes1), bfs_conic0=len(labels0),
-        burnside_conic1=burnside(conic1), burnside_conic0=burnside(conic0),
+        burnside_conic1=burnside_conic1, burnside_conic0=burnside_conic0,
         conic1_sizes=sorted(sizes1.tolist()), full_orbits_pm1=len(labels_pm1),
     )
+
+
+def _burnside(p: int, order: int, *slices: np.ndarray) -> list[int]:
+    """Each slice's orbit count: fixed points averaged over rho^k and m1 rho^k, 0 <= k < order.
+
+    One walk w = rho^k v over the points v of every slice at once counts
+    both: rho^k fixes v where w = v, and m1 rho^k, m1 being an
+    involution, where w = m1 v.  Each step adds both tests to a hit
+    count per point, and each slice sums its own points' counts.  Raises
+    ArithmeticError if rho^order does not return a slice to itself, or a
+    slice's total is not a multiple of 2*order.
+    """
+    m1, rho = _m1_and_rho(p)
+    m1, rho = np.array(m1, dtype=np.int64), np.array(rho, dtype=np.int64)
+    v = np.concatenate([points[:2] for points in slices], axis=1)
+    fixed = np.stack([v, m1 @ v % p], axis=1)  # (2, 2, n): v and m1 v along axis 1
+    hits = np.zeros(fixed.shape[1:], dtype=np.int64)
+    w = v
+    for _ in range(order):
+        hits += (w[:, None] == fixed).all(axis=0)
+        w = mod_p(rho @ w, p)
+    counts, start = [], 0
+    for points in slices:
+        part = slice(start, start + points.shape[1])
+        start = part.stop
+        if not np.array_equal(w[:, part], v[:, part]):
+            raise ArithmeticError("rho does not have the claimed order")
+        total = int(hits[:, part].sum())
+        if total % (2 * order):
+            raise ArithmeticError("Burnside average is not an integer")
+        counts.append(total // (2 * order))
+    return counts
 
 
 def _check_slice(params: SurfaceParams, x: np.ndarray, x3: int, expected: int) -> None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -265,3 +266,37 @@ def test_class_sizes_equal_naive_tally(p, a, form):
     report = verify_breakup(params)
     assert list(report.class_sizes.items()) == list(tally.items())
     assert_labels_match_naive(p, a)
+
+
+def every_special_form(p):
+    """Every (2 sigma, alpha, alpha sigma) triple at p, for all i, sigma = +-1 and alpha."""
+    triples = set()
+    for i, sigma, alpha in itertools.product(range(3), (1, -1), range(p)):
+        a = [0, 0, 0]
+        a[i], a[(i + 1) % 3], a[(i - 1) % 3] = 2 * sigma, alpha, alpha * sigma
+        triples.add(tuple(v % p for v in a))
+    return sorted(triples)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_labels_equal_naive_tally_on_every_special_form(p):
+    """labels reads the characters of y = s*x at x, as chi(s) times chi(x).
+
+    Generic forms meet both chi(s) = 1 and chi(s) = -1.  The alpha = +-2
+    forms have s = 3 + 2 sigma + alpha (1 + sigma) in {1, 9}, so
+    chi(s) = 1 there, or s = 0 at p = 3, where labels refuses.
+    """
+    chi_s = set()
+    for a in every_special_form(p):
+        params = params_of(p, a)
+        if params.s == 0:
+            with pytest.raises(ValueError, match="s != 0"):
+                labels(enumerate_solutions(params))
+            continue
+        alpha = special_form_detect(params)[2]
+        if (alpha * alpha - 4) % p == 0:
+            assert params.s in (1, 9 % p) and chi(params.s, p) == 1, a
+        else:
+            chi_s.add(chi(params.s, p))
+        assert_labels_match_naive(p, a)
+    assert chi_s == {1, -1}

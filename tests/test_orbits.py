@@ -14,7 +14,7 @@ from markoff.orbits import (CONE_MAX_PRIME, CertificateError, _require_search_bo
 from markoff.field import is_prime
 from markoff.surface import SurfaceParams, apply_move, residual_array
 
-from conftest import naive_move, naive_orbits, restrict, strong_search_orbits
+from conftest import naive_move, naive_orbits, naive_residual, restrict, strong_search_orbits
 
 
 def part_for(p, a):
@@ -341,6 +341,23 @@ def test_cone_ids_off_the_cone():
     assert (ids[~on] == -1).all() and (ids[on] >= 0).all()
     for i in range(3):
         assert np.array_equal(cone.ids(np.stack(apply_move(params, x[:, on], i))), ids[on])
+
+
+def test_cone_orbits_above_the_int32_bound():
+    """At p = 50021, above the 46337 bound of p^2 + 1 < 2^31, the engine stays exact.
+
+    Its charts and class keys (_monic_roots, _projective, _locate) must
+    stay int64 there.  Every class representative, (x1, x2, 1) or
+    (x1, 1, 0), is checked on the cone with a Python-int residual.
+    """
+    p, a = 50021, (1, 1, 50016)
+    cone = cone_orbits(SurfaceParams.make(p, a))
+    reps = cone.reps.T.tolist()
+    assert len(reps) == len(set(map(tuple, reps))) == 50_022
+    assert all(x[2] == 1 or x[1:] == [1, 0] for x in reps)
+    assert all(naive_residual(p, a, x) == 0 for x in reps)
+    assert cone.total == 2_502_100_440
+    assert cone.orbits == [(2_502_100_440, (1, 1, 1))]
 
 
 def test_cone_engine_refusals(monkeypatch):

@@ -192,6 +192,19 @@ class TestDihedralFamily:
         monkeypatch.setattr(special_cases, "enumerate_solutions", refused)
         assert orbits_00_minus3(89) == expected
 
+    def test_walk_checks_the_claimed_order(self, monkeypatch):
+        """The Burnside walk stops unless rho^order returns every slice point to itself."""
+        true_order = special_cases.lambda_order
+
+        def one_too_many(p):
+            sqrt5, order = true_order(p)
+            return sqrt5, order + 1
+
+        monkeypatch.setattr(special_cases, "lambda_order", one_too_many)
+        for p in (11, 13, 89):  # conic0 non-empty at 11 and 89, empty at 13
+            with pytest.raises(ArithmeticError, match="rho does not have the claimed order"):
+                orbits_00_minus3(p)
+
     def test_slices_are_checked_on_their_own(self, monkeypatch):
         """A class list that misses, repeats or moves a slice point stops the family.
 

@@ -20,9 +20,10 @@ benchmark families, a certificate on the all-nondegenerate
 a = (1,1,1) at p = 997, certificates on two sigma = -1 forms of the
 families pools at p = 997, the orbits of the s = 0 sets (0,0,-3) at
 p = 997 and (-1,-1,-1) at p = 211, many orbits that are mostly scalar
-multiples of one another, and (0,1,9) at p = 13, whose cone is two
-planes, the divisibility report of (0,0,-3) at p = 997 and its family
-at p = 4001, the orbits of (2,2,-2) at p = 997, with 31 orbits, the
+multiples of one another, (0,1,9) at p = 13, whose cone is two
+planes, and (1,1,50016) at p = 50021, above the int32 bound, the
+divisibility report of (0,0,-3) at p = 997 and its family at
+p = 4001, the orbits of (2,2,-2) at p = 997, with 31 orbits, the
 sweep_mid workload's own sweep, a seeded sweep with certificates at
 p = 101, the p = 2 and p = 3 edge inputs, the brute-force count at
 p = 101, 997 and 2003, three refusals of the Delta certificate, and the
@@ -77,6 +78,9 @@ COMMANDS = [
     "orbits -p 997 -a 2,2,-2 --format json",
     # s = 0 on Cayley's cubic, where the cone is two planes
     "orbits -p 13 -a 0,1,9 --format json",
+    # s = 0 above 46337, where p^2 + 1 passes 2^31 and the cone engine's
+    # arithmetic must stay int64
+    "orbits -p 50021 -a 1,1,50016",
     # a certificate on an all-nondegenerate set at scale
     "verify delta -p 997 -a 1,1,1",
     "verify delta -p 997 -a 2,5,5",
