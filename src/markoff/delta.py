@@ -310,7 +310,10 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
         key = cell.astype(np.int64)
         key *= p
         key += x[2]
-        _require(rows, np.diff(key, prepend=last) > 0,
+        rising = np.empty(len(key), dtype=bool)
+        rising[0] = key[0] > last
+        np.greater(key[1:], key[:-1], out=rising[1:])
+        _require(rows, rising,
                  lambda k: f"rows do not strictly increase from above the origin at {sol.triple(k)}")
         last = key[-1]
         coefficients = x3_coefficients(params, x[0], x[1])

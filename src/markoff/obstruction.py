@@ -168,20 +168,6 @@ def _pattern_index(params: SurfaceParams, x) -> np.ndarray:
     return index
 
 
-def _sign_patterns(params: SurfaceParams, x) -> np.ndarray:
-    """(3, N) sign patterns with product +1, one column per solution, alpha = +-2.
-
-    x[0..2] are the int32 or int64 coordinate columns of the solutions
-    in [0, p), as SolutionSet.blocks yields them.  On the rescaled
-    surface the equation is a perfect square equal to y1*y2*y3, so the
-    character product of the coordinates is never -1.
-    Nonzero characters force their sign; a vanished one is absorbed so
-    that the product is +1.  Each solution satisfies exactly one of the
-    four patterns and every move preserves it.
-    """
-    return np.array(SIGN_PATTERNS, dtype=np.int8).T[:, _pattern_index(params, x)]
-
-
 def perfect_square_check(params: SurfaceParams, x):
     """Verify the square identities behind move-invariance of the labels.
 

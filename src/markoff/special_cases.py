@@ -7,6 +7,12 @@ Burnside average over a dihedral matrix group.  That family's orbit
 counts are also read from the s = 0 orbit engine, orbits.cone_orbits,
 on the slices it lists in O(p), which are checked on their own: no
 stage enumerates its surface.
+
+The move-graph check behind the (2, 2, -2) orbits and the p = 3 cube
+reads one coordinate per move: m_i changes only x_i, so
+moved_coordinate gives the image.  The Burnside average applies rho
+and m1 as matrices once, to build the permutations they induce on the
+slices, and then walks indices: one lookup per point and step.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .enumeration import enumerate_solutions
 from .field import (_order_from_group, chi, inverse, is_prime, mod_p,
                     validate_odd_prime, validate_prime)
 from .orbits import compute_orbits, cone_orbits, size_table
-from .surface import SurfaceParams, Triple, apply_move, on_surface, residual_array
+from .surface import SurfaceParams, Triple, moved_coordinate, residual_array
 
 # Previously reported orbit-size tables for a = (2, 2, -2).  The rows
 # listed in UNDERCOUNTED_SIZE4 record three orbits of size 4 where the
@@ -173,29 +179,45 @@ def orbits_00_minus3(p: int) -> DihedralReport:
 def _burnside(p: int, order: int, *slices: np.ndarray) -> list[int]:
     """Each slice's orbit count: fixed points averaged over rho^k and m1 rho^k, 0 <= k < order.
 
-    One walk w = rho^k v over the points v of every slice at once counts
-    both: rho^k fixes v where w = v, and m1 rho^k, m1 being an
-    involution, where w = m1 v.  Each step adds both tests to a hit
-    count per point, and each slice sums its own points' counts.  Raises
-    ArithmeticError if rho^order does not return a slice to itself, or a
-    slice's total is not a multiple of 2*order.
+    rho and m1 permute the points of each slice.  Both permutations are
+    built once, from one matrix product each and a search of the
+    slice's sorted keys x1 p + x2; an image outside its slice raises
+    ArithmeticError.  The walk then steps indices, w = rho^k v for the
+    points v of every slice at once: rho^k fixes v where w = v, and
+    m1 rho^k, m1 being an involution, where w = m1 v.  Each step adds
+    both tests to a hit count per point, and each slice sums its own
+    points' counts.  Raises ArithmeticError if rho^order does not return
+    a slice to itself, or a slice's total is not a multiple of 2*order.
     """
-    m1, rho = _m1_and_rho(p)
-    m1, rho = np.array(m1, dtype=np.int64), np.array(rho, dtype=np.int64)
-    v = np.concatenate([points[:2] for points in slices], axis=1)
-    fixed = np.stack([v, m1 @ v % p], axis=1)  # (2, 2, n): v and m1 v along axis 1
-    hits = np.zeros(fixed.shape[1:], dtype=np.int64)
-    w = v
+    matrices = [np.array(m, dtype=np.int64) for m in _m1_and_rho(p)]
+    mirror, step, start = [], [], 0
+    for points in slices:
+        keys = points[0] * p + points[1]
+        rank = np.argsort(keys)
+        keys, v = keys[rank], points[:2, rank]
+        for matrix, name, perm in zip(matrices, ("m1", "rho"), (mirror, step)):
+            image = mod_p(matrix @ v, p)
+            image = image[0] * p + image[1]
+            index = np.searchsorted(keys, image)
+            if not np.array_equal(np.take(keys, index, mode="clip"), image):
+                raise ArithmeticError(f"{name} maps a point off its slice")
+            perm.append(index + start)
+        start += len(keys)
+    mirror, step = np.concatenate(mirror), np.concatenate(step)
+    identity = np.arange(start)
+    hits = np.zeros(start, dtype=np.int64)
+    w = identity
     for _ in range(order):
-        hits += (w[:, None] == fixed).all(axis=0)
-        w = mod_p(rho @ w, p)
+        hits += w == identity
+        hits += w == mirror
+        w = step.take(w)
     counts, start = [], 0
     for points in slices:
         part = slice(start, start + points.shape[1])
         start = part.stop
-        if not np.array_equal(w[:, part], v[:, part]):
+        if not np.array_equal(w[part], identity[part]):
             raise ArithmeticError("rho does not have the claimed order")
-        total = int(hits[:, part].sum())
+        total = int(hits[part].sum())
         if total % (2 * order):
             raise ArithmeticError("Burnside average is not an integer")
         counts.append(total // (2 * order))
@@ -248,18 +270,36 @@ class TinyOrbitReport:
         return all(t.verified_size == expected[t.kind] for t in groups)
 
 
+# s times the points of each closed-form orbit of a = (2, 2, -2), and its
+# move edges (j, i, k): move i joins the orbit's points j and k
+_TRIPOD_EDGES = ((0, 0, 1), (0, 1, 2), (0, 2, 3))
+_TINY_22M2 = (
+    ("singleton", ((4, 4, 0),), ()),
+    ("singleton", ((4, 0, -4),), ()),
+    ("singleton", ((0, 4, -4),), ()),
+    ("barbell", ((0, 2, -2), (4, 2, -2)), ((0, 0, 1),)),
+    ("barbell", ((2, 0, -2), (2, 4, -2)), ((0, 1, 1),)),
+    ("barbell", ((2, 2, 0), (2, 2, -4)), ((0, 2, 1),)),
+    ("tripod", ((3, 3, -3), (0, 3, -3), (3, 0, -3), (3, 3, 0)), _TRIPOD_EDGES),
+    ("tripod", ((3, 1, -1), (0, 1, -1), (3, 4, -1), (3, 1, -4)), _TRIPOD_EDGES),
+    ("tripod", ((1, 3, -1), (4, 3, -1), (1, 0, -1), (1, 3, -4)), _TRIPOD_EDGES),
+    ("tripod", ((1, 1, -3), (4, 1, -3), (1, 4, -3), (1, 1, 0)), _TRIPOD_EDGES),
+)
+
+
 def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
     """Verify the closed-form size 1, 2 and 4 orbits for a = (2, 2, -2).
 
-    The templates are rational in 1/s, so s = 0 (p = 5) is excluded; at
-    p = 3 the tripod points collapse onto the origin and the tripods are
-    reported as degenerate.  Each template lists its points and its move
-    edges: none for a singleton, one for a barbell, and edge i from the
-    centre to leaf i for a tripod.  _check_move_graph checks that these
-    edges are exactly the moves among the points, so the template is
-    closed under the moves and connected, hence one orbit; verified_size
-    is its number of distinct points.  A failed check raises
-    ArithmeticError.
+    The templates of _TINY_22M2 are rational in 1/s, so s = 0 (p = 5) is
+    excluded; at p = 3 the tripod points collapse onto the origin and
+    the tripods are reported as degenerate.  Each template lists its
+    points and its move edges: none for a singleton, one for a barbell,
+    and edge i from the centre to leaf i for a tripod.
+    _check_move_graph checks, template by template since a small p can
+    make templates collide, that these edges are exactly the moves
+    among the points, so the template is closed under the moves and
+    connected, hence one orbit; verified_size is its number of distinct
+    points.  A failed check raises ArithmeticError.
     """
     p = validate_odd_prime(params.p)
     if tuple(v % p for v in (2, 2, -2)) != params.a:
@@ -267,60 +307,51 @@ def tiny_orbits_22m2(params: SurfaceParams) -> TinyOrbitReport:
     if params.s == 0:
         return TinyOrbitReport(params, True, [], [], [], True)
     u = inverse(params.s, p)
-
-    def t(c1, c2, c3) -> Triple:
-        return (c1 * u % p, c2 * u % p, c3 * u % p)
-
-    def checked(kind, points, edges) -> TinyOrbit:
-        _check_move_graph(params, points, edges)
-        return TinyOrbit(kind, points, edges, len(set(points)))
-
-    def barbell(left, i, right) -> TinyOrbit:
-        return checked("barbell", [left, right], [(left, i, right)])
-
-    def tripod(center, leaves) -> TinyOrbit:
-        return checked("tripod", [center] + leaves,
-                       [(center, i, leaf) for i, leaf in enumerate(leaves)])
-
-    singletons = [checked("singleton", [x], [])
-                  for x in (t(4, 4, 0), t(4, 0, -4), t(0, 4, -4))]
-    barbells = [
-        barbell(t(0, 2, -2), 0, t(4, 2, -2)),
-        barbell(t(2, 0, -2), 1, t(2, 4, -2)),
-        barbell(t(2, 2, 0), 2, t(2, 2, -4)),
-    ]
     tripods_degenerate = p == 3
-    tripods = [] if tripods_degenerate else [
-        tripod(t(3, 3, -3), [t(0, 3, -3), t(3, 0, -3), t(3, 3, 0)]),
-        tripod(t(3, 1, -1), [t(0, 1, -1), t(3, 4, -1), t(3, 1, -4)]),
-        tripod(t(1, 3, -1), [t(4, 3, -1), t(1, 0, -1), t(1, 3, -4)]),
-        tripod(t(1, 1, -3), [t(4, 1, -3), t(1, 4, -3), t(1, 1, 0)]),
-    ]
-    return TinyOrbitReport(params, False, singletons, barbells, tripods, tripods_degenerate)
+    groups = {"singleton": [], "barbell": [], "tripod": []}
+    for kind, template, links in _TINY_22M2:
+        if kind == "tripod" and tripods_degenerate:
+            continue
+        points = [(c1 * u % p, c2 * u % p, c3 * u % p) for c1, c2, c3 in template]
+        edges = [(points[j], i, points[k]) for j, i, k in links]
+        size = _check_move_graph(params, points, edges)
+        groups[kind].append(TinyOrbit(kind, points, edges, size))
+    return TinyOrbitReport(params, False, groups["singleton"], groups["barbell"],
+                           groups["tripod"], tripods_degenerate)
 
 
 def _check_move_graph(params: SurfaceParams, points: list[Triple],
-                      edges: list[tuple[Triple, int, Triple]]) -> None:
-    """Check that the listed edges are exactly the moves among the points.
+                      edges: list[tuple[Triple, int, Triple]]) -> int:
+    """The number of distinct points, once the listed edges are checked to be exactly their moves.
 
     Every point must lie on the surface, every edge must join two listed
     points, and for every point x and move i, m_i x must be the other end
     of the listed edge (x, i, .) or (., i, x), or x itself when no such
-    edge is listed.  Raises ArithmeticError on the first mismatch.
+    edge is listed.  m_i changes only coordinate i, so that is read with
+    moved_coordinate and compared with coordinate i of the expected end,
+    and a listed end must agree with x off coordinate i; the image is
+    built only to name it.  Raises ArithmeticError on the first mismatch.
     """
     listed = set(points)
-    other_end = {}
+    other_end = {}  # x -> {i: the other end of the listed edge (x, i, .) or (., i, x)}
     for left, i, right in edges:
         if left not in listed or right not in listed:
             raise ArithmeticError(f"move {i} edge from {left} to {right} leaves the listed points")
-        other_end[left, i], other_end[right, i] = right, left
+        other_end.setdefault(left, {})[i] = right
+        other_end.setdefault(right, {})[i] = left
     for x in points:
-        if not on_surface(params, x):
+        if residual_array(params, x):
             raise ArithmeticError(f"{x} is not on the surface")
+        ends = other_end.get(x, {})
         for i in range(3):
-            image, expected = apply_move(params, x, i), other_end.get((x, i), x)
-            if image != expected:
+            expected = ends.get(i, x)
+            moved = moved_coordinate(params, x, i)
+            # x[i - 1] and x[i - 2] are the two coordinates m_i leaves alone
+            if moved != expected[i] or (expected is not x and (x[i - 1] != expected[i - 1]
+                                                               or x[i - 2] != expected[i - 2])):
+                image = (*x[:i], moved, *x[i + 1:])
                 raise ArithmeticError(f"move {i} maps {x} to {image}, expected {expected}")
+    return len(listed)
 
 
 # --- the p = 3 cube ---------------------------------------------------------
@@ -348,9 +379,9 @@ def markoff_p3() -> CubeReport:
     points = list(itertools.product((1, 2), repeat=3))
     edges = [(x, i, tuple(-v % 3 if j == i else v for j, v in enumerate(x)))
              for x in points for i in range(3) if x[i] == 1]
-    _check_move_graph(params, points, edges)
+    n_points = _check_move_graph(params, points, edges)
     sol = enumerate_solutions(params)
-    return CubeReport(points, edges, len(set(points)), compute_orbits(sol).multiset,
+    return CubeReport(points, edges, n_points, compute_orbits(sol).multiset,
                       points == list(sol.iter_triples()))
 
 

@@ -69,6 +69,9 @@ def on_surface(params: SurfaceParams, x: Triple) -> bool:
     return residual_array(params, x) == 0
 
 
+_NEIGHBOURS = ((2, 1), (0, 2), (1, 0))  # (i - 1, i + 1) mod 3
+
+
 def moved_coordinate(params: SurfaceParams, x, i: int):
     """The new i-th coordinate under the move m_i (works on ints or arrays).
 
@@ -76,10 +79,10 @@ def moved_coordinate(params: SurfaceParams, x, i: int):
     int32 arrays are exact while 3 p^2 < 2^31 (p <= 26737).  Arrays are
     reduced with mod_p and ints with %, the faster of the two on each.
     """
-    p = params.field.p  # params.p is a property call, and apply_move lands here per point
+    p = params.field.p  # params.p is a property call, and per-point callers land here per move
     mod = operator.mod if isinstance(x[i], int) else mod_p
     a = params.a
-    im1, ip1 = (i - 1) % 3, (i + 1) % 3
+    im1, ip1 = _NEIGHBOURS[i]
     return mod(-x[i] + mod(params.s * x[im1], p) * x[ip1]
                - a[ip1] * x[im1] - a[im1] * x[ip1], p)
 

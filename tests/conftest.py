@@ -154,6 +154,44 @@ def restrict(sol, keep):
     return SolutionSet(sol.params, points, offsets)
 
 
+def naive_slice(p, a, x3):
+    """(3, n) int64 columns of the nonzero points with last coordinate x3, by scanning every (x1, x2)."""
+    x1, x2 = np.divmod(np.arange(p * p, dtype=np.int64), p)
+    keep = naive_residual(p, a, (x1, x2, x3)) == 0
+    if x3 == 0:
+        keep[0] = False  # the origin
+    return np.stack([x1[keep], x2[keep], np.full(int(keep.sum()), x3, dtype=np.int64)])
+
+
+def burnside_matrix_walk(p, order, *slices):
+    """Each slice's orbit count under the group <m1, rho> of a = (0, 0, -3), by the 2x2 matrices.
+
+    The reference for special_cases._burnside: every step multiplies
+    w = rho^k v by rho and tests w = v (rho^k fixes v) and w = m1 v
+    (m1 rho^k fixes v) on whole coordinate pairs; the fixed points over
+    0 <= k < order are averaged over the 2*order elements.
+    """
+    m1 = np.array([[p - 1, 3], [0, 1]], dtype=np.int64)
+    m2 = np.array([[1, 0], [3, p - 1]], dtype=np.int64)
+    rho = m1 @ m2 % p
+    v = np.concatenate([points[:2] for points in slices], axis=1)
+    fixed = np.stack([v, m1 @ v % p], axis=1)  # (2, 2, n): v and m1 v along axis 1
+    hits = np.zeros(fixed.shape[1:], dtype=np.int64)
+    w = v
+    for _ in range(order):
+        hits += (w[:, None] == fixed).all(axis=0)
+        w = rho @ w % p
+    counts, start = [], 0
+    for points in slices:
+        part = slice(start, start + points.shape[1])
+        start = part.stop
+        assert np.array_equal(w[:, part], v[:, part]), "rho^order moves a slice point"
+        total = int(hits[:, part].sum())
+        assert total % (2 * order) == 0, "the Burnside average is not an integer"
+        counts.append(total // (2 * order))
+    return counts
+
+
 def naive_conic_count(p, B, D, E, F):
     return sum(1 for x in range(p) for y in range(p)
                if (x * x + B * x * y + y * y + D * x + E * y + F) % p == 0)

@@ -18,7 +18,7 @@ from markoff.delta import (NoConsistentExtension, _delta_ends, _inverse,
                            require_consistent)
 from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.field import is_prime, mod_p
-from markoff.obstruction import _generic_characters, _sign_patterns, perfect_square_check
+from markoff.obstruction import _generic_characters, _pattern_index, perfect_square_check
 from markoff.orbits import compute_orbits, neighbor_indices
 from markoff.surface import (SurfaceParams, moved_coordinate, residual_array, rotated,
                              special_form_detect, x3_coefficients)
@@ -173,8 +173,8 @@ def test_block_formulas_int32_exact_at_the_bound():
         form = special_form_detect(params)
         if params is generic:
             assert form is None
-        elif form[2] == 2:  # alpha = 2: the sign patterns
-            assert np.array_equal(_sign_patterns(params, x32), _sign_patterns(params, x64))
+        elif form[2] == 2:  # alpha = 2: the sign pattern indices
+            assert np.array_equal(_pattern_index(params, x32), _pattern_index(params, x64))
         else:
             i, sigma, _ = form
             for got, want in zip(_generic_characters(params, x32, i, sigma),

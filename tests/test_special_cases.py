@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -13,9 +14,10 @@ from markoff.special_cases import (REFERENCE_TABLE_22M2, UNDERCOUNTED_SIZE4,
                                    markoff_p3, orbit_table_22m2,
                                    orbits_00_minus3, primes_up_to, table_csv,
                                    tiny_orbits_22m2)
-from markoff.surface import SurfaceParams, apply_move, on_surface, residual
+from markoff.surface import (SurfaceParams, apply_move, moved_coordinate, on_surface,
+                             residual)
 
-from conftest import restrict
+from conftest import burnside_matrix_walk, naive_slice, restrict
 
 
 class TestLambdaOrder:
@@ -205,6 +207,36 @@ class TestDihedralFamily:
             with pytest.raises(ArithmeticError, match="rho does not have the claimed order"):
                 orbits_00_minus3(p)
 
+    def test_walk_matches_the_matrix_walk(self):
+        """The index walk counts what the 2x2 matrix walk counts, on both slices."""
+        a = (0, 0, -3)
+        for p in primes_up_to(211):
+            if p <= 5:
+                continue
+            order = lambda_order(p)[1]
+            rng = np.random.default_rng(p)
+            slices = []
+            for x3 in (1, 0):
+                points = naive_slice(p, a, x3)
+                slices.append(points[:, rng.permutation(points.shape[1])])
+            assert special_cases._burnside(p, order, *slices) == burnside_matrix_walk(
+                p, order, *slices), p
+
+    def test_walk_refuses_an_image_off_its_slice(self, monkeypatch):
+        """A rho that does not permute a slice stops the walk before it starts."""
+        true_order, true_matrices = special_cases.lambda_order, special_cases._m1_and_rho
+
+        def perturbed(p):
+            m1, rho = true_matrices(p)
+            return m1, (((rho[0][0] + 1) % p, rho[0][1]), rho[1])
+
+        for p in (11, 13, 89):
+            monkeypatch.setattr(special_cases, "lambda_order", lambda q, known=true_order(p): known)
+            monkeypatch.setattr(special_cases, "_m1_and_rho", perturbed)
+            with pytest.raises(ArithmeticError, match="rho maps a point off its slice"):
+                orbits_00_minus3(p)
+            monkeypatch.undo()
+
     def test_slices_are_checked_on_their_own(self, monkeypatch):
         """A class list that misses, repeats or moves a slice point stops the family.
 
@@ -290,6 +322,19 @@ class TestTinyOrbits:
             sum(1 for pt in t.points[1:] if 0 in pt) for t in rep.tripods)
         assert zero_leaf_counts == [1, 1, 1, 3]
 
+    def test_listed_end_must_agree_off_the_move_coordinate(self):
+        """An edge end with m_i x's coordinate i but another coordinate elsewhere is refused."""
+        p = 13
+        params = SurfaceParams.make(p, (2, 2, -2))
+        rep = tiny_orbits_22m2(params)
+        (barbell,) = [b for b in rep.barbells if b.edges[0][1] == 0]
+        left, right = barbell.points
+        wrong = next(y for y in itertools.product([right[0]], range(p), range(p))
+                     if y != right and on_surface(params, y))
+        with pytest.raises(ArithmeticError,
+                           match=re.escape(f"move 0 maps {left} to {right}, expected {wrong}")):
+            _check_move_graph(params, [left, wrong], [(left, 0, wrong)])
+
     def test_move_graph_check_rejects_wrong_graphs(self):
         params = SurfaceParams.make(13, (2, 2, -2))
         rep = tiny_orbits_22m2(params)
@@ -344,10 +389,12 @@ class TestMarkoffP3:
 
     def test_moves_off_the_cube_raise(self, monkeypatch):
         def shifted(params, x, i):
-            return apply_move(params, x, (i + 1) % 3)
+            return moved_coordinate(params, x, (i + 1) % 3)
 
-        monkeypatch.setattr(special_cases, "apply_move", shifted)
-        with pytest.raises(ArithmeticError, match=r"move 0 maps \(1, 1, 1\)"):
+        # at (1, 1, 1) every shifted coordinate is the right one, so (1, 1, 2) fails first
+        monkeypatch.setattr(special_cases, "moved_coordinate", shifted)
+        with pytest.raises(ArithmeticError,
+                           match=r"move 1 maps \(1, 1, 2\) to \(1, 1, 2\), expected \(1, 2, 2\)"):
             markoff_p3()
 
 

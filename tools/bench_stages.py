@@ -26,9 +26,9 @@ second run, so both runs build it.
 
 The move lookups of the timed run are timed inside the stage that makes
 them, from wrappers around the functions that do them: orbits_lookup_s
-is the time compute_orbits spends finding its edges (the cell targets of
-orbits._cell_targets, or on older commits the row lookups of
-orbits.neighbor_indices), and search_s the rest of compute_orbits.
+is the time compute_orbits spends finding its edges, the cell targets
+of orbits._cell_targets (0 on commits without it), and search_s the
+rest of compute_orbits.
 searches counts the graph searches of the timed orbits stage: the calls
 of scipy's breadth_first_order and, on older commits, depth_first_order.
 On s = 0 the orbits stage is the CLI's dispatch to cone_orbits, on
@@ -59,7 +59,7 @@ from markoff.enumeration import count_solutions_bruteforce, enumerate_solutions
 from markoff.surface import SurfaceParams
 
 # the functions that look up move images, and the graph searches, where a commit has them
-LOOKUPS = ("_cell_targets", "neighbor_indices")
+LOOKUPS = ("_cell_targets",)
 SEARCHES = ("breadth_first_order", "depth_first_order")
 
 
