@@ -8,7 +8,8 @@ main turns -p/-a into a SurfaceParams once, before the handler runs.
 Exit codes: 0 on success (conjecture mismatches only warn), 1 when an
 asserted check fails or an unexpected error ends the run (one "error:"
 line naming the exception type, no traceback), 2 on usage errors and
-out-of-domain input, 3 when a resource guard trips.
+out-of-domain input, 3 when a resource guard trips or memory runs out
+(one "resource guard:" line).
 Output is deterministic for a fixed command line and seed.
 """
 
@@ -146,6 +147,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"resource guard: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,18 +19,28 @@ DeltaAssignment.values at every row of a set without storing it.
 Where a_i^2 = 4 and 2a_{i-1} != a_{i+1}a_i no assignment exists;
 require_consistent reads that from the parameters alone.
 
-verify_certificate proves the set complete (the closed-form count of
-rows, each on the surface, strictly increasing from above the origin),
-so every move image on the surface is a row and none is looked up.  The
-image of m_i is the other root of the residual as a monic quadratic in
-x_i, whose coefficients are x3_coefficients of surface.rotated, and it
-is checked on the surface on those same coefficients: the verifier does
-not share the move formula with compute_orbits, the code it checks.  It
-checks each edge's identities with Delta evaluated at both ends and its
-orbit ids read per cell, then rederives s*V = 0 per orbit.  The move
-m_i keeps x_{i-1} and x_{i+1}, and with them q_i, half_i and the
-planes x_{i +- 1} = 0, so _delta_ends evaluates both ends of a block's
-m_i edges from one gather of the block's inverses, in the block's dtype.
+verify_certificate proves the set complete and checks every edge and
+identity without the move formula compute_orbits reads its edges from.
+It requires closed_form_total's count of rows, then makes per block of
+rows exactly these checks:
+
+  each row:  in [0, p)^3; above the row before it in (x1, x2, x3), the
+             first above the origin; on the surface, x3^2 + b x3 + c = 0
+             for (b, c) its x3_coefficients; an orbit id below the orbit
+             count at its cell; the total identity.
+  m_0, m_1:  the image, x_i replaced by the other root -b_i - x_i of the
+             residual as a monic quadratic in x_i ((b_i, c_i) the
+             x3_coefficients of surface.rotated), is on the surface on
+             those same coefficients and has the row's orbit id; the
+             pair identity, which at a fixed edge is the fix identity.
+  m_2:       the pair (or fix) identity only: the image -b - x3 has the
+             row's (b, c), so its residual is the row's and its cell too.
+
+Completeness makes every image on the surface a row, so none is looked
+up, and the per-orbit sums then rederive s*V = 0.  The move m_i keeps
+x_{i-1} and x_{i+1}, and with them q_i, half_i and the planes
+x_{i +- 1} = 0, so _delta_ends evaluates both ends of a block's m_i
+edges from one gather of the block's inverses, in the block's dtype.
 """
 
 from __future__ import annotations
@@ -241,17 +251,18 @@ def _sums_to(s: int, p: int, *values: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _root_sum_image(axis: SurfaceParams, x, i: int, coefficients=None):
-    """The m_i images' x_i, and whether each lies on the surface, from one pair (b_i, c_i).
+def _root_sum_image(axis: SurfaceParams, x, i: int):
+    """The m_i images' x_i, and whether each lies on the surface, for i = 0 or 1.
 
     axis is rotated(params, i), so the residual as a monic quadratic in
     x_i is x_i^2 + b_i x_i + c_i with (b_i, c_i) its x3_coefficients
-    at the kept x_{i+1}, x_{i+2}, or coefficients when given.  The
-    image's x_i is the other root, -b_i - x_i by Vieta, and the check is
-    residual_array of axis at the image on those same coefficients.
+    at the kept x_{i+1}, x_{i+2}.  The image's x_i is the other root,
+    -b_i - x_i by Vieta, and the check is residual_array of axis at the
+    image on those same coefficients.  Move 2 needs neither: its (b, c)
+    are the row check's own, whose residual is already zero.
     """
     kept = (x[(i + 1) % 3], x[(i + 2) % 3])
-    b, c = x3_coefficients(axis, *kept) if coefficients is None else coefficients
+    b, c = x3_coefficients(axis, *kept)
     moved = mod_p(-b - x[i], axis.p)
     return moved, residual_array(axis, (*kept, moved), (b, c)) == 0
 
@@ -259,23 +270,29 @@ def _root_sum_image(axis: SurfaceParams, x, i: int, coefficients=None):
 def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> CertificateReport:
     """Prove the set complete, check every move edge and identity, and rederive p | V per orbit.
 
-    The set must hold closed_form_total's count of rows (require_complete),
-    and one pass over the blocks of rows checks that each row is in
-    [0, p)^3 and on the surface, and that the rows strictly increase in
-    (x1, x2, x3) from above the origin: they are then exactly the
-    nonzero solutions.  The pass checks, in the block's dtype, the total
-    identity at each row and, for each move i: the image, x with x_i
-    replaced by the other root -b_i - x_i of the residual written as
-    x_i^2 + b_i x_i + c_i (surface.rotated gives b_i and c_i), is on the
-    surface by residual_array on those same coefficients, so it is a
-    row; m_0 and m_1 keep the orbit id (m_2 keeps the cell, and with it
-    the id); the pair identity holds with _delta_ends' values at both
-    ends, which at a fixed edge (image[i] == x[i]) reads 2 Delta_i = s,
-    the fix identity for odd p.  The image's residual along axis i is
-    the row's, so its check fails only where (b_i, c_i) are not the
-    row's coefficients; m_2's are those of the row check, so its image
-    check can fail only where the row check already has, and it is kept
-    as one check per move.  The images do not come from moved_coordinate
+    The set must hold closed_form_total's count of rows (require_complete).
+    Then one pass over the blocks of rows makes, in the block's dtype,
+    these checks in this order, and raises at the first that fails:
+
+      1. each row is in [0, p)^3;
+      2. the rows strictly increase in (x1, x2, x3) from above the
+         origin, so with 1 and 3 they are exactly the nonzero solutions;
+      3. each row is on the surface: residual_array on (b, c), the
+         row's x3_coefficients;
+      4. each row's cell has an orbit id below the orbit count;
+      5. the total identity at each row;
+      6. for each move i in turn:
+         - i = 0, 1: the image, x with x_i replaced by -b_i - x_i for
+           (b_i, c_i) the x3_coefficients of rotated(params, i), is on
+           the surface by residual_array on those same coefficients, so
+           it is a row; then its cell has the row's id;
+         - every i: the pair identity with _delta_ends' values at both
+           ends, which at a fixed edge (image[i] == x[i]) reads
+           2 Delta_i = s, the fix identity for odd p.
+
+    m_2's image is -b - x_3 on check 3's (b, c): its residual is the
+    row's, already zero, and its cell is the row's, so it has neither an
+    image nor an id check.  The images do not come from moved_coordinate
     or apply_move, the move formula compute_orbits reads its edges from.
     Every Delta value is in [0, p), so an identity holds when its sum
     less s is 0, p or 2p, without a reduction.  The pass also counts the
@@ -301,7 +318,7 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
     last = 0  # the origin's key; the first row must lie above it
     sizes = np.zeros(n_orbits, dtype=np.int64)
     half_sums = np.zeros((3, n_orbits), dtype=np.int64)  # per orbit: sum of Delta_i mod p
-    axes = [rotated(params, i) for i in range(3)]  # axes[2] has params' own a
+    axes = [rotated(params, i) for i in range(2)]
     for rows, x in sol.blocks():
         _require(rows, _below(x, p).all(axis=0),
                  lambda k: f"row {sol.triple(k)} is not reduced mod {p}")
@@ -316,8 +333,8 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
         _require(rows, rising,
                  lambda k: f"rows do not strictly increase from above the origin at {sol.triple(k)}")
         last = key[-1]
-        coefficients = x3_coefficients(params, x[0], x[1])
-        _require(rows, residual_array(params, x, coefficients) == 0,
+        b, c = x3_coefficients(params, x[0], x[1])
+        _require(rows, residual_array(params, x, (b, c)) == 0,
                  lambda k: f"row {sol.triple(k)} is not on the surface")
         ids = np.take(part.cell_ids, cell)
         _require(rows, _below(ids, n_orbits),
@@ -325,16 +342,16 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
         sizes += np.bincount(ids, minlength=n_orbits)
         # each image check is computed with its image, while (b_i, c_i)
         # are live, and raised in its move's turn below
-        moved, on_surface = zip(*(_root_sum_image(axes[i], x, i, coefficients if i == 2 else None)
-                                  for i in range(3)))
+        moved, on_surface = zip(*(_root_sum_image(axes[i], x, i) for i in range(2)))
+        moved += (mod_p(-b - x[2], p),)  # m_2's image, on the row check's own (b, c)
         u = [_inverse(params, v) for v in x]
         d = [_delta_ends(params, x, u, i, moved[i]) for i in range(3)]
         _require(rows, _sums_to(s, p, d[0][0], d[1][0], d[2][0]),
                  lambda k: f"total identity fails at {sol.triple(k)}")
         for i in range(3):
-            _require(rows, on_surface[i],
-                     lambda k: f"move {i} image of {sol.triple(k)} is off the surface")
             if i < 2:
+                _require(rows, on_surface[i],
+                         lambda k: f"move {i} image of {sol.triple(k)} is off the surface")
                 moved_ids = np.take(part.cell_ids,
                                     moved[0] * p + x[1] if i == 0 else x1p + moved[1])
                 _require(rows, moved_ids == ids,

@@ -295,6 +295,18 @@ def test_resource_guard_exit_code(capsys):
     assert err == "error: p = 20000003 exceeds the table limit 20000000\n"
 
 
+def test_out_of_memory_exits_as_a_resource_guard(capsys, monkeypatch):
+    """A MemoryError ends the run with exit 3 and one line, not exit 1 as a failed claim."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 734. MiB")
+
+    monkeypatch.setattr(cli, "enumerate_solutions", exhausted)
+    for argv in (["verify", "delta", "-p", "13", "-a", "1,1,1"],
+                 ["orbits", "-p", "13", "-a", "1,1,1"]):
+        assert run(capsys, *argv) == (
+            EXIT_RESOURCE, "", "resource guard: out of memory: Unable to allocate 734. MiB\n")
+
+
 def test_non_positive_samples_are_usage_errors(capsys):
     for argv in (["verify", "conics", "-p", "11", "--samples", "-3"],
                  ["verify", "nobigons", "-p", "11", "--samples", "0"],

@@ -427,6 +427,28 @@ class TestCertificate:
         with pytest.raises(CertificateError, match="^" + re.escape(message) + "$"):
             verify_certificate(build_certificate(sol), part)
 
+    def test_one_residual_per_row_and_per_image_check(self, monkeypatch):
+        """One block takes three residuals: the rows', then m_0's and m_1's images'.
+
+        m_2's image has the row check's coefficients, so its residual is
+        the row's and is not evaluated again.
+        """
+        params = params_of(13, (3, 7, 9))
+        sol = enumerate_solutions(params)
+        part = compute_orbits(sol)
+        assign = build_certificate(sol)
+        assert len(sol) <= 2 ** 16  # one block
+        residual_array = delta.residual_array
+        calls = []
+
+        def counted(params, x, coefficients=None):
+            calls.append(params.a)
+            return residual_array(params, x, coefficients)
+
+        monkeypatch.setattr(delta, "residual_array", counted)
+        assert verify_certificate(assign, part).all_divisible
+        assert calls == [(3, 7, 9), (7, 9, 3), (9, 3, 7)]
+
     def test_verify_reads_no_move_formula(self, monkeypatch):
         """Images come from the root sum: moved_coordinate and apply_move are never called."""
         import markoff
