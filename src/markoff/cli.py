@@ -24,7 +24,7 @@ import sys
 from . import delta, obstruction, orbits, special_cases
 from .conics import (ConicParams, classify_and_count, closed_form_total,
                      count_conic_bruteforce, total_via_fibers)
-from .enumeration import (ResourceGuardError, count_solutions_bruteforce,
+from .enumeration import (INT32_MAX, ResourceGuardError, count_solutions_bruteforce,
                           enumerate_solutions)
 from .field import validate_prime
 from .surface import (ALL_NONDEGENERATE, SPECIAL_FORM, SurfaceParams,
@@ -41,6 +41,13 @@ def _parse_params(p: int, text: str) -> SurfaceParams:
     if len(parts) != 3:
         raise ValueError("expected three comma-separated parameters, e.g. -a 2,2,-2")
     return SurfaceParams.make(p, tuple(int(v) for v in parts))
+
+
+def _prime(p: int) -> int:
+    """validate_prime, once p is at most INT32_MAX: trial division grows with sqrt(p)."""
+    if p > INT32_MAX:
+        raise ValueError(f"p = {p} exceeds the int32 bound {INT32_MAX}")
+    return validate_prime(p)
 
 
 def _add_pa(parser, require_a=True):
@@ -141,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if "params" in args:  # every command that reads -p/-a
-            p = validate_prime(args.prime)
+            p = _prime(args.prime)
             if args.params is not None:
                 args.params = _parse_params(p, args.params)
         return args.handler(args)
@@ -303,7 +310,7 @@ def _special_p3(args) -> int:
 
 
 def _special_00m3(args) -> int:
-    rep = special_cases.orbits_00_minus3(validate_prime(args.prime))
+    rep = special_cases.orbits_00_minus3(_prime(args.prime))
     sizes = ",".join(str(v) for v in sorted(rep.conic1_sizes, reverse=True))
     print(f"ord(lambda)={rep.lambda_order}; "
           f"conic1 orbits={rep.conic1_orbits} ({sizes}); "
@@ -312,7 +319,7 @@ def _special_00m3(args) -> int:
 
 
 def _special_22m2(args) -> int:
-    params = SurfaceParams.make(validate_prime(args.prime), (2, 2, -2))
+    params = SurfaceParams.make(_prime(args.prime), (2, 2, -2))
     rep = special_cases.tiny_orbits_22m2(params)
     if rep.s_zero:
         print("s = 0: closed-form small orbits skipped")
@@ -352,7 +359,7 @@ def _sweep_one(p: int, a: tuple[int, int, int], with_delta: bool) -> list[str]:
 
 
 def _cmd_sweep(args) -> int:
-    primes = [validate_prime(int(v)) for v in args.p_list.split(",")]
+    primes = [_prime(int(v)) for v in args.p_list.split(",")]
     samples = args.samples if args.samples is not None else 200
     jobs = []
     for p in primes:

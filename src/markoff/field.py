@@ -121,9 +121,10 @@ class PrimeField:
     """
 
     def __init__(self, p: int):
-        validate_prime(p)
+        # the limit first: trial division alone grows with sqrt(p)
         if p > MAX_TABLE_PRIME:
             raise ValueError(f"p = {p} exceeds the table limit {MAX_TABLE_PRIME}")
+        validate_prime(p)
         self.p = p
 
     @functools.cached_property

@@ -8,13 +8,17 @@ least two orbits, and at least four in the doubly degenerate case
 alpha = +-2.  All identities live on the surface rescaled to s = 1, and
 each is written once, on ints or coordinate columns x[0..2] alike.
 
-labels gives every row of a SolutionSet its class index, from the two
-characters of _generic_characters or the sign pattern of _pattern_index,
-one block of SolutionSet.blocks at a time; verify_breakup tallies them.
-The characters are those of y = s*x on the s = 1 surface, but they are
-read at x: chi(s*v) = chi(s)*chi(v), and the moves commute with the
-rescaling, so each is chi(s) times a table value at x (_scaled_characters)
-and no rescaled coordinate array is built.
+labels gives every row of a SolutionSet its class index, one block of
+SolutionSet.blocks at a time, and verify_breakup tallies them.  The
+classes read the characters of y = s*x on the s = 1 surface: chi(y_i)
+and chi(y_i + y_i' + 2 y_{i+1} + 2 sigma y_{i-1}) for a generic form,
+y_i' the m_i image, and chi(y_0), chi(y_1), chi(y_2) for alpha = +-2.
+By the root sum of y_i and y_i' that companion is s times
+s x_{i-1} x_{i+1} + (2 sigma - alpha) x_{i-1} + (2 - alpha sigma) x_{i+1},
+free of x_i, so no move is made.  Each character is a table read at
+x (_scaled_characters), and their balanced-ternary code is classed by
+one int8 table per character count, built once from the rule
+_generic_class or _pattern_class.
 """
 
 from __future__ import annotations
@@ -60,18 +64,15 @@ def labels(sol: SolutionSet) -> tuple[tuple[str, ...], np.ndarray]:
     identity behind the labels fails raises CertificateViolation.
     """
     params = sol.params
-    i, sigma, alpha = _require_special_form(params)
-    index = np.empty(len(sol), dtype=np.int8)
-    if (alpha * alpha - 4) % params.p == 0:
+    form = _require_special_form(params)
+    if (form[2] * form[2] - 4) % params.p == 0:
         names = tuple("".join("+" if e > 0 else "-" for e in pattern)
                       for pattern in SIGN_PATTERNS)
-        for rows, x in sol.blocks():
-            index[rows] = _pattern_index(params, x)
     else:
         names = (NON_NEG, NON_POS, AMBIGUOUS)
-        for rows, x in sol.blocks():
-            c1, c2 = _generic_characters(params, x, i, sigma)
-            index[rows] = (np.sign(c1 + c2) + 2) % 3  # sign +1, -1, 0 -> 0, 1, 2
+    index = np.empty(len(sol), dtype=np.int8)
+    for rows, x in sol.blocks():
+        index[rows] = _class_index(params, x, form)
     return names, index
 
 
@@ -81,44 +82,28 @@ def _first_point(x, bad: np.ndarray) -> Triple:
 
 
 def _scaled_characters(params: SurfaceParams) -> np.ndarray:
-    """int8 table of chi(s*v) for v in [0, p).
-
-    chi is multiplicative, so this is chi(s) times chi_table, and the
-    characters of y = s*x are read at x without rescaling it.
-    """
+    """int8 table of chi(s*v) = chi(s)*chi(v) for v in [0, p): y = s*x's characters at x."""
     table = params.field.chi_table
     return table if table[params.s] == 1 else -table
 
 
-def _generic_characters(params: SurfaceParams, x, i: int,
-                        sigma: int) -> tuple[np.ndarray, np.ndarray]:
-    """(chi(y_i), chi(y_i + y_i' + 2 y_{i+1} + 2 sigma y_{i-1})) per point, y = s*x.
+# the violations of the class rules, raised in this order
+_OPPOSITE, _TWO_ZEROS, _PRODUCT = -1, -2, -3
+_VIOLATIONS = ((_OPPOSITE, "strictly opposite obstruction characters"),
+               (_TWO_ZEROS, "two vanishing coordinates off the origin"),
+               (_PRODUCT, "character product -1"))
 
-    x[0..2] are the int32 or int64 coordinate columns of solutions in
-    [0, p), as SolutionSet.blocks yields them, and y_i' is m_i of y on
-    the s = 1 surface.  Rescaling commutes with the moves, so y_i' is
-    s times m_i of x on the given surface and the companion is s times
-    x_i + x_i' + 2 x_{i+1} + 2 sigma x_{i-1}, whose sum stays within
-    +-6p; both characters are read at x from _scaled_characters.  The
-    two characters can both vanish and can share a sign, but are never
-    strictly opposite; that is the content of the obstruction, and an
-    opposite pair raises CertificateViolation.
+
+def _generic_class(c1: int, c2: int) -> int:
+    """The generic class index of (chi(y_i), chi(companion)), or the identity they break.
+
+    The characters can both vanish or share a sign, but are never
+    strictly opposite (_OPPOSITE): that is the content of the
+    obstruction.  The sign of c1 + c2, +1, -1 or 0, gives 0, 1 or 2.
     """
-    p = params.p
-    table = _scaled_characters(params)
-    im1, ip1 = (i - 1) % 3, (i + 1) % 3
-    x_moved = moved_coordinate(params, x, i)
-    companion = mod_p(x[i] + x_moved + 2 * x[ip1] + 2 * sigma * x[im1], p)
-    c1 = np.take(table, x[i])
-    c2 = np.take(table, companion)
-    opposite = c1 * c2 == -1
-    if bool(opposite.any()):
-        raise CertificateViolation(
-            f"strictly opposite obstruction characters at {_first_point(x, opposite)}")
-    return c1, c2
-
-
-_TWO_ZEROS, _PRODUCT = -1, -2  # the violations _pattern_class reports
+    if c1 * c2 == -1:
+        return _OPPOSITE
+    return ((c1 + c2 > 0) - (c1 + c2 < 0) + 2) % 3
 
 
 def _pattern_class(c0: int, c1: int, c2: int) -> int:
@@ -137,31 +122,44 @@ def _pattern_class(c0: int, c1: int, c2: int) -> int:
     return 2 * (e0 < 0) + (e1 < 0)
 
 
-# _pattern_class of every character triple, at the balanced-ternary code
-# 9 c0 + 3 c1 + c2 in [-13, 13], a negative code read from the end
-_PATTERN_CLASS = np.zeros(27, dtype=np.int8)
-for _c in itertools.product((-1, 0, 1), repeat=3):
-    _PATTERN_CLASS[9 * _c[0] + 3 * _c[1] + _c[2]] = _pattern_class(*_c)
+def _ternary(chars):
+    """The code sum c_k 3^(n-1-k), within +-13 for n <= 3; an array c_0 is updated in place."""
+    code = chars[0]
+    for c in chars[1:]:
+        code *= 3
+        code += c
+    return code
 
 
-def _pattern_index(params: SurfaceParams, x) -> np.ndarray:
-    """int8 SIGN_PATTERNS index per point of the columns x, alpha = +-2.
+# each rule's class of every character tuple at its code, a negative
+# code read from the end, by the number of characters
+_CLASS_TABLES = {2: np.zeros(9, dtype=np.int8), 3: np.zeros(27, dtype=np.int8)}
+for _n, _rule in ((2, _generic_class), (3, _pattern_class)):
+    for _c in itertools.product((-1, 0, 1), repeat=_n):
+        _CLASS_TABLES[_n][_ternary(_c)] = _rule(*_c)
 
-    The characters of y = s*x are read at x from _scaled_characters and
-    classed by _PATTERN_CLASS.  A point where two characters vanish or
-    their product is -1 raises CertificateViolation naming the first
-    such point, two vanishing characters first.
+
+def _class_index(params: SurfaceParams, x, form: tuple[int, int, int]) -> np.ndarray:
+    """int8 class index per point of the columns x, for the form (i, sigma, alpha).
+
+    x[0..2] are the int32 or int64 columns of SolutionSet.blocks; the
+    companion's intermediates stay below 2 p^2.  The first point that
+    breaks an identity raises CertificateViolation, in _VIOLATIONS order.
     """
+    p = params.p
+    i, sigma, alpha = form
     table = _scaled_characters(params)
-    code = np.take(table, x[0])
-    code *= 3
-    code += np.take(table, x[1])
-    code *= 3
-    code += np.take(table, x[2])
-    index = np.take(_PATTERN_CLASS, code)
+    if (alpha * alpha - 4) % p == 0:
+        chars = [np.take(table, col) for col in x]
+    else:
+        im1, ip1 = (i - 1) % 3, (i + 1) % 3
+        companion = mod_p(params.s * x[im1] + (2 - alpha * sigma) % p, p)
+        companion *= x[ip1]
+        companion += (2 * sigma - alpha) % p * x[im1]
+        chars = [np.take(table, x[i]), np.take(table, mod_p(companion, p))]
+    index = np.take(_CLASS_TABLES[len(chars)], _ternary(chars))
     if bool((index < 0).any()):
-        for violation, message in ((_TWO_ZEROS, "two vanishing coordinates off the origin"),
-                                   (_PRODUCT, "character product -1")):
+        for violation, message in _VIOLATIONS:
             bad = index == violation
             if bool(bad.any()):
                 raise CertificateViolation(f"{message} at {_first_point(x, bad)}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import enumerate_solutions
+from .enumeration import DEFAULT_MAX_PRIME, ResourceGuardError, enumerate_solutions
 from .field import (_order_from_group, chi, inverse, is_prime, mod_p,
                     validate_odd_prime, validate_prime)
 from .orbits import compute_orbits, cone_orbits, size_table
@@ -404,9 +404,16 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def orbit_table_22m2(max_p: int) -> list[TableRow]:
-    """Recompute the orbit-size tables for a = (2, 2, -2), p <= max_p."""
+    """Recompute the orbit-size tables for a = (2, 2, -2), p <= max_p.
+
+    A max_p above DEFAULT_MAX_PRIME is refused at once: every prime
+    below the guard would be enumerated before the first above it.
+    """
     if max_p < 2:
         raise ValueError(f"the table needs max_p >= 2, got {max_p}")
+    if max_p > DEFAULT_MAX_PRIME:
+        raise ResourceGuardError(
+            f"max_p = {max_p} exceeds the enumeration guard {DEFAULT_MAX_PRIME}")
     rows = []
     for p in primes_up_to(max_p):
         params = SurfaceParams.make(p, (2, 2, -2))

@@ -1,8 +1,10 @@
 import json
 
-from markoff import cli, delta, obstruction
+import pytest
+
+from markoff import cli, delta, field, obstruction, special_cases
 from markoff.cli import (EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main)
-from markoff.enumeration import DEFAULT_MAX_PRIME, enumerate_solutions
+from markoff.enumeration import DEFAULT_MAX_PRIME, INT32_MAX, enumerate_solutions
 from markoff.field import is_prime
 from markoff.surface import SurfaceParams
 
@@ -293,6 +295,35 @@ def test_resource_guard_exit_code(capsys):
     code, _, err = run(capsys, "orbits", "-p", "20000003", "-a", "0,0,0")
     assert code == EXIT_USAGE
     assert err == "error: p = 20000003 exceeds the table limit 20000000\n"
+
+
+def test_huge_prime_refused_before_any_primality_test(capsys, monkeypatch):
+    """A -p above INT32_MAX exits 2 at once: trial division would take minutes or hours."""
+    trial_division = field.is_prime
+
+    def bounded(n):
+        assert n <= INT32_MAX, f"trial division of {n}"
+        return trial_division(n)
+
+    monkeypatch.setattr(field, "is_prime", bounded)
+    p = 10 ** 24 + 7
+    code, out, err = run(capsys, "count", "-p", str(p), "-a", "1,1,1")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: p = {p} exceeds the int32 bound {INT32_MAX}\n"
+    with pytest.raises(ValueError, match=f"p = {p} exceeds the table limit 20000000"):
+        field.PrimeField(p)
+
+
+def test_table_22m2_above_the_guard_enumerates_nothing(capsys, monkeypatch):
+    """--max-p above the enumeration guard exits 3 before any prime is listed or enumerated."""
+    def refused(*args, **kwargs):
+        raise AssertionError("the table listed or enumerated a prime")
+
+    monkeypatch.setattr(special_cases, "enumerate_solutions", refused)
+    monkeypatch.setattr(special_cases, "is_prime", refused)
+    assert run(capsys, "table-22m2", "--max-p", "20011") == (
+        EXIT_RESOURCE, "", f"resource guard: max_p = 20011 exceeds the enumeration guard "
+                           f"{DEFAULT_MAX_PRIME}\n")
 
 
 def test_out_of_memory_exits_as_a_resource_guard(capsys, monkeypatch):

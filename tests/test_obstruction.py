@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +70,30 @@ def test_characters_never_strictly_opposite():
     # naive_tally asserts its own characters are never opposite
     for p, a in SPECIAL_PANEL:
         assert_labels_match_naive(p, a)
+
+
+def test_labels_make_no_move(monkeypatch):
+    """The generic companion comes from the root sum: no markoff move formula is called.
+
+    At p = 13, (2,5,5) is generic with chi(s) = chi(2) = -1, (11,6,7) is
+    generic with sigma = -1, and (2,-2,-2) has alpha = -2.
+    """
+    forms = [(2, 5, 5), (11, 6, 7), (2, -2, -2)]
+    sets = [enumerate_solutions(params_of(13, a)) for a in forms]
+    assert chi(sets[0].params.s, 13) == -1 and special_form_detect(sets[1].params)[1] == -1
+    expected = [labels(sol) for sol in sets]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("labels called the move formula")
+
+    for module in [m for name, m in sys.modules.items()
+                   if name == "markoff" or name.startswith("markoff.")]:
+        for name in ("moved_coordinate", "apply_move"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    for sol, (names, index) in zip(sets, expected):
+        got_names, got_index = labels(sol)
+        assert got_names == names and np.array_equal(got_index, index), sol.params.a
 
 
 def assert_index_move_invariant(p, a):

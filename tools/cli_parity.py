@@ -18,7 +18,9 @@ branch of verify conics -a and table-22m2 --format text), two breakup
 runs with sigma = -1, the p = 997 and p = 2017 runs behind the
 benchmark families, a certificate on the all-nondegenerate
 a = (1,1,1) at p = 997, certificates on two sigma = -1 forms of the
-families pools at p = 997, the orbits of the s = 0 sets (0,0,-3) at
+families pools at p = 997, breakups on three forms of the families
+generic pool at p = 997, one per companion axis, with chi(s) = -1 and
+sigma = -1 among them, the orbits of the s = 0 sets (0,0,-3) at
 p = 997 and (-1,-1,-1) at p = 211, many orbits that are mostly scalar
 multiples of one another, (0,1,9) at p = 13, whose cone is two
 planes, and (1,1,50016) at p = 50021, above the int32 bound, the
@@ -94,6 +96,11 @@ COMMANDS = [
     # passes a leading minus sign to argparse as a value
     "verify delta -p 997 -a=-2,718,279",
     "verify delta -p 997 -a=-2,2,-2",
+    # breakup on the families generic pool: the companion along each
+    # axis, i = 2 and i = 1 with chi(s) = -1, and i = 0 with sigma = -1
+    "verify breakup -p 997 -a 419,419,2",
+    "verify breakup -p 997 -a 584,2,584",
+    "verify breakup -p 997 -a=-2,718,279",
     "verify divisibility -p 997 -a 0,0,-3",
     "verify delta -p 2017 -a 0,0,0",
     "sweep --p-list 11,13 --exhaustive --with-delta",
