@@ -36,11 +36,19 @@ rows exactly these checks:
   m_2:       the pair (or fix) identity only: the image -b - x3 has the
              row's (b, c), so its residual is the row's and its cell too.
 
+and after the pass the rows of each id must number its orbit size.
 Completeness makes every image on the surface a row, so none is looked
-up, and the per-orbit sums then rederive s*V = 0.  The move m_i keeps
-x_{i-1} and x_{i+1}, and with them q_i, half_i and the planes
-x_{i +- 1} = 0, so _delta_ends evaluates both ends of a block's m_i
-edges from one gather of the block's inverses, in the block's dtype.
+up, and no per-orbit sum is left to add:
+
+  m_i is an involution on the rows of each id (the image has its id),
+  and Delta at an image end is the image row's own value, a formula in
+  its coordinates; so the V rows of an id sum each Delta_i to s V/2,
+  s per pair and s/2 per fixed row, and their totals s to s V = 3 s V/2.
+
+The move m_i keeps x_{i-1} and x_{i+1}, and with them q_i, half_i and
+the planes x_{i +- 1} = 0, so _delta_ends evaluates both ends of a
+block's m_i edges from one gather of the block's inverses, in the
+block's dtype.
 """
 
 from __future__ import annotations
@@ -268,7 +276,7 @@ def _root_sum_image(axis: SurfaceParams, x, i: int):
 
 
 def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> CertificateReport:
-    """Prove the set complete, check every move edge and identity, and rederive p | V per orbit.
+    """Prove the set complete, check every move edge and identity, and count each orbit.
 
     The set must hold closed_form_total's count of rows (require_complete).
     Then one pass over the blocks of rows makes, in the block's dtype,
@@ -288,21 +296,17 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
            it is a row; then its cell has the row's id;
          - every i: the pair identity with _delta_ends' values at both
            ends, which at a fixed edge (image[i] == x[i]) reads
-           2 Delta_i = s, the fix identity for odd p.
+           2 Delta_i = s, the fix identity for odd p;
 
-    m_2's image is -b - x_3 on check 3's (b, c): its residual is the
-    row's, already zero, and its cell is the row's, so it has neither an
-    image nor an id check.  The images do not come from moved_coordinate
-    or apply_move, the move formula compute_orbits reads its edges from.
-    Every Delta value is in [0, p), so an identity holds when its sum
-    less s is 0, p or 2p, without a reduction.  The pass also counts the
-    rows of each id, which must be the partition's orbit sizes, and sums
-    Delta_0 and Delta_1 per id, which must be s*V/2.  The total identity
-    holds at every row, so the sum of Delta_2 is s*V less those two, and
-    it must be s*V/2 too: then s*V/2 = 0 and p | V.  Raises
-    CertificateError naming the point (or the orbit's representative,
-    or M and the count), the move and the identity; ValueError outside
-    the domain or for a partition of another parameter set.
+    and after it 7: the rows of each id number the partition's orbit
+    size, from which all_divisible is read.  m_2's image is -b - x_3 on
+    check 3's (b, c), in the row's cell, so it needs neither.  Every
+    Delta value is in [0, p), so an identity holds when its sum less s
+    is 0, p or 2p.  No per-orbit sum of Delta is added: checks 1-6
+    make each sum s V/2 (module docstring).  Raises CertificateError
+    naming the point (or the orbit's representative, or M and the
+    count), the move and the identity; ValueError outside the domain or
+    for a partition of another parameter set.
     """
     sol = assign.solutions
     params = sol.params
@@ -317,7 +321,6 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
     n_fixed = 0
     last = 0  # the origin's key; the first row must lie above it
     sizes = np.zeros(n_orbits, dtype=np.int64)
-    half_sums = np.zeros((3, n_orbits), dtype=np.int64)  # per orbit: sum of Delta_i mod p
     axes = [rotated(params, i) for i in range(2)]
     for rows, x in sol.blocks():
         _require(rows, _below(x, p).all(axis=0),
@@ -358,26 +361,12 @@ def verify_certificate(assign: DeltaAssignment, part: OrbitPartition) -> Certifi
                          lambda k: f"move {i} edge from {sol.triple(k)} joins components "
                                    f"{ids[k - rows.start]} and {moved_ids[k - rows.start]}")
             fixed = moved[i] == x[i]
-            at_row, at_image = d[i]
-            _require(rows, _sums_to(s, p, at_row, at_image),
+            _require(rows, _sums_to(s, p, *d[i]),
                      lambda k: f"{'fixed-point' if fixed[k - rows.start] else 'pair'} "
                                f"identity fails at {sol.triple(k)} for move {i}")
             n_fixed += int(np.count_nonzero(fixed))
-            if i < 2:
-                # float64 sums are exact: a block adds at most BLOCK values below p, below 2^47
-                sums = np.bincount(ids, weights=at_row, minlength=n_orbits)
-                half_sums[i] = (half_sums[i] + sums.astype(np.int64)) % p
-    # s * sizes < p * M stays far below 2^63
-    half_sums[2] = (s * sizes - half_sums[0] - half_sums[1]) % p
-
-    def require_per_orbit(ok: np.ndarray, identity: str) -> None:
-        if not bool(ok.all()):
-            size, rep = part.orbits[int(np.flatnonzero(~ok)[0])]
-            raise CertificateError(f"{identity} fails for the orbit of {rep} (size {size})")
-
-    require_per_orbit(sizes == part.orbit_sizes(), "orbit size count")
-    expect = s * (sizes % p) % p * ((p + 1) // 2) % p  # s*V/2
-    for i in range(3):
-        require_per_orbit((half_sums[i] - expect) % p == 0, f"half-sum identity for move {i}")
-    return CertificateReport(params, len(sol), n_fixed,
-                             all(size % p == 0 for size in part.orbit_sizes()))
+    wrong = np.flatnonzero(sizes != part.orbit_sizes())
+    if len(wrong):
+        size, rep = part.orbits[int(wrong[0])]
+        raise CertificateError(f"orbit size count fails for the orbit of {rep} (size {size})")
+    return CertificateReport(params, len(sol), n_fixed, not (sizes % p).any())

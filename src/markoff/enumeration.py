@@ -23,7 +23,10 @@ Along a row x1 of the cell grid the residual's coefficients are
 b = b0 + b1*x2 and c = x2^2 + c1*x2 + c0, so the discriminant b^2 - 4c
 is a quadratic in x2 with three coefficients per row, read from
 x3_coefficients at x2 = 0 and 1.  Enumeration evaluates it in int32
-over the slab and solves for x3 only on the cells that hold a root.
+over the slab and solves for x3 only on the cells that hold a root,
+into the (3, M) points allocated before the walk (12 bytes a point, 4 a
+cell, no copy).  Its only checks are the int32 bounds and that the walk
+meets the closed-form M exactly where M is defined.
 
 The independent oracle count_solutions_bruteforce counts the x3 roots of
 every cell exhaustively and shares no logic with the closed-form count:
@@ -61,6 +64,10 @@ class ResourceGuardError(ValueError):
     """Raised when a request exceeds a size guard."""
 
 
+class CertificateError(Exception):
+    """A certificate check failed: the set is incomplete, or an identity broke."""
+
+
 def row_blocks(m: int):
     """Consecutive slices of up to BLOCK rows covering range(m)."""
     for start in range(0, m, BLOCK):
@@ -78,8 +85,8 @@ def _require_int32(p: int, m: int = 0) -> None:
     """Refuse p unless the p^2 + 1 cell offsets and m points fit in int32.
 
     Arithmetic only: enumerate_solutions calls it before allocating
-    anything, then with the running point count before each block is
-    kept.  The largest prime with p^2 + 1 < 2^31 is 46337.
+    anything, then with the running point count before each slab is
+    written.  The largest prime with p^2 + 1 < 2^31 is 46337.
     """
     if p * p + 1 > INT32_MAX:
         raise ResourceGuardError(
@@ -93,8 +100,8 @@ class SolutionSet:
     """All nonzero solutions for one parameter set, stored by cell (x1, x2).
 
     points is the (M, 3) int32 array in lexicographic order, stored
-    column-major so that each coordinate column is contiguous: gathers
-    from a column then run at full speed.  The rows
+    so that each coordinate column is contiguous: gathers from a column
+    then run at full speed.  The rows
     offsets[c] .. offsets[c+1] - 1 are the 0, 1 or 2 points of cell
     c = x1*p + x2, smaller x3 first; cell (0, 0) is empty because its
     only solution is the origin.  offsets[-1] == M.  Both arrays are
@@ -103,7 +110,7 @@ class SolutionSet:
     """
 
     params: SurfaceParams
-    points: np.ndarray                      # (M, 3) int32, lex sorted, column-major
+    points: np.ndarray                      # (M, 3) int32, lex sorted, columns contiguous
     offsets: np.ndarray                     # (p*p + 1,) int32, cumsum of cell counts
 
     def __len__(self) -> int:
@@ -163,25 +170,19 @@ def _row_coefficients(params: SurfaceParams, x1: np.ndarray):
     return b0, b[:, 1] - b0, c0, c[:, 1] - c0 - 1
 
 
-def _interleave(first: np.ndarray, second: np.ndarray, pick: np.ndarray) -> np.ndarray:
-    """first[0], second[0], first[1], second[1], ... where the flat bool pick is True."""
-    pairs = np.empty((len(first), 2), dtype=np.int32)
-    pairs[:, 0], pairs[:, 1] = first, second
-    return pairs.ravel()[pick]
-
-
 def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> SolutionSet:
     """All x != (0,0,0) with residual zero, as a cell-indexed SolutionSet.
 
     p above DEFAULT_MAX_PRIME needs allow_large=True.  With or without
-    it, p^2 + 1 and the point count M must fit in int32 (p <= 46337);
-    _require_int32 raises ResourceGuardError otherwise, before the
-    arrays are allocated.  Each slab of cell_slabs(p) evaluates the
-    discriminant of its cells' quadratics, a quadratic in x2 on each row
-    (see _row_coefficients), writes its cells' offsets (the running
-    point count plus the cumsum of the slab's cell counts), and solves
-    for x3 only on the cells that hold a root; the slabs' int32 points
-    are then joined in order.
+    it, p^2 + 1 and M must fit in int32 (p <= 46337); _require_int32
+    raises ResourceGuardError otherwise, before any array is allocated.
+    The (3, M) points are allocated once, M = closed_form_total where it
+    is defined (s != 0, p >= 5), else the bound 2 p^2, whose pages past
+    the set are never touched and of which the points are a view.  Each
+    slab of cell_slabs(p) solves for x3 on its cells with a root (see
+    _row_coefficients) and writes their offsets, and their points at
+    the running count.  A walk that would pass M, or one of s != 0 that
+    ends below it, raises CertificateError naming both counts.
     """
     p = params.p
     if p > DEFAULT_MAX_PRIME and not allow_large:
@@ -192,14 +193,19 @@ def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> Sol
     if p == 2:
         return _enumerate_tiny(params)
 
+    if params.s != 0 and p >= 5:  # the walk must fill closed_form_total's M exactly
+        from .conics import closed_form_total  # conics imports the guards from this module
+        size, exact = closed_form_total(params), True
+    else:  # at most two roots a cell, capped where _require_int32 refuses anyway
+        size, exact = min(2 * p * p, INT32_MAX), False
     fld = params.field
     inv2 = pow(2, -1, p)
     x2 = np.arange(p, dtype=np.int32)
     n_roots = fld.chi_table + 1  # a discriminant d gives 1 + chi(d) roots
     # sqrt(d)/2, zero only at d = 0; the entries of non-residues are never read
     half_root = (fld.sqrt_table * inv2 % p).astype(np.int32)
+    points = np.empty((3, size), dtype=np.int32)
     offsets = np.zeros(p * p + 1, dtype=np.int32)
-    blocks: list[np.ndarray] = []
     m = 0
     for start, stop in cell_slabs(p):
         b0, b1, c0, c1 = _row_coefficients(params, np.arange(start, stop, dtype=np.int64)[:, None])
@@ -214,8 +220,11 @@ def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> Sol
         counts = np.cumsum(count, dtype=np.int32)
         n = int(counts[-1])
         _require_int32(p, m + n)
+        # the walk never passes 2 p^2, nor _require_int32 its cap: only an exact M is missed
+        if m + n > size or exact and stop == p and m + n < size:
+            raise CertificateError(f"enumeration finds {m + n} points up to x1 = {stop - 1}, "
+                                   f"but the surface has {size} nonzero points")
         np.add(counts, m, out=offsets[start * p + 1:stop * p + 1])
-        m += n
         # x3 = -b/2 +- sqrt(disc)/2, solved only on the cells with a root;
         # -b/2 is linear in x2 like b
         cells = np.flatnonzero(count > 0)
@@ -231,15 +240,14 @@ def enumerate_solutions(params: SurfaceParams, allow_large: bool = False) -> Sol
         pick = np.empty((len(cells), 2), dtype=bool)
         pick[:, 0] = True
         np.not_equal(e, 0, out=pick[:, 1])
-        pick = pick.ravel()
-        # one array per slab, larger than any temporary of the loop: the
-        # allocator then maps it on its own and returns it to the system
-        # when the slabs are joined, where many smaller ones stay resident
-        cols = np.empty((3, n), dtype=np.int32)
-        cols[0], cols[1], cols[2] = (_interleave(x1k, x1k, pick), _interleave(x2k, x2k, pick),
-                                     _interleave(np.minimum(r1, r2), np.maximum(r1, r2), pick))
-        blocks.append(cols)
-    return SolutionSet(params, np.concatenate(blocks, axis=1).T, offsets)
+        roots = np.empty((len(cells), 2), dtype=np.int32)
+        np.minimum(r1, r2, out=roots[:, 0])
+        np.maximum(r1, r2, out=roots[:, 1])
+        points[0, m:m + n] = np.repeat(x1k, 1 + pick[:, 1])
+        points[1, m:m + n] = np.repeat(x2k, 1 + pick[:, 1])
+        points[2, m:m + n] = roots[pick]
+        m += n
+    return SolutionSet(params, points[:, :m].T, offsets)
 
 
 def _enumerate_tiny(params: SurfaceParams) -> SolutionSet:

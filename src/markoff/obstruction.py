@@ -31,7 +31,8 @@ import numpy as np
 from .enumeration import SolutionSet, enumerate_solutions
 from .field import chi, mod_p
 from .orbits import compute_orbits, require_complete
-from .surface import SurfaceParams, Triple, moved_coordinate, rescale, special_form_detect
+from .surface import (SurfaceParams, Triple, rescale, rotated, special_form_detect,
+                      x3_coefficients)
 
 NON_NEG = "non-negative"
 NON_POS = "non-positive"
@@ -175,9 +176,11 @@ def perfect_square_check(params: SurfaceParams, x):
     with its m_{i+1} image is the square of
     y_{i-1}^2 + y_{i-1}y_i - sigma(alpha-2)y_i.  The mirrored identity
     for m_{i-1} is the same statement after swapping i+1 with i-1 and
-    replacing alpha by alpha*sigma.  x is one point of ints, giving a
-    bool, or int32 or int64 coordinate columns x[0..2] in [0, p),
-    giving a bool per point; every intermediate stays below 3 p^2.
+    replacing alpha by alpha*sigma.  The images are read from the root
+    sum, -b - y_j for b the x3_coefficients of rotated(unit, j).  x is
+    one point of ints, giving a bool, or int32 or int64 coordinate
+    columns x[0..2] in [0, p), giving a bool per point; every
+    intermediate stays below 3 p^2.
     """
     i, sigma, alpha = _require_special_form(params)
     p = params.p
@@ -192,7 +195,8 @@ def _square_identity(unit_params, y, i, side, moved, sigma, alpha):
     """L(y_side, y_moved) * L(y_side, y_moved') == (y_side^2 + y_side*y_i - sigma*c*y_i)^2."""
     p = unit_params.p
     c = (alpha - 2) % p
-    y_new = moved_coordinate(unit_params, y, moved)
+    b, _ = x3_coefficients(rotated(unit_params, moved), y[(moved + 1) % 3], y[(moved + 2) % 3])
+    y_new = (-b - y[moved]) % p
     lhs1 = (y[side] * y[moved] - sigma * c * y[moved] - c * y[side]) % p
     lhs2 = (y[side] * y_new - sigma * c * y_new - c * y[side]) % p
     rhs = (y[side] * y[side] + y[side] * y[i] - sigma * c * y[i]) % p

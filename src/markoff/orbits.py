@@ -50,7 +50,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .conics import closed_form_total
-from .enumeration import BLOCK, INT32_MAX, ResourceGuardError, SolutionSet
+from .enumeration import BLOCK, INT32_MAX, CertificateError, ResourceGuardError, SolutionSet
 from .surface import (ALL_NONDEGENERATE, SPECIAL_FORM, ParamClass, SurfaceParams,
                       Triple, apply_move, classify_parameters, moved_coordinate,
                       rotated, x3_coefficients)
@@ -80,10 +80,6 @@ def neighbor_indices(sol: SolutionSet) -> np.ndarray:
                 raise KeyError(f"{tuple(int(v[k]) for v in y)} is not in the solution set")
             out[i, rows] = row
     return out
-
-
-class CertificateError(Exception):
-    """A certificate check failed: the set is incomplete, or an identity broke."""
 
 
 def require_complete(sol: SolutionSet) -> None:

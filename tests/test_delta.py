@@ -319,7 +319,7 @@ class TestCertificate:
                            match=r"fixed-point identity fails at \(1, 7, 7\) for move 0"):
             verify_certificate(build_certificate(sol), part)
 
-    def test_orbit_level_failures_name_the_representative(self, monkeypatch):
+    def test_orbit_level_failures_name_the_representative(self):
         params = params_of(13, (2, 5, 5))
         sol = enumerate_solutions(params)
         part = compute_orbits(sol)
@@ -329,21 +329,6 @@ class TestCertificate:
         with pytest.raises(CertificateError,
                            match="orbit size count fails for the orbit of " + re.escape(str(rep1))):
             verify_certificate(assign, wrong_sizes)
-
-        # corrupt the per-orbit Delta sums of the second orbit only
-        bincount = np.bincount
-
-        def skewed(ids, weights=None, minlength=0):
-            out = bincount(ids, weights=weights, minlength=minlength)
-            if weights is not None:
-                out[1] += 1
-            return out
-
-        monkeypatch.setattr(np, "bincount", skewed)
-        with pytest.raises(CertificateError,
-                           match="half-sum identity for move 0 fails for the orbit of "
-                           + re.escape(str(rep1))):
-            verify_certificate(assign, part)
 
     @pytest.mark.parametrize("value", (13, 14, -1))
     def test_unreduced_row_fails(self, value):

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from markoff import conics
+from markoff.cli import EXIT_FAIL, main
 from markoff.conics import closed_form_total
 from markoff.delta import delta_values
-from markoff.enumeration import (BLOCK, DEFAULT_MAX_PRIME, INT32_MAX,
+from markoff.enumeration import (BLOCK, DEFAULT_MAX_PRIME, INT32_MAX, CertificateError,
                                  ResourceGuardError, SolutionSet, _require_int32,
                                  _root_table, _row_coefficients, cell_slabs,
                                  count_solutions_bruteforce, enumerate_solutions, row_blocks)
@@ -17,7 +19,7 @@ from markoff.orbits import neighbor_indices
 from markoff.surface import (SurfaceParams, apply_move, on_surface, residual_array,
                              x3_coefficients)
 
-from conftest import naive_solutions, restrict, zero_plane
+from conftest import naive_residual, naive_solutions, restrict, zero_plane
 
 
 def test_enumerate_frozen_examples():
@@ -35,6 +37,44 @@ def test_enumerate_matches_naive():
     for p, a in [(7, (1, 1, 1)), (7, (2, 2, 5)), (11, (4, 0, 9)), (13, (2, 3, 3))]:
         params = SurfaceParams.make(p, a)
         assert list(enumerate_solutions(params).iter_triples()) == naive_solutions(p, a)
+
+
+@pytest.mark.parametrize("p, a", [(13, (2, 5, 5)), (13, (0, 0, -3)), (3, (0, 0, 0)),
+                                  (2, (1, 1, 1))])
+def test_enumerate_matches_a_joined_reference(p, a):
+    """Points and offsets equal one naive int32 array per x1 row, joined, with its cell counts.
+
+    (0, 0, -3) has s = 0 at p = 13 and (0, 0, 0) is at p = 3, so both are
+    written below the 2 p^2 bound; p = 2 is the exhaustive scan.
+    """
+    grid = np.array(list(itertools.product(range(p), repeat=2)), dtype=np.int64).T
+    rows = []
+    for x1 in range(p):
+        x = np.vstack([np.full(p * p, x1), grid])
+        keep = (naive_residual(p, a, x) == 0) & x.any(axis=0)
+        rows.append(x[:, keep].astype(np.int32))
+    points = np.concatenate(rows, axis=1).T
+    cells = np.bincount(points[:, 0] * p + points[:, 1], minlength=p * p)
+    sol = enumerate_solutions(SurfaceParams.make(p, a))
+    assert sol.points.dtype == np.int32 and np.array_equal(sol.points, points)
+    assert sol.offsets.dtype == np.int32
+    assert np.array_equal(sol.offsets, np.concatenate([[0], np.cumsum(cells)]))
+    assert all(sol.points[:, j].flags.c_contiguous for j in range(3))
+
+
+@pytest.mark.parametrize("shift", (-1, 1))
+def test_count_mismatch_names_both_counts(capsys, monkeypatch, shift):
+    """A closed-form M off by one raises, naming both counts, and the CLI exits 1."""
+    params = SurfaceParams.make(13, (1, 1, 1))
+    m = closed_form_total(params)
+    monkeypatch.setattr(conics, "closed_form_total", lambda params: m + shift)
+    message = (f"enumeration finds {m} points up to x1 = 12, "
+               f"but the surface has {m + shift} nonzero points")
+    with pytest.raises(CertificateError, match="^" + re.escape(message) + "$"):
+        enumerate_solutions(params)
+    code = main(["orbits", "-p", "13", "-a", "1,1,1"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_FAIL and out == "" and err == f"error: CertificateError: {message}\n"
 
 
 def test_enumerate_is_sorted_unique_and_origin_free():

@@ -247,15 +247,27 @@ def _certifiable(p, a):
 
 
 def test_delta_ends_exact_on_every_edge_small_p():
-    """Every consistent s != 0 triple for p <= 13, planes included."""
+    """Every consistent s != 0 triple for p <= 13, planes included.
+
+    Each orbit O also sums every Delta_i to s |O| / 2 mod p: the pairing
+    lemma by which verify_certificate adds up no per-orbit sum.
+    """
     checked = 0
     for p in (5, 7, 11, 13):
         for a in itertools.product(range(p), repeat=3):
             params = _certifiable(p, a)
-            if params is not None:
-                for _, x in enumerate_solutions(params).blocks():
-                    _check_edge_ends(params, x)
-                checked += 1
+            if params is None:
+                continue
+            sol = enumerate_solutions(params)
+            (_, x), = sol.blocks()
+            _check_edge_ends(params, x)
+            part = compute_orbits(sol)
+            ids = part.ids(x)
+            half_sizes = params.s * np.bincount(ids) * pow(2, -1, p) % p
+            for i in range(3):
+                sums = np.bincount(ids, weights=delta_column(params, x, i)).astype(np.int64)
+                assert np.array_equal(sums % p, half_sizes), (p, a, i)
+            checked += 1
     assert checked > 1295  # p = 13 alone has 1295 certifiable sets
 
 

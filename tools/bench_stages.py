@@ -21,8 +21,10 @@ which, unlike RSS, does not depend on what the allocator kept from
 earlier stages.  That peak includes the arrays still live from earlier
 stages, the solution set among them; traced_own_mb is the peak less
 what was traced just before the stage ran, the stage's own
-allocations.  The oracle's cached root table is cleared before the
-second run, so both runs build it.
+allocations, and traced_own_bytes_per_point is that in bytes over the
+set's points, the figure a memory model per point reads.  The oracle's
+cached root table is cleared before the second run, so both runs build
+it.
 
 The move lookups of the timed run are timed inside the stage that makes
 them, from wrappers around the functions that do them: orbits_lookup_s
@@ -133,7 +135,7 @@ def main(argv: list[str]) -> int:
     stages: dict[str, float] = {}
     rss: dict[str, float] = {}
     traced: dict[str, float] = {}
-    own: dict[str, float] = {}
+    own: dict[str, int] = {}  # bytes
     spent: dict = defaultdict(float)
     calls: dict = defaultdict(int)
     current = [""]
@@ -154,7 +156,7 @@ def main(argv: list[str]) -> int:
         out = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
         traced[stage] = peak / 2 ** 20
-        own[stage] = (peak - before) / 2 ** 20
+        own[stage] = peak - before
         return out
 
     result = _pipeline(params, timed)
@@ -175,7 +177,8 @@ def main(argv: list[str]) -> int:
         "stages_s": {k: round(v, 3) for k, v in sorted(stages.items())},
         "peak_rss_mb_after": {k: round(v, 1) for k, v in rss.items()},
         "traced_peak_mb": {k: round(v, 1) for k, v in traced.items()},
-        "traced_own_mb": {k: round(v, 1) for k, v in own.items()},
+        "traced_own_mb": {k: round(v / 2 ** 20, 1) for k, v in own.items()},
+        "traced_own_bytes_per_point": {k: round(v / result["points"], 1) for k, v in own.items()},
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": np.__version__,
                  "scipy": scipy.__version__},
